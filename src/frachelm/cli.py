@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -113,7 +112,6 @@ def _metadata(command, cfg, spec):
         "tolerances": {"rel_tol": spec.rel_tol, "abs_tol": spec.abs_tol,
                        "laguerre_order": spec.laguerre_order,
                        "bessel_intervals": spec.bessel_intervals},
-        "threads": os.environ.get("FRACHELM_THREADS"),
     }
 
 

@@ -9,13 +9,14 @@ engines; their error estimates propagate additively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError
 from .kernels import (
-    LOW_INTEGER, SpectralShift, classify_regime, dF_m_dr, dF_tilde_m_dr,
-    F_m, F_tilde_m, helm_part, helm_part_dr, spectral_shift,
+    LOW_INTEGER, SpectralShift, _bracket_1d, _bracket_3d, classify_regime, dF_m_dr,
+    dF_tilde_m_dr, F_m, F_tilde_m, helm_part, helm_part_dr, spectral_shift,
 )
 from .quadrature import (
     DEFAULT_SPEC, QuadratureSpec, _exp_weighted_batch, integrate_bessel_transform,
@@ -47,139 +48,109 @@ def _resolve_shift(p, shift):
     return spectral_shift(p, float(shift))
 
 
-def _riesz_sum_batch(p, m, kc, r):
-    """Sum of Riesz power-law terms; zero in 1D and on the HIGH branch."""
+def _check_radii(r):
+    if r.ndim != 1 or r.size == 0:
+        raise DomainError("radii must form a nonempty 1-D array")
+    if not np.all(np.isfinite(r) & (r > 0.0)):
+        raise DomainError("green evaluation requires finite r > 0")
+    return r
+
+
+def _riesz_sum_batch(p, m, kc, r, derivative=False):
+    """Sum of Riesz power-law terms (or its r-derivative); zero in 1D and on
+    the HIGH branch."""
     out = np.zeros(r.shape, dtype=complex)
     if p.n == 1:
         return out
     for j in range(m):
-        out += riesz_constant(p.n, p.s, j) * kc ** (2.0 * p.s * j) \
-            / r ** (p.n - 2.0 * p.s * (j + 1.0))
+        expo = p.n - 2.0 * p.s * (j + 1.0)
+        term = riesz_constant(p.n, p.s, j) * kc ** (2.0 * p.s * j) / r ** expo
+        out += -expo * term / r if derivative else term
     return out
 
 
-def _exp_tail_batch(p, m, kc, r, spec, derivative=False):
-    """Tail integrals for n in {1, 3}, batched over radii.
+def _exp_tail_batch(p, regime, kc, r, spec, derivative=False):
+    """Tail integrals for n in {1, 3}: e^{-y} integrals, batched over radii.
 
     Returns (values, errors).  With ``derivative=True`` the integrand is the
     one obtained by differentiation under the integral sign, plus the
     prefactor-derivative term.
     """
-    s = p.s
+    s, m = p.s, regime.m
     c = kc ** (2.0 * s) * r.astype(complex) ** (2.0 * s)
-    ep = np.exp(1j * np.pi * s)
-    em = np.exp(1j * np.pi * s * m)
-
     if p.n == 1:
         pref = 1j / (2.0 * np.pi * r ** (1.0 - 2.0 * s))
         dpref = 1j * (2.0 * s - 1.0) / (2.0 * np.pi * r ** (2.0 - 2.0 * s))
-
-        def bracket(y):
-            y2s = y.astype(complex) ** (2.0 * s)
-            return 1.0 / (y2s[:, None] * ep - c[None, :]) \
-                - 1.0 / (y2s[:, None] / ep - c[None, :])
-
-        def bracket_dc(y):
-            y2s = y.astype(complex) ** (2.0 * s)
-            return 1.0 / (y2s[:, None] * ep - c[None, :]) ** 2 \
-                - 1.0 / (y2s[:, None] / ep - c[None, :]) ** 2
+        bracket = partial(_bracket_1d, c=c, s=s)
     else:
         expo = 3.0 - 2.0 * s * (m + 1.0)
         pref = kc ** (2.0 * s * m) / (4j * np.pi ** 2 * r ** expo)
         dpref = -expo * pref / r
-
-        def bracket(y):
-            y2s = y.astype(complex) ** (2.0 * s)
-            w = y.astype(complex) ** (1.0 - 2.0 * s * m)
-            return w[:, None] * (em / (y2s[:, None] / ep - c[None, :])
-                                 - (1.0 / em) / (y2s[:, None] * ep - c[None, :]))
-
-        def bracket_dc(y):
-            y2s = y.astype(complex) ** (2.0 * s)
-            w = y.astype(complex) ** (1.0 - 2.0 * s * m)
-            return w[:, None] * (em / (y2s[:, None] / ep - c[None, :]) ** 2
-                                 - (1.0 / em) / (y2s[:, None] * ep - c[None, :]) ** 2)
+        bracket = partial(_bracket_3d, c=c, s=s, m=m)
 
     y_cut = max(10.0, 5.0 * abs(kc) * float(r.max()))
     ival, ierr, _ = _exp_weighted_batch(bracket, spec, y_cut)
     if not derivative:
         return pref * ival, np.abs(pref) * ierr
-    dval, derr, _ = _exp_weighted_batch(bracket_dc, spec, y_cut)
+    dval, derr, _ = _exp_weighted_batch(partial(bracket, power=2), spec, y_cut)
     dc_dr = 2.0 * s * kc ** (2.0 * s) * r.astype(complex) ** (2.0 * s - 1.0)
     val = dpref * ival + pref * dval * dc_dr
     err = np.abs(dpref) * ierr + np.abs(pref * dc_dr) * derr
     return val, err
 
 
-def _jtail_2d_single(p, regime, kc, r, spec, derivative=False):
-    """2D tail (Bessel transform of rho*F, plus the Struve term on LOW_INTEGER)."""
-    s = p.s
+def _bessel_tail_batch(p, regime, kc, r, spec, derivative=False):
+    """Tail integrals for n = 2: Bessel transform of rho*F, batched over radii,
+    plus the Struve term on LOW_INTEGER.  Returns (values, errors)."""
+    s, m = p.s, regime.m
     integer_branch = regime.branch == LOW_INTEGER
+    fval, fder = (F_tilde_m, dF_tilde_m_dr) if integer_branch else (F_m, dF_m_dr)
+    val = np.zeros(r.shape, dtype=complex)
+    err = np.zeros(r.shape)
     # at s = 1/2 the corrected kernel vanishes identically; evaluating the
     # transform there would integrate pure cancellation round-off
-    kernel_zero = integer_branch and abs(s - 0.5) < 1e-12
-    if integer_branch:
-        fval = lambda rho: F_tilde_m(rho, kc, s, regime.m)
-        fder = lambda rho: dF_tilde_m_dr(rho, kc, s, regime.m)
-    else:
-        fval = lambda rho: F_m(rho, kc, s, regime.m)
-        fder = lambda rho: dF_m_dr(rho, kc, s, regime.m)
-
-    if not derivative:
-        if kernel_zero:
-            term = -kc ** (2.0 - 2.0 * s) / 4.0 * struve_k0(kc * r)
-            return term, abs(term) * 1e-10
-        qr = integrate_bessel_transform(lambda rho: rho * fval(rho), r, spec)
-        val = qr.value / (2.0 * np.pi)
-        err = qr.err_estimate / (2.0 * np.pi)
-        if integer_branch:
-            term = -kc ** (2.0 - 2.0 * s) / 4.0 * struve_k0(kc * r)
-            val += term
-            err += abs(term) * 1e-10
-        return val, err
-
-    # d/dr of the 2D inverse transform: -(1/r) * transform of rho F' + 2 F
-    # (the n-dimensional divergence identity; equals -(1/2pi) int J1(rho r) rho^2 F
-    # by parts, and is validated against finite differences of the value path)
-    if kernel_zero:
-        term = -kc ** (2.0 - 2.0 * s) / 4.0 * kc * (2.0 / np.pi - struve_k1(kc * r))
-        return term, abs(term) * 1e-10
-    qr = integrate_bessel_transform(
-        lambda rho: rho * (rho * fder(rho) + 2.0 * fval(rho)), r, spec)
-    val = -qr.value / (2.0 * np.pi * r)
-    err = qr.err_estimate / (2.0 * np.pi * r)
+    if not (integer_branch and abs(s - 0.5) < 1e-12):
+        if derivative:
+            # d/dr of the 2D inverse transform: -(1/r) * transform of rho F' + 2 F
+            # (the n-dimensional divergence identity; equals -(1/2pi) int J1(rho r)
+            # rho^2 F by parts, and is validated against finite differences)
+            qr = integrate_bessel_transform(
+                lambda rho: rho * (rho * fder(rho, kc, s, m) + 2.0 * fval(rho, kc, s, m)),
+                r, spec)
+            scale = -1.0 / (2.0 * np.pi * r)
+        else:
+            qr = integrate_bessel_transform(lambda rho: rho * fval(rho, kc, s, m), r, spec)
+            scale = 1.0 / (2.0 * np.pi)
+        val = scale * qr.value
+        err = np.abs(scale) * qr.err_estimate
     if integer_branch:
         # d/dr K0(kc r) = kc (2/pi - K1(kc r))
-        term = -kc ** (2.0 - 2.0 * s) / 4.0 * kc * (2.0 / np.pi - struve_k1(kc * r))
-        val += term
-        err += abs(term) * 1e-10
+        struve = kc * (2.0 / np.pi - struve_k1(kc * r)) if derivative else struve_k0(kc * r)
+        term = -kc ** (2.0 - 2.0 * s) / 4.0 * struve
+        val = val + term
+        err = err + np.abs(term) * 1e-10
     return val, err
 
 
-def green_eval_batch(p, shift, radii, spec=DEFAULT_SPEC):
-    """Vectorized Green evaluation over an array of radii.
+def _tail_batch(p):
+    """The tail family of a dimension: e^{-y} integrals, or the 2D Bessel transform."""
+    return _bessel_tail_batch if p.n == 2 else _exp_tail_batch
 
-    Returns (helm, riesz_sum, j_tail, err) arrays.  Dimensions 1 and 3 share
-    one adaptive pass over the whole batch; dimension 2 is evaluated per
-    radius (its oscillatory partition depends on r).
+
+def green_eval_batch(p, shift, radii, spec=DEFAULT_SPEC):
+    """Vectorized Green evaluation over a 1-D array of finite radii r > 0.
+
+    Returns (helm, riesz_sum, j_tail, err) arrays.  Every dimension makes one
+    batched tail call: the e^{-y} integrals (n = 1, 3) and the 2D Bessel
+    transform, whose J0-zero partition is fixed in t = rho r, share one
+    adaptive pass over the whole batch, with one error estimate per radius.
     """
-    shift = _resolve_shift(p, shift)
-    kc = shift.k_eps
-    r = np.asarray(radii, dtype=float)
-    if r.ndim != 1:
-        raise DomainError("radii must be a 1-D array")
-    if np.any(r <= 0.0):
-        raise DomainError("green evaluation requires r > 0")
+    kc = _resolve_shift(p, shift).k_eps
+    r = _check_radii(np.asarray(radii, dtype=float))
     regime = classify_regime(p.s)
     helm = np.atleast_1d(helm_part(p.n, p.s, kc, r)).astype(complex)
     riesz = _riesz_sum_batch(p, regime.m, kc, r)
-    if p.n == 2:
-        jt = np.empty(r.shape, dtype=complex)
-        je = np.empty(r.shape, dtype=float)
-        for i, ri in enumerate(r):
-            jt[i], je[i] = _jtail_2d_single(p, regime, kc, float(ri), spec)
-    else:
-        jt, je = _exp_tail_batch(p, regime.m, kc, r, spec)
+    jt, je = _tail_batch(p)(p, regime, kc, r, spec)
     err = je + _CLOSED_FORM_REL * (np.abs(helm) + np.abs(riesz))
     return helm, riesz, jt, err
 
@@ -197,27 +168,18 @@ def green_eval(p, shift, r, spec=DEFAULT_SPEC):
 
 def green_radial_derivative(p, shift, r, spec=None):
     """d/dr of the fundamental solution, by closed forms for helm/riesz parts
-    and differentiation under the integral sign for the tail."""
+    and differentiation under the integral sign for the tail.
+
+    `r` is a scalar (returns complex) or a 1-D array (returns an array).
+    """
     spec = DERIVATIVE_SPEC if spec is None else spec
-    shift = _resolve_shift(p, shift)
-    kc = shift.k_eps
-    r = float(r)
-    if r <= 0.0:
-        raise DomainError("green_radial_derivative requires r > 0")
+    kc = _resolve_shift(p, shift).k_eps
+    rr = _check_radii(np.atleast_1d(np.asarray(r, dtype=float)))
     regime = classify_regime(p.s)
-    dhelm = helm_part_dr(p.n, p.s, kc, r)
-    driesz = 0.0 + 0.0j
-    if p.n != 1:
-        for j in range(regime.m):
-            expo = p.n - 2.0 * p.s * (j + 1.0)
-            driesz += -expo * riesz_constant(p.n, p.s, j) * kc ** (2.0 * p.s * j) \
-                / r ** (expo + 1.0)
-    if p.n == 2:
-        djt, err = _jtail_2d_single(p, regime, kc, r, spec, derivative=True)
-    else:
-        val, errv = _exp_tail_batch(p, regime.m, kc, np.atleast_1d(r), spec, derivative=True)
-        djt, err = complex(val[0]), float(errv[0])
-    return complex(dhelm + driesz + djt)
+    djt, _ = _tail_batch(p)(p, regime, kc, rr, spec, derivative=True)
+    out = np.atleast_1d(helm_part_dr(p.n, p.s, kc, rr)) \
+        + _riesz_sum_batch(p, regime.m, kc, rr, derivative=True) + djt
+    return complex(out[0]) if np.ndim(r) == 0 else out
 
 
 def src_residual(p, r, spec=None):

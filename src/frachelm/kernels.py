@@ -352,19 +352,29 @@ def helm_part_dr(n, s, kc, r):
 # Tail integrands
 # ---------------------------------------------------------------------------
 
-def _bracket_1d(y, c, s):
-    # 1/(y^{2s} e^{i pi s} - c) - 1/(y^{2s} e^{-i pi s} - c)
-    y2s = np.asarray(y, dtype=complex) ** (2.0 * s)
+def _bracket(y, c, s, a, b, power):
+    # a/(y^{2s} e^{i pi s} - c)^p + b/(y^{2s} e^{-i pi s} - c)^p, p in {1, 2},
+    # over y[:, None] against c[None, :]; p = 2 gives the d/dc integrands.
+    # Single expressions, so NumPy reuses the large (points, radii) temporaries.
+    y2s = (np.asarray(y, dtype=complex) ** (2.0 * s))[:, None]
+    c = np.atleast_1d(c)[None, :]
     ep = np.exp(1j * np.pi * s)
-    return 1.0 / (y2s * ep - c) - 1.0 / (y2s / ep - c)
+    if power == 2:
+        return a / (y2s * ep - c) ** 2 + b / (y2s / ep - c) ** 2
+    return a / (y2s * ep - c) + b / (y2s / ep - c)
 
 
-def _bracket_3d(y, c, s, m):
-    # e^{i pi s m}/(y^{2s} e^{-i pi s} - c) - e^{-i pi s m}/(y^{2s} e^{i pi s} - c)
-    y2s = np.asarray(y, dtype=complex) ** (2.0 * s)
-    ep = np.exp(1j * np.pi * s)
+def _bracket_1d(y, c, s, power=1):
+    # 1/(y^{2s} e^{i pi s} - c)^p - 1/(y^{2s} e^{-i pi s} - c)^p
+    return _bracket(y, c, s, 1.0, -1.0, power)
+
+
+def _bracket_3d(y, c, s, m, power=1):
+    # y^{1-2sm} [e^{i pi s m}/(y^{2s} e^{-i pi s} - c)^p
+    #            - e^{-i pi s m}/(y^{2s} e^{i pi s} - c)^p]
     em = np.exp(1j * np.pi * s * m)
-    return em / (y2s / ep - c) - 1.0 / (em * (y2s * ep - c))
+    w = np.asarray(y, dtype=complex) ** (1.0 - 2.0 * s * m)
+    return w[:, None] * _bracket(y, c, s, -1.0 / em, em, power)
 
 
 def j_tail_integrand(n, s, m, kc, r, y):
@@ -392,10 +402,10 @@ def j_tail_integrand(n, s, m, kc, r, y):
         c = kc ** (2.0 * s) * r ** (2.0 * s)
         if n == 1:
             pref = 1j / (2.0 * np.pi * r ** (1.0 - 2.0 * s))
-            out = pref * np.exp(-y) * _bracket_1d(y, c, s)
+            out = pref * np.exp(-y) * _bracket_1d(y, c, s)[:, 0]
         elif n == 3:
             pref = kc ** (2.0 * s * m) / (4j * np.pi ** 2 * r ** (3.0 - 2.0 * s * (m + 1.0)))
-            out = pref * np.exp(-y) * y ** (1.0 - 2.0 * s * m) * _bracket_3d(y, c, s, m)
+            out = pref * np.exp(-y) * _bracket_3d(y, c, s, m)[:, 0]
         else:
             raise DomainError(f"dimension must be 1, 2 or 3, got {n}")
     return complex(out[0]) if scalar else out

@@ -2,6 +2,7 @@
 
 * semi-infinite integrals with an e^{-y} weight (1D/3D tail terms),
 * oscillatory Bessel transforms int_0^inf J0(rho r) g(rho) drho (2D tail),
+  batched over radii,
 * generic adaptive finite-interval integration.
 
 All engines return a :class:`QuadResult` with an error estimate; assemblies
@@ -22,7 +23,7 @@ from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
 from .errors import AccuracyError, DomainError
-from .specfun import bessel_j0, j0_zeros
+from .specfun import bessel_j0, iterated_average, j0_zeros
 
 
 @dataclass(frozen=True)
@@ -168,67 +169,57 @@ def integrate_exp_weighted(f, spec=DEFAULT_SPEC, y_cut=10.0):
                       float(err.max()), evals)
 
 
-def _averaged_partials(partials):
-    """Iterated averaging of a (complex) partial-sum sequence.
-
-    Returns (limit estimate, error estimate); the error is the change between
-    the last two averaging stages.
-    """
-    t = np.asarray(partials, dtype=complex)
-    stage_finals = [complex(t[-1])]
-    while t.size > 1:
-        t = 0.5 * (t[:-1] + t[1:])
-        stage_finals.append(complex(t[-1]))
-    value = stage_finals[-1]
-    err = abs(stage_finals[-1] - stage_finals[-2]) if len(stage_finals) > 1 else abs(value)
-    return value, err
-
-
 def _integrate_partitioned(f, breakpoints, spec, n_head=1):
-    """Integrate f over [b_0, b_last] split at the given breakpoints.
+    """Integrate f over [b_0, b_last] split at the given breakpoints, per column.
 
     The first `n_head` cells are treated as a head (summed directly); the
     remaining cells form partial sums accelerated by iterated averaging, which
     is how the conditionally convergent oscillatory tails are resummed.
+    Returns (values, errors, evaluations, |tail cells|), the last of shape
+    (cells, columns).
     """
     pts = np.asarray(breakpoints, dtype=float)
-    per_panel_rel = spec.rel_tol
     per_panel_abs = spec.abs_tol / max(1, len(pts) - 1)
-    vals, errs, evals = [], 0.0, 0
+    cells, errs, evals = [], 0.0, 0
     for a, b in zip(pts[:-1], pts[1:]):
-        v, e, ev = _adaptive_batch(f, a, b, spec, rel_tol=per_panel_rel, abs_tol=per_panel_abs)
-        vals.append(complex(v[0]))
-        errs += float(e[0])
+        v, e, ev = _adaptive_batch(f, a, b, spec, abs_tol=per_panel_abs)
+        cells.append(v)
+        errs = errs + e
         evals += ev
-    head = sum(vals[:n_head])
-    tail_incr = vals[n_head:]
-    if not tail_incr:
-        return head, errs, evals, np.array([])
-    partials = np.cumsum(tail_incr)
-    limit, accel_err = _averaged_partials(partials)
-    return head + limit, errs + accel_err, evals, np.abs(np.asarray(tail_incr))
+    cells = np.array(cells)
+    head = cells[:n_head].sum(axis=0)
+    tail = cells[n_head:]
+    if tail.shape[0] == 0:
+        return head, errs, evals, np.abs(tail)
+    limit, accel_err = iterated_average(np.cumsum(tail, axis=0))
+    return head + limit, errs + accel_err, evals, np.abs(tail)
 
 
 def integrate_bessel_transform(g, r, spec=DEFAULT_SPEC):
-    """Compute int_0^inf J0(rho r) g(rho) drho for r > 0.
+    """Compute int_0^inf J0(rho r) g(rho) drho for r > 0 (scalar or 1-D array).
 
-    The axis is split at the scaled zeros of J0 and the resulting alternating
-    series of cell integrals is accelerated by iterated averaging.  Raises
-    :class:`AccuracyError` when the cell integrals are still growing faster
-    than the oscillation envelope at the end of the partition (g violates the
-    decay precondition).
+    Substituting rho = t/r gives (1/r) int_0^inf J0(t) g(t/r) dt, so the
+    partition at the zeros of J0 is fixed in t and every radius is one column
+    of the adaptive engine; `g` receives (points, radii) arrays of rho.  The
+    alternating series of cell integrals is accelerated by iterated averaging.
+    Errors are per column.  Raises :class:`AccuracyError` when a column's cell
+    integrals are still growing faster than the oscillation envelope at the
+    end of the partition (g violates the decay precondition).
     """
-    if not r > 0.0:
-        raise DomainError(f"transform radius must be positive, got {r}")
-    zeros = j0_zeros(spec.bessel_intervals) / r
-    pts = np.concatenate([[0.0], zeros])
+    radii = np.atleast_1d(np.asarray(r, dtype=float))
+    if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0.0)):
+        raise DomainError(f"transform radii must be finite and positive, got {r}")
+    pts = np.concatenate([[0.0], j0_zeros(spec.bessel_intervals)])
 
-    def integrand(rho):
-        gv = _as_batch(g(rho), rho.size)
-        return bessel_j0(rho * r)[:, None] * gv
+    def integrand(t):
+        rho = t[:, None] / radii[None, :]
+        gv = np.asarray(g(rho), dtype=complex)
+        return bessel_j0(t)[:, None] * gv / radii[None, :]
 
     value, err, evals, incr = _integrate_partitioned(integrand, pts, spec)
     _check_tail_decay(incr, value, err, spec)
+    if np.ndim(r) == 0:
+        return QuadResult(complex(value[0]), float(err[0]), evals)
     return QuadResult(value, err, evals)
 
 
@@ -238,21 +229,24 @@ def _check_tail_decay(incr, value, err, spec):
     sets in beyond the partition window; a steeper sustained power means g
     itself grows, violating the decay precondition).  A transient dip at a
     removable kernel feature inside the window must not trip the check, so it
-    fires only when the growth persists through the end of the partition."""
-    if incr.size < 8:
+    fires only when the growth persists through the end of the partition.
+    Checked per column of `incr` (cells, columns)."""
+    ncell = incr.shape[0]
+    if ncell < 8:
         return
-    tail = incr[incr.size // 2:]
-    floor = max(spec.abs_tol, spec.rel_tol * abs(value))
-    end_is_peak = np.argmax(incr) >= incr.size - 3
-    still_rising = np.all(np.diff(incr[-5:]) > 0.0)
-    if end_is_peak and still_rising and np.all(tail > 10.0 * floor):
-        ell = np.arange(incr.size // 2, incr.size) + 1.0
-        p = np.polyfit(np.log(ell), np.log(np.maximum(tail, 1e-300)), 1)[0]
-        if p > 1.0:
+    tail = incr[ncell // 2:]
+    floor = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
+    end_is_peak = np.argmax(incr, axis=0) >= ncell - 3
+    still_rising = np.all(np.diff(incr[-5:], axis=0) > 0.0, axis=0)
+    suspect = end_is_peak & still_rising & np.all(tail > 10.0 * floor, axis=0)
+    if np.any(suspect):
+        ell = np.arange(ncell // 2, ncell) + 1.0
+        p = np.polyfit(np.log(ell), np.log(np.maximum(tail[:, suspect], 1e-300)), 1)[0]
+        if np.max(p) > 1.0:
             raise AccuracyError(
-                f"cell integrals growing like ell^{p:.2f} after "
-                f"{incr.size} intervals (insufficient integrand decay)",
-                value=value, err_estimate=err)
+                f"cell integrals growing like ell^{np.max(p):.2f} after "
+                f"{ncell} intervals (insufficient integrand decay)",
+                value=value, err_estimate=float(np.max(err)))
 
 
 def integrate_oscillatory(f, r, kind, spec=DEFAULT_SPEC, intervals=None):
@@ -276,4 +270,4 @@ def integrate_oscillatory(f, r, kind, spec=DEFAULT_SPEC, intervals=None):
         raise DomainError(f"unknown oscillation kind {kind!r}")
     pts = np.concatenate([[0.0], zeros])
     value, err, evals, _ = _integrate_partitioned(f, pts, spec)
-    return QuadResult(value, err, evals)
+    return QuadResult(complex(value[0]), float(err[0]), evals)

@@ -388,7 +388,7 @@ def eval_scattered_with_radial_derivative(solution, x, spec=None):
     if np.any(np.max(np.abs(delta) / pot.cell_sizes[None, :], axis=1) < 2.0):
         raise DomainError("radial derivative evaluation requires a far observation point")
     gvals = _green_total_at(p, dist, spec or DEFAULT_SPEC)
-    dg = np.array([green_radial_derivative(p, 0.0, float(d), spec) for d in dist])
+    dg = green_radial_derivative(p, 0.0, dist, spec)
     xhat = x / np.linalg.norm(x)
     proj = (delta @ xhat) / dist
     coef = pot.cell_volume * p.k2s * pot.q_values * solution.u_total

@@ -149,18 +149,6 @@ def _hankel1_asym(z, nu):
     return np.sqrt(2.0 / (np.pi * z)) * np.exp(1j * phase) * acc
 
 
-def _hankel2_asym(z, nu):
-    coeffs = _A0 if nu == 0 else _A1
-    acc = np.zeros_like(z)
-    zinv = 1.0 / z
-    p = np.ones_like(z)
-    for k in range(_ASYM_TERMS):
-        acc = acc + coeffs[k] * ((-1j) ** k) * p
-        p = p * zinv
-    phase = z - 0.5 * nu * np.pi - 0.25 * np.pi
-    return np.sqrt(2.0 / (np.pi * z)) * np.exp(-1j * phase) * acc
-
-
 # ---------------------------------------------------------------------------
 # Real-argument J0 / Y0 / J1 / Y1 (vectorized; quadrature hot path)
 # ---------------------------------------------------------------------------
@@ -284,14 +272,6 @@ def hankel1_1(z):
     return _hankel1(z, 1)
 
 
-def hankel2_0(x):
-    """H0^(2) for real x > 0 (incoming-wave test helper)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("hankel2_0 helper requires real x > 0")
-    return np.conj(_hankel1(x.astype(complex), 0))
-
-
 # ---------------------------------------------------------------------------
 # Zeros of J0, used by the oscillatory quadrature partitions
 # ---------------------------------------------------------------------------
@@ -319,56 +299,66 @@ _GL24 = np.polynomial.legendre.leggauss(24)
 _STRUVE_INTERVALS = 48
 
 
-def _averaged_tail(partials):
+def iterated_average(partials):
+    """Iterated averaging of partial sums along axis 0, column by column.
+
+    Returns (limit estimate, error estimate); the error is the change between
+    the last two averaging stages.  Resums the alternating cell series of the
+    oscillatory partitions (Struve integrals here, Bessel transforms in the
+    quadrature engine).
+    """
     t = np.asarray(partials, dtype=complex)
-    while t.size > 1:
+    if t.shape[0] == 1:
+        return t[0], np.abs(t[0])
+    while t.shape[0] > 1:
+        prev = t[-1]
         t = 0.5 * (t[:-1] + t[1:])
-    return complex(t[0])
+    return t[0], np.abs(t[0] - prev)
 
 
 def _struve_integral(z, power):
-    """int_0^inf J0(t) / (t+z)^power dt by J0-zero partition + iterated averaging."""
+    """int_0^inf J0(t) / (t+z)^power dt for a 1-D array of z, by J0-zero
+    partition + iterated averaging.  J0 is evaluated once per panel and shared
+    by every z."""
     xg, wg = _GL24
     zeros = j0_zeros(_STRUVE_INTERVALS)
-
-    def panel(a, b):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        t = mid + half * xg
-        return half * np.sum(wg * bessel_j0(t) / (t + z) ** power)
-
-    # head [0, j_{0,1}]: grade toward 0 when |z| is small so 1/(t+z)^p is resolved
-    head = 0.0
+    # head [0, j_{0,1}]: grade toward 0 when the smallest |z| is small so
+    # 1/(t+z)^p is resolved for every z
     edges = [0.0]
-    scale = min(abs(z), zeros[0])
+    scale = min(float(np.min(np.abs(z))), zeros[0])
     if scale < zeros[0] / 4.0:
         g = scale / 8.0
         while g < zeros[0] / 4.0:
             edges.append(g)
             g *= 2.0
-    edges.append(zeros[0])
-    for a, b in zip(edges[:-1], edges[1:]):
-        head += panel(a, b)
+    n_head = len(edges)
+    edges = np.concatenate([edges, zeros])
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    t = mid[:, None] + half[:, None] * xg[None, :]
+    jw = half[:, None] * wg[None, :] * bessel_j0(t)
+    panels = np.array([jw_p @ (1.0 / (t_p[:, None] + z[None, :]) ** power)
+                       for t_p, jw_p in zip(t, jw)])
+    partials = panels[:n_head].sum(axis=0) + np.cumsum(panels[n_head:], axis=0)
+    return iterated_average(partials)[0]
 
-    partials = []
-    acc = head
-    for a, b in zip(zeros[:-1], zeros[1:]):
-        acc = acc + panel(a, b)
-        partials.append(acc)
-    return _averaged_tail(partials)
+
+def _struve(z, power, name):
+    z = _check_off_cut(z, name)
+    out = (2.0 / np.pi) * _struve_integral(z.ravel(), power).reshape(z.shape)
+    return complex(out) if z.ndim == 0 else out
 
 
 def struve_k0(z):
-    """Struve function of the second kind of order zero on C \\ (-inf, 0]."""
-    z = complex(np.asarray(z, dtype=complex))
-    _check_off_cut(z, "struve_k0")
-    return (2.0 / np.pi) * _struve_integral(z, 1)
+    """Struve function of the second kind of order zero on C \\ (-inf, 0]
+    (scalar or ndarray)."""
+    return _struve(z, 1, "struve_k0")
 
 
 def struve_k1(z):
-    """Order-one companion, defined through d/dz K0(z) = 2/pi - K1(z)."""
-    z = complex(np.asarray(z, dtype=complex))
-    _check_off_cut(z, "struve_k1")
-    return 2.0 / np.pi + (2.0 / np.pi) * _struve_integral(z, 2)
+    """Order-one companion, defined through d/dz K0(z) = 2/pi - K1(z)
+    (scalar or ndarray)."""
+    return 2.0 / np.pi + _struve(z, 2, "struve_k1")
 
 
 # ---------------------------------------------------------------------------

@@ -191,12 +191,3 @@ def test_lap_inconclusive_exit_3(capsys):
                                "--r", "2", "--eps", "1e-5,1e-6",
                                "--quad-rtol", "1e-4", "--quad-atol", "1e-6"])
     assert code == 3
-
-
-def test_threads_env_recorded(capsys, monkeypatch):
-    monkeypatch.setenv("FRACHELM_THREADS", "4")
-    code, out = run_cli(capsys, ["green", "--dim", "1", "--s", "0.5", "--k", "1",
-                                 "--r", "1"])
-    assert code == 0
-    meta, _, _ = parse_csv(out)
-    assert meta["threads"] == "4"

@@ -5,7 +5,7 @@ import pytest
 
 from frachelm.errors import DomainError
 from frachelm.green import (
-    green_closed_form_3d_half, green_closed_form_3d_half_dr, green_eval,
+    DERIVATIVE_SPEC, green_closed_form_3d_half, green_closed_form_3d_half_dr, green_eval,
     green_eval_batch, green_radial_derivative, src_residual,
 )
 from frachelm.kernels import Problem, helm_part, helm_part_dr, spectral_shift
@@ -55,12 +55,41 @@ def test_riesz_sum_zero_on_high_branch_and_1d():
 
 
 def test_batch_matches_scalar():
-    p = Problem(3, 0.3, 1.0)
+    # s covers LOW_INTEGER, LOW_GENERIC, the Struve-only s = 1/2 case and HIGH
     radii = np.array([0.5, 1.0, 2.0])
-    helm, riesz, jt, err = green_eval_batch(p, 0.0, radii)
+    for n in (1, 2, 3):
+        for s in (0.25, 0.3, 0.5, 0.75):
+            p = Problem(n, s, 1.0)
+            helm, riesz, jt, err = green_eval_batch(p, 0.0, radii)
+            for i, r in enumerate(radii):
+                g = green_eval(p, 0.0, float(r))
+                assert g.total == pytest.approx(complex(helm[i] + riesz[i] + jt[i]),
+                                                rel=1e-8), (n, s, r)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.3, 0.75])
+def test_2d_wide_batch_matches_per_radius(s):
+    # the worst column drives the shared refinement; every column must still
+    # agree with its own single-radius evaluation within the two estimates
+    p = Problem(2, s, 1.0)
+    radii = np.logspace(-3, 4, 25)
+    _, _, jt, err = green_eval_batch(p, 0.0, radii)
     for i, r in enumerate(radii):
-        g = green_eval(p, 0.0, float(r))
-        assert g.total == pytest.approx(complex(helm[i] + riesz[i] + jt[i]), rel=1e-8)
+        _, _, jt1, err1 = green_eval_batch(p, 0.0, np.array([r]))
+        assert abs(jt[i] - jt1[0]) <= err[i] + err1[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_radial_derivative_array_matches_scalar(n):
+    # the derivative tails run at DERIVATIVE_SPEC; a shared batch refines
+    # differently from a single radius, within that tolerance
+    p = Problem(n, 0.3, 1.0)
+    radii = np.array([0.3, 1.0, 1.0005, 4.0])
+    d = green_radial_derivative(p, 0.0, radii)
+    assert d.shape == radii.shape
+    for i, r in enumerate(radii):
+        assert d[i] == pytest.approx(green_radial_derivative(p, 0.0, float(r)),
+                                     rel=DERIVATIVE_SPEC.rel_tol)
 
 
 def test_domain_errors():
@@ -69,6 +98,16 @@ def test_domain_errors():
         green_eval(p, 0.0, -1.0)
     with pytest.raises(DomainError):
         green_eval(p, 0.0, 0.0)
+    # non-finite radii are rejected up front, never integrated
+    for n in (1, 2, 3):
+        p = Problem(n, 0.3, 1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                green_eval_batch(p, 0.0, np.array([1.0, bad]))
+            with pytest.raises(DomainError):
+                green_radial_derivative(p, 0.0, bad)
+            with pytest.raises(DomainError):
+                green_radial_derivative(p, 0.0, np.array([1.0, bad]))
 
 
 @pytest.mark.parametrize("n,s", [(1, 0.3), (1, 0.75), (2, 0.5), (2, 0.75),

@@ -154,6 +154,28 @@ def test_bessel_transform_insufficient_decay():
 def test_bessel_transform_domain():
     with pytest.raises(DomainError):
         integrate_bessel_transform(lambda rho: rho, 0.0)
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(DomainError):
+            integrate_bessel_transform(lambda rho: rho * np.exp(-rho), np.array([1.0, bad]))
+
+
+def test_bessel_transform_radii_are_columns():
+    # int_0^inf J0(rho r) rho e^{-rho} drho = (1+r^2)^{-3/2}, one column per r,
+    # each with its own error estimate
+    radii = np.array([0.01, 0.5, 1.0, 30.0])
+    res = integrate_bessel_transform(lambda rho: rho * np.exp(-rho), radii)
+    assert res.value.shape == res.err_estimate.shape == radii.shape
+    assert np.all(np.abs(res.value - (1 + radii ** 2) ** -1.5) <= 1e-9)
+    for i, r in enumerate(radii):
+        single = integrate_bessel_transform(lambda rho: rho * np.exp(-rho), r)
+        assert abs(res.value[i] - single.value) <= res.err_estimate[i] + single.err_estimate
+
+
+def test_bessel_transform_decay_check_per_column():
+    # a growing column trips the check even beside a well-behaved one
+    g = lambda rho: np.stack([rho[:, 0] * np.exp(-rho[:, 0]), rho[:, 1] ** 2], axis=1)
+    with pytest.raises(AccuracyError):
+        integrate_bessel_transform(g, np.array([0.5, 1.0]))
 
 
 def test_oscillatory_cos_known_value():

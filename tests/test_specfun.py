@@ -237,6 +237,18 @@ def test_struve_k1_far_field():
     assert sf.struve_k1(40.0) == pytest.approx(2.0 / np.pi, abs=2e-3)
 
 
+@pytest.mark.parametrize("phase", [0.0, 0.4])
+def test_struve_array_matches_scalar(phase):
+    # real z, and complex z as met at positive absorption; the array call
+    # grades its head by the smallest |z|
+    z = np.logspace(-3, 2, 30) * np.exp(1j * phase)
+    k0, k1 = sf.struve_k0(z), sf.struve_k1(z)
+    assert k0.shape == k1.shape == z.shape
+    for i, zi in enumerate(z):
+        assert k0[i] == pytest.approx(sf.struve_k0(zi), rel=1e-13)
+        assert k1[i] == pytest.approx(sf.struve_k1(zi), rel=1e-13)
+
+
 def test_struve_branch_cut():
     with pytest.raises(DomainError):
         sf.struve_k0(-2.0 + 0.0j)
