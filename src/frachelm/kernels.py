@@ -107,6 +107,17 @@ def poly_P(X, kappa, s):
     return float(out) if out.ndim == 0 else out
 
 
+def _as_array(x):
+    """(x as a 1-D float array, whether x was a scalar)."""
+    x = np.asarray(x, dtype=float)
+    return np.atleast_1d(x), x.ndim == 0
+
+
+def _as_given(out, scalar):
+    """Undo ``_as_array``: a complex for scalar input, else the array."""
+    return complex(out[0]) if scalar else out
+
+
 # ---------------------------------------------------------------------------
 # Series coefficients for the removable singularities at r = kc
 # ---------------------------------------------------------------------------
@@ -194,9 +205,7 @@ def F_m(r, kc, s, m):
 
     Vectorized over r > 0; kc may be complex (closed first quadrant).
     """
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
+    r, scalar = _as_array(r)
     if np.any(r <= 0.0):
         raise DomainError("F_m requires r > 0")
     out = np.empty(r.shape, dtype=complex)
@@ -207,14 +216,12 @@ def F_m(r, kc, s, m):
         u = r[near] / kc - 1.0
         coeffs = _fm_window_coeffs(float(s), int(m))
         out[near] = kc ** (-2.0 * s) / (2.0 * s) * _poly_eval(coeffs, u.astype(complex))
-    return complex(out[0]) if scalar else out
+    return _as_given(out, scalar)
 
 
 def dF_m_dr(r, kc, s, m):
     """Radial derivative of F_m, with the same Taylor window at r = kc."""
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
+    r, scalar = _as_array(r)
     if np.any(r <= 0.0):
         raise DomainError("dF_m_dr requires r > 0")
     out = np.empty(r.shape, dtype=complex)
@@ -231,7 +238,7 @@ def dF_m_dr(r, kc, s, m):
         u = r[near] / kc - 1.0
         coeffs = _fm_window_coeffs(float(s), int(m))
         out[near] = kc ** (-2.0 * s) / (2.0 * s) * _poly_eval_deriv(coeffs, u.astype(complex)) / kc
-    return complex(out[0]) if scalar else out
+    return _as_given(out, scalar)
 
 
 def _require_low_integer(s, m):
@@ -247,22 +254,19 @@ def F_tilde_m(r, kc, s, m):
     Identically zero (to round-off) at s = 1/2.
     """
     _require_low_integer(s, m)
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    corr = kc ** (2.0 - 2.0 * s) / (r_arr.astype(complex) * (r_arr + kc))
-    base = np.atleast_1d(F_m(r_arr, kc, s, m))
-    out = base + corr
-    return complex(out[0]) if np.asarray(r).ndim == 0 else out
+    r, scalar = _as_array(r)
+    corr = kc ** (2.0 - 2.0 * s) / (r.astype(complex) * (r + kc))
+    return _as_given(F_m(r, kc, s, m) + corr, scalar)
 
 
 def dF_tilde_m_dr(r, kc, s, m):
     """Radial derivative of F~_m."""
     _require_low_integer(s, m)
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float)).astype(complex)
-    dcorr = -kc ** (2.0 - 2.0 * s) * (1.0 / (r_arr ** 2 * (r_arr + kc))
-                                      + 1.0 / (r_arr * (r_arr + kc) ** 2))
-    base = np.atleast_1d(dF_m_dr(r_arr.real, kc, s, m))
-    out = base + dcorr
-    return complex(out[0]) if np.asarray(r).ndim == 0 else out
+    r, scalar = _as_array(r)
+    rc = r.astype(complex)
+    dcorr = -kc ** (2.0 - 2.0 * s) * (1.0 / (rc ** 2 * (rc + kc))
+                                      + 1.0 / (rc * (rc + kc) ** 2))
+    return _as_given(dF_m_dr(r, kc, s, m) + dcorr, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +281,7 @@ def multiplier_M(xi, z, s):
     """
     if z == 0:
         raise DomainError("multiplier_M requires z != 0")
-    xi = np.asarray(xi, dtype=float)
-    scalar = xi.ndim == 0
-    xi = np.atleast_1d(xi)
+    xi, scalar = _as_array(xi)
     if np.any(xi < 0.0):
         raise DomainError("multiplier_M requires xi >= 0")
     z = complex(z)
@@ -296,7 +298,7 @@ def multiplier_M(xi, z, s):
         u = xi[near] / z - 1.0
         coeffs = _m_window_coeffs(float(s))
         out[near] = z ** (2.0 - 2.0 * s) / (2.0 * s) * _poly_eval(coeffs, u.astype(complex))
-    return complex(out[0]) if scalar else out
+    return _as_given(out, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +315,7 @@ def _check_kc(kc):
 def helm_part(n, s, kc, r):
     """Helmholtz component of the fundamental solution (per-dimension closed form)."""
     kc = _check_kc(kc)
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
+    r, scalar = _as_array(r)
     if np.any(r <= 0.0):
         raise DomainError("helm_part requires r > 0")
     if n == 1:
@@ -326,15 +326,13 @@ def helm_part(n, s, kc, r):
         out = kc ** (2.0 - 2.0 * s) / s * np.exp(1j * r * kc) / (4.0 * np.pi * r)
     else:
         raise DomainError(f"dimension must be 1, 2 or 3, got {n}")
-    return complex(out[0]) if scalar else out
+    return _as_given(out, scalar)
 
 
 def helm_part_dr(n, s, kc, r):
     """Radial derivative of the Helmholtz component (closed forms)."""
     kc = _check_kc(kc)
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
+    r, scalar = _as_array(r)
     if n == 1:
         out = -kc ** (2.0 - 2.0 * s) / (2.0 * s) * np.exp(1j * r * kc)
     elif n == 2:
@@ -345,7 +343,7 @@ def helm_part_dr(n, s, kc, r):
             * np.exp(1j * r * kc) / (4.0 * np.pi)
     else:
         raise DomainError(f"dimension must be 1, 2 or 3, got {n}")
-    return complex(out[0]) if scalar else out
+    return _as_given(out, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +385,7 @@ def j_tail_integrand(n, s, m, kc, r, y):
     prefactor of the Bessel transform is excluded.
     """
     kc = _check_kc(kc)
-    y = np.asarray(y, dtype=float)
-    scalar = y.ndim == 0
-    y = np.atleast_1d(y)
+    y, scalar = _as_array(y)
     if np.any(y <= 0.0) or not r > 0.0:
         raise DomainError("j_tail_integrand requires y > 0 and r > 0")
     if n == 2:
@@ -397,7 +393,7 @@ def j_tail_integrand(n, s, m, kc, r, y):
             fv = F_tilde_m(y, kc, s, m)
         else:
             fv = F_m(y, kc, s, m)
-        out = bessel_j0(y * r) * y * np.atleast_1d(fv)
+        out = bessel_j0(y * r) * y * fv
     else:
         c = kc ** (2.0 * s) * r ** (2.0 * s)
         if n == 1:
@@ -408,4 +404,4 @@ def j_tail_integrand(n, s, m, kc, r, y):
             out = pref * np.exp(-y) * _bracket_3d(y, c, s, m)[:, 0]
         else:
             raise DomainError(f"dimension must be 1, 2 or 3, got {n}")
-    return complex(out[0]) if scalar else out
+    return _as_given(out, scalar)

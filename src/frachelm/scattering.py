@@ -104,6 +104,18 @@ class NystromSystem:
     weight_table: np.ndarray
     offset_encode: np.ndarray
     correction_record: dict = field(default_factory=dict)
+    _extremes: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def singular_extremes(self):
+        """(smallest, largest) singular value of ``matrix``, from one
+        values-only SVD per system.  The first call marks ``matrix`` read-only,
+        so a later in-place edit raises instead of leaving the cache stale; a
+        newly assigned ``matrix`` is conditioned afresh."""
+        if self._extremes is None or self._extremes[0] is not self.matrix:
+            sv = np.linalg.svd(self.matrix, compute_uv=False)
+            self.matrix.flags.writeable = False
+            self._extremes = (self.matrix, sv[-1], sv[0])
+        return self._extremes[1:]
 
     def apply_T(self, u):
         """T u = sum_j w_ij q_j u_j (the volume-potential matrix action)."""
@@ -116,9 +128,7 @@ class NystromSystem:
         pot = PotentialGrid(self.pot.lo, self.pot.hi, self.pot.cells_per_axis,
                             self.pot.nodes, np.asarray(q_values, dtype=float).ravel(),
                             self.pot.cell_sizes, self.pot.cell_volume, self.pot.index)
-        w_ij = self.weight_table[self.offset_encode]
-        a = -self.problem.k2s * w_ij * pot.q_values[None, :]
-        a[np.diag_indices_from(a)] += 1.0
+        a = _assemble(self.problem, pot, self.weight_table, self.offset_encode)
         return NystromSystem(self.problem, pot, a, self.weight_table,
                              self.offset_encode, dict(self.correction_record))
 
@@ -287,6 +297,16 @@ def _offset_tables(pot):
     return offs, dist, code
 
 
+def _assemble(problem, pot, weights, code):
+    """A = I - k^{2s} w[code] q, scaled in place: the gathered weights are the
+    only N x N array, and the rounding order is that of -k2s * w * q."""
+    a = weights[code]
+    a *= -problem.k2s
+    a *= pot.q_values[None, :]
+    a[np.diag_indices_from(a)] += 1.0
+    return a
+
+
 def build_nystrom(problem, pot, spec=DEFAULT_SPEC, correction_level=1):
     """Assemble A = I - k^{2s} T_k on the grid nodes.
 
@@ -311,10 +331,8 @@ def build_nystrom(problem, pot, spec=DEFAULT_SPEC, correction_level=1):
             cache[key] = cell_weight(problem, t, pot.cell_sizes, spec, correction_level)
             record[key] = cache[key]
         weights[oid] = cache[key]
-    w_ij = weights[code]
-    a = -problem.k2s * w_ij * pot.q_values[None, :]
-    a[np.diag_indices_from(a)] += 1.0
-    return NystromSystem(problem, pot, a, weights, code, record)
+    return NystromSystem(problem, pot, _assemble(problem, pot, weights, code),
+                         weights, code, record)
 
 
 def correction_refinement_delta(problem, pot, spec=DEFAULT_SPEC, levels=(1, 2)):
@@ -331,12 +349,18 @@ def correction_refinement_delta(problem, pot, spec=DEFAULT_SPEC, levels=(1, 2)):
 
 
 def solve_ls(system, incident, check_conditioning=True):
-    """Direct dense solve of (I - k^{2s} T_k) u = u_inc on the grid nodes."""
+    """Direct dense solve of (I - k^{2s} T_k) u = u_inc on the grid nodes.
+
+    With ``check_conditioning`` and a nonzero contrast, rcond = smin / smax
+    from ``system.singular_extremes()`` (computed once per system; the matrix
+    is read-only after it) must reach ``RCOND_FLOOR``, else
+    ``NearResonanceError``.  Otherwise rcond is reported as 1.
+    """
     b = incident.values(system.problem, system.pot.nodes)
     rcond = 1.0
     if check_conditioning and np.any(system.pot.q_values):
-        sv = np.linalg.svd(system.matrix, compute_uv=False)
-        rcond = float(sv[-1] / sv[0])
+        smin, smax = system.singular_extremes()
+        rcond = float(smin / smax)
         if rcond < RCOND_FLOOR:
             raise NearResonanceError(
                 f"Nystrom matrix numerically singular (rcond={rcond:.2e}); "
@@ -409,7 +433,6 @@ def resonance_scan(problem_template, pot, k_grid, spec=DEFAULT_SPEC, correction_
         if not k > 0.0:
             raise DomainError("scan wavenumbers must be positive")
         p = Problem(problem_template.n, problem_template.s, float(k))
-        system = build_nystrom(p, pot, spec, correction_level)
-        sv = np.linalg.svd(system.matrix, compute_uv=False)
-        rows.append((float(k), float(sv[-1] / sv[0]), float(sv[-1])))
+        smin, smax = build_nystrom(p, pot, spec, correction_level).singular_extremes()
+        rows.append((float(k), float(smin / smax), float(smin)))
     return rows

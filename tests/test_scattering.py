@@ -267,3 +267,82 @@ def test_anisotropic_cells():
     assert max(deltas.values()) < 1e-6
     sol = solve_ls(build_nystrom(p, pot), IncidentField(np.array([0.6, 0.8])))
     assert sol.residual < 1e-12
+
+
+def _count_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls, svd
+
+
+def test_conditioning_svd_once_per_system(monkeypatch):
+    pot = grid1(cells=12, q=lambda x: 0.3 + 0.1 * x[:, 0])
+    system = build_nystrom(P1, pot)
+    calls, svd = _count_svd(monkeypatch)
+    sol_a = solve_ls(system, INC1)
+    sol_b = solve_ls(system, IncidentField(np.array([-1.0])))
+    assert len(calls) == 1
+    sv = svd(system.matrix, compute_uv=False)
+    assert sol_a.rcond == sol_b.rcond == float(sv[-1] / sv[0])
+    assert system.singular_extremes() == (sv[-1], sv[0])
+    assert len(calls) == 1
+
+
+def test_conditioning_skipped_without_check_or_contrast(monkeypatch):
+    calls, _ = _count_svd(monkeypatch)
+    sol = solve_ls(build_nystrom(P1, grid1(q=0.3)), INC1, check_conditioning=False)
+    assert sol.rcond == 1.0
+    sol = solve_ls(build_nystrom(P1, grid1(q=0.0)), INC1)
+    assert sol.rcond == 1.0
+    assert calls == []
+
+
+def test_matrix_read_only_after_conditioning(monkeypatch):
+    system = build_nystrom(P1, grid1(q=0.3))
+    assert system.matrix.flags.writeable
+    solve_ls(system, INC1)
+    with pytest.raises(ValueError):
+        system.matrix[0, 0] = 0.0
+    other = system.with_contrast(system.pot.q_values / 2.0)
+    assert other.matrix.flags.writeable
+    calls, _ = _count_svd(monkeypatch)
+    solve_ls(other, INC1)
+    assert len(calls) == 1
+    # a replaced matrix is conditioned afresh, not from the cached values
+    system.matrix = np.array(system.matrix)
+    system.matrix[2, :] = 0.0
+    with pytest.raises(NearResonanceError):
+        solve_ls(system, INC1)
+    assert len(calls) == 2
+
+
+def test_resonance_scan_rows_from_one_svd_per_k(monkeypatch):
+    pot = grid1(cells=10, q=0.5)
+    ks = [0.5, 1.0, 2.0]
+    calls, svd = _count_svd(monkeypatch)
+    rows = resonance_scan(P1, pot, ks)
+    assert len(calls) == len(ks)
+    for k, row in zip(ks, rows):
+        sv = svd(build_nystrom(Problem(1, 0.3, k), pot).matrix, compute_uv=False)
+        assert row == (k, float(sv[-1] / sv[0]), float(sv[-1]))
+
+
+@pytest.mark.parametrize("n, s, cells", [(1, 0.3, 12), (2, 0.75, 4), (3, 0.3, 3)])
+def test_assembly_bit_identical_to_unfused_expression(n, s, cells):
+    p = Problem(n, s, 1.3)   # k^{2s} != 1, so the rounding order shows
+    q = lambda x: 0.2 + 0.1 * x[:, 0] - 0.05 * x[:, -1] ** 2
+    pot = PotentialGrid.build([-1.0] * n, [1.0] * n, cells, q)
+    system = build_nystrom(p, pot)
+    a = -p.k2s * system.weight_table[system.offset_encode] * pot.q_values[None, :]
+    a[np.diag_indices_from(a)] += 1.0
+    assert np.array_equal(system.matrix, a)
+    solve_ls(system, IncidentField(np.eye(n)[0]))
+    pot_b = PotentialGrid.build([-1.0] * n, [1.0] * n, cells, 0.15)
+    reused = system.with_contrast(pot_b.q_values)
+    assert np.array_equal(reused.matrix, build_nystrom(p, pot_b).matrix)
