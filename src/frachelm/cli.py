@@ -20,13 +20,13 @@ import numpy as np
 from . import __version__
 from .diagnostics import (
     decay_rate_check, green_radial_field, hankel_incoming_field,
-    hankel_outgoing_field, lap_slope, radiation_classify, singularity_rate_check,
+    hankel_outgoing_field, lap_differences, radiation_classify, singularity_rate_check,
 )
 from .errors import AccuracyError, DomainError, NearResonanceError
 from .green import green_eval
 from .kernels import Problem, spectral_shift
 from .oracle import fourier_invert_detailed
-from .quadrature import QuadratureSpec
+from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .scattering import (
     IncidentField, PotentialGrid, born_approx, build_nystrom, eval_scattered,
     resonance_scan, solve_ls,
@@ -36,6 +36,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ACCURACY = 3
 EXIT_NEAR_RESONANCE = 4
+
+# QuadratureSpec fields a config may set (under "quad") and metadata echoes
+_QUAD_FIELDS = {"rel_tol": float, "abs_tol": float, "laguerre_order": int,
+                "bessel_intervals": int}
 
 
 def _float_list(text):
@@ -47,12 +51,8 @@ def _float_list(text):
 
 def _quad_spec(cfg):
     quad = cfg.get("quad", {})
-    return QuadratureSpec(
-        rel_tol=float(quad.get("rel_tol", 1e-9)),
-        abs_tol=float(quad.get("abs_tol", 1e-12)),
-        laguerre_order=int(quad.get("laguerre_order", 64)),
-        bessel_intervals=int(quad.get("bessel_intervals", 30)),
-    )
+    return QuadratureSpec(**{name: cast(quad.get(name, getattr(DEFAULT_SPEC, name)))
+                             for name, cast in _QUAD_FIELDS.items()})
 
 
 def _normalize(v):
@@ -109,9 +109,7 @@ def _metadata(command, cfg, spec):
         "command": command,
         "version": __version__,
         "config": cfg,
-        "tolerances": {"rel_tol": spec.rel_tol, "abs_tol": spec.abs_tol,
-                       "laguerre_order": spec.laguerre_order,
-                       "bessel_intervals": spec.bessel_intervals},
+        "tolerances": {name: getattr(spec, name) for name in _QUAD_FIELDS},
     }
 
 
@@ -220,18 +218,14 @@ def cmd_lap(args):
     })
     spec = _quad_spec(cfg)
     p = _problem(cfg)
+    meta = _metadata("lap", cfg, spec)
     try:
-        slope = lap_slope(p, float(cfg["r"]), cfg["eps"], spec)
+        meta["slope"], diffs = lap_differences(p, float(cfg["r"]), cfg["eps"], spec)
     except AccuracyError as exc:
-        meta = _metadata("lap", cfg, spec)
         meta["error"] = str(exc)
         _emit(meta, ["eps"], [], args.format, args.out)
         return EXIT_ACCURACY
-    meta = _metadata("lap", cfg, spec)
-    meta["slope"] = slope
-    base = green_eval(p, 0.0, float(cfg["r"]), spec)
-    rows = [[float(e), abs(green_eval(p, float(e), float(cfg["r"]), spec).total - base.total)]
-            for e in cfg["eps"]]
+    rows = [[float(e), float(d)] for e, d in zip(cfg["eps"], diffs)]
     _emit(meta, ["eps", "diff"], rows, args.format, args.out)
     return EXIT_OK
 

@@ -3,7 +3,7 @@
 Rate checks evaluate a designated part of the fundamental solution on a log
 grid and form value * r^rate products.  ``envelope_bounded`` is a bound check,
 not a sharpness check: it fails only when the product grows systematically
-toward the asymptotic end (max over the window exceeding ``drift_factor``
+toward the asymptotic end (max over the window exceeding ``DRIFT_FACTOR``
 times the product at the benign end).  The two-sided max/min ratio is also
 reported for rows with sharp rates, where it powers the negative controls.
 """
@@ -11,6 +11,7 @@ reported for rows with sharp rates, where it powers the negative controls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,8 +22,6 @@ from .specfun import hankel1_0, hankel1_1
 
 DRIFT_FACTOR = 100.0
 GSRC_TAIL_FRACTION = 0.05
-
-_SPHERE_RULES = {}
 
 
 @dataclass
@@ -58,16 +57,15 @@ def _part_values(p, part, radii, spec):
     return np.abs(vals), err
 
 
-def _rate_fit(radii, values, claimed_rate, product, anchor_index, drift_factor):
+def _rate_fit(radii, values, claimed_rate, product, anchor_index):
     slope = float(np.polyfit(np.log(radii), np.log(np.maximum(values, 1e-300)), 1)[0])
     growth = float(np.max(product) / product[anchor_index])
     drift = float(np.max(product) / np.min(product))
     return RateFit(radii, values, float(claimed_rate), slope, growth, drift,
-                   bool(growth <= drift_factor))
+                   bool(growth <= DRIFT_FACTOR))
 
 
-def decay_rate_check(p, part, r_window, claimed_rate, spec=DEFAULT_SPEC,
-                     n_points=13, drift_factor=DRIFT_FACTOR):
+def decay_rate_check(p, part, r_window, claimed_rate, spec=DEFAULT_SPEC, n_points=13):
     """Check |part(r)| <= C / r^claimed_rate over a far-field window."""
     lo, hi = float(r_window[0]), float(r_window[-1])
     if not (0.0 < lo < hi):
@@ -75,12 +73,11 @@ def decay_rate_check(p, part, r_window, claimed_rate, spec=DEFAULT_SPEC,
     radii = np.logspace(np.log10(lo), np.log10(hi), n_points)
     values, _ = _part_values(p, part, radii, spec)
     product = values * radii ** claimed_rate
-    return _rate_fit(radii, values, claimed_rate, product, 0, drift_factor)
+    return _rate_fit(radii, values, claimed_rate, product, 0)
 
 
 def singularity_rate_check(p, part, r_window, claimed_rate, spec=DEFAULT_SPEC,
-                           n_points=11, log_correction=False,
-                           drift_factor=DRIFT_FACTOR):
+                           n_points=11, log_correction=False):
     """Check |part(r)| <= C / r^claimed_rate (or C |ln r| when log-corrected)
     over a window shrinking to 0; the benign anchor is the largest radius."""
     lo, hi = float(r_window[0]), float(r_window[-1])
@@ -91,7 +88,7 @@ def singularity_rate_check(p, part, r_window, claimed_rate, spec=DEFAULT_SPEC,
     product = values * radii ** claimed_rate
     if log_correction:
         product = product / (-np.log(radii))
-    return _rate_fit(radii, values, claimed_rate, product, len(radii) - 1, drift_factor)
+    return _rate_fit(radii, values, claimed_rate, product, len(radii) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +131,9 @@ def green_radial_field(p, spec=DEFAULT_SPEC):
                        lambda r: green_radial_derivative(p, 0.0, r))
 
 
-def _sphere_rule(n, n_theta=32, n_phi=64):
-    key = (n, n_theta, n_phi)
-    if key in _SPHERE_RULES:
-        return _SPHERE_RULES[key]
+@lru_cache(maxsize=None)
+def _sphere_rule(n):
+    n_theta, n_phi = 32, 64
     if n == 1:
         dirs = np.array([[1.0], [-1.0]])
         w = np.array([0.5, 0.5])
@@ -153,7 +149,6 @@ def _sphere_rule(n, n_theta=32, n_phi=64):
                          np.outer(st, np.sin(phi)).ravel(),
                          np.outer(mu, np.ones(n_phi)).ravel()], axis=1)
         w = np.outer(wmu / 2.0, np.full(n_phi, 1.0 / n_phi)).ravel()
-    _SPHERE_RULES[key] = (dirs, w)
     return dirs, w
 
 
@@ -175,26 +170,25 @@ def _surface_measure(n, r):
     return {1: 2.0, 2: 2.0 * np.pi * r, 3: 4.0 * np.pi * r ** 2}[n]
 
 
-def radiation_classify(field, k, r0, r_max, delta, profile_points=7,
-                       shell_order=6, tail_fraction=GSRC_TAIL_FRACTION):
+def radiation_classify(field, k, r0, r_max, delta, profile_points=7):
     """Classify a field against both radiation conditions.
 
     src verdict: the profile r^{(n-1)/2} sqrt(mean |d_r u - i k u|^2) decays
     below 0.1 of its first value.  gsrc verdict: the cumulative weighted
     annulus integrals with weight (1+r^2)^{delta-1} are Cauchy-converging
-    (last shell adds less than `tail_fraction` of the total).
+    (last shell adds less than ``GSRC_TAIL_FRACTION`` of the total).
     """
     if not hasattr(field, "gradient"):
         raise DomainError("radiation_classify requires a field exposing a gradient")
     if not (0.5 < delta < 1.0):
         raise DomainError("delta must lie in (1/2, 1)")
-    if not (0.0 < r0 < r_max):
-        raise DomainError("need 0 < R0 < R_max")
+    if not (0.0 < r0 < r_max < np.inf):
+        raise DomainError("need 0 < R0 < R_max < inf")
     n = field.n
     radii = np.logspace(np.log10(r0), np.log10(r_max), profile_points)
     profile = [(float(r), float(r ** ((n - 1) / 2.0) * np.sqrt(_mean_sq_residual(field, k, r))))
                for r in radii]
-    xg, wg = np.polynomial.legendre.leggauss(shell_order)
+    xg, wg = np.polynomial.legendre.leggauss(6)
     partial = []
     total = 0.0
     for a, b in zip(radii[:-1], radii[1:]):
@@ -208,7 +202,7 @@ def radiation_classify(field, k, r0, r_max, delta, profile_points=7,
         partial.append((float(b), float(total)))
     increments = np.diff([0.0] + [p[1] for p in partial])
     verdict_src = profile[-1][1] < 0.1 * profile[0][1]
-    verdict_gsrc = bool(increments[-1] < tail_fraction * max(total, 1e-300))
+    verdict_gsrc = bool(increments[-1] < GSRC_TAIL_FRACTION * max(total, 1e-300))
     return RadiationReport(profile, partial, float(delta), bool(verdict_src), verdict_gsrc)
 
 
@@ -218,6 +212,12 @@ def radiation_classify(field, k, r0, r_max, delta, profile_points=7,
 
 def lap_slope(p, r, eps_list, spec=DEFAULT_SPEC):
     """Log-log slope of |G^{k_eps}(r) - G^k(r)| against eps."""
+    return lap_differences(p, r, eps_list, spec)[0]
+
+
+def lap_differences(p, r, eps_list, spec=DEFAULT_SPEC):
+    """(log-log slope against eps, |G^{k_eps}(r) - G^k(r)| per eps), from one
+    Green evaluation per eps plus one at eps = 0."""
     eps = np.asarray(eps_list, dtype=float)
     if eps.size < 2 or np.any(np.diff(eps) >= 0.0) or np.any(eps <= 0.0):
         raise DomainError("eps_list must be positive and strictly decreasing")
@@ -231,7 +231,7 @@ def lap_slope(p, r, eps_list, spec=DEFAULT_SPEC):
                 f"absorption difference at eps={e} is below 10x the quadrature "
                 "error estimate; slope would be inconclusive", value=d)
         diffs[i] = d
-    return float(np.polyfit(np.log(eps), np.log(diffs), 1)[0])
+    return float(np.polyfit(np.log(eps), np.log(diffs), 1)[0]), diffs
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,21 @@ def _riesz_sum_batch(p, m, kc, r, derivative=False):
     return out
 
 
+def _exp_tail_terms(p, regime, kc, r):
+    """(pref, dpref, bracket) of the n in {1, 3} tail at radii r: the tail is
+    pref * int_0^inf e^{-y} bracket(y) dy, dpref = d pref / dr, and
+    bracket(y, power=1) returns a (points, radii) array."""
+    s, m = p.s, regime.m
+    c = kc ** (2.0 * s) * r.astype(complex) ** (2.0 * s)
+    if p.n == 1:
+        pref = 1j / (2.0 * np.pi * r ** (1.0 - 2.0 * s))
+        dpref = 1j * (2.0 * s - 1.0) / (2.0 * np.pi * r ** (2.0 - 2.0 * s))
+        return pref, dpref, partial(_bracket_1d, c=c, s=s)
+    expo = 3.0 - 2.0 * s * (m + 1.0)
+    pref = kc ** (2.0 * s * m) / (4j * np.pi ** 2 * r ** expo)
+    return pref, -expo * pref / r, partial(_bracket_3d, c=c, s=s, m=m)
+
+
 def _exp_tail_batch(p, regime, kc, r, spec, derivative=False):
     """Tail integrals for n in {1, 3}: e^{-y} integrals, batched over radii.
 
@@ -76,18 +91,8 @@ def _exp_tail_batch(p, regime, kc, r, spec, derivative=False):
     one obtained by differentiation under the integral sign, plus the
     prefactor-derivative term.
     """
-    s, m = p.s, regime.m
-    c = kc ** (2.0 * s) * r.astype(complex) ** (2.0 * s)
-    if p.n == 1:
-        pref = 1j / (2.0 * np.pi * r ** (1.0 - 2.0 * s))
-        dpref = 1j * (2.0 * s - 1.0) / (2.0 * np.pi * r ** (2.0 - 2.0 * s))
-        bracket = partial(_bracket_1d, c=c, s=s)
-    else:
-        expo = 3.0 - 2.0 * s * (m + 1.0)
-        pref = kc ** (2.0 * s * m) / (4j * np.pi ** 2 * r ** expo)
-        dpref = -expo * pref / r
-        bracket = partial(_bracket_3d, c=c, s=s, m=m)
-
+    s = p.s
+    pref, dpref, bracket = _exp_tail_terms(p, regime, kc, r)
     y_cut = max(10.0, 5.0 * abs(kc) * float(r.max()))
     ival, ierr, _ = _exp_weighted_batch(bracket, spec, y_cut)
     if not derivative:

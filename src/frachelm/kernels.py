@@ -1,5 +1,5 @@
-"""Scalar kernel building blocks: regimes, P, F_m, F~_m, the multiplier M,
-Helmholtz parts, and the pointwise tail integrands.
+"""Scalar kernel building blocks: regimes, F_m, F~_m, the multiplier M,
+Helmholtz parts, and the e^{-y} tail brackets.
 
 The removable singularities (F_m and F~_m at r = k_eps, M at xi = |z| for real
 z) are evaluated through a power-series window in u = r/k_eps - 1 of relative
@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .specfun import bessel_j0, hankel1_0
+from .specfun import hankel1_0
 
 TAYLOR_WINDOW = 1e-3      # relative window |r - kc| < TAYLOR_WINDOW * |kc|
 _SERIES_TERMS = 6
@@ -39,8 +39,8 @@ class Problem:
             raise DomainError(f"dimension must be 1, 2 or 3, got {self.n}")
         if not (0.0 < self.s < 1.0):
             raise DomainError(f"fractional order must lie in (0,1), got {self.s}")
-        if not self.k > 0.0:
-            raise DomainError(f"wavenumber must be positive, got {self.k}")
+        if not 0.0 < self.k < np.inf:
+            raise DomainError(f"wavenumber must be positive and finite, got {self.k}")
 
     @property
     def k2s(self):
@@ -80,6 +80,8 @@ class SpectralShift:
 def spectral_shift(problem, epsilon):
     """Build the SpectralShift for a problem, enforcing the first-quadrant
     admissibility arctan(eps / k^{2s}) < s pi (strict for eps > 0)."""
+    if not np.isfinite(epsilon):
+        raise DomainError(f"absorption must be finite, got {epsilon}")
     if epsilon < 0.0:
         raise DomainError("negative absorption selects the incoming solution; not supported")
     if epsilon == 0.0:
@@ -90,21 +92,6 @@ def spectral_shift(problem, epsilon):
             f"is not < s*pi = {problem.s * np.pi:.6f}; k_eps leaves the open first quadrant")
     k_eps = (problem.k2s + 1j * epsilon) ** (1.0 / (2.0 * problem.s))
     return SpectralShift(float(epsilon), complex(k_eps))
-
-
-def poly_P(X, kappa, s):
-    """P(X, kappa) = X^2 + kappa^{4s} - 2 kappa^{2s} cos(s pi) X.
-
-    Strictly positive: bounded below by kappa^{4s}(1 - cos^2(s pi)).
-    """
-    X = np.asarray(X, dtype=float)
-    if np.any(X < 0.0):
-        raise DomainError("poly_P requires X >= 0")
-    if not kappa > 0.0:
-        raise DomainError("poly_P requires kappa > 0")
-    k2s = kappa ** (2.0 * s)
-    out = X * X + k2s * k2s - 2.0 * k2s * np.cos(s * np.pi) * X
-    return float(out) if out.ndim == 0 else out
 
 
 def _as_array(x):
@@ -190,6 +177,18 @@ def _poly_eval_deriv(coeffs, u):
     return acc
 
 
+def _windowed(x, z, direct, series):
+    """``direct(x)`` off the Taylor window |x - z| < TAYLOR_WINDOW |z|, and
+    ``series(u)``, u = x/z - 1, inside it; both take and return complex arrays."""
+    out = np.empty(x.shape, dtype=complex)
+    near = np.abs(x - z) < TAYLOR_WINDOW * abs(z)
+    if np.any(~near):
+        out[~near] = direct(x[~near].astype(complex))
+    if np.any(near):
+        out[near] = series((x[near] / z - 1.0).astype(complex))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # F_m and its LOW_INTEGER corrector variant
 # ---------------------------------------------------------------------------
@@ -208,14 +207,9 @@ def F_m(r, kc, s, m):
     r, scalar = _as_array(r)
     if np.any(r <= 0.0):
         raise DomainError("F_m requires r > 0")
-    out = np.empty(r.shape, dtype=complex)
-    near = np.abs(r - kc) < TAYLOR_WINDOW * abs(kc)
-    if np.any(~near):
-        out[~near] = _fm_direct(r[~near].astype(complex), kc, s, m)
-    if np.any(near):
-        u = r[near] / kc - 1.0
-        coeffs = _fm_window_coeffs(float(s), int(m))
-        out[near] = kc ** (-2.0 * s) / (2.0 * s) * _poly_eval(coeffs, u.astype(complex))
+    coeffs = _fm_window_coeffs(float(s), int(m))
+    out = _windowed(r, kc, lambda rr: _fm_direct(rr, kc, s, m),
+                    lambda u: kc ** (-2.0 * s) / (2.0 * s) * _poly_eval(coeffs, u))
     return _as_given(out, scalar)
 
 
@@ -224,20 +218,18 @@ def dF_m_dr(r, kc, s, m):
     r, scalar = _as_array(r)
     if np.any(r <= 0.0):
         raise DomainError("dF_m_dr requires r > 0")
-    out = np.empty(r.shape, dtype=complex)
-    near = np.abs(r - kc) < TAYLOR_WINDOW * abs(kc)
-    if np.any(~near):
-        rr = r[~near].astype(complex)
+
+    def direct(rr):
         r2s = rr ** (2.0 * s)
         k2s = kc ** (2.0 * s)
         t1 = -kc ** (2.0 * s * m) * (2.0 * s * m * (r2s - k2s) + 2.0 * s * r2s) \
             / (rr ** (2.0 * s * m + 1.0) * (r2s - k2s) ** 2)
         t2 = 2.0 * kc ** (2.0 - 2.0 * s) * rr / (s * (rr * rr - kc * kc) ** 2)
-        out[~near] = t1 + t2
-    if np.any(near):
-        u = r[near] / kc - 1.0
-        coeffs = _fm_window_coeffs(float(s), int(m))
-        out[near] = kc ** (-2.0 * s) / (2.0 * s) * _poly_eval_deriv(coeffs, u.astype(complex)) / kc
+        return t1 + t2
+
+    coeffs = _fm_window_coeffs(float(s), int(m))
+    out = _windowed(r, kc, direct,
+                    lambda u: kc ** (-2.0 * s) / (2.0 * s) * _poly_eval_deriv(coeffs, u) / kc)
     return _as_given(out, scalar)
 
 
@@ -285,19 +277,16 @@ def multiplier_M(xi, z, s):
     if np.any(xi < 0.0):
         raise DomainError("multiplier_M requires xi >= 0")
     z = complex(z)
-    out = np.empty(xi.shape, dtype=complex)
-    near = np.abs(xi - z) < TAYLOR_WINDOW * abs(z)
-    far = ~near
-    if np.any(far):
-        x = xi[far].astype(complex)
+
+    def direct(x):
         x2s = x ** (2.0 * s)
         # xi = 0: both numerator terms vanish (2-2s > 0, 2s > 0)
         num = z ** (2.0 * s) * x ** (2.0 - 2.0 * s) - z ** (2.0 - 2.0 * s) * x2s
-        out[far] = num / (x2s - z ** (2.0 * s))
-    if np.any(near):
-        u = xi[near] / z - 1.0
-        coeffs = _m_window_coeffs(float(s))
-        out[near] = z ** (2.0 - 2.0 * s) / (2.0 * s) * _poly_eval(coeffs, u.astype(complex))
+        return num / (x2s - z ** (2.0 * s))
+
+    coeffs = _m_window_coeffs(float(s))
+    out = _windowed(xi, z, direct,
+                    lambda u: z ** (2.0 - 2.0 * s) / (2.0 * s) * _poly_eval(coeffs, u))
     return _as_given(out, scalar)
 
 
@@ -347,7 +336,7 @@ def helm_part_dr(n, s, kc, r):
 
 
 # ---------------------------------------------------------------------------
-# Tail integrands
+# Brackets of the e^{-y} tail integrands (n = 1, 3)
 # ---------------------------------------------------------------------------
 
 def _bracket(y, c, s, a, b, power):
@@ -373,35 +362,3 @@ def _bracket_3d(y, c, s, m, power=1):
     em = np.exp(1j * np.pi * s * m)
     w = np.asarray(y, dtype=complex) ** (1.0 - 2.0 * s * m)
     return w[:, None] * _bracket(y, c, s, -1.0 / em, em, power)
-
-
-def j_tail_integrand(n, s, m, kc, r, y):
-    """Pointwise tail integrand at quadrature variable y > 0.
-
-    For n = 1 and n = 3 this is the complete e^{-y}-weighted integrand of the
-    scaled tail integral (prefactor included), so the tail equals
-    ``int_0^inf j_tail_integrand dy``.  For n = 2 it is J0(y r) * y * F(y, kc)
-    with F = F~_m on the LOW_INTEGER branch and F_m otherwise; the 1/(2 pi)
-    prefactor of the Bessel transform is excluded.
-    """
-    kc = _check_kc(kc)
-    y, scalar = _as_array(y)
-    if np.any(y <= 0.0) or not r > 0.0:
-        raise DomainError("j_tail_integrand requires y > 0 and r > 0")
-    if n == 2:
-        if classify_regime(s).branch == LOW_INTEGER:
-            fv = F_tilde_m(y, kc, s, m)
-        else:
-            fv = F_m(y, kc, s, m)
-        out = bessel_j0(y * r) * y * fv
-    else:
-        c = kc ** (2.0 * s) * r ** (2.0 * s)
-        if n == 1:
-            pref = 1j / (2.0 * np.pi * r ** (1.0 - 2.0 * s))
-            out = pref * np.exp(-y) * _bracket_1d(y, c, s)[:, 0]
-        elif n == 3:
-            pref = kc ** (2.0 * s * m) / (4j * np.pi ** 2 * r ** (3.0 - 2.0 * s * (m + 1.0)))
-            out = pref * np.exp(-y) * _bracket_3d(y, c, s, m)[:, 0]
-        else:
-            raise DomainError(f"dimension must be 1, 2 or 3, got {n}")
-    return _as_given(out, scalar)

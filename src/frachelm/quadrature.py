@@ -87,9 +87,9 @@ def _panel_estimates(f, a, b):
     return v_hi, np.abs(v_hi - v_lo), x_lo.size + x_hi.size
 
 
-def _adaptive_batch(f, a, b, spec, rel_tol=None, abs_tol=None):
+def _adaptive_batch(f, a, b, spec, abs_tol=None):
     """Adaptive bisection on [a, b]; returns (value_vec, err_vec, evaluations)."""
-    rel = spec.rel_tol if rel_tol is None else rel_tol
+    rel = spec.rel_tol
     atol = spec.abs_tol if abs_tol is None else abs_tol
     val, err, evals = _panel_estimates(f, a, b)
     counter = 0
@@ -169,12 +169,12 @@ def integrate_exp_weighted(f, spec=DEFAULT_SPEC, y_cut=10.0):
                       float(err.max()), evals)
 
 
-def _integrate_partitioned(f, breakpoints, spec, n_head=1):
+def _integrate_partitioned(f, breakpoints, spec):
     """Integrate f over [b_0, b_last] split at the given breakpoints, per column.
 
-    The first `n_head` cells are treated as a head (summed directly); the
-    remaining cells form partial sums accelerated by iterated averaging, which
-    is how the conditionally convergent oscillatory tails are resummed.
+    The first cell is the head; the remaining cells form partial sums
+    accelerated by iterated averaging, which is how the conditionally
+    convergent oscillatory tails are resummed.
     Returns (values, errors, evaluations, |tail cells|), the last of shape
     (cells, columns).
     """
@@ -187,8 +187,7 @@ def _integrate_partitioned(f, breakpoints, spec, n_head=1):
         errs = errs + e
         evals += ev
     cells = np.array(cells)
-    head = cells[:n_head].sum(axis=0)
-    tail = cells[n_head:]
+    head, tail = cells[0], cells[1:]
     if tail.shape[0] == 0:
         return head, errs, evals, np.abs(tail)
     limit, accel_err = iterated_average(np.cumsum(tail, axis=0))

@@ -12,7 +12,7 @@ converges under refinement of the local subdivision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -46,6 +46,8 @@ class PotentialGrid:
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1 or lo.size not in (1, 2, 3):
             raise DomainError("box must have matching lo/hi of dimension 1-3")
+        if not np.all(np.isfinite(lo) & np.isfinite(hi)):
+            raise DomainError("box corners must be finite")
         if np.any(hi <= lo):
             raise DomainError("box must be nonempty")
         nc = int(cells_per_axis)
@@ -55,14 +57,12 @@ class PotentialGrid:
         h = (hi - lo) / nc
         idx = np.indices((nc,) * n).reshape(n, -1).T
         nodes = lo[None, :] + (idx + 0.5) * h[None, :]
-        if callable(q):
-            qv = np.asarray(q(nodes), dtype=float)
-        elif np.ndim(q) == 0:
+        if np.ndim(q) == 0 and not callable(q):
             qv = np.full(nodes.shape[0], float(q))
         else:
-            qv = np.asarray(q, dtype=float).ravel()
+            qv = np.asarray(q(nodes) if callable(q) else q, dtype=float).ravel()
             if qv.size != nodes.shape[0]:
-                raise DomainError(f"q array has {qv.size} entries, grid has {nodes.shape[0]}")
+                raise DomainError(f"q has {qv.size} entries, grid has {nodes.shape[0]}")
         if not np.all(np.isfinite(qv)):
             raise DomainError("q must be bounded")
         return cls(lo, hi, nc, nodes, qv, h, float(np.prod(h)), idx)
@@ -71,17 +71,12 @@ class PotentialGrid:
     def dim(self):
         return self.lo.size
 
-    @property
-    def sup_norm(self):
-        return float(np.max(np.abs(self.q_values)))
-
 
 @dataclass(frozen=True)
 class IncidentField:
     """Plane wave e^{i k x . d} with |d| = 1."""
 
     direction: np.ndarray
-    kind: str = "plane_wave"
 
     def __post_init__(self):
         d = np.atleast_1d(np.asarray(self.direction, dtype=float))
@@ -125,9 +120,7 @@ class NystromSystem:
     def with_contrast(self, q_values):
         """New system for a different contrast on the same grid, reusing the
         kernel weight tables (they do not depend on q)."""
-        pot = PotentialGrid(self.pot.lo, self.pot.hi, self.pot.cells_per_axis,
-                            self.pot.nodes, np.asarray(q_values, dtype=float).ravel(),
-                            self.pot.cell_sizes, self.pot.cell_volume, self.pot.index)
+        pot = replace(self.pot, q_values=np.asarray(q_values, dtype=float).ravel())
         a = _assemble(self.problem, pot, self.weight_table, self.offset_encode)
         return NystromSystem(self.problem, pot, a, self.weight_table,
                              self.offset_encode, dict(self.correction_record))
@@ -307,7 +300,7 @@ def _assemble(problem, pot, weights, code):
     return a
 
 
-def build_nystrom(problem, pot, spec=DEFAULT_SPEC, correction_level=1):
+def build_nystrom(problem, pot, spec=DEFAULT_SPEC):
     """Assemble A = I - k^{2s} T_k on the grid nodes.
 
     Off-diagonal entries use the midpoint rule w = vol * G(|x_i - y_j|); the
@@ -322,15 +315,12 @@ def build_nystrom(problem, pot, spec=DEFAULT_SPEC, correction_level=1):
     if np.any(far):
         weights[far] = pot.cell_volume * _green_total_at(problem, dist[far], spec)
     record = {}
-    near_ids = np.flatnonzero(~far)
-    cache = {}
-    for oid in near_ids:
+    for oid in np.flatnonzero(~far):
         key = tuple(np.abs(offs[oid]).tolist())
-        if key not in cache:
-            t = np.abs(offs[oid]) * pot.cell_sizes
-            cache[key] = cell_weight(problem, t, pot.cell_sizes, spec, correction_level)
-            record[key] = cache[key]
-        weights[oid] = cache[key]
+        if key not in record:
+            record[key] = cell_weight(problem, np.abs(offs[oid]) * pot.cell_sizes,
+                                      pot.cell_sizes, spec)
+        weights[oid] = record[key]
     return NystromSystem(problem, pot, _assemble(problem, pot, weights, code),
                          weights, code, record)
 
@@ -421,7 +411,7 @@ def eval_scattered_with_radial_derivative(solution, x, spec=None):
     return complex(val), complex(dval)
 
 
-def resonance_scan(problem_template, pot, k_grid, spec=DEFAULT_SPEC, correction_level=1):
+def resonance_scan(problem_template, pot, k_grid, spec=DEFAULT_SPEC):
     """Invertibility indicators of I - k^{2s} T_k over a wavenumber grid.
 
     Returns a list of (k, reciprocal condition number, smallest singular
@@ -433,6 +423,6 @@ def resonance_scan(problem_template, pot, k_grid, spec=DEFAULT_SPEC, correction_
         if not k > 0.0:
             raise DomainError("scan wavenumbers must be positive")
         p = Problem(problem_template.n, problem_template.s, float(k))
-        smin, smax = build_nystrom(p, pot, spec, correction_level).singular_extremes()
+        smin, smax = build_nystrom(p, pot, spec).singular_extremes()
         rows.append((float(k), float(smin / smax), float(smin)))
     return rows

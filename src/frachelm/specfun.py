@@ -1,15 +1,18 @@
 """Self-contained special functions used by the Green's-function formulas.
 
-Everything here is evaluated from first principles (power series near the
-origin, Hankel asymptotic expansions at large argument, and a contour-type
-integral representation in between), so the library carries no special-function
-dependency.  The crossover radii are validated by overlap-band tests.
+Everything here except Gamma (Python's ``math.gamma``) is evaluated from first
+principles (power series near the origin, Hankel asymptotic expansions at large
+argument, and a contour-type integral representation in between), so the library
+carries no special-function dependency.  The crossover radii are validated by
+overlap-band tests.
 
 Branch convention: all complex powers/logs are principal, with the cut on
 (-inf, 0].  Arguments on the cut raise :class:`DomainError`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,33 +29,6 @@ _ASYM_TERMS = 16
 
 _HARMONIC = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, _SERIES_TERMS + 2))])
 
-# Lanczos coefficients, g = 7.
-_LANCZOS_G = 7.0
-_LANCZOS_C = np.array([
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-])
-
-
-def gamma_fn(x):
-    """Gamma function for real x > 0 (Lanczos approximation)."""
-    x = float(x)
-    if not x > 0.0 or not np.isfinite(x):
-        raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return np.sqrt(2.0 * np.pi) * t ** (z + 0.5) * np.exp(-t) * acc
-
 
 def riesz_constant(n, s, j):
     """Riesz-potential constant c_{n,j} = Gamma(n/2 - s(j+1)) / (4^{s(j+1)} pi^{n/2} Gamma(s(j+1))).
@@ -67,7 +43,7 @@ def riesz_constant(n, s, j):
     a = s * (j + 1)
     if not (0.0 < a < 0.5 * n):
         raise DomainError(f"riesz_constant needs 0 < s(j+1) < n/2; got s(j+1)={a}, n={n}")
-    return gamma_fn(0.5 * n - a) / (4.0 ** a * np.pi ** (0.5 * n) * gamma_fn(a))
+    return math.gamma(0.5 * n - a) / (4.0 ** a * np.pi ** (0.5 * n) * math.gamma(a))
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +203,6 @@ def _hankel1_cosh_integral(z, nu):
     return -(2.0 / np.pi) * np.sum(w * core * ch)
 
 
-def _hankel1_scalar(z, nu):
-    if abs(z) >= _ASYM_RADIUS:
-        return complex(_hankel1_asym(np.complex128(z), nu))
-    if z.imag > _SERIES_IM_MAX:
-        return _hankel1_cosh_integral(z, nu)
-    if z.imag < -_SERIES_IM_MAX:
-        # reflection through H^(2): H1(z) = 2 J(z) - conj(H1(conj z))
-        jv = _j0_series(np.complex128(z)) if nu == 0 else _j1_series(np.complex128(z))
-        return 2.0 * complex(jv) - np.conj(_hankel1_scalar(np.conj(z), nu))
-    if nu == 0:
-        return complex(_j0_series(np.complex128(z)) + 1j * _y0_series(np.complex128(z)))
-    return complex(_j1_series(np.complex128(z)) + 1j * _y1_series(np.complex128(z)))
-
-
 def _hankel1(z, nu):
     z = _check_off_cut(z, "hankel1")
     scalar = z.ndim == 0
@@ -256,9 +218,16 @@ def _hankel1(z, nu):
             out[series] = _j0_series(zs) + 1j * _y0_series(zs)
         else:
             out[series] = _j1_series(zs) + 1j * _y1_series(zs)
-    rest = ~big & ~series
-    for idx in np.flatnonzero(rest):
-        out[idx] = _hankel1_scalar(complex(z[idx]), nu)
+    # |Im z| > _SERIES_IM_MAX inside the asymptotic radius: the cosh integral
+    # above the real axis, and below it the reflection through H^(2),
+    # H1(z) = 2 J(z) - conj(H1(conj z))
+    for idx in np.flatnonzero(~big & ~series):
+        zi = complex(z[idx])
+        if zi.imag > 0.0:
+            out[idx] = _hankel1_cosh_integral(zi, nu)
+        else:
+            jv = _j0_series(np.complex128(zi)) if nu == 0 else _j1_series(np.complex128(zi))
+            out[idx] = 2.0 * complex(jv) - np.conj(_hankel1_cosh_integral(np.conj(zi), nu))
     return complex(out[0]) if scalar else out
 
 

@@ -62,6 +62,16 @@ def test_invalid_params_exit_2(capsys):
     code, _ = run_cli(capsys, ["oracle-compare", "--dim", "1", "--s", "0.5",
                                "--k", "1", "--eps", "0", "--r", "1"])
     assert code == 2   # oracle requires eps > 0
+    # non-finite wavenumber, absorption and radius window
+    code, _ = run_cli(capsys, ["green", "--dim", "1", "--s", "0.5", "--k", "inf",
+                               "--r", "1"])
+    assert code == 2
+    code, _ = run_cli(capsys, ["green", "--dim", "1", "--s", "0.75", "--k", "1",
+                               "--eps", "inf", "--r", "1"])
+    assert code == 2
+    code, _ = run_cli(capsys, ["radiation", "--dim", "2", "--s", "0.5", "--k", "1",
+                               "--field", "h1", "--rmax", "inf"])
+    assert code == 2
 
 
 def test_inadmissible_shift_exit_2(capsys):
@@ -85,6 +95,30 @@ def test_lap_slope_in_range(capsys):
     assert code == 0
     meta, _, _ = parse_csv(out)
     assert 0.8 <= meta["slope"] <= 1.2
+
+
+def test_lap_evaluates_each_green_value_once(capsys, monkeypatch):
+    import frachelm.cli as cli
+    import frachelm.diagnostics as diag
+
+    calls = []
+    green_eval = diag.green_eval
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return green_eval(*args, **kwargs)
+
+    monkeypatch.setattr(diag, "green_eval", counting)
+    monkeypatch.setattr(cli, "green_eval", counting)
+    eps = [1e-1, 1e-2, 1e-3]
+    code, out = run_cli(capsys, ["lap", "--dim", "1", "--s", "0.3", "--k", "1",
+                                 "--r", "2", "--eps", ",".join(map(str, eps))])
+    assert code == 0
+    assert sorted(calls) == sorted([0.0] + eps)    # one per eps plus eps = 0
+    meta, header, rows = parse_csv(out)
+    diffs = [float(row[header.index("diff")]) for row in rows]
+    assert [float(row[header.index("eps")]) for row in rows] == eps
+    assert meta["slope"] == float(np.polyfit(np.log(eps), np.log(diffs), 1)[0])
 
 
 def test_asymptotics_metadata(capsys):

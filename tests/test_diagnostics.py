@@ -108,6 +108,9 @@ def test_radiation_requires_gradient():
         radiation_classify(NoGrad(), 1.0, 10.0, 100.0, 0.75)
     with pytest.raises(DomainError):
         radiation_classify(hankel_outgoing_field(1.0), 1.0, 10.0, 100.0, 0.4)
+    for r0, r_max in ((10.0, np.inf), (10.0, np.nan), (np.nan, 100.0)):
+        with pytest.raises(DomainError):
+            radiation_classify(hankel_outgoing_field(1.0), 1.0, r0, r_max, 0.75)
 
 
 def test_lap_slope_regimes():

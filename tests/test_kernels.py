@@ -1,14 +1,14 @@
-"""Kernel building-block tests: regimes, P, F_m, F~_m, M, helm parts, integrands."""
+"""Kernel building-block tests: regimes, F_m, F~_m, M, helm parts, tail terms."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frachelm.errors import DomainError
+from frachelm.green import _exp_tail_terms
 from frachelm.kernels import (
     HIGH, LOW_GENERIC, LOW_INTEGER, Problem, classify_regime, dF_m_dr, F_m,
-    F_tilde_m, helm_part, helm_part_dr, j_tail_integrand, multiplier_M, poly_P,
-    spectral_shift,
+    F_tilde_m, helm_part, helm_part_dr, multiplier_M, spectral_shift,
 )
 
 
@@ -61,6 +61,9 @@ def test_problem_validation():
         Problem(2, 1.2, 1.0)
     with pytest.raises(DomainError):
         Problem(2, 0.3, -1.0)
+    for k in (np.inf, np.nan):
+        with pytest.raises(DomainError):
+            Problem(1, 0.5, k)
 
 
 def test_spectral_shift_admissibility():
@@ -72,27 +75,10 @@ def test_spectral_shift_admissibility():
     with pytest.raises(DomainError):
         spectral_shift(p, -0.1)
     assert spectral_shift(p, 0.0).k_eps == 1.0 + 0.0j
-
-
-# ---------------------------------------------------------------------------
-# the polynomial P
-# ---------------------------------------------------------------------------
-
-def test_poly_p_examples():
-    kappa, s = 1.7, 0.3
-    k2s = kappa ** (2 * s)
-    minimizer = k2s * np.cos(s * np.pi)
-    assert poly_P(minimizer, kappa, s) == pytest.approx(
-        kappa ** (4 * s) * (1 - np.cos(s * np.pi) ** 2), rel=1e-13)
-    assert poly_P(2.0, 3.0, 0.5) == pytest.approx(4.0 + 9.0, rel=1e-14)
-    assert poly_P(0.0, kappa, s) == pytest.approx(kappa ** (4 * s), rel=1e-14)
-
-
-@given(st.floats(0.0, 1e3), st.floats(1e-2, 1e2), st.floats(0.02, 0.98))
-@settings(max_examples=300, deadline=None)
-def test_poly_p_lower_bound(X, kappa, s):
-    lower = kappa ** (4 * s) * (1 - np.cos(s * np.pi) ** 2)
-    assert poly_P(X, kappa, s) >= lower * (1 - 1e-12)
+    # arctan(inf) = pi/2 < 0.75 pi would pass the admissibility test
+    for eps in (np.inf, np.nan):
+        with pytest.raises(DomainError):
+            spectral_shift(Problem(1, 0.75, 1.0), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +259,21 @@ def test_helm_part_domain():
 
 
 # ---------------------------------------------------------------------------
-# tail integrands
+# e^{-y} tail integrands (the prefactors and brackets the Green assembly uses)
 # ---------------------------------------------------------------------------
+
+def _tail_integrand(n, s, k, r, y):
+    # pref(r) e^{-y} bracket(y), the complete integrand of the n = 1, 3 tail
+    pref, _, bracket = _exp_tail_terms(Problem(n, s, k), classify_regime(s),
+                                       complex(k), np.array([r]))
+    return pref[0] * np.exp(-y) * bracket(y)[:, 0]
+
 
 def test_j_tail_integrand_1d_half_reduction():
     # n=1, s=1/2, real k: integrand reduces to (1/pi) y e^{-y} / (y^2 + k^2 r^2)
     k, r = 1.0, 2.0
     y = np.linspace(0.1, 8.0, 25)
-    vals = j_tail_integrand(1, 0.5, 1, complex(k), r, y)
+    vals = _tail_integrand(1, 0.5, k, r, y)
     expect = y * np.exp(-y) / (np.pi * (y ** 2 + k ** 2 * r ** 2))
     assert np.allclose(vals, expect, rtol=1e-12)
     assert np.max(np.abs(np.imag(vals))) < 1e-15
@@ -296,28 +289,19 @@ def test_j_tail_integrand_3d_structure():
     bracket = em / (y ** (2 * s) / ep - c) - (1.0 / em) / (y ** (2 * s) * ep - c)
     pref = k ** (2 * s * m) / (4j * np.pi ** 2 * r ** (3 - 2 * s * (m + 1)))
     expect = pref * np.exp(-y) * y ** (1 - 2 * s * m) * bracket
-    assert np.allclose(j_tail_integrand(3, s, m, complex(k), r, y), expect, rtol=1e-13)
+    assert np.allclose(_tail_integrand(3, s, k, r, y), expect, rtol=1e-13)
 
 
 def test_j_tail_integrand_bounded_by_p_lower_bound():
     # |integrand| <= |pref| e^{-y} y^{1-2sm} * 2 / sqrt(P_lb) pointwise
     s, m, k, r = 0.3, 1, 1.0, 2.0
     y = np.linspace(0.05, 15.0, 60)
-    vals = np.abs(j_tail_integrand(3, s, m, complex(k), r, y))
+    vals = np.abs(_tail_integrand(3, s, k, r, y))
     kr = k * r
     p_lb = (kr) ** (4 * s) * (1 - np.cos(np.pi * s) ** 2)
     pref = abs(k ** (2 * s * m) / (4 * np.pi ** 2 * r ** (3 - 2 * s * (m + 1))))
     bound = pref * np.exp(-y) * y ** (1 - 2 * s * m) * 2.0 / np.sqrt(p_lb)
     assert np.all(vals <= bound * (1 + 1e-12))
-
-
-def test_j_tail_integrand_2d_uses_f():
-    s, k, r = 0.75, 1.0, 1.3
-    y = np.array([0.4, 2.0])
-    vals = j_tail_integrand(2, s, 0, complex(k), r, y)
-    from frachelm.specfun import bessel_j0
-    expect = bessel_j0(y * r) * y * F_m(y, complex(k), s, 0)
-    assert np.allclose(vals, expect, rtol=1e-13)
 
 
 def test_helm_part_2d_log_singularity():
@@ -329,18 +313,3 @@ def test_helm_part_2d_log_singularity():
     vals = np.array(vals)
     assert abs(vals[-1]) > 0.01
     assert abs(vals[-1] - vals[-2]) < 0.05 * abs(vals[-1])
-
-
-def test_poly_p_lower_bound_dense_sampling():
-    rng = np.random.default_rng(11)
-    X = rng.uniform(0.0, 1e3, 10_000)
-    kappa = rng.uniform(1e-2, 1e2, 10_000)
-    s = rng.uniform(0.02, 0.98, 10_000)
-    vals = np.array([poly_P(Xi, ki, si) for Xi, ki, si in zip(X[:200], kappa[:200], s[:200])])
-    lows = np.array([ki ** (4 * si) * (1 - np.cos(si * np.pi) ** 2)
-                     for ki, si in zip(kappa[:200], s[:200])])
-    assert np.all(vals >= lows * (1 - 1e-12))
-    # vectorized sweep over the full 10^4 draw at a fixed s
-    sv = 0.37
-    pv = poly_P(X, 1.3, sv)
-    assert np.all(pv >= 1.3 ** (4 * sv) * (1 - np.cos(sv * np.pi) ** 2) * (1 - 1e-12))

@@ -27,6 +27,20 @@ def test_grid_build_validation():
         PotentialGrid.build([-1.0], [1.0], 8, [1.0, 2.0])
     with pytest.raises(DomainError):
         PotentialGrid.build([-1.0], [1.0], 8, np.array([np.inf] * 8))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            PotentialGrid.build([-1.0], [bad], 8, 0.1)
+        with pytest.raises(DomainError):
+            PotentialGrid.build([bad, -1.0], [1.0, 1.0], 4, 0.1)
+    # a callable contrast is checked like an array one
+    with pytest.raises(DomainError):
+        PotentialGrid.build([-1.0], [1.0], 4, lambda x: 0.3)
+    with pytest.raises(DomainError):
+        PotentialGrid.build([-1.0], [1.0], 4, lambda x: np.ones(3))
+    with pytest.raises(DomainError):
+        PotentialGrid.build([-1.0], [1.0], 4, lambda x: np.full(4, np.nan))
+    pot = PotentialGrid.build([-1.0, 0.0], [1.0, 2.0], 3, lambda x: x[:, 0] ** 2)
+    assert np.array_equal(pot.q_values, pot.nodes[:, 0] ** 2)
 
 
 def test_incident_field_unit_direction():
