@@ -51,6 +51,9 @@ def _float_list(text):
 
 def _quad_spec(cfg):
     quad = cfg.get("quad", {})
+    if set(quad) - set(_QUAD_FIELDS):
+        raise DomainError(f"unknown quad keys {sorted(set(quad) - set(_QUAD_FIELDS))}; "
+                          f"allowed: {', '.join(_QUAD_FIELDS)}")
     return QuadratureSpec(**{name: cast(quad.get(name, getattr(DEFAULT_SPEC, name)))
                              for name, cast in _QUAD_FIELDS.items()})
 
@@ -68,34 +71,18 @@ def _normalize(v):
 def _emit(metadata, columns, rows, fmt, out_path):
     """Rows are lists aligned with columns; complex entries become re/im pairs."""
     rows = [[_normalize(v) for v in row] for row in rows]
-    flat_cols, flat_rows = [], []
-    for j, name in enumerate(columns):
-        if rows and isinstance(rows[0][j], complex):
-            flat_cols += [f"{name}_re", f"{name}_im"]
-        else:
-            flat_cols.append(name)
-    for row in rows:
-        flat = []
-        for v in row:
-            if isinstance(v, complex):
-                flat += [v.real, v.imag]
-            else:
-                flat.append(v)
-        flat_rows.append(flat)
     if fmt == "json":
-        payload_rows = []
-        for row in rows:
-            rec = {}
-            for name, v in zip(columns, row):
-                rec[name] = {"re": v.real, "im": v.imag} if isinstance(v, complex) else v
-            payload_rows.append(rec)
-        text = json.dumps({"metadata": metadata, "rows": payload_rows},
-                          sort_keys=True, indent=2) + "\n"
+        recs = [{name: {"re": v.real, "im": v.imag} if isinstance(v, complex) else v
+                 for name, v in zip(columns, row)} for row in rows]
+        text = json.dumps({"metadata": metadata, "rows": recs}, sort_keys=True, indent=2) + "\n"
     else:
-        lines = ["# metadata: " + json.dumps(metadata, sort_keys=True)]
-        lines.append(",".join(flat_cols))
-        for flat in flat_rows:
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in flat))
+        first = rows[0] if rows else [None] * len(columns)
+        cols = [c for name, v in zip(columns, first)
+                for c in ((f"{name}_re", f"{name}_im") if isinstance(v, complex) else (name,))]
+        lines = ["# metadata: " + json.dumps(metadata, sort_keys=True), ",".join(cols)]
+        for row in rows:
+            flat = [x for v in row for x in ((v.real, v.imag) if isinstance(v, complex) else (v,))]
+            lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in flat))
         text = "\n".join(lines) + "\n"
     if out_path in (None, "-"):
         sys.stdout.write(text)
@@ -283,12 +270,12 @@ def cmd_scatter(args):
     except NearResonanceError as exc:
         meta = _metadata("scatter", cfg, spec)
         meta["error"] = str(exc)
-        meta["rcond"] = exc.rcond
+        meta["rcond"] = exc.rcond   # exact smin/smax from the SVD
         _emit(meta, ["x"], [], args.format, args.out)
         return EXIT_NEAR_RESONANCE
     meta = _metadata("scatter", cfg, spec)
     meta["residual"] = sol.residual
-    meta["rcond"] = sol.rcond
+    meta["rcond"] = sol.rcond   # certified lower bound on smin/smax; exact if the SVD ran
     cols = ["point", "u_scat"]
     want_born = bool(cfg.get("born", False))
     if want_born:

@@ -251,6 +251,8 @@ def convolution_norm_check(p, source, delta, truncation_radius, oversample=1.0,
 
     if not (0.5 < delta < 1.0):
         raise DomainError("delta must lie in (1/2, 1)")
+    if not (0.0 < truncation_radius < np.inf and 0.0 < oversample < np.inf):
+        raise DomainError("truncation_radius and oversample must be positive and finite")
     n = p.n
     if source.dim != n:
         raise DomainError("source grid dimension mismatch")

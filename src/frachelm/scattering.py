@@ -23,6 +23,8 @@ from .kernels import Problem
 from .quadrature import DEFAULT_SPEC
 
 RCOND_FLOOR = 1e-12
+_PROBES = 4           # Gaussian probe columns solved with the incident field
+_PROBE_DELTA = 1e-2   # P(|u_min^H w| < delta) <= delta^2 for each probe w
 
 
 @dataclass
@@ -99,18 +101,11 @@ class NystromSystem:
     weight_table: np.ndarray
     offset_encode: np.ndarray
     correction_record: dict = field(default_factory=dict)
-    _extremes: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def singular_extremes(self):
-        """(smallest, largest) singular value of ``matrix``, from one
-        values-only SVD per system.  The first call marks ``matrix`` read-only,
-        so a later in-place edit raises instead of leaving the cache stale; a
-        newly assigned ``matrix`` is conditioned afresh."""
-        if self._extremes is None or self._extremes[0] is not self.matrix:
-            sv = np.linalg.svd(self.matrix, compute_uv=False)
-            self.matrix.flags.writeable = False
-            self._extremes = (self.matrix, sv[-1], sv[0])
-        return self._extremes[1:]
+        """(smallest, largest) singular value of ``matrix`` (values-only SVD)."""
+        sv = np.linalg.svd(self.matrix, compute_uv=False)
+        return sv[-1], sv[0]
 
     def apply_T(self, u):
         """T u = sum_j w_ij q_j u_j (the volume-potential matrix action)."""
@@ -341,22 +336,37 @@ def correction_refinement_delta(problem, pot, spec=DEFAULT_SPEC, levels=(1, 2)):
 def solve_ls(system, incident, check_conditioning=True):
     """Direct dense solve of (I - k^{2s} T_k) u = u_inc on the grid nodes.
 
-    With ``check_conditioning`` and a nonzero contrast, rcond = smin / smax
-    from ``system.singular_extremes()`` (computed once per system; the matrix
-    is read-only after it) must reach ``RCOND_FLOOR``, else
-    ``NearResonanceError``.  Otherwise rcond is reported as 1.
+    The LU that gives u also solves for ``_PROBES`` seeded complex Gaussian
+    probes w.  With a nonzero contrast and ``check_conditioning``, rcond =
+    delta / (sqrt(||A||_1 ||A||_inf) max ||A^{-1} w||) bounds smin / smax
+    from below, failing with probability <= delta^{2 _PROBES} (Dixon 1983).
+    Below ``RCOND_FLOOR``, or when the LU finds A singular, a values-only SVD
+    decides: rcond is then the exact smin / smax, and ``NearResonanceError``
+    is raised below the floor.  Otherwise rcond is reported as 1.
     """
+    a = system.matrix
     b = incident.values(system.problem, system.pot.nodes)
-    rcond = 1.0
+    probes = np.random.default_rng(0).standard_normal((b.size, 2 * _PROBES)).view(complex)
+    singular, rcond = None, 1.0
+    try:
+        x = np.linalg.solve(a, np.column_stack([b, probes / np.sqrt(2.0)]))
+    except np.linalg.LinAlgError as exc:
+        singular = exc
     if check_conditioning and np.any(system.pot.q_values):
-        smin, smax = system.singular_extremes()
-        rcond = float(smin / smax)
-        if rcond < RCOND_FLOOR:
-            raise NearResonanceError(
-                f"Nystrom matrix numerically singular (rcond={rcond:.2e}); "
-                "candidate resonance wavenumber", rcond=rcond)
-    u = np.linalg.solve(system.matrix, b)
-    residual = float(np.linalg.norm(system.matrix @ u - b) / np.linalg.norm(b))
+        if singular is None:
+            smax = np.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
+            rcond = float(_PROBE_DELTA / (smax * np.linalg.norm(x[:, 1:], axis=0).max()))
+        if singular is not None or not rcond >= RCOND_FLOOR:
+            smin, smax = system.singular_extremes()
+            rcond = float(smin / smax)
+            if rcond < RCOND_FLOOR:
+                raise NearResonanceError(
+                    f"Nystrom matrix numerically singular (rcond={rcond:.2e}); "
+                    "candidate resonance wavenumber", rcond=rcond)
+    if singular is not None:
+        raise singular
+    u = np.ascontiguousarray(x[:, 0])
+    residual = float(np.linalg.norm(a @ u - b) / np.linalg.norm(b))
     return ScatterSolution(system.problem, system.pot, incident, u, residual, rcond)
 
 

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from frachelm.cli import main
+import frachelm.cli
+from frachelm.cli import _QUAD_FIELDS, main
+from frachelm.scattering import build_nystrom
 
 # frozen by a dual-path-validated build (oracle agreement at eps > 0 plus the
 # O(eps) limiting-absorption continuation toward eps = 0)
@@ -72,6 +74,36 @@ def test_invalid_params_exit_2(capsys):
     code, _ = run_cli(capsys, ["radiation", "--dim", "2", "--s", "0.5", "--k", "1",
                                "--field", "h1", "--rmax", "inf"])
     assert code == 2
+
+
+def test_unknown_quad_key_exit_2(tmp_path, capsys):
+    path = tmp_path / "green.json"
+    path.write_text(json.dumps({"problem": {"dim": 1, "s": 0.5, "k": 1.0}, "r": [1.0],
+                                "quad": {"rel_tl": 1e-3, "max_subdiv": 5}}))
+    assert main(["green", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "max_subdiv" in err and "rel_tl" in err
+    assert all(name in err for name in _QUAD_FIELDS)
+
+
+def test_scatter_near_resonance_exit_4(capsys, monkeypatch):
+    built = []
+
+    def singular_build(*args, **kwargs):
+        system = build_nystrom(*args, **kwargs)
+        system.matrix[2, :] = 0.0
+        built.append(system)
+        return system
+
+    monkeypatch.setattr(frachelm.cli, "build_nystrom", singular_build)
+    code, out = run_cli(capsys, ["scatter", "--dim", "1", "--s", "0.75", "--k", "1",
+                                 "--box-lo", "-1", "--box-hi", "1", "--cells", "8",
+                                 "--q", "0.2", "--direction", "1", "--observe", "4"])
+    assert code == 4
+    meta, _, rows = parse_csv(out)
+    sv = np.linalg.svd(built[0].matrix, compute_uv=False)
+    assert "numerically singular" in meta["error"] and rows == []
+    assert meta["rcond"] == float(sv[-1] / sv[0])
 
 
 def test_inadmissible_shift_exit_2(capsys):

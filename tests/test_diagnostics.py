@@ -157,3 +157,13 @@ def test_convolution_norm_guards():
     src = PotentialGrid.build([-1.0], [1.0], 8, 1.0)
     with pytest.raises(DomainError):
         convolution_norm_check(p, src, 0.3, 10.0)     # delta outside (1/2, 1)
+
+
+@pytest.mark.parametrize("radius, oversample", [
+    (np.inf, 1.0), (np.nan, 1.0), (0.0, 1.0), (-5.0, 1.0),
+    (10.0, 0.0), (10.0, -1.0), (10.0, np.inf), (10.0, np.nan),
+])
+def test_convolution_norm_rejects_bad_truncation(radius, oversample):
+    src = PotentialGrid.build([-1.0], [1.0], 8, 1.0)
+    with pytest.raises(DomainError):
+        convolution_norm_check(Problem(1, 0.3, 1.0), src, 0.75, radius, oversample)

@@ -1,5 +1,7 @@
 """Lippmann-Schwinger solver tests: identities, convergence, scaling laws."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from frachelm.errors import DomainError, NearResonanceError
 from frachelm.kernels import Problem
 from frachelm.quadrature import QuadratureSpec
 from frachelm.scattering import (
-    IncidentField, PotentialGrid, born_approx, build_nystrom,
+    RCOND_FLOOR, IncidentField, PotentialGrid, born_approx, build_nystrom,
     cell_weight, correction_refinement_delta, eval_scattered,
     eval_scattered_with_radial_derivative, resonance_scan, solve_ls,
 )
@@ -295,17 +297,19 @@ def _count_svd(monkeypatch):
     return calls, svd
 
 
-def test_conditioning_svd_once_per_system(monkeypatch):
+def test_rcond_bound_below_exact_without_svd(monkeypatch):
     pot = grid1(cells=12, q=lambda x: 0.3 + 0.1 * x[:, 0])
     system = build_nystrom(P1, pot)
     calls, svd = _count_svd(monkeypatch)
     sol_a = solve_ls(system, INC1)
-    sol_b = solve_ls(system, IncidentField(np.array([-1.0])))
-    assert len(calls) == 1
+    sol_b = solve_ls(system, INC1)
+    assert calls == []
     sv = svd(system.matrix, compute_uv=False)
-    assert sol_a.rcond == sol_b.rcond == float(sv[-1] / sv[0])
-    assert system.singular_extremes() == (sv[-1], sv[0])
-    assert len(calls) == 1
+    assert 0.0 < sol_a.rcond <= float(sv[-1] / sv[0])
+    assert sol_a.rcond == sol_b.rcond
+    assert np.array_equal(sol_a.u_total, sol_b.u_total)
+    b = INC1.values(P1, pot.nodes)
+    assert np.array_equal(sol_a.u_total, np.linalg.solve(system.matrix, b))
 
 
 def test_conditioning_skipped_without_check_or_contrast(monkeypatch):
@@ -317,23 +321,67 @@ def test_conditioning_skipped_without_check_or_contrast(monkeypatch):
     assert calls == []
 
 
-def test_matrix_read_only_after_conditioning(monkeypatch):
+def test_edited_matrix_raises_exact_rcond(monkeypatch):
     system = build_nystrom(P1, grid1(q=0.3))
-    assert system.matrix.flags.writeable
     solve_ls(system, INC1)
-    with pytest.raises(ValueError):
-        system.matrix[0, 0] = 0.0
-    other = system.with_contrast(system.pot.q_values / 2.0)
-    assert other.matrix.flags.writeable
-    calls, _ = _count_svd(monkeypatch)
-    solve_ls(other, INC1)
-    assert len(calls) == 1
-    # a replaced matrix is conditioned afresh, not from the cached values
-    system.matrix = np.array(system.matrix)
+    # nothing is cached: an in-place edit or a replaced matrix is checked afresh
     system.matrix[2, :] = 0.0
+    calls, svd = _count_svd(monkeypatch)
+    with pytest.raises(NearResonanceError) as exc:
+        solve_ls(system, INC1)
+    sv = svd(system.matrix, compute_uv=False)
+    assert len(calls) == 1 and exc.value.rcond == float(sv[-1] / sv[0])
+    system.matrix = np.array(system.matrix)
     with pytest.raises(NearResonanceError):
         solve_ls(system, INC1)
-    assert len(calls) == 2
+
+
+def _synthetic_system(sigma):
+    """The 16-cell system with its matrix replaced by U diag(sigma) V^H."""
+    rng = np.random.default_rng(5)
+    n = sigma.size
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return replace(build_nystrom(P1, grid1(q=0.3)), matrix=(u * sigma) @ v.conj().T)
+
+
+def test_ill_conditioned_and_singular_raise_exact_rcond(monkeypatch):
+    system = _synthetic_system(np.logspace(0.0, -14.0, 16))
+    calls, svd = _count_svd(monkeypatch)
+    with pytest.raises(NearResonanceError) as exc:
+        solve_ls(system, INC1)
+    sv = svd(system.matrix, compute_uv=False)
+    assert len(calls) == 1 and exc.value.rcond == float(sv[-1] / sv[0])
+    assert exc.value.rcond < RCOND_FLOOR
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(NearResonanceError) as exc:
+        solve_ls(system, INC1)
+    assert exc.value.rcond == float(sv[-1] / sv[0])
+    # a LinAlgError on a matrix the SVD passes propagates
+    healthy = _synthetic_system(np.linspace(1.0, 0.5, 16))
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_ls(healthy, INC1)
+    assert len(calls) == 3
+
+
+def test_rcond_bound_across_parameters():
+    worst = 1.0
+    cases = [(n, s, k, 0.3) for n in (1, 2, 3) for s in (0.3, 0.5, 0.75)
+             for k in (0.5, 1.3, 3.0)]
+    cases.append((1, 0.5, 1.63, 10.0))   # a resonance_scan dip: rcond ~ 1.6e-4
+    for n, s, k, q in cases:
+        pot = PotentialGrid.build([-1.0] * n, [1.0] * n, (16, 4, 3)[n - 1], q)
+        system = build_nystrom(Problem(n, s, k), pot)
+        sol = solve_ls(system, IncidentField(np.eye(n)[0]))
+        smin, smax = system.singular_extremes()
+        exact = float(smin / smax)
+        assert RCOND_FLOOR <= sol.rcond <= exact, (n, s, k, q)
+        worst = min(worst, sol.rcond / exact)
+    assert worst > 1e-4   # measured: 1/800 at worst
 
 
 def test_resonance_scan_rows_from_one_svd_per_k(monkeypatch):
