@@ -100,17 +100,28 @@ def _metadata(command, cfg, spec):
     }
 
 
-def _load_or_build_config(args, builder):
+def _load_or_build_config(args, fields):
+    """The config of ``--config``, or one built from the inline flags: each
+    key of ``fields`` maps to its value's function of ``args``.  A config
+    file may hold only those keys and "quad"."""
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
+        unknown = set(cfg) - set(fields) - {"quad"}
+        if unknown:
+            raise DomainError(f"unknown config keys {sorted(unknown)}; "
+                              f"allowed: {', '.join([*fields, 'quad'])}")
     else:
-        cfg = builder(args)
+        cfg = {key: value(args) for key, value in fields.items()}
     if getattr(args, "quad_rtol", None) is not None:
         cfg.setdefault("quad", {})["rel_tol"] = args.quad_rtol
     if getattr(args, "quad_atol", None) is not None:
         cfg.setdefault("quad", {})["abs_tol"] = args.quad_atol
     return cfg
+
+
+def _problem_flags(a):
+    return {"dim": a.dim, "s": a.s, "k": a.k}
 
 
 def _problem(cfg):
@@ -123,9 +134,9 @@ def _problem(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_green(args):
-    cfg = _load_or_build_config(args, lambda a: {
-        "problem": {"dim": a.dim, "s": a.s, "k": a.k},
-        "eps": a.eps, "r": _float_list(a.r), "decompose": bool(a.decompose),
+    cfg = _load_or_build_config(args, {
+        "problem": _problem_flags, "eps": lambda a: a.eps,
+        "r": lambda a: _float_list(a.r), "decompose": lambda a: bool(a.decompose),
     })
     spec = _quad_spec(cfg)
     p = _problem(cfg)
@@ -153,9 +164,9 @@ def cmd_green(args):
 
 
 def cmd_oracle_compare(args):
-    cfg = _load_or_build_config(args, lambda a: {
-        "problem": {"dim": a.dim, "s": a.s, "k": a.k},
-        "eps": a.eps, "r": _float_list(a.r), "intervals": a.intervals,
+    cfg = _load_or_build_config(args, {
+        "problem": _problem_flags, "eps": lambda a: a.eps,
+        "r": lambda a: _float_list(a.r), "intervals": lambda a: a.intervals,
     })
     spec = _quad_spec(cfg)
     p = _problem(cfg)
@@ -173,11 +184,10 @@ def cmd_oracle_compare(args):
 
 
 def cmd_asymptotics(args):
-    cfg = _load_or_build_config(args, lambda a: {
-        "problem": {"dim": a.dim, "s": a.s, "k": a.k},
-        "part": a.part, "side": a.side, "rate": a.rate,
-        "rmin": a.rmin, "rmax": a.rmax, "points": a.points,
-        "log_correction": bool(a.log_correction),
+    cfg = _load_or_build_config(args, {
+        "problem": _problem_flags, "part": lambda a: a.part, "side": lambda a: a.side,
+        "rate": lambda a: a.rate, "rmin": lambda a: a.rmin, "rmax": lambda a: a.rmax,
+        "points": lambda a: a.points, "log_correction": lambda a: bool(a.log_correction),
     })
     spec = _quad_spec(cfg)
     p = _problem(cfg)
@@ -199,9 +209,8 @@ def cmd_asymptotics(args):
 
 
 def cmd_lap(args):
-    cfg = _load_or_build_config(args, lambda a: {
-        "problem": {"dim": a.dim, "s": a.s, "k": a.k},
-        "r": a.r, "eps": _float_list(a.eps),
+    cfg = _load_or_build_config(args, {
+        "problem": _problem_flags, "r": lambda a: a.r, "eps": lambda a: _float_list(a.eps),
     })
     spec = _quad_spec(cfg)
     p = _problem(cfg)
@@ -218,9 +227,9 @@ def cmd_lap(args):
 
 
 def cmd_radiation(args):
-    cfg = _load_or_build_config(args, lambda a: {
-        "problem": {"dim": a.dim, "s": a.s, "k": a.k},
-        "field": a.field, "r0": a.r0, "rmax": a.rmax, "delta": a.delta,
+    cfg = _load_or_build_config(args, {
+        "problem": _problem_flags, "field": lambda a: a.field, "r0": lambda a: a.r0,
+        "rmax": lambda a: a.rmax, "delta": lambda a: a.delta,
     })
     spec = _quad_spec(cfg)
     p = _problem(cfg)
@@ -244,6 +253,10 @@ def cmd_radiation(args):
     return EXIT_OK
 
 
+def _box_flags(a):
+    return {"lo": _float_list(a.box_lo), "hi": _float_list(a.box_hi)}
+
+
 def _build_grid(cfg):
     box = cfg["box"]
     q = cfg["q"]
@@ -252,13 +265,13 @@ def _build_grid(cfg):
 
 
 def cmd_scatter(args):
-    cfg = _load_or_build_config(args, lambda a: {
-        "problem": {"dim": a.dim, "s": a.s, "k": a.k},
-        "box": {"lo": _float_list(a.box_lo), "hi": _float_list(a.box_hi)},
-        "cells": a.cells, "q": a.q,
-        "incident": {"direction": _float_list(a.direction)},
-        "observation_points": [_float_list(tok) for tok in a.observe.split(";")] if a.observe else [],
-        "born": bool(a.born),
+    cfg = _load_or_build_config(args, {
+        "problem": _problem_flags, "box": _box_flags,
+        "cells": lambda a: a.cells, "q": lambda a: a.q,
+        "incident": lambda a: {"direction": _float_list(a.direction)},
+        "observation_points": lambda a: [_float_list(tok) for tok in a.observe.split(";")]
+        if a.observe else [],
+        "born": lambda a: bool(a.born),
     })
     spec = _quad_spec(cfg)
     p = _problem(cfg)
@@ -292,11 +305,10 @@ def cmd_scatter(args):
 
 
 def cmd_resonance_scan(args):
-    cfg = _load_or_build_config(args, lambda a: {
-        "problem": {"dim": a.dim, "s": a.s},
-        "box": {"lo": _float_list(a.box_lo), "hi": _float_list(a.box_hi)},
-        "cells": a.cells, "q": a.q,
-        "k_grid": {"min": a.kmin, "max": a.kmax, "count": a.kcount},
+    cfg = _load_or_build_config(args, {
+        "problem": lambda a: {"dim": a.dim, "s": a.s}, "box": _box_flags,
+        "cells": lambda a: a.cells, "q": lambda a: a.q,
+        "k_grid": lambda a: {"min": a.kmin, "max": a.kmax, "count": a.kcount},
     })
     spec = _quad_spec(cfg)
     pr = cfg["problem"]

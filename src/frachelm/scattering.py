@@ -2,17 +2,20 @@
 
 The kernel is radial and the nodes sit on a uniform lattice, so the quadrature
 weight for a pair of cells depends only on their index offset.  Assembly
-therefore evaluates the Green's function once per unique distance and fills
-the dense matrix by lookup.  Off-diagonal weights use the midpoint rule;
-entries whose cells lie within the 3^n neighborhood are replaced by a local
-integration of the kernel over the source cell (polar/pyramid decomposition
-around the singularity with a power substitution absorbing it), which
-converges under refinement of the local subdivision.
+therefore evaluates the Green's function once per unique distance; the
+block-Toeplitz operator is applied by FFT on a circulant embedding (Vainikko
+2000), and large systems are solved by GMRES, small ones by a dense LU of the
+matrix gathered from the offset table.  Off-diagonal weights use the midpoint
+rule; entries whose cells lie within the 3^n neighborhood are replaced by a
+local integration of the kernel over the source cell (polar/pyramid
+decomposition around the singularity with a power substitution absorbing it),
+which converges under refinement of the local subdivision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -25,6 +28,10 @@ from .quadrature import DEFAULT_SPEC
 RCOND_FLOOR = 1e-12
 _PROBES = 4           # Gaussian probe columns solved with the incident field
 _PROBE_DELTA = 1e-2   # P(|u_min^H w| < delta) <= delta^2 for each probe w
+_DENSE_MAX_N = 400    # dense LU up to here, GMRES above (measured crossover)
+_RESIDUAL_TOL = 1e-13  # true relative residual of u on the GMRES path
+_GMRES_RESTART = 30   # Krylov vectors per column between restarts
+_GMRES_MAXIT = 300    # iterations before the dense fallback
 
 
 @dataclass
@@ -88,19 +95,46 @@ class IncidentField:
 
     def values(self, problem, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.ndim != 2 or pts.shape[1] != self.direction.size:
+            raise DomainError(f"points of shape {pts.shape} for a direction of "
+                              f"dimension {self.direction.size}")
         return np.exp(1j * problem.k * pts @ self.direction)
 
 
 @dataclass
 class NystromSystem:
-    """Dense collocation matrix A = I - k^{2s} T_k with its assembly record."""
+    """A = I - k^{2s} T_k with T_k block-Toeplitz: ``weight_table`` holds one
+    weight per cell-index offset, ``spectrum`` the FFT of its (2 nc)^n
+    circulant embedding (independent of q).  The dense ``matrix`` and
+    ``offset_encode`` are references built on first read and cached; only
+    the LU path of ``solve_ls`` and ``singular_extremes`` read ``matrix``, so
+    editing or assigning it affects those alone."""
 
     problem: Problem
     pot: PotentialGrid
-    matrix: np.ndarray
     weight_table: np.ndarray
-    offset_encode: np.ndarray
+    spectrum: np.ndarray
     correction_record: dict = field(default_factory=dict)
+
+    @cached_property
+    def offset_encode(self):
+        """N x N flat index of the offset i - j into ``weight_table``."""
+        nc, n, idx = self.pot.cells_per_axis, self.pot.dim, self.pot.index
+        strides = (2 * nc - 1) ** np.arange(n - 1, -1, -1)
+        code = np.zeros((idx.shape[0], idx.shape[0]), dtype=np.int64)
+        for a in range(n):
+            code += (idx[:, None, a] - idx[None, :, a] + nc - 1) * strides[a]
+        return code
+
+    @cached_property
+    def matrix(self):
+        """Dense A, scaled in place: the gathered weights are the only N x N
+        array, and the rounding order is that of -k2s * w * q."""
+        a = self.weight_table[self.offset_encode]
+        a *= -self.problem.k2s
+        a *= self.pot.q_values[None, :]
+        a[np.diag_indices_from(a)] += 1.0
+        return a
 
     def singular_extremes(self):
         """(smallest, largest) singular value of ``matrix`` (values-only SVD)."""
@@ -108,17 +142,28 @@ class NystromSystem:
         return sv[-1], sv[0]
 
     def apply_T(self, u):
-        """T u = sum_j w_ij q_j u_j (the volume-potential matrix action)."""
-        w = self.weight_table[self.offset_encode]
-        return w @ (self.pot.q_values * np.asarray(u))
+        """T u = sum_j w_{i-j} q_j u_j for u of shape (N,) or (m, N), by FFT."""
+        return _convolve(self.spectrum, self.pot.q_values * np.asarray(u))
+
+    def sigma_max_bound(self):
+        """Upper bound on sqrt(||A||_1 ||A||_inf) >= sigma_max.  By the triangle
+        inequality row i of |A| sums to at most 1 + |k^{2s}| (|w| * |q|)_i and
+        column j to at most 1 + |k^{2s}| |q_j| (|w| * 1)_j, with * the grid
+        convolution; each convolution gets M eps sum|w| max|q| for FFT rounding."""
+        aw, aq = np.abs(self.weight_table), np.abs(self.pot.q_values)
+        spec = _circulant_spectrum(aw, self.pot)
+        rows = _convolve(spec, np.stack([aq, np.ones_like(aq)])).real
+        slack = spec.size * np.finfo(float).eps * aw.sum() * aq.max()
+        k2s = abs(self.problem.k2s)
+        norm_inf = 1.0 + k2s * (rows[0].max() + slack)
+        norm_1 = 1.0 + k2s * (np.max(aq * rows[1]) + slack)
+        return float(np.sqrt(norm_1 * norm_inf))
 
     def with_contrast(self, q_values):
         """New system for a different contrast on the same grid, reusing the
-        kernel weight tables (they do not depend on q)."""
+        kernel weight table and its spectrum (they do not depend on q)."""
         pot = replace(self.pot, q_values=np.asarray(q_values, dtype=float).ravel())
-        a = _assemble(self.problem, pot, self.weight_table, self.offset_encode)
-        return NystromSystem(self.problem, pot, a, self.weight_table,
-                             self.offset_encode, dict(self.correction_record))
+        return replace(self, pot=pot, correction_record=dict(self.correction_record))
 
 
 @dataclass
@@ -271,40 +316,41 @@ def cell_weight(problem, offset, cell_sizes, spec=DEFAULT_SPEC, level=1):
 # Assembly / solve / evaluation
 # ---------------------------------------------------------------------------
 
-def _offset_tables(pot):
-    """Flat encoding of pairwise index offsets plus the distance per offset."""
+def _circulant_spectrum(table, pot):
+    """FFT of the (2 nc)^n circulant embedding of a table over the offsets
+    (row-major, index offset + nc - 1 along each axis)."""
     nc, n = pot.cells_per_axis, pot.dim
-    side = 2 * nc - 1
-    offs = np.indices((side,) * n).reshape(n, -1).T - (nc - 1)
-    dist = np.linalg.norm(offs * pot.cell_sizes[None, :], axis=1)
-    strides = side ** np.arange(n - 1, -1, -1)
-    idx = pot.index
-    code = np.zeros((idx.shape[0], idx.shape[0]), dtype=np.int64)
+    c = np.zeros((2 * nc,) * n, dtype=table.dtype)
+    c[(slice(0, 2 * nc - 1),) * n] = table.reshape((2 * nc - 1,) * n)
+    return np.fft.fftn(np.roll(c, 1 - nc, axis=tuple(range(n))))
+
+
+def _convolve(spectrum, x):
+    """y_i = sum_j t_{i-j} x_j over the grid, for x of shape (..., N).  The FFTs
+    pad and crop one axis at a time, skipping lines of padding or cropped out."""
+    n, nc = spectrum.ndim, spectrum.shape[0] // 2
+    y = np.reshape(x, np.shape(x)[:-1] + (nc,) * n)
+    for a in range(-1, -n - 1, -1):
+        y = np.fft.fft(y, 2 * nc, axis=a)
+    y *= spectrum
     for a in range(n):
-        code += (idx[:, None, a] - idx[None, :, a] + nc - 1) * strides[a]
-    return offs, dist, code
-
-
-def _assemble(problem, pot, weights, code):
-    """A = I - k^{2s} w[code] q, scaled in place: the gathered weights are the
-    only N x N array, and the rounding order is that of -k2s * w * q."""
-    a = weights[code]
-    a *= -problem.k2s
-    a *= pot.q_values[None, :]
-    a[np.diag_indices_from(a)] += 1.0
-    return a
+        y = np.fft.ifft(y, axis=a - n)[(Ellipsis, slice(0, nc)) + (slice(None),) * (n - 1 - a)]
+    return y.reshape(np.shape(x))
 
 
 def build_nystrom(problem, pot, spec=DEFAULT_SPEC):
-    """Assemble A = I - k^{2s} T_k on the grid nodes.
+    """A = I - k^{2s} T_k on the grid nodes, as weights per offset and their
+    circulant spectrum (see ``NystromSystem``).
 
-    Off-diagonal entries use the midpoint rule w = vol * G(|x_i - y_j|); the
-    3^n-neighborhood entries integrate G over the source cell around the
+    Off-diagonal weights use the midpoint rule w = vol * G(|x_i - y_j|); the
+    3^n-neighborhood weights integrate G over the source cell around the
     singularity instead.
     """
     if pot.dim != problem.n:
         raise DomainError(f"grid dimension {pot.dim} != problem dimension {problem.n}")
-    offs, dist, code = _offset_tables(pot)
+    nc, n = pot.cells_per_axis, pot.dim
+    offs = np.indices((2 * nc - 1,) * n).reshape(n, -1).T - (nc - 1)
+    dist = np.linalg.norm(offs * pot.cell_sizes[None, :], axis=1)
     weights = np.zeros(dist.shape, dtype=complex)
     far = np.max(np.abs(offs), axis=1) > 1
     if np.any(far):
@@ -316,8 +362,7 @@ def build_nystrom(problem, pot, spec=DEFAULT_SPEC):
             record[key] = cell_weight(problem, np.abs(offs[oid]) * pot.cell_sizes,
                                       pot.cell_sizes, spec)
         weights[oid] = record[key]
-    return NystromSystem(problem, pot, _assemble(problem, pot, weights, code),
-                         weights, code, record)
+    return NystromSystem(problem, pot, weights, _circulant_spectrum(weights, pot), record)
 
 
 def correction_refinement_delta(problem, pot, spec=DEFAULT_SPEC, levels=(1, 2)):
@@ -333,26 +378,66 @@ def correction_refinement_delta(problem, pot, spec=DEFAULT_SPEC, levels=(1, 2)):
     return deltas
 
 
-def solve_ls(system, incident, check_conditioning=True):
-    """Direct dense solve of (I - k^{2s} T_k) u = u_inc on the grid nodes.
+def _gmres(matvec, b, tol):
+    """Lockstep restarted GMRES (Saad & Schultz 1986) on the rows of b until
+    each true residual ||b_c - A x_c|| <= tol[c]; (x, b - A x), or None after
+    ``_GMRES_MAXIT`` iterations.  Bases are orthogonalised by CGS twice."""
+    x, r, used = np.zeros_like(b), b.copy(), 0
+    while True:
+        act = np.flatnonzero(np.linalg.norm(r, axis=1) > tol)
+        if act.size == 0:
+            return x, r
+        if used >= _GMRES_MAXIT:
+            return None
+        m = min(_GMRES_RESTART, _GMRES_MAXIT - used)
+        beta = np.linalg.norm(r[act], axis=1)
+        v = np.zeros((act.size, m + 1, b.shape[1]), dtype=complex)
+        h = np.zeros((act.size, m + 1, m), dtype=complex)
+        v[:, 0] = r[act] / beta[:, None]
+        for j in range(m):
+            w = matvec(v[:, j])
+            for _ in range(2):
+                c = (v[:, :j + 1] @ w.conj()[:, :, None])[:, :, 0].conj()
+                w -= (c[:, None, :] @ v[:, :j + 1])[:, 0]
+                h[:, :j + 1, j] += c
+            h[:, j + 1, j] = np.linalg.norm(w, axis=1)   # 0 on breakdown: v stays 0
+            v[:, j + 1] = w / np.maximum(h[:, j + 1, j].real, np.finfo(float).tiny)[:, None]
+            # the recurrence's residual estimate; it never increases with j
+            est = beta * np.abs(np.linalg.qr(h[:, :j + 2, :j + 1], mode="complete")[0][:, 0, -1])
+            used += 1
+            if np.all(est <= 0.1 * tol[act]) or used >= _GMRES_MAXIT:
+                break
+        for i, row in enumerate(act):   # lstsq: h is rank-deficient after a breakdown
+            y = np.linalg.lstsq(h[i, :j + 2, :j + 1], beta[i] * np.eye(j + 2)[0], rcond=None)[0]
+            x[row] += y @ v[i, :j + 1]
+        r = b - matvec(x)
 
-    The LU that gives u also solves for ``_PROBES`` seeded complex Gaussian
-    probes w.  With a nonzero contrast and ``check_conditioning``, rcond =
-    delta / (sqrt(||A||_1 ||A||_inf) max ||A^{-1} w||) bounds smin / smax
-    from below, failing with probability <= delta^{2 _PROBES} (Dixon 1983).
-    Below ``RCOND_FLOOR``, or when the LU finds A singular, a values-only SVD
-    decides: rcond is then the exact smin / smax, and ``NearResonanceError``
-    is raised below the floor.  Otherwise rcond is reported as 1.
-    """
+
+def _solve_gmres(system, b, probes, check):
+    """(u, residual, rcond), or None when GMRES stalls or rcond < RCOND_FLOOR."""
+    rhs = np.vstack([b, probes.T]) if check else b[None, :]
+    tol = np.r_[_RESIDUAL_TOL * np.linalg.norm(b), np.full(rhs.shape[0] - 1, 1e-3 * _PROBE_DELTA)]
+    out = _gmres(lambda v: v - system.problem.k2s * system.apply_T(v), rhs, tol)
+    if out is None:
+        return None
+    (x, r), rcond = out, 1.0
+    if check:
+        rho, xmax = np.linalg.norm(r[1:], axis=1).max(), np.linalg.norm(x[1:], axis=1).max()
+        rcond = float((_PROBE_DELTA - rho) / (system.sigma_max_bound() * xmax))
+    if not rcond >= RCOND_FLOOR:
+        return None
+    return x[0].copy(), float(np.linalg.norm(r[0]) / np.linalg.norm(b)), rcond
+
+
+def _solve_dense(system, b, probes, check):
+    """(u, residual, rcond) from one LU of ``matrix`` for b and the probes."""
     a = system.matrix
-    b = incident.values(system.problem, system.pot.nodes)
-    probes = np.random.default_rng(0).standard_normal((b.size, 2 * _PROBES)).view(complex)
     singular, rcond = None, 1.0
     try:
-        x = np.linalg.solve(a, np.column_stack([b, probes / np.sqrt(2.0)]))
+        x = np.linalg.solve(a, np.column_stack([b, probes]))
     except np.linalg.LinAlgError as exc:
         singular = exc
-    if check_conditioning and np.any(system.pot.q_values):
+    if check:
         if singular is None:
             smax = np.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
             rcond = float(_PROBE_DELTA / (smax * np.linalg.norm(x[:, 1:], axis=0).max()))
@@ -366,14 +451,46 @@ def solve_ls(system, incident, check_conditioning=True):
     if singular is not None:
         raise singular
     u = np.ascontiguousarray(x[:, 0])
-    residual = float(np.linalg.norm(a @ u - b) / np.linalg.norm(b))
-    return ScatterSolution(system.problem, system.pot, incident, u, residual, rcond)
+    return u, float(np.linalg.norm(a @ u - b) / np.linalg.norm(b)), rcond
+
+
+def solve_ls(system, incident, check_conditioning=True):
+    """Solve (I - k^{2s} T_k) u = u_inc for u and ``_PROBES`` seeded complex
+    Gaussian probes w, choosing the path from N alone.
+
+    Up to ``_DENSE_MAX_N`` unknowns one LU of ``matrix`` solves them and
+    rcond = delta / (sqrt(||A||_1 ||A||_inf) max ||A^{-1} w||) bounds
+    smin / smax from below, failing with probability <= delta^{2 _PROBES}
+    (Dixon 1983).  Above it, GMRES on the FFT operator solves them (u to a
+    true relative residual of ``_RESIDUAL_TOL``) and the probe residuals rho
+    are charged: rcond = (delta - max ||rho||) / (``sigma_max_bound()``
+    max ||x||).  If GMRES stalls or that bound is below ``RCOND_FLOOR``, the
+    LU path runs instead.  There, below the floor or on a singular LU, a
+    values-only SVD decides: rcond is the exact smin / smax, and
+    ``NearResonanceError`` is raised below the floor.  Without a contrast or
+    ``check_conditioning`` rcond is 1.  The residual is ||A u - b|| / ||b||.
+    """
+    b = incident.values(system.problem, system.pot.nodes)
+    probes = np.random.default_rng(0).standard_normal((b.size, 2 * _PROBES)).view(complex)
+    probes /= np.sqrt(2.0)
+    check = check_conditioning and np.any(system.pot.q_values)
+    out = _solve_gmres(system, b, probes, check) if b.size > _DENSE_MAX_N else None
+    if out is None:
+        out = _solve_dense(system, b, probes, check)
+    return ScatterSolution(system.problem, system.pot, incident, *out)
+
+
+def _observation_point(pot, x):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (pot.dim,):
+        raise DomainError(f"observation point of shape {x.shape} on a {pot.dim}D grid")
+    return x
 
 
 def _scatter_weights(problem, pot, x, spec):
     """Quadrature weights w_j(x) for the volume potential at observation x,
     with local correction when x lies within 2 cells of a node."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _observation_point(pot, x)
     delta = x[None, :] - pot.nodes
     dist = np.linalg.norm(delta, axis=1)
     w = np.zeros(dist.shape, dtype=complex)
@@ -406,7 +523,7 @@ def eval_scattered_with_radial_derivative(solution, x, spec=None):
     2-cell correction neighborhood of every node.
     """
     p, pot = solution.problem, solution.pot
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _observation_point(pot, x)
     delta = x[None, :] - pot.nodes
     dist = np.linalg.norm(delta, axis=1)
     if np.any(np.max(np.abs(delta) / pot.cell_sizes[None, :], axis=1) < 2.0):

@@ -1,6 +1,7 @@
 """CLI contract tests: outputs, exit codes, config round-trips, fixtures."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,3 +258,30 @@ def test_lap_inconclusive_exit_3(capsys):
                                "--r", "2", "--eps", "1e-5,1e-6",
                                "--quad-rtol", "1e-4", "--quad-atol", "1e-6"])
     assert code == 3
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "docs" / "configs"
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("scatter", "bron", True),
+    ("scatter", "observation_point", [[3.0, 0.0]]),
+    ("green", "decompse", True),
+    ("oracle-compare", "interval", 8),
+    ("asymptotics", "log_corection", True),
+])
+def test_misspelt_config_key_exit_2(tmp_path, capsys, command, key, value):
+    cfg = json.loads((CONFIGS / f"{command}.json").read_text())
+    cfg[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and all(name in err for name in cfg if name != key)
+
+
+def test_scatter_observation_point_dimension_exit_2(capsys):
+    code, _ = run_cli(capsys, ["scatter", "--dim", "2", "--s", "0.75", "--k", "1",
+                               "--box-lo", " -1,-1", "--box-hi", "1,1", "--cells", "4",
+                               "--q", "0.2", "--direction", "1,0", "--observe", "5"])
+    assert code == 2

@@ -1,10 +1,9 @@
 """Lippmann-Schwinger solver tests: identities, convergence, scaling laws."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
+from frachelm import scattering
 from frachelm.errors import DomainError, NearResonanceError
 from frachelm.kernels import Problem
 from frachelm.quadrature import QuadratureSpec
@@ -342,7 +341,9 @@ def _synthetic_system(sigma):
     n = sigma.size
     u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return replace(build_nystrom(P1, grid1(q=0.3)), matrix=(u * sigma) @ v.conj().T)
+    system = build_nystrom(P1, grid1(q=0.3))
+    system.matrix = (u * sigma) @ v.conj().T
+    return system
 
 
 def test_ill_conditioned_and_singular_raise_exact_rcond(monkeypatch):
@@ -408,3 +409,107 @@ def test_assembly_bit_identical_to_unfused_expression(n, s, cells):
     pot_b = PotentialGrid.build([-1.0] * n, [1.0] * n, cells, 0.15)
     reused = system.with_contrast(pot_b.q_values)
     assert np.array_equal(reused.matrix, build_nystrom(p, pot_b).matrix)
+
+
+def _count_dense_solves(monkeypatch):
+    calls = []
+    lu = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lu(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("lo, hi, cells, k", [
+    ([-1.0], [1.0], 16, 1.3),
+    ([-1.0, -0.5], [1.0, 0.5], 6, 1.3),
+    ([-1.0, -1.0], [1.0, 1.0], 5, 1.0),
+    ([-1.0] * 3, [1.0] * 3, 4, 1.3),
+])
+def test_fft_operator_and_gmres_match_dense(monkeypatch, lo, hi, cells, k):
+    n = len(lo)
+    q = np.random.default_rng(3).uniform(0.1, 0.6, cells ** n)
+    pot = PotentialGrid.build(lo, hi, cells, q)
+    system = build_nystrom(Problem(n, 0.3, k), pot)
+    u = np.random.default_rng(4).standard_normal((2, 2 * pot.nodes.shape[0])).view(complex)
+    t_dense = system.weight_table[system.offset_encode] * pot.q_values[None, :]
+    for v in (u[0], u):   # one vector, and a batch of rows
+        expect = v @ t_dense.T
+        assert np.linalg.norm(system.apply_T(v) - expect) <= 1e-13 * np.linalg.norm(expect)
+    a = system.matrix
+    assert system.sigma_max_bound() >= np.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
+    monkeypatch.setattr(scattering, "_DENSE_MAX_N", 0)
+    calls = _count_dense_solves(monkeypatch)
+    inc = IncidentField(np.eye(n)[0])
+    sol = solve_ls(system, inc)
+    assert calls == []
+    u_lu = np.linalg.solve(a, inc.values(system.problem, pot.nodes))
+    assert np.linalg.norm(sol.u_total - u_lu) <= 1e-12 * np.linalg.norm(u_lu)
+    assert sol.residual <= 1e-13
+
+
+@pytest.mark.parametrize("n, s, k, q", [
+    (n, s, k, 0.3) for n in (1, 2, 3) for s in (0.3, 0.5, 0.75) for k in (0.5, 1.3, 3.0)
+] + [(1, 0.5, 1.63, 10.0)])
+def test_rcond_bound_on_gmres_path(monkeypatch, n, s, k, q):
+    pot = PotentialGrid.build([-1.0] * n, [1.0] * n, (16, 4, 3)[n - 1], q)
+    system = build_nystrom(Problem(n, s, k), pot)
+    monkeypatch.setattr(scattering, "_DENSE_MAX_N", 0)
+    calls = _count_dense_solves(monkeypatch)
+    sol = solve_ls(system, IncidentField(np.eye(n)[0]))
+    assert calls == []
+    smin, smax = system.singular_extremes()
+    assert RCOND_FLOOR <= sol.rcond <= float(smin / smax)
+
+
+def test_gmres_fallbacks_take_the_dense_path(monkeypatch):
+    system = build_nystrom(P1, grid1(q=0.3))
+    lu = solve_ls(system, INC1)
+    smin, smax = system.singular_extremes()
+    exact = float(smin / smax)
+    monkeypatch.setattr(scattering, "_DENSE_MAX_N", 0)
+    # a floor above the GMRES bound: the exact SVD decides, either way
+    monkeypatch.setattr(scattering, "RCOND_FLOOR", 0.5 * exact)
+    assert solve_ls(system, INC1).rcond == exact
+    monkeypatch.setattr(scattering, "RCOND_FLOOR", 2.0 * exact)
+    with pytest.raises(NearResonanceError) as exc:
+        solve_ls(system, INC1)
+    assert exc.value.rcond == exact
+    # GMRES out of iterations: the LU result
+    monkeypatch.setattr(scattering, "RCOND_FLOOR", RCOND_FLOOR)
+    monkeypatch.setattr(scattering, "_GMRES_MAXIT", 1)
+    sol = solve_ls(system, INC1)
+    assert np.array_equal(sol.u_total, lu.u_total)
+    assert (sol.residual, sol.rcond) == (lu.residual, lu.rcond)
+
+
+def test_large_grid_solve_without_dense_matrix():
+    cells = 24
+    q = np.random.default_rng(7).uniform(0.1, 0.6, cells ** 3)
+    pot = PotentialGrid.build([-1.0] * 3, [1.0] * 3, cells, q)
+    system = build_nystrom(Problem(3, 0.3, 1.0), pot)
+    sol = solve_ls(system, IncidentField(np.array([1.0, 0.0, 0.0])))
+    assert sol.residual <= 1e-12 and RCOND_FLOOR <= sol.rcond <= 1.0
+    assert "matrix" not in vars(system) and "offset_encode" not in vars(system)
+
+
+def test_observation_and_incident_dimension_checked():
+    p3 = Problem(3, 0.3, 1.0)
+    pot = PotentialGrid.build([-1.0] * 3, [1.0] * 3, 2, 0.3)
+    inc = IncidentField(np.array([0.0, 0.0, 1.0]))
+    sol = solve_ls(build_nystrom(p3, pot), inc)
+    for x in (np.array([5.0]), 5.0, np.array([5.0, 5.0]), np.full((1, 3), 5.0)):
+        with pytest.raises(DomainError):
+            eval_scattered(sol, x)
+        with pytest.raises(DomainError):
+            born_approx(p3, pot, inc, x)
+        with pytest.raises(DomainError):
+            eval_scattered_with_radial_derivative(sol, x)
+    flat = IncidentField(np.array([1.0, 0.0]))
+    with pytest.raises(DomainError):
+        solve_ls(build_nystrom(p3, pot), flat)
+    with pytest.raises(DomainError):
+        born_approx(p3, pot, flat, np.full(3, 5.0))
