@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Every command resolves its parameters into a canonical config dict (either
-from inline flags or from ``--config FILE``), echoes that dict in the output
-metadata, and emits CSV or JSON rows.  Re-running a command with the echoed
-config reproduces the output bit-identically on the same platform/version.
+Each command has one option table, config key -> ``Opt``; a nested table is a
+nested config object.  The argparse flags, the config built from inline flags,
+the checks of a ``--config`` file (unknown or missing keys, choices, switches)
+and the defaults of absent keys all derive from it.  The resolved config, with
+absent keys set to their defaults, is echoed in the output metadata ahead of
+the CSV or JSON rows.  Re-running a command with the echoed config reproduces
+the output bit-identically on the same platform/version.
 
 Exit codes: 0 ok, 2 usage/validation error, 3 quadrature accuracy failure,
 4 near-resonance (Lippmann-Schwinger system numerically singular).
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,11 +53,19 @@ def _float_list(text):
         raise DomainError(f"cannot parse float list {text!r}") from exc
 
 
+def _points(text):
+    return [_float_list(tok) for tok in text.split(";")] if text else []
+
+
+def _check_keys(cfg, allowed, where):
+    unknown = set(cfg) - set(allowed)
+    if unknown:
+        raise DomainError(f"unknown {where} keys {sorted(unknown)}; allowed: {', '.join(allowed)}")
+
+
 def _quad_spec(cfg):
     quad = cfg.get("quad", {})
-    if set(quad) - set(_QUAD_FIELDS):
-        raise DomainError(f"unknown quad keys {sorted(set(quad) - set(_QUAD_FIELDS))}; "
-                          f"allowed: {', '.join(_QUAD_FIELDS)}")
+    _check_keys(quad, _QUAD_FIELDS, "quad")
     return QuadratureSpec(**{name: cast(quad.get(name, getattr(DEFAULT_SPEC, name)))
                              for name, cast in _QUAD_FIELDS.items()})
 
@@ -91,37 +103,70 @@ def _emit(metadata, columns, rows, fmt, out_path):
             fh.write(text)
 
 
-def _metadata(command, cfg, spec):
-    return {
-        "command": command,
-        "version": __version__,
-        "config": cfg,
-        "tolerances": {name: getattr(spec, name) for name in _QUAD_FIELDS},
-    }
+class Opt(NamedTuple):
+    """One config key.  ``parse`` is the flag's argparse type (int or float),
+    ``bool`` for a switch, None for plain text, or a function that reads the
+    flag's text into the config value (such a flag defaults to None).  A key
+    whose default is ``...`` is required."""
+
+    flag: str
+    parse: object = None
+    default: object = ...
+    choices: tuple | None = None
+    help: str | None = None
+
+    @property
+    def reads_text(self):
+        return self.parse not in (None, bool, int, float)
 
 
-def _load_or_build_config(args, fields):
-    """The config of ``--config``, or one built from the inline flags: each
-    key of ``fields`` maps to its value's function of ``args``.  A config
-    file may hold only those keys and "quad"."""
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        unknown = set(cfg) - set(fields) - {"quad"}
-        if unknown:
-            raise DomainError(f"unknown config keys {sorted(unknown)}; "
-                              f"allowed: {', '.join([*fields, 'quad'])}")
-    else:
-        cfg = {key: value(args) for key, value in fields.items()}
-    if getattr(args, "quad_rtol", None) is not None:
-        cfg.setdefault("quad", {})["rel_tol"] = args.quad_rtol
-    if getattr(args, "quad_atol", None) is not None:
-        cfg.setdefault("quad", {})["abs_tol"] = args.quad_atol
+def _add_flags(sp, table):
+    for opt in table.values():
+        if isinstance(opt, dict):
+            _add_flags(sp, opt)
+        elif opt.parse is bool:
+            sp.add_argument(opt.flag, action="store_true", help=opt.help)
+        else:
+            text = opt.reads_text
+            sp.add_argument(opt.flag, type=None if text else opt.parse,
+                            default=None if text or opt.default is ... else opt.default,
+                            choices=opt.choices, help=opt.help)
+
+
+def _inline(args, table):
+    """The config the inline flags give; a flag left unset leaves its key out."""
+    cfg = {}
+    for key, opt in table.items():
+        if isinstance(opt, dict):
+            cfg[key] = _inline(args, opt)
+        elif (value := getattr(args, opt.flag[2:].replace("-", "_"))) is not None:
+            cfg[key] = opt.parse(value) if opt.reads_text else value
     return cfg
 
 
-def _problem_flags(a):
-    return {"dim": a.dim, "s": a.s, "k": a.k}
+def _resolve(table, cfg, where=""):
+    """Check ``cfg`` against ``table`` in place, adding absent keys' defaults.
+    A nested table applies only to an object (``k_grid`` may be a list)."""
+    _check_keys(cfg, [*table] if where else [*table, "quad"], where or "config")
+    for key, opt in table.items():
+        name = f"{where}.{key}" if where else key
+        if isinstance(opt, dict):
+            if isinstance(cfg.setdefault(key, {}), dict):
+                _resolve(opt, cfg[key], name)
+        elif key not in cfg:
+            if opt.default is ...:
+                raise DomainError(f"missing config key {name!r} (flag {opt.flag})")
+            cfg[key] = opt.default
+        elif opt.parse is bool and not isinstance(cfg[key], bool):
+            raise DomainError(f"{name} must be true or false, got {cfg[key]!r}")
+        elif opt.choices and cfg[key] not in opt.choices:
+            raise DomainError(f"{name} must be one of {', '.join(map(str, opt.choices))}; "
+                              f"got {cfg[key]!r}")
+
+
+_PROBLEM = {"dim": Opt("--dim", int, choices=(1, 2, 3)), "s": Opt("--s", float),
+            "k": Opt("--k", float)}
+_BOX = {"lo": Opt("--box-lo", _float_list), "hi": Opt("--box-hi", _float_list)}
 
 
 def _problem(cfg):
@@ -129,22 +174,20 @@ def _problem(cfg):
     return Problem(int(pr["dim"]), float(pr["s"]), float(pr["k"]))
 
 
-# ---------------------------------------------------------------------------
-# commands
-# ---------------------------------------------------------------------------
+def _build_grid(cfg):
+    q = cfg["q"]
+    return PotentialGrid.build(cfg["box"]["lo"], cfg["box"]["hi"], int(cfg["cells"]),
+                               q if np.ndim(q) == 0 else np.asarray(q, dtype=float))
 
-def cmd_green(args):
-    cfg = _load_or_build_config(args, {
-        "problem": _problem_flags, "eps": lambda a: a.eps,
-        "r": lambda a: _float_list(a.r), "decompose": lambda a: bool(a.decompose),
-    })
-    spec = _quad_spec(cfg)
+
+# Each command maps (resolved config, spec) to (metadata additions, columns,
+# rows, exit code).
+
+def cmd_green(cfg, spec):
     p = _problem(cfg)
-    shift = spectral_shift(p, float(cfg.get("eps", 0.0)))
-    decompose = bool(cfg.get("decompose", False))
-    cols = ["r", "total", "err_estimate"]
-    if decompose:
-        cols = ["r", "total", "helm", "riesz", "j_tail", "err_estimate"]
+    shift = spectral_shift(p, float(cfg["eps"]))
+    cols = (["r", "total", "helm", "riesz", "j_tail", "err_estimate"] if cfg["decompose"]
+            else ["r", "total", "err_estimate"])
     rows, failures = [], 0
     for r in cfg["r"]:
         try:
@@ -152,128 +195,61 @@ def cmd_green(args):
         except AccuracyError:
             failures += 1     # row flagged in metadata, remaining rows still emitted
             continue
-        if decompose:
-            rows.append([float(r), g.total, g.helm, g.riesz_sum, g.j_tail, g.err_estimate])
-        else:
-            rows.append([float(r), g.total, g.err_estimate])
-    meta = _metadata("green", cfg, spec)
+        values = {"r": float(r), "total": g.total, "helm": g.helm, "riesz": g.riesz_sum,
+                  "j_tail": g.j_tail, "err_estimate": g.err_estimate}
+        rows.append([values[c] for c in cols])
     if failures:
-        meta["accuracy_failures"] = failures
-    _emit(meta, cols, rows, args.format, args.out)
-    return EXIT_ACCURACY if failures else EXIT_OK
+        return {"accuracy_failures": failures}, cols, rows, EXIT_ACCURACY
+    return {}, cols, rows, EXIT_OK
 
 
-def cmd_oracle_compare(args):
-    cfg = _load_or_build_config(args, {
-        "problem": _problem_flags, "eps": lambda a: a.eps,
-        "r": lambda a: _float_list(a.r), "intervals": lambda a: a.intervals,
-    })
-    spec = _quad_spec(cfg)
+def cmd_oracle_compare(cfg, spec):
     p = _problem(cfg)
     shift = spectral_shift(p, float(cfg["eps"]))
     rows = []
     for r in cfg["r"]:
         g = green_eval(p, shift, float(r), spec)
-        o = fourier_invert_detailed(p, shift, float(r), spec,
-                                    intervals=cfg.get("intervals"))
-        rows.append([float(r), g.total, o.value,
-                     abs(g.total - o.value) / abs(g.total)])
-    _emit(_metadata("oracle-compare", cfg, spec),
-          ["r", "green", "oracle", "rel_diff"], rows, args.format, args.out)
-    return EXIT_OK
+        o = fourier_invert_detailed(p, shift, float(r), spec, intervals=cfg["intervals"])
+        rows.append([float(r), g.total, o.value, abs(g.total - o.value) / abs(g.total)])
+    return {}, ["r", "green", "oracle", "rel_diff"], rows, EXIT_OK
 
 
-def cmd_asymptotics(args):
-    cfg = _load_or_build_config(args, {
-        "problem": _problem_flags, "part": lambda a: a.part, "side": lambda a: a.side,
-        "rate": lambda a: a.rate, "rmin": lambda a: a.rmin, "rmax": lambda a: a.rmax,
-        "points": lambda a: a.points, "log_correction": lambda a: bool(a.log_correction),
-    })
-    spec = _quad_spec(cfg)
+def cmd_asymptotics(cfg, spec):
     p = _problem(cfg)
-    window = (float(cfg["rmin"]), float(cfg["rmax"]))
+    args = (p, cfg["part"], (float(cfg["rmin"]), float(cfg["rmax"])), float(cfg["rate"]), spec)
     if cfg["side"] == "decay":
-        fit = decay_rate_check(p, cfg["part"], window, float(cfg["rate"]), spec,
-                               n_points=int(cfg["points"]))
+        fit = decay_rate_check(*args, n_points=int(cfg["points"]))
     else:
-        fit = singularity_rate_check(p, cfg["part"], window, float(cfg["rate"]), spec,
-                                     n_points=int(cfg["points"]),
-                                     log_correction=bool(cfg.get("log_correction", False)))
-    meta = _metadata("asymptotics", cfg, spec)
-    meta["fit"] = {"fitted_slope": fit.fitted_slope, "growth_ratio": fit.growth_ratio,
-                   "drift_ratio": fit.drift_ratio,
-                   "envelope_bounded": fit.envelope_bounded}
+        fit = singularity_rate_check(*args, n_points=int(cfg["points"]),
+                                     log_correction=cfg["log_correction"])
+    meta = {"fit": {name: getattr(fit, name) for name in
+                    ("fitted_slope", "growth_ratio", "drift_ratio", "envelope_bounded")}}
     rows = [[float(r), float(v)] for r, v in zip(fit.radii, fit.values)]
-    _emit(meta, ["r", "value"], rows, args.format, args.out)
-    return EXIT_OK
+    return meta, ["r", "value"], rows, EXIT_OK
 
 
-def cmd_lap(args):
-    cfg = _load_or_build_config(args, {
-        "problem": _problem_flags, "r": lambda a: a.r, "eps": lambda a: _float_list(a.eps),
-    })
-    spec = _quad_spec(cfg)
-    p = _problem(cfg)
-    meta = _metadata("lap", cfg, spec)
+def cmd_lap(cfg, spec):
     try:
-        meta["slope"], diffs = lap_differences(p, float(cfg["r"]), cfg["eps"], spec)
+        slope, diffs = lap_differences(_problem(cfg), float(cfg["r"]), cfg["eps"], spec)
     except AccuracyError as exc:
-        meta["error"] = str(exc)
-        _emit(meta, ["eps"], [], args.format, args.out)
-        return EXIT_ACCURACY
+        return {"error": str(exc)}, ["eps"], [], EXIT_ACCURACY
     rows = [[float(e), float(d)] for e, d in zip(cfg["eps"], diffs)]
-    _emit(meta, ["eps", "diff"], rows, args.format, args.out)
-    return EXIT_OK
+    return {"slope": slope}, ["eps", "diff"], rows, EXIT_OK
 
 
-def cmd_radiation(args):
-    cfg = _load_or_build_config(args, {
-        "problem": _problem_flags, "field": lambda a: a.field, "r0": lambda a: a.r0,
-        "rmax": lambda a: a.rmax, "delta": lambda a: a.delta,
-    })
-    spec = _quad_spec(cfg)
+def cmd_radiation(cfg, spec):
     p = _problem(cfg)
-    kind = cfg["field"]
-    if kind == "h1":
-        field = hankel_outgoing_field(p.k)
-    elif kind == "h2":
-        field = hankel_incoming_field(p.k)
-    elif kind == "green":
-        field = green_radial_field(p, spec)
-    else:
-        raise DomainError(f"unknown field {kind!r} (use h1, h2 or green)")
+    field = {"h1": lambda: hankel_outgoing_field(p.k), "h2": lambda: hankel_incoming_field(p.k),
+             "green": lambda: green_radial_field(p, spec)}[cfg["field"]]()
     rep = radiation_classify(field, p.k, float(cfg["r0"]), float(cfg["rmax"]),
                              float(cfg["delta"]))
-    meta = _metadata("radiation", cfg, spec)
-    meta["verdict_src"] = rep.verdict_src
-    meta["verdict_gsrc"] = rep.verdict_gsrc
     rows = [[float(r), float(v), float(rep.gsrc_partial[i - 1][1]) if i else 0.0]
             for i, (r, v) in enumerate(rep.src_profile)]
-    _emit(meta, ["r", "src_residual", "gsrc_cumulative"], rows, args.format, args.out)
-    return EXIT_OK
+    return ({"verdict_src": rep.verdict_src, "verdict_gsrc": rep.verdict_gsrc},
+            ["r", "src_residual", "gsrc_cumulative"], rows, EXIT_OK)
 
 
-def _box_flags(a):
-    return {"lo": _float_list(a.box_lo), "hi": _float_list(a.box_hi)}
-
-
-def _build_grid(cfg):
-    box = cfg["box"]
-    q = cfg["q"]
-    return PotentialGrid.build(box["lo"], box["hi"], int(cfg["cells"]),
-                               q if np.ndim(q) == 0 else np.asarray(q, dtype=float))
-
-
-def cmd_scatter(args):
-    cfg = _load_or_build_config(args, {
-        "problem": _problem_flags, "box": _box_flags,
-        "cells": lambda a: a.cells, "q": lambda a: a.q,
-        "incident": lambda a: {"direction": _float_list(a.direction)},
-        "observation_points": lambda a: [_float_list(tok) for tok in a.observe.split(";")]
-        if a.observe else [],
-        "born": lambda a: bool(a.born),
-    })
-    spec = _quad_spec(cfg)
+def cmd_scatter(cfg, spec):
     p = _problem(cfg)
     pot = _build_grid(cfg)
     inc = IncidentField(np.asarray(cfg["incident"]["direction"], dtype=float))
@@ -281,64 +257,70 @@ def cmd_scatter(args):
     try:
         sol = solve_ls(system, inc)
     except NearResonanceError as exc:
-        meta = _metadata("scatter", cfg, spec)
-        meta["error"] = str(exc)
-        meta["rcond"] = exc.rcond   # exact smin/smax from the SVD
-        _emit(meta, ["x"], [], args.format, args.out)
-        return EXIT_NEAR_RESONANCE
-    meta = _metadata("scatter", cfg, spec)
-    meta["residual"] = sol.residual
-    meta["rcond"] = sol.rcond   # certified lower bound on smin/smax; exact if the SVD ran
-    cols = ["point", "u_scat"]
-    want_born = bool(cfg.get("born", False))
-    if want_born:
-        cols.append("born")
+        # exc.rcond is the exact smin/smax from the SVD
+        return {"error": str(exc), "rcond": exc.rcond}, ["x"], [], EXIT_NEAR_RESONANCE
+    cols = ["point", "u_scat", "born"] if cfg["born"] else ["point", "u_scat"]
     rows = []
-    for pt in cfg.get("observation_points", []):
+    for pt in cfg["observation_points"]:
         x = np.asarray(pt, dtype=float)
         row = [";".join(repr(float(c)) for c in x), eval_scattered(sol, x, spec)]
-        if want_born:
+        if cfg["born"]:
             row.append(born_approx(p, pot, inc, x, spec))
         rows.append(row)
-    _emit(meta, cols, rows, args.format, args.out)
-    return EXIT_OK
+    # rcond: certified lower bound on smin/smax; exact if the SVD ran
+    return {"residual": sol.residual, "rcond": sol.rcond}, cols, rows, EXIT_OK
 
 
-def cmd_resonance_scan(args):
-    cfg = _load_or_build_config(args, {
-        "problem": lambda a: {"dim": a.dim, "s": a.s}, "box": _box_flags,
-        "cells": lambda a: a.cells, "q": lambda a: a.q,
-        "k_grid": lambda a: {"min": a.kmin, "max": a.kmax, "count": a.kcount},
-    })
-    spec = _quad_spec(cfg)
-    pr = cfg["problem"]
+def cmd_resonance_scan(cfg, spec):
+    pr, kg = cfg["problem"], cfg["k_grid"]
+    ks = (np.linspace(float(kg["min"]), float(kg["max"]), int(kg["count"]))
+          if isinstance(kg, dict) else np.asarray(kg, dtype=float))
+    if ks.ndim != 1 or ks.size == 0:
+        raise DomainError(f"k_grid must give a non-empty list of wavenumbers, got {kg!r}")
     pot = _build_grid(cfg)
-    kg = cfg["k_grid"]
-    if isinstance(kg, dict):
-        ks = np.linspace(float(kg["min"]), float(kg["max"]), int(kg["count"]))
-    else:
-        ks = np.asarray(kg, dtype=float)
     template = Problem(int(pr["dim"]), float(pr["s"]), float(ks[0]))
     rows = [[k, rc, sv] for k, rc, sv in resonance_scan(template, pot, ks, spec)]
-    _emit(_metadata("resonance-scan", cfg, spec),
-          ["k", "rcond", "smin"], rows, args.format, args.out)
-    return EXIT_OK
+    return {}, ["k", "rcond", "smin"], rows, EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
-
-def _add_common(sp, problem=True):
-    if problem:
-        sp.add_argument("--dim", type=int, choices=(1, 2, 3))
-        sp.add_argument("--s", type=float)
-        sp.add_argument("--k", type=float)
-    sp.add_argument("--config", help="JSON config file (overrides inline flags)")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", default="-", help="output path (default stdout)")
-    sp.add_argument("--quad-rtol", type=float, dest="quad_rtol")
-    sp.add_argument("--quad-atol", type=float, dest="quad_atol")
+# command -> (help, function, option table)
+COMMANDS = {
+    "green": ("evaluate the outgoing fundamental solution", cmd_green, {
+        "problem": _PROBLEM, "eps": Opt("--eps", float, 0.0),
+        "r": Opt("--r", _float_list, help="comma-separated radii"),
+        "decompose": Opt("--decompose", bool, False)}),
+    "oracle-compare": ("green vs direct Fourier inversion", cmd_oracle_compare, {
+        "problem": _PROBLEM, "eps": Opt("--eps", float),
+        "r": Opt("--r", _float_list, help="comma-separated radii"),
+        "intervals": Opt("--intervals", int, None)}),
+    "asymptotics": ("decay / singularity rate check", cmd_asymptotics, {
+        "problem": _PROBLEM,
+        "part": Opt("--part", default="j_tail", choices=("j_tail", "nonhelm_total")),
+        "side": Opt("--side", default="decay", choices=("decay", "singularity")),
+        "rate": Opt("--rate", float), "rmin": Opt("--rmin", float, 10.0),
+        "rmax": Opt("--rmax", float, 1e4), "points": Opt("--points", int, 9),
+        "log_correction": Opt("--log-correction", bool, False)}),
+    "lap": ("limiting-absorption convergence slope", cmd_lap, {
+        "problem": _PROBLEM, "r": Opt("--r", float),
+        "eps": Opt("--eps", _float_list, help="comma-separated decreasing eps list")}),
+    "radiation": ("SRC/GSRC classification of a field", cmd_radiation, {
+        "problem": _PROBLEM, "r0": Opt("--r0", float, 10.0), "rmax": Opt("--rmax", float, 1e3),
+        "field": Opt("--field", default="green", choices=("h1", "h2", "green")),
+        "delta": Opt("--delta", float, 0.75)}),
+    "scatter": ("solve the Lippmann-Schwinger equation", cmd_scatter, {
+        "problem": _PROBLEM, "box": _BOX, "cells": Opt("--cells", int),
+        "q": Opt("--q", float, help="constant contrast value"),
+        "incident": {"direction": Opt("--direction", _float_list,
+                                      help="incident direction components")},
+        "observation_points": Opt("--observe", _points, (),
+                                  help="semicolon-separated observation points"),
+        "born": Opt("--born", bool, False)}),
+    "resonance-scan": ("invertibility indicators over k", cmd_resonance_scan, {
+        "problem": {"dim": _PROBLEM["dim"], "s": _PROBLEM["s"]}, "box": _BOX,
+        "cells": Opt("--cells", int), "q": Opt("--q", float),
+        "k_grid": {"min": Opt("--kmin", float), "max": Opt("--kmax", float),
+                   "count": Opt("--kcount", int, 20)}}),
+}
 
 
 def build_parser():
@@ -347,87 +329,43 @@ def build_parser():
         description="Fundamental solutions and scattering for the fractional "
                     "Helmholtz operator (-Lap)^s - k^{2s}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("green", help="evaluate the outgoing fundamental solution")
-    _add_common(sp)
-    sp.add_argument("--eps", type=float, default=0.0)
-    sp.add_argument("--r", help="comma-separated radii")
-    sp.add_argument("--decompose", action="store_true")
-    sp.set_defaults(func=cmd_green)
-
-    sp = sub.add_parser("oracle-compare", help="green vs direct Fourier inversion")
-    _add_common(sp)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--r", help="comma-separated radii")
-    sp.add_argument("--intervals", type=int, default=None)
-    sp.set_defaults(func=cmd_oracle_compare)
-
-    sp = sub.add_parser("asymptotics", help="decay / singularity rate check")
-    _add_common(sp)
-    sp.add_argument("--part", choices=("j_tail", "nonhelm_total"), default="j_tail")
-    sp.add_argument("--side", choices=("decay", "singularity"), default="decay")
-    sp.add_argument("--rate", type=float)
-    sp.add_argument("--rmin", type=float, default=10.0)
-    sp.add_argument("--rmax", type=float, default=1e4)
-    sp.add_argument("--points", type=int, default=9)
-    sp.add_argument("--log-correction", action="store_true", dest="log_correction")
-    sp.set_defaults(func=cmd_asymptotics)
-
-    sp = sub.add_parser("lap", help="limiting-absorption convergence slope")
-    _add_common(sp)
-    sp.add_argument("--r", type=float)
-    sp.add_argument("--eps", help="comma-separated decreasing eps list")
-    sp.set_defaults(func=cmd_lap)
-
-    sp = sub.add_parser("radiation", help="SRC/GSRC classification of a field")
-    _add_common(sp)
-    sp.add_argument("--field", choices=("h1", "h2", "green"), default="green")
-    sp.add_argument("--r0", type=float, default=10.0)
-    sp.add_argument("--rmax", type=float, default=1e3)
-    sp.add_argument("--delta", type=float, default=0.75)
-    sp.set_defaults(func=cmd_radiation)
-
-    sp = sub.add_parser("scatter", help="solve the Lippmann-Schwinger equation")
-    _add_common(sp)
-    sp.add_argument("--box-lo", dest="box_lo")
-    sp.add_argument("--box-hi", dest="box_hi")
-    sp.add_argument("--cells", type=int)
-    sp.add_argument("--q", type=float, help="constant contrast value")
-    sp.add_argument("--direction", help="incident direction components")
-    sp.add_argument("--observe", help="semicolon-separated observation points")
-    sp.add_argument("--born", action="store_true")
-    sp.set_defaults(func=cmd_scatter)
-
-    sp = sub.add_parser("resonance-scan", help="invertibility indicators over k")
-    _add_common(sp, problem=False)
-    sp.add_argument("--dim", type=int, choices=(1, 2, 3))
-    sp.add_argument("--s", type=float)
-    sp.add_argument("--box-lo", dest="box_lo")
-    sp.add_argument("--box-hi", dest="box_hi")
-    sp.add_argument("--cells", type=int)
-    sp.add_argument("--q", type=float)
-    sp.add_argument("--kmin", type=float)
-    sp.add_argument("--kmax", type=float)
-    sp.add_argument("--kcount", type=int, default=20)
-    sp.set_defaults(func=cmd_resonance_scan)
+    for name, (help_text, _, table) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        _add_flags(sp, table)
+        sp.add_argument("--config", help="JSON config file (overrides inline flags)")
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--out", default="-", help="output path (default stdout)")
+        sp.add_argument("--quad-rtol", type=float)
+        sp.add_argument("--quad-atol", type=float)
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, run, table = COMMANDS[args.command]
     try:
-        return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if args.config:
+            with open(args.config, encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        else:
+            cfg = _inline(args, table)
+        _resolve(table, cfg)
+        for field, value in (("rel_tol", args.quad_rtol), ("abs_tol", args.quad_atol)):
+            if value is not None:
+                cfg.setdefault("quad", {})[field] = value
+        spec = _quad_spec(cfg)
+        extra, columns, rows, code = run(cfg, spec)
+        _emit({"command": args.command, "version": __version__, "config": cfg,
+               "tolerances": {name: getattr(spec, name) for name in _QUAD_FIELDS}, **extra},
+              columns, rows, args.format, args.out)
+        return code
     except AccuracyError as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
         return EXIT_ACCURACY
     except NearResonanceError as exc:
         print(f"near-resonance: {exc}", file=sys.stderr)
         return EXIT_NEAR_RESONANCE
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:   # DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
@@ -54,16 +55,14 @@ DEFAULT_SPEC = QuadratureSpec()
 
 _GL_LO = leggauss(7)
 _GL_HI = leggauss(15)
-_LAGUERRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 # e^{-y} is below 1e-52 here; features beyond are invisible at any tolerance
 _EXP_HEAD_CAP = 120.0
 
 
+@lru_cache(maxsize=None)
 def _laggauss_cached(order):
-    if order not in _LAGUERRE_CACHE:
-        _LAGUERRE_CACHE[order] = laggauss(order)
-    return _LAGUERRE_CACHE[order]
+    return laggauss(order)
 
 
 def _as_batch(values, npts):

@@ -126,10 +126,10 @@ def _hankel1_asym(z, nu):
 
 
 # ---------------------------------------------------------------------------
-# Real-argument J0 / Y0 / J1 / Y1 (vectorized; quadrature hot path)
+# Real-argument J0 / J1 (vectorized; quadrature hot path)
 # ---------------------------------------------------------------------------
 
-def _real_bessel(x, nu, kind):
+def _real_bessel(x, nu):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -138,37 +138,20 @@ def _real_bessel(x, nu, kind):
     out = np.empty_like(x)
     small = x < _ASYM_RADIUS
     if np.any(small):
-        xs = x[small]
-        if kind == "j":
-            out[small] = (_j0_series(xs) if nu == 0 else _j1_series(xs))
-        else:
-            if np.any(xs == 0.0):
-                raise DomainError("Y_nu is singular at 0")
-            out[small] = (_y0_series(xs) if nu == 0 else _y1_series(xs))
+        out[small] = _j0_series(x[small]) if nu == 0 else _j1_series(x[small])
     if np.any(~small):
-        h = _hankel1_asym(x[~small].astype(complex), nu)
-        out[~small] = h.real if kind == "j" else h.imag
+        out[~small] = _hankel1_asym(x[~small].astype(complex), nu).real
     return float(out[0]) if scalar else out
 
 
 def bessel_j0(x):
     """Bessel function J0 for real x >= 0 (scalar or ndarray)."""
-    return _real_bessel(x, 0, "j")
-
-
-def bessel_y0(x):
-    """Bessel function Y0 for real x > 0 (scalar or ndarray)."""
-    return _real_bessel(x, 0, "y")
+    return _real_bessel(x, 0)
 
 
 def bessel_j1(x):
     """Bessel function J1 for real x >= 0 (scalar or ndarray)."""
-    return _real_bessel(x, 1, "j")
-
-
-def bessel_y1(x):
-    """Bessel function Y1 for real x > 0 (scalar or ndarray)."""
-    return _real_bessel(x, 1, "y")
+    return _real_bessel(x, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI contract tests: outputs, exit codes, config round-trips, fixtures."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -285,3 +286,173 @@ def test_scatter_observation_point_dimension_exit_2(capsys):
                                "--box-lo", " -1,-1", "--box-hi", "1,1", "--cells", "4",
                                "--q", "0.2", "--direction", "1,0", "--observe", "5"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command, fmt", [(path.stem, fmt) for path in sorted(CONFIGS.glob("*.json"))
+                                          for fmt in ("csv", "json")])
+def test_docs_config_round_trip(tmp_path, capsys, command, fmt):
+    code, first = run_cli(capsys, [command, "--config", str(CONFIGS / f"{command}.json"),
+                                   "--format", fmt])
+    assert code == 0
+    meta = json.loads(first)["metadata"] if fmt == "json" else parse_csv(first)[0]
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(meta["config"]))
+    code, second = run_cli(capsys, [command, "--config", str(path), "--format", fmt])
+    assert code == 0
+    assert second == first
+
+
+# the flags of every subcommand as the hand-written parser declared them:
+# option -> (dest, type, default, choices, help)
+_COMMON_FLAGS = {
+    "--config": ("config", None, None, None, "JSON config file (overrides inline flags)"),
+    "--format": ("format", None, "csv", ("csv", "json"), None),
+    "--out": ("out", None, "-", None, "output path (default stdout)"),
+    "--quad-rtol": ("quad_rtol", float, None, None, None),
+    "--quad-atol": ("quad_atol", float, None, None, None),
+}
+_PROBLEM_FLAGS = {
+    "--dim": ("dim", int, None, (1, 2, 3), None),
+    "--s": ("s", float, None, None, None),
+    "--k": ("k", float, None, None, None),
+}
+FLAG_SURFACE = {
+    "green": {
+        **_PROBLEM_FLAGS, **_COMMON_FLAGS,
+        "--eps": ("eps", float, 0.0, None, None),
+        "--r": ("r", None, None, None, "comma-separated radii"),
+        "--decompose": ("decompose", None, False, None, None),
+    },
+    "oracle-compare": {
+        **_PROBLEM_FLAGS, **_COMMON_FLAGS,
+        "--eps": ("eps", float, None, None, None),
+        "--r": ("r", None, None, None, "comma-separated radii"),
+        "--intervals": ("intervals", int, None, None, None),
+    },
+    "asymptotics": {
+        **_PROBLEM_FLAGS, **_COMMON_FLAGS,
+        "--part": ("part", None, "j_tail", ("j_tail", "nonhelm_total"), None),
+        "--side": ("side", None, "decay", ("decay", "singularity"), None),
+        "--rate": ("rate", float, None, None, None),
+        "--rmin": ("rmin", float, 10.0, None, None),
+        "--rmax": ("rmax", float, 10000.0, None, None),
+        "--points": ("points", int, 9, None, None),
+        "--log-correction": ("log_correction", None, False, None, None),
+    },
+    "lap": {
+        **_PROBLEM_FLAGS, **_COMMON_FLAGS,
+        "--r": ("r", float, None, None, None),
+        "--eps": ("eps", None, None, None, "comma-separated decreasing eps list"),
+    },
+    "radiation": {
+        **_PROBLEM_FLAGS, **_COMMON_FLAGS,
+        "--field": ("field", None, "green", ("h1", "h2", "green"), None),
+        "--r0": ("r0", float, 10.0, None, None),
+        "--rmax": ("rmax", float, 1000.0, None, None),
+        "--delta": ("delta", float, 0.75, None, None),
+    },
+    "scatter": {
+        **_PROBLEM_FLAGS, **_COMMON_FLAGS,
+        "--box-lo": ("box_lo", None, None, None, None),
+        "--box-hi": ("box_hi", None, None, None, None),
+        "--cells": ("cells", int, None, None, None),
+        "--q": ("q", float, None, None, "constant contrast value"),
+        "--direction": ("direction", None, None, None, "incident direction components"),
+        "--observe": ("observe", None, None, None, "semicolon-separated observation points"),
+        "--born": ("born", None, False, None, None),
+    },
+    "resonance-scan": {
+        **_COMMON_FLAGS,
+        "--dim": ("dim", int, None, (1, 2, 3), None),
+        "--s": ("s", float, None, None, None),
+        "--box-lo": ("box_lo", None, None, None, None),
+        "--box-hi": ("box_hi", None, None, None, None),
+        "--cells": ("cells", int, None, None, None),
+        "--q": ("q", float, None, None, None),
+        "--kmin": ("kmin", float, None, None, None),
+        "--kmax": ("kmax", float, None, None, None),
+        "--kcount": ("kcount", int, 20, None, None),
+    },
+}
+SWITCHES = {("green", "--decompose"), ("asymptotics", "--log-correction"), ("scatter", "--born")}
+
+
+def test_flag_surface(capsys):
+    parser = frachelm.cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(FLAG_SURFACE)
+    for command, sp in sub.choices.items():
+        actions = [a for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+        assert all(len(a.option_strings) == 1 for a in actions)
+        assert {a.option_strings[0]: (a.dest, a.type, a.default, a.choices, a.help)
+                for a in actions} == FLAG_SURFACE[command]
+        assert {(command, a.option_strings[0]) for a in actions if a.nargs == 0} == \
+            {switch for switch in SWITCHES if switch[0] == command}
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+
+_DROP = object()
+
+
+def _docs_config(tmp_path, command, **changes):
+    cfg = json.loads((CONFIGS / f"{command}.json").read_text())
+    cfg.update(changes)
+    cfg = {key: value for key, value in cfg.items() if value is not _DROP}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+CHECKED_CONFIGS = [
+    ("asymptotics", {"side": "Decay", "rmin": 0.01, "rmax": 0.5}, ["side", "decay, singularity"]),
+    ("asymptotics", {"part": "tail"}, ["part", "j_tail, nonhelm_total"]),
+    ("asymptotics", {"log_correction": 1}, ["log_correction"]),
+    ("radiation", {"field": "h3"}, ["field", "h1, h2, green"]),
+    ("scatter", {"born": "no"}, ["born"]),
+    ("green", {"decompose": "yes"}, ["decompose"]),
+    ("green", {"problem": {"dim": 4, "s": 0.5, "k": 1.0}}, ["problem.dim", "1, 2, 3"]),
+    ("green", {"r": _DROP}, ["'r'", "--r"]),
+    ("scatter", {"incident": _DROP}, ["incident.direction", "--direction"]),
+    ("lap", {"problem": {"dim": 1, "s": 0.3}}, ["problem.k", "--k"]),
+    ("resonance-scan", {"k_grid": {"min": 0.5, "count": 4}}, ["k_grid.max", "--kmax"]),
+    ("resonance-scan", {"problem": {"dim": 1, "s": 0.75, "k": 1.0}}, ["['k']", "dim, s"]),
+    ("resonance-scan", {"k_grid": 1.0}, ["k_grid", "non-empty"]),
+    ("resonance-scan", {"k_grid": []}, ["k_grid", "non-empty"]),
+]
+
+
+@pytest.mark.parametrize("command, changes, named", CHECKED_CONFIGS,
+                         ids=[f"{command}-{'-'.join(changes)}"
+                              for command, changes, _ in CHECKED_CONFIGS])
+def test_config_values_checked_like_flags(tmp_path, capsys, command, changes, named):
+    assert main([command, "--config", _docs_config(tmp_path, command, **changes)]) == 2
+    err = capsys.readouterr().err
+    assert all(text in err for text in named)
+
+
+def test_missing_required_flag_exit_2(capsys):
+    assert main(["green", "--dim", "1", "--s", "0.5", "--k", "1"]) == 2
+    assert "'r'" in capsys.readouterr().err
+    assert main(["scatter", "--dim", "1", "--s", "0.75", "--k", "1", "--box-lo", "-1",
+                 "--box-hi", "1", "--q", "0.2", "--direction", "1"]) == 2
+    assert "'cells'" in capsys.readouterr().err
+
+
+def test_absent_config_key_takes_flag_default(tmp_path, capsys):
+    # present values are echoed as given (the int 3 stays an int), absent ones
+    # take the flag's default; the explicit list form of k_grid is kept
+    path = _docs_config(tmp_path, "asymptotics", rmin=_DROP, log_correction=_DROP, rate=3)
+    code, out = run_cli(capsys, ["asymptotics", "--config", path])
+    assert code == 0
+    config = parse_csv(out)[0]["config"]
+    assert config["rmin"] == 10.0 and config["log_correction"] is False
+    assert config["rate"] == 3 and isinstance(config["rate"], int)
+    path = _docs_config(tmp_path, "resonance-scan", k_grid=[0.5, 1.0])
+    code, out = run_cli(capsys, ["resonance-scan", "--config", path])
+    assert code == 0
+    meta, header, rows = parse_csv(out)
+    assert meta["config"]["k_grid"] == [0.5, 1.0]
+    assert [float(row[header.index("k")]) for row in rows] == [0.5, 1.0]

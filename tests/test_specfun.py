@@ -155,18 +155,20 @@ def test_hankel_amplitude_bounded():
 
 
 def test_wronskian():
-    # J0 Y0' - J0' Y0 = 2/(pi x), derivatives via J0' = -J1, Y0' = -Y1
+    # J0 Y0' - J0' Y0 = 2/(pi x), derivatives via J0' = -J1, Y0' = -Y1;
+    # Y0, Y1 are the imaginary parts of H0^(1), H1^(1) on the real axis
     for x in (0.5, 1.0, 5.0, 20.0):
-        w = -sf.bessel_j0(x) * sf.bessel_y1(x) + sf.bessel_j1(x) * sf.bessel_y0(x)
+        w = (-sf.bessel_j0(x) * sf.hankel1_1(x).imag
+             + sf.bessel_j1(x) * sf.hankel1_0(x).imag)
         assert w == pytest.approx(2.0 / (np.pi * x), abs=1e-10)
 
 
 def test_wronskian_finite_difference():
     h = 1e-6
     for x in (1.0, 5.0):
-        dy0 = (sf.bessel_y0(x + h) - sf.bessel_y0(x - h)) / (2 * h)
+        dy0 = (sf.hankel1_0(x + h).imag - sf.hankel1_0(x - h).imag) / (2 * h)
         dj0 = (sf.bessel_j0(x + h) - sf.bessel_j0(x - h)) / (2 * h)
-        w = sf.bessel_j0(x) * dy0 - dj0 * sf.bessel_y0(x)
+        w = sf.bessel_j0(x) * dy0 - dj0 * sf.hankel1_0(x).imag
         assert w == pytest.approx(2.0 / (np.pi * x), abs=1e-4)
 
 
@@ -188,7 +190,7 @@ def test_struve_k0_far_field_paper_bound():
 def test_struve_k0_against_struve_weber_identity():
     # K0 = StruveH0 - Y0 on (0, inf); StruveH0 from its power series
     for z in (0.5, 1.0, 3.0):
-        expect = struve_h0_series(z) - sf.bessel_y0(z)
+        expect = struve_h0_series(z) - sf.hankel1_0(z).imag
         assert sf.struve_k0(z) == pytest.approx(expect, abs=1e-9)
 
 
