@@ -10,8 +10,7 @@ reported for rows with sharp rates, where it powers the negative controls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,15 +45,16 @@ class RadiationReport:
     verdict_gsrc: bool
 
 
-def _part_values(p, part, radii, spec):
-    helm, riesz, jt, err = green_eval_batch(p, 0.0, radii, spec)
-    if part == "j_tail":
-        vals = jt
-    elif part == "nonhelm_total":
-        vals = riesz + jt
-    else:
+def _rate_values(p, part, lo, hi, claimed_rate, n_points, spec):
+    """(radii, |part(r)|, |part(r)| r^claimed_rate) on a log grid of [lo, hi]."""
+    if part not in ("j_tail", "nonhelm_total"):
         raise DomainError(f"unknown part {part!r}; use 'j_tail' or 'nonhelm_total'")
-    return np.abs(vals), err
+    if n_points < 2 or not np.isfinite(claimed_rate):
+        raise DomainError("rate checks need n_points >= 2 and a finite claimed_rate")
+    radii = np.logspace(np.log10(lo), np.log10(hi), n_points)
+    helm, riesz, jt, _ = green_eval_batch(p, 0.0, radii, spec)
+    values = np.abs(jt if part == "j_tail" else riesz + jt)
+    return radii, values, values * radii ** claimed_rate
 
 
 def _rate_fit(radii, values, claimed_rate, product, anchor_index):
@@ -70,9 +70,7 @@ def decay_rate_check(p, part, r_window, claimed_rate, spec=DEFAULT_SPEC, n_point
     lo, hi = float(r_window[0]), float(r_window[-1])
     if not (0.0 < lo < hi):
         raise DomainError("decay window must satisfy 0 < rmin < rmax")
-    radii = np.logspace(np.log10(lo), np.log10(hi), n_points)
-    values, _ = _part_values(p, part, radii, spec)
-    product = values * radii ** claimed_rate
+    radii, values, product = _rate_values(p, part, lo, hi, claimed_rate, n_points, spec)
     return _rate_fit(radii, values, claimed_rate, product, 0)
 
 
@@ -83,9 +81,7 @@ def singularity_rate_check(p, part, r_window, claimed_rate, spec=DEFAULT_SPEC,
     lo, hi = float(r_window[0]), float(r_window[-1])
     if not (0.0 < lo < hi <= 0.5):
         raise DomainError("singularity window must lie inside (0, 0.5]")
-    radii = np.logspace(np.log10(lo), np.log10(hi), n_points)
-    values, _ = _part_values(p, part, radii, spec)
-    product = values * radii ** claimed_rate
+    radii, values, product = _rate_values(p, part, lo, hi, claimed_rate, n_points, spec)
     if log_correction:
         product = product / (-np.log(radii))
     return _rate_fit(radii, values, claimed_rate, product, len(radii) - 1)
@@ -97,20 +93,12 @@ def singularity_rate_check(p, part, r_window, claimed_rate, spec=DEFAULT_SPEC,
 
 @dataclass
 class RadialField:
-    """Point-evaluable radial field with a radial derivative."""
+    """A radial field in n dimensions: value_fn and deriv_fn map a 1-D array
+    of radii to u(r) and du/dr."""
 
     n: int
     value_fn: callable
     deriv_fn: callable
-    radial: bool = field(default=True, init=False)
-
-    def value(self, x):
-        return self.value_fn(float(np.linalg.norm(np.atleast_1d(x))))
-
-    def gradient(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        r = float(np.linalg.norm(x))
-        return self.deriv_fn(r) * x / r
 
 
 def hankel_outgoing_field(k):
@@ -126,44 +114,10 @@ def hankel_incoming_field(k):
 
 def green_radial_field(p, spec=DEFAULT_SPEC):
     """The assembled fundamental solution as a radial test field."""
-    return RadialField(p.n,
-                       lambda r: green_eval(p, 0.0, r, spec).total,
-                       lambda r: green_radial_derivative(p, 0.0, r))
-
-
-@lru_cache(maxsize=None)
-def _sphere_rule(n):
-    n_theta, n_phi = 32, 64
-    if n == 1:
-        dirs = np.array([[1.0], [-1.0]])
-        w = np.array([0.5, 0.5])
-    elif n == 2:
-        ang = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        w = np.full(n_phi, 1.0 / n_phi)
-    else:
-        mu, wmu = np.polynomial.legendre.leggauss(n_theta)
-        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        st = np.sqrt(1.0 - mu ** 2)
-        dirs = np.stack([np.outer(st, np.cos(phi)).ravel(),
-                         np.outer(st, np.sin(phi)).ravel(),
-                         np.outer(mu, np.ones(n_phi)).ravel()], axis=1)
-        w = np.outer(wmu / 2.0, np.full(n_phi, 1.0 / n_phi)).ravel()
-    return dirs, w
-
-
-def _mean_sq_residual(field, k, r):
-    """Sphere average of |grad u - i k x_hat u|^2 at radius r."""
-    if getattr(field, "radial", False):
-        res = field.deriv_fn(r) - 1j * k * field.value_fn(r)
-        return abs(res) ** 2
-    dirs, w = _sphere_rule(field.n)
-    acc = 0.0
-    for d, wt in zip(dirs, w):
-        x = r * d
-        res = np.asarray(field.gradient(x)) - 1j * k * d * field.value(x)
-        acc += wt * float(np.sum(np.abs(res) ** 2))
-    return acc
+    def value(r):
+        helm, riesz, jt, _ = green_eval_batch(p, 0.0, r, spec)
+        return helm + riesz + jt
+    return RadialField(p.n, value, lambda r: green_radial_derivative(p, 0.0, r))
 
 
 def _surface_measure(n, r):
@@ -171,39 +125,41 @@ def _surface_measure(n, r):
 
 
 def radiation_classify(field, k, r0, r_max, delta, profile_points=7):
-    """Classify a field against both radiation conditions.
+    """Classify a radial field against both radiation conditions.
 
-    src verdict: the profile r^{(n-1)/2} sqrt(mean |d_r u - i k u|^2) decays
-    below 0.1 of its first value.  gsrc verdict: the cumulative weighted
-    annulus integrals with weight (1+r^2)^{delta-1} are Cauchy-converging
-    (last shell adds less than ``GSRC_TAIL_FRACTION`` of the total).
+    src verdict: the profile r^{(n-1)/2} |d_r u - i k u| decays below 0.1 of
+    its first value.  gsrc verdict: the cumulative weighted annulus integrals
+    with weight (1+r^2)^{delta-1} are Cauchy-converging (last shell adds less
+    than ``GSRC_TAIL_FRACTION`` of the total).  The field is evaluated once,
+    at the profile radii and the 6-point Gauss nodes of every shell together.
     """
-    if not hasattr(field, "gradient"):
-        raise DomainError("radiation_classify requires a field exposing a gradient")
+    if not isinstance(field, RadialField) or field.n not in (1, 2, 3):
+        raise DomainError("radiation_classify requires a RadialField with n in {1, 2, 3}")
     if not (0.5 < delta < 1.0):
         raise DomainError("delta must lie in (1/2, 1)")
     if not (0.0 < r0 < r_max < np.inf):
         raise DomainError("need 0 < R0 < R_max < inf")
+    if not (0.0 < k < np.inf):
+        raise DomainError("k must be finite and positive")
+    if profile_points < 2:
+        raise DomainError("profile_points must be at least 2")
     n = field.n
     radii = np.logspace(np.log10(r0), np.log10(r_max), profile_points)
-    profile = [(float(r), float(r ** ((n - 1) / 2.0) * np.sqrt(_mean_sq_residual(field, k, r))))
-               for r in radii]
     xg, wg = np.polynomial.legendre.leggauss(6)
-    partial = []
-    total = 0.0
-    for a, b in zip(radii[:-1], radii[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        shell = 0.0
-        for xi, wi in zip(xg, wg):
-            r = mid + half * xi
-            shell += half * wi * _mean_sq_residual(field, k, r) \
-                * (1.0 + r ** 2) ** (delta - 1.0) * _surface_measure(n, r)
-        total += shell
-        partial.append((float(b), float(total)))
-    increments = np.diff([0.0] + [p[1] for p in partial])
-    verdict_src = profile[-1][1] < 0.1 * profile[0][1]
-    verdict_gsrc = bool(increments[-1] < GSRC_TAIL_FRACTION * max(total, 1e-300))
-    return RadiationReport(profile, partial, float(delta), bool(verdict_src), verdict_gsrc)
+    mid, half = 0.5 * (radii[:-1] + radii[1:]), 0.5 * (radii[1:] - radii[:-1])
+    nodes = mid[:, None] + half[:, None] * xg
+    r = np.concatenate([radii, nodes.ravel()])
+    res_sq = np.abs(field.deriv_fn(r) - 1j * k * field.value_fn(r)) ** 2
+    profile = radii ** ((n - 1) / 2.0) * np.sqrt(res_sq[:radii.size])
+    terms = half[:, None] * wg * res_sq[radii.size:].reshape(nodes.shape) \
+        * (1.0 + nodes ** 2) ** (delta - 1.0) * _surface_measure(n, nodes)
+    total = np.cumsum(terms.sum(axis=1))
+    last = np.diff(total, prepend=0.0)[-1]
+    return RadiationReport(
+        [(float(a), float(b)) for a, b in zip(radii, profile)],
+        [(float(a), float(b)) for a, b in zip(radii[1:], total)], float(delta),
+        bool(profile[-1] < 0.1 * profile[0]),
+        bool(last < GSRC_TAIL_FRACTION * max(total[-1], 1e-300)))
 
 
 # ---------------------------------------------------------------------------

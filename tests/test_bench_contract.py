@@ -1,0 +1,41 @@
+"""Smoke test of what the benchmark in bench/ needs from the library.
+
+The benchmark's traced run wraps library attributes by name and its
+workloads call the public API; both break silently when a name moves.  These
+tests use the already-imported package: ``bench/run.py``'s
+``fresh_frachelm`` would purge ``sys.modules`` and split the exception
+classes that other tests catch.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import frachelm
+import frachelm.diagnostics  # noqa: F401  (bench/layers.py wraps names there)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import layers  # noqa: E402
+from tracer import Tracer  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def test_traced_run_wraps_existing_attributes():
+    tracer = Tracer()
+    before = frachelm.diagnostics.green_eval_batch
+    try:
+        layers.install(tracer, frachelm)    # AttributeError names a missing one
+        assert frachelm.diagnostics.green_eval_batch is not before
+    finally:
+        tracer.restore()
+    assert frachelm.diagnostics.green_eval_batch is before
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_unit_runs_without_failures(name):
+    wl = WORKLOADS[name](frachelm, 1, Tracer())
+    wl.warm_up()
+    res = wl.run_unit(0)
+    assert res.attempted > 0
+    assert res.failed == 0, res.failures

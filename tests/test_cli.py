@@ -76,6 +76,11 @@ def test_invalid_params_exit_2(capsys):
     code, _ = run_cli(capsys, ["radiation", "--dim", "2", "--s", "0.5", "--k", "1",
                                "--field", "h1", "--rmax", "inf"])
     assert code == 2
+    # a degenerate rate-check grid or a non-finite claimed rate
+    for extra in (["--points", "1"], ["--points", "0"], ["--rate", "nan"]):
+        args = ["asymptotics", "--dim", "1", "--s", "0.75", "--k", "1", "--rate", "2.5"]
+        code, _ = run_cli(capsys, args + extra)
+        assert code == 2
 
 
 def test_unknown_quad_key_exit_2(tmp_path, capsys):

@@ -7,9 +7,10 @@ import pytest
 from frachelm.errors import AccuracyError, DomainError
 from frachelm.diagnostics import (
     convolution_norm_check, decay_rate_check, green_radial_field,
-    hankel_incoming_field, hankel_outgoing_field, lap_slope, radiation_classify,
-    singularity_rate_check,
+    RadialField, hankel_incoming_field, hankel_outgoing_field, lap_slope,
+    radiation_classify, singularity_rate_check,
 )
+from frachelm.green import green_eval_batch, green_radial_derivative
 from frachelm.kernels import Problem
 from frachelm.quadrature import QuadratureSpec
 from frachelm.scattering import PotentialGrid
@@ -55,6 +56,17 @@ def test_rate_check_windows_validated():
         singularity_rate_check(p, "j_tail", (0.1, 0.9), 1.0)
     with pytest.raises(DomainError):
         decay_rate_check(p, "nope", (10.0, 100.0), 1.0)
+    # a degenerate grid or a non-finite rate cannot be fitted
+    for n_points in (1, 0):
+        with pytest.raises(DomainError):
+            decay_rate_check(p, "j_tail", (10.0, 100.0), 1.0, n_points=n_points)
+        with pytest.raises(DomainError):
+            singularity_rate_check(p, "j_tail", (1e-3, 0.5), 1.0, n_points=n_points)
+    for rate in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            decay_rate_check(p, "j_tail", (10.0, 100.0), rate)
+        with pytest.raises(DomainError):
+            singularity_rate_check(p, "j_tail", (1e-3, 0.5), rate)
 
 
 def test_radiation_battery():
@@ -76,27 +88,6 @@ def test_radiation_gsrc_partial_nondecreasing():
     assert rep.delta == 0.8
 
 
-def test_radiation_general_field_path_matches_radial():
-    # wrap the radial Hankel field as a general (gradient-only) field; the
-    # angular sampling rule must reproduce the radial fast path
-    radial = hankel_outgoing_field(1.0)
-
-    class General:
-        n = 2
-
-        def value(self, x):
-            return radial.value(x)
-
-        def gradient(self, x):
-            return radial.gradient(x)
-
-    rep_r = radiation_classify(radial, 1.0, 10.0, 200.0, 0.75, profile_points=4)
-    rep_g = radiation_classify(General(), 1.0, 10.0, 200.0, 0.75, profile_points=4)
-    for (_, a), (_, b) in zip(rep_r.src_profile, rep_g.src_profile):
-        assert a == pytest.approx(b, rel=1e-10)
-    assert rep_g.verdict_src and rep_g.verdict_gsrc
-
-
 def test_radiation_requires_gradient():
     class NoGrad:
         n = 2
@@ -111,6 +102,46 @@ def test_radiation_requires_gradient():
     for r0, r_max in ((10.0, np.inf), (10.0, np.nan), (np.nan, 100.0)):
         with pytest.raises(DomainError):
             radiation_classify(hankel_outgoing_field(1.0), 1.0, r0, r_max, 0.75)
+    for k in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(DomainError):
+            radiation_classify(hankel_outgoing_field(1.0), k, 10.0, 100.0, 0.75)
+    for points in (1, 0):
+        with pytest.raises(DomainError):
+            radiation_classify(hankel_outgoing_field(1.0), 1.0, 10.0, 100.0, 0.75,
+                               profile_points=points)
+    h1 = hankel_outgoing_field(1.0)
+    with pytest.raises(DomainError):
+        radiation_classify(RadialField(4, h1.value_fn, h1.deriv_fn), 1.0, 10.0, 100.0, 0.75)
+
+
+def test_radiation_classify_evaluates_field_once():
+    field = hankel_outgoing_field(1.0)
+    seen = {"value": [], "deriv": []}
+
+    def counted(name, fn):
+        def wrapper(r):
+            seen[name].append(np.size(r))
+            return fn(r)
+        return wrapper
+
+    field = RadialField(field.n, counted("value", field.value_fn),
+                        counted("deriv", field.deriv_fn))
+    rep = radiation_classify(field, 1.0, 10.0, 1e3, 0.75)
+    # 7 profile radii plus 6 Gauss nodes in each of the 6 shells, in one call each
+    assert seen == {"value": [43], "deriv": [43]}
+    assert (rep.verdict_src, rep.verdict_gsrc) == (True, True)
+
+
+def test_radiation_green_profile_matches_tight_reference():
+    p = Problem(1, 0.75, 1.0)
+    rep = radiation_classify(green_radial_field(p), 1.0, 10.0, 1e3, 0.75)
+    tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
+    radii = np.array([r for r, _ in rep.src_profile])
+    g = sum(green_eval_batch(p, 0.0, radii, tight)[:3])
+    dg = green_radial_derivative(p, 0.0, radii, tight)
+    ref = np.abs(dg - 1j * g)      # n = 1: the weight r^{(n-1)/2} is 1
+    got = np.array([v for _, v in rep.src_profile])
+    assert np.max(np.abs(got - ref) / ref) < 1e-8
 
 
 def test_lap_slope_regimes():
