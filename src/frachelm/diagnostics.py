@@ -200,8 +200,9 @@ def convolution_norm_check(p, source, delta, truncation_radius, oversample=1.0,
 
     `source` is a PotentialGrid whose q_values play the role of f.  The
     convolution is sampled on a uniform grid out to the truncation radius
-    (staggered so samples never coincide with source nodes) and the weighted
-    norm accumulated discretely.
+    (half-integer multiples of the spacing, so on a symmetric box with an even
+    cell count samples can fall on source nodes, which the shared near weights
+    of the solver handle) and the weighted norm accumulated discretely.
     """
     from .scattering import _scatter_weights
 

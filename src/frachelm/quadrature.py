@@ -38,8 +38,8 @@ class QuadratureSpec:
     bessel_intervals: int = 30
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise DomainError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < np.inf and 0.0 < self.abs_tol < np.inf):
+            raise DomainError("tolerances must be finite and positive")
         if self.laguerre_order < 4 or self.bessel_intervals < 4:
             raise DomainError("orders must be >= 4")
 

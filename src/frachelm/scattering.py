@@ -32,6 +32,7 @@ _DENSE_MAX_N = 400    # dense LU up to here, GMRES above (measured crossover)
 _RESIDUAL_TOL = 1e-13  # true relative residual of u on the GMRES path
 _GMRES_RESTART = 30   # Krylov vectors per column between restarts
 _GMRES_MAXIT = 300    # iterations before the dense fallback
+_NEAR_DECIMALS = 9    # cell-unit rounding of the near test and near-weight keys
 
 
 @dataclass
@@ -295,9 +296,9 @@ def _cell_quad(t, h, gamma, level):
 
 
 def _green_total_at(problem, radii, spec):
-    """Total Green values at a radius array, deduplicated before evaluation."""
-    rr = np.asarray(radii, dtype=float)
-    uniq, inv = np.unique(np.round(rr, 14), return_inverse=True)
+    """Total Green values at a radius array, deduplicated to 14 mantissa decimals."""
+    m, e = np.frexp(np.asarray(radii, dtype=float))
+    uniq, inv = np.unique(np.ldexp(np.round(m, 14), e), return_inverse=True)
     helm, riesz, jt, _ = green_eval_batch(problem, 0.0, uniq, spec)
     return (helm + riesz + jt)[inv]
 
@@ -310,6 +311,28 @@ def cell_weight(problem, offset, cell_sizes, spec=DEFAULT_SPEC, level=1):
     radii, weights = _cell_quad(t, h, gamma, level)
     vals = _green_total_at(problem, radii, spec)
     return complex(np.sum(weights * vals))
+
+
+def _near_cells(pot, delta):
+    """|delta_j| in cell units, rounded so lattice offsets compare exactly, and
+    whether cell j lies within two cells on every axis (on the lattice: 3^n)."""
+    t = np.round(np.abs(delta) / pot.cell_sizes, _NEAR_DECIMALS)
+    return t, np.max(t, axis=1) < 2.0
+
+
+def _volume_weights(problem, pot, delta, spec):
+    """(w, near): weights w_j of int G(|x - y|) f(y) dy for the rows delta_j =
+    x - y_j.  Far cells take the midpoint rule vol G(|delta_j|), near cells one
+    ``cell_weight`` per distinct rounded |delta_j| (the cell is mirror symmetric)."""
+    t, near = _near_cells(pot, delta)
+    w = np.zeros(delta.shape[0], dtype=complex)
+    if not np.all(near):
+        w[~near] = pot.cell_volume * _green_total_at(
+            problem, np.linalg.norm(delta[~near], axis=1), spec)
+    _, first, inv = np.unique(t[near], axis=0, return_index=True, return_inverse=True)
+    cw = [cell_weight(problem, a, pot.cell_sizes, spec) for a in np.abs(delta[near])[first]]
+    w[near] = np.asarray(cw, dtype=complex)[inv.ravel()]
+    return w, near
 
 
 # ---------------------------------------------------------------------------
@@ -339,29 +362,15 @@ def _convolve(spectrum, x):
 
 
 def build_nystrom(problem, pot, spec=DEFAULT_SPEC):
-    """A = I - k^{2s} T_k on the grid nodes, as weights per offset and their
-    circulant spectrum (see ``NystromSystem``).
-
-    Off-diagonal weights use the midpoint rule w = vol * G(|x_i - y_j|); the
-    3^n-neighborhood weights integrate G over the source cell around the
-    singularity instead.
-    """
+    """A = I - k^{2s} T_k on the grid nodes: the ``_volume_weights`` of every
+    cell-index offset and their circulant spectrum (see ``NystromSystem``).
+    Observations share these weights, so observing at a node returns u_i."""
     if pot.dim != problem.n:
         raise DomainError(f"grid dimension {pot.dim} != problem dimension {problem.n}")
     nc, n = pot.cells_per_axis, pot.dim
     offs = np.indices((2 * nc - 1,) * n).reshape(n, -1).T - (nc - 1)
-    dist = np.linalg.norm(offs * pot.cell_sizes[None, :], axis=1)
-    weights = np.zeros(dist.shape, dtype=complex)
-    far = np.max(np.abs(offs), axis=1) > 1
-    if np.any(far):
-        weights[far] = pot.cell_volume * _green_total_at(problem, dist[far], spec)
-    record = {}
-    for oid in np.flatnonzero(~far):
-        key = tuple(np.abs(offs[oid]).tolist())
-        if key not in record:
-            record[key] = cell_weight(problem, np.abs(offs[oid]) * pot.cell_sizes,
-                                      pot.cell_sizes, spec)
-        weights[oid] = record[key]
+    weights, near = _volume_weights(problem, pot, offs * pot.cell_sizes[None, :], spec)
+    record = {tuple(np.abs(offs[j]).tolist()): complex(weights[j]) for j in np.flatnonzero(near)}
     return NystromSystem(problem, pot, weights, _circulant_spectrum(weights, pot), record)
 
 
@@ -488,18 +497,8 @@ def _observation_point(pot, x):
 
 
 def _scatter_weights(problem, pot, x, spec):
-    """Quadrature weights w_j(x) for the volume potential at observation x,
-    with local correction when x lies within 2 cells of a node."""
-    x = _observation_point(pot, x)
-    delta = x[None, :] - pot.nodes
-    dist = np.linalg.norm(delta, axis=1)
-    w = np.zeros(dist.shape, dtype=complex)
-    near = np.max(np.abs(delta) / pot.cell_sizes[None, :], axis=1) < 2.0
-    if np.any(~near):
-        w[~near] = pot.cell_volume * _green_total_at(problem, dist[~near], spec)
-    for j in np.flatnonzero(near):
-        w[j] = cell_weight(problem, delta[j], pot.cell_sizes, spec)
-    return w
+    """Quadrature weights w_j(x) for the volume potential at observation x."""
+    return _volume_weights(problem, pot, _observation_point(pot, x)[None, :] - pot.nodes, spec)[0]
 
 
 def eval_scattered(solution, x, spec=DEFAULT_SPEC):
@@ -517,16 +516,13 @@ def born_approx(problem, pot, incident, x, spec=DEFAULT_SPEC):
 
 
 def eval_scattered_with_radial_derivative(solution, x, spec=None):
-    """(u^scat(x), d/d|x| u^scat(x)) for far observation points.
-
-    Uses the chain rule on the radial kernel; requires x outside the
-    2-cell correction neighborhood of every node.
-    """
+    """(u^scat(x), d/d|x| u^scat(x)) by the chain rule on the radial kernel,
+    for x outside the near cells (``_near_cells``) of every node."""
     p, pot = solution.problem, solution.pot
     x = _observation_point(pot, x)
     delta = x[None, :] - pot.nodes
     dist = np.linalg.norm(delta, axis=1)
-    if np.any(np.max(np.abs(delta) / pot.cell_sizes[None, :], axis=1) < 2.0):
+    if np.any(_near_cells(pot, delta)[1]):
         raise DomainError("radial derivative evaluation requires a far observation point")
     gvals = _green_total_at(p, dist, spec or DEFAULT_SPEC)
     dg = green_radial_derivative(p, 0.0, dist, spec)

@@ -81,6 +81,11 @@ def test_invalid_params_exit_2(capsys):
         args = ["asymptotics", "--dim", "1", "--s", "0.75", "--k", "1", "--rate", "2.5"]
         code, _ = run_cli(capsys, args + extra)
         assert code == 2
+    # a non-finite quadrature tolerance
+    for extra in (["--quad-atol", "inf"], ["--quad-rtol", "inf"], ["--quad-rtol", "nan"]):
+        args = ["green", "--dim", "1", "--s", "0.75", "--k", "1", "--r", "1"]
+        code, _ = run_cli(capsys, args + extra)
+        assert code == 2
 
 
 def test_unknown_quad_key_exit_2(tmp_path, capsys):
@@ -426,6 +431,14 @@ CHECKED_CONFIGS = [
     ("resonance-scan", {"problem": {"dim": 1, "s": 0.75, "k": 1.0}}, ["['k']", "dim, s"]),
     ("resonance-scan", {"k_grid": 1.0}, ["k_grid", "non-empty"]),
     ("resonance-scan", {"k_grid": []}, ["k_grid", "non-empty"]),
+    # an int key holds a JSON integer: no fraction, bool or string
+    ("scatter", {"cells": 4.7}, ["cells", "integer", "4.7"]),
+    ("scatter", {"cells": True}, ["cells", "integer", "True"]),
+    ("resonance-scan", {"cells": "4"}, ["cells", "integer", "'4'"]),
+    ("asymptotics", {"points": 3.9}, ["points", "integer", "3.9"]),
+    ("asymptotics", {"problem": {"dim": True, "s": 0.75, "k": 1.0}}, ["problem.dim", "integer"]),
+    ("resonance-scan", {"k_grid": {"min": 0.5, "max": 2.0, "count": 4.0}}, ["k_grid.count"]),
+    ("green", {"quad": {"laguerre_order": 4.7}}, ["quad.laguerre_order", "integer", "4.7"]),
 ]
 
 

@@ -17,6 +17,11 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureSpec(laguerre_order=2)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(DomainError):
+            QuadratureSpec(rel_tol=bad)
+        with pytest.raises(DomainError):
+            QuadratureSpec(abs_tol=bad)
 
 
 def test_adaptive_trivial_examples():

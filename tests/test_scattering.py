@@ -513,3 +513,36 @@ def test_observation_and_incident_dimension_checked():
         solve_ls(build_nystrom(p3, pot), flat)
     with pytest.raises(DomainError):
         born_approx(p3, pot, flat, np.full(3, 5.0))
+
+
+@pytest.mark.parametrize("n, s, cells", [(1, 0.3, 12), (2, 0.75, 12), (3, 0.3, 6)])
+def test_node_observation_reproduces_solution(monkeypatch, n, s, cells):
+    # observing at a node uses the matrix's weights and near rule, so
+    # u_inc + u^scat there is the solved u_i; one cell_weight per distinct |offset|
+    p = Problem(n, s, 1.0)
+    q = np.random.default_rng(5).uniform(0.1, 0.6, cells ** n)
+    pot = PotentialGrid.build([-1.0] * n, [1.0] * n, cells, q)
+    inc = IncidentField(np.eye(n)[0])
+    sol = solve_ls(build_nystrom(p, pot), inc)
+    calls = []
+    weight = scattering.cell_weight
+    monkeypatch.setattr(scattering, "cell_weight", lambda *a, **k: calls.append(1) or weight(*a, **k))
+    interior = np.flatnonzero(np.all((pot.index >= 1) & (pot.index <= cells - 2), axis=1))
+    for i in interior[[0, interior.size // 2]]:
+        calls.clear()
+        u = inc.values(p, pot.nodes[i][None, :])[0] + eval_scattered(sol, pot.nodes[i])
+        assert abs(u - sol.u_total[i]) <= 1e-12 * abs(sol.u_total[i])
+        assert len(calls) <= 2 ** n
+
+
+def test_green_total_rounds_radii_relatively():
+    # radii are merged to 14 mantissa decimals, not 14 absolute ones: tiny
+    # radii keep their value and a target 1e-9 off a cell face is valid
+    from frachelm.green import green_eval_batch
+    r = np.array([1.234567891234e-7, 3.3e-12, 7.1e-16, 0.5])
+    helm, riesz, jt, _ = green_eval_batch(P1, 0.0, r, QuadratureSpec())
+    total = scattering._green_total_at(P1, r, QuadratureSpec())
+    assert np.all(np.abs(total - (helm + riesz + jt)) <= 1e-12 * np.abs(helm + riesz + jt))
+    sol = solve_ls(build_nystrom(P1, grid1(cells=4, q=0.3)), INC1)
+    for x in (1e-9, -1e-9):
+        assert np.isfinite(eval_scattered(sol, np.array([x])))
