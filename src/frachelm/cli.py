@@ -63,12 +63,20 @@ def _check_keys(cfg, allowed, where):
         raise DomainError(f"unknown {where} keys {sorted(unknown)}; allowed: {', '.join(allowed)}")
 
 
+_KINDS = {int: "an integer", float: "a number"}
+
+
+def _holds(cast, value):
+    """Whether a value is a JSON integer (int) or number (float); a bool is neither."""
+    return type(value) is int or cast is float and type(value) is float
+
+
 def _quad_spec(cfg):
     quad = cfg.get("quad", {})
     _check_keys(quad, _QUAD_FIELDS, "quad")
     for name, cast in _QUAD_FIELDS.items():
-        if cast is int and name in quad and type(quad[name]) is not int:
-            raise DomainError(f"quad.{name} must be an integer, got {quad[name]!r}")
+        if name in quad and not _holds(cast, quad[name]):
+            raise DomainError(f"quad.{name} must be {_KINDS[cast]}, got {quad[name]!r}")
     return QuadratureSpec(**{name: cast(quad.get(name, getattr(DEFAULT_SPEC, name)))
                              for name, cast in _QUAD_FIELDS.items()})
 
@@ -150,7 +158,8 @@ def _inline(args, table):
 def _resolve(table, cfg, where=""):
     """Check ``cfg`` against ``table`` in place, adding absent keys' defaults.
     A nested table applies only to an object (``k_grid`` may be a list); an int
-    key holds a JSON integer or its None default (``intervals``)."""
+    key holds a JSON integer and a float key a JSON number (never a bool), or
+    its None default (``intervals``)."""
     _check_keys(cfg, [*table] if where else [*table, "quad"], where or "config")
     for key, opt in table.items():
         name = f"{where}.{key}" if where else key
@@ -161,8 +170,9 @@ def _resolve(table, cfg, where=""):
             if opt.default is ...:
                 raise DomainError(f"missing config key {name!r} (flag {opt.flag})")
             cfg[key] = opt.default
-        elif opt.parse is int and type(cfg[key]) is not int and cfg[key] is not opt.default:
-            raise DomainError(f"{name} must be an integer, got {cfg[key]!r}")
+        elif opt.parse in _KINDS and not _holds(opt.parse, cfg[key]) \
+                and cfg[key] is not opt.default:
+            raise DomainError(f"{name} must be {_KINDS[opt.parse]}, got {cfg[key]!r}")
         elif opt.parse is bool and not isinstance(cfg[key], bool):
             raise DomainError(f"{name} must be true or false, got {cfg[key]!r}")
         elif opt.choices and cfg[key] not in opt.choices:

@@ -142,6 +142,14 @@ def _tail_batch(p):
     return _bessel_tail_batch if p.n == 2 else _exp_tail_batch
 
 
+def _closed_parts(p, shift, r):
+    """(kc, regime, helm, riesz_sum): the closed-form parts at radii r."""
+    kc = _resolve_shift(p, shift).k_eps
+    regime = classify_regime(p.s)
+    helm = np.atleast_1d(helm_part(p.n, p.s, kc, r)).astype(complex)
+    return kc, regime, helm, _riesz_sum_batch(p, regime.m, kc, r)
+
+
 def green_eval_batch(p, shift, radii, spec=DEFAULT_SPEC):
     """Vectorized Green evaluation over a 1-D array of finite radii r > 0.
 
@@ -150,11 +158,8 @@ def green_eval_batch(p, shift, radii, spec=DEFAULT_SPEC):
     transform, whose J0-zero partition is fixed in t = rho r, share one
     adaptive pass over the whole batch, with one error estimate per radius.
     """
-    kc = _resolve_shift(p, shift).k_eps
     r = _check_radii(np.asarray(radii, dtype=float))
-    regime = classify_regime(p.s)
-    helm = np.atleast_1d(helm_part(p.n, p.s, kc, r)).astype(complex)
-    riesz = _riesz_sum_batch(p, regime.m, kc, r)
+    kc, regime, helm, riesz = _closed_parts(p, shift, r)
     jt, je = _tail_batch(p)(p, regime, kc, r, spec)
     err = je + _CLOSED_FORM_REL * (np.abs(helm) + np.abs(riesz))
     return helm, riesz, jt, err

@@ -2,14 +2,17 @@
 
 The kernel is radial and the nodes sit on a uniform lattice, so the quadrature
 weight for a pair of cells depends only on their index offset.  Assembly
-therefore evaluates the Green's function once per unique distance; the
+therefore evaluates the Green's function once per unique distance, and where a
+dyadic range of distances holds many, interpolates its tail from a checked
+Chebyshev table built for that call (``_green_total_at``); the
 block-Toeplitz operator is applied by FFT on a circulant embedding (Vainikko
 2000), and large systems are solved by GMRES, small ones by a dense LU of the
 matrix gathered from the offset table.  Off-diagonal weights use the midpoint
 rule; entries whose cells lie within the 3^n neighborhood are replaced by a
 local integration of the kernel over the source cell (polar/pyramid
 decomposition around the singularity with a power substitution absorbing it),
-which converges under refinement of the local subdivision.
+which converges under refinement of the local subdivision.  All near cells of a
+build or an observation share one ``cell_weight`` call.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, NearResonanceError
-from .green import green_eval_batch, green_radial_derivative
+from .green import _check_radii, _closed_parts, green_eval_batch, green_radial_derivative
 from .kernels import Problem
 from .quadrature import DEFAULT_SPEC
 
@@ -33,6 +37,7 @@ _RESIDUAL_TOL = 1e-13  # true relative residual of u on the GMRES path
 _GMRES_RESTART = 30   # Krylov vectors per column between restarts
 _GMRES_MAXIT = 300    # iterations before the dense fallback
 _NEAR_DECIMALS = 9    # cell-unit rounding of the near test and near-weight keys
+_PANEL_DEGREE = 20    # Chebyshev degree of a radial panel of _green_total_at
 
 
 @dataclass
@@ -296,21 +301,66 @@ def _cell_quad(t, h, gamma, level):
 
 
 def _green_total_at(problem, radii, spec):
-    """Total Green values at a radius array, deduplicated to 14 mantissa decimals."""
+    """Total Green values at a radius array, deduplicated to 14 mantissa decimals.
+
+    The distinct radii are grouped by dyadic panel [2^(j-1), 2^j), j their
+    ``np.frexp`` exponent.  Away from r = 0 the tail ``j_tail`` is analytic,
+    so in t = 2 log2(r) - 2j + 1 its Chebyshev interpolant of degree
+    d = ``_PANEL_DEGREE`` converges at a rate independent of j (Trefethen,
+    *Approximation Theory and Approximation Practice*, ch. 8).  A panel holding
+    more than 2 (d + 2) radii, twice its d + 1 nodes and one check point (a node
+    costs about one radius column of the batched tail engines), is tabled: the
+    nodes, the check point t = -1 and the other radii share one
+    ``green_eval_batch`` call, ``j_tail`` is interpolated by Clenshaw
+    (``chebval``) and the Helmholtz and Riesz parts stay in closed form.  A
+    panel serves values only if its last two coefficients and the interpolant's
+    error at the check point are within max(abs_tol, rel_tol |G|); otherwise
+    its radii are evaluated directly.  The table lives for one call.
+    """
     m, e = np.frexp(np.asarray(radii, dtype=float))
     uniq, inv = np.unique(np.ldexp(np.round(m, 14), e), return_inverse=True)
-    helm, riesz, jt, _ = green_eval_batch(problem, 0.0, uniq, spec)
-    return (helm + riesz + jt)[inv]
+    mant, panel = np.frexp(_check_radii(uniq))   # sorted, so panels are runs
+    keys, first, counts = np.unique(panel, return_index=True, return_counts=True)
+    d, big = _PANEL_DEGREE, counts > 2 * (_PANEL_DEGREE + 2)
+    theta = np.pi * (np.arange(d + 1) + 0.5) / (d + 1)
+    nodes = np.ldexp(np.exp2(0.5 * np.append(np.cos(theta), -1.0) - 0.5), keys[big][:, None])
+    direct = ~np.repeat(big, counts)
+    helm, riesz, jt, _ = green_eval_batch(problem, 0.0, np.r_[uniq[direct], nodes.ravel()], spec)
+    total, nd = np.empty(uniq.size, dtype=complex), np.count_nonzero(direct)
+    total[direct], g = np.split(helm + riesz + jt, [nd])
+    jt = jt[nd:].reshape(nodes.shape)
+    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(g.reshape(nodes.shape)))
+    coef = (2.0 / (d + 1)) * jt[:, :-1] @ np.cos(np.outer(theta, np.arange(d + 1)))
+    coef[:, 0] *= 0.5
+    good = big.copy()
+    good[big] = (np.abs(coef[:, -2]) + np.abs(coef[:, -1]) <= tol[:, :-1].min(axis=1)) \
+        & (np.abs(chebval(-1.0, coef.T) - jt[:, -1]) <= tol[:, -1])
+    served = np.repeat(good, counts)
+    if np.any(served):
+        _, _, helm, riesz = _closed_parts(problem, 0.0, uniq[served])
+        total[served] = helm + riesz
+        for a, c, cf in zip(first[good], counts[good], coef[good[big]]):
+            total[a:a + c] += chebval(2.0 * np.log2(mant[a:a + c]) + 1.0, cf)
+    refused = ~(direct | served)
+    if np.any(refused):
+        helm, riesz, jt, _ = green_eval_batch(problem, 0.0, uniq[refused], spec)
+        total[refused] = helm + riesz + jt
+    return total[inv]
 
 
 def cell_weight(problem, offset, cell_sizes, spec=DEFAULT_SPEC, level=1):
-    """Locally integrated quadrature weight int_cell G(|offset - z|) dz."""
-    t = np.atleast_1d(np.asarray(offset, dtype=float))
+    """Locally integrated quadrature weight int_cell G(|t - z|) dz: a complex
+    for one target t = ``offset`` of shape (n,), an (m,) array for the rows of
+    an (m, n) one.  The quadrature radii of all targets go through one
+    ``_green_total_at`` call, so they share its radial panels."""
+    t = np.asarray(offset, dtype=float)
     h = np.atleast_1d(np.asarray(cell_sizes, dtype=float))
     gamma = max(2.0, 1.0 / problem.s)
-    radii, weights = _cell_quad(t, h, gamma, level)
-    vals = _green_total_at(problem, radii, spec)
-    return complex(np.sum(weights * vals))
+    rules = [_cell_quad(ti, h, gamma, level) for ti in np.reshape(t, (-1, h.size))]
+    vals = _green_total_at(problem, np.concatenate([r for r, _ in rules]), spec)
+    cuts = np.cumsum([w.size for _, w in rules])[:-1]
+    out = np.array([np.sum(w * v) for (_, w), v in zip(rules, np.split(vals, cuts))])
+    return complex(out[0]) if t.ndim < 2 else out
 
 
 def _near_cells(pot, delta):
@@ -322,16 +372,18 @@ def _near_cells(pot, delta):
 
 def _volume_weights(problem, pot, delta, spec):
     """(w, near): weights w_j of int G(|x - y|) f(y) dy for the rows delta_j =
-    x - y_j.  Far cells take the midpoint rule vol G(|delta_j|), near cells one
-    ``cell_weight`` per distinct rounded |delta_j| (the cell is mirror symmetric)."""
+    x - y_j.  Far cells take the midpoint rule vol G(|delta_j|), near cells the
+    weight of their rounded |delta_j| (the cell is mirror symmetric) from one
+    ``cell_weight`` call over the distinct ones."""
     t, near = _near_cells(pot, delta)
     w = np.zeros(delta.shape[0], dtype=complex)
     if not np.all(near):
         w[~near] = pot.cell_volume * _green_total_at(
             problem, np.linalg.norm(delta[~near], axis=1), spec)
-    _, first, inv = np.unique(t[near], axis=0, return_index=True, return_inverse=True)
-    cw = [cell_weight(problem, a, pot.cell_sizes, spec) for a in np.abs(delta[near])[first]]
-    w[near] = np.asarray(cw, dtype=complex)[inv.ravel()]
+    if np.any(near):
+        _, first, inv = np.unique(t[near], axis=0, return_index=True, return_inverse=True)
+        cw = cell_weight(problem, np.abs(delta[near])[first], pot.cell_sizes, spec)
+        w[near] = cw[inv.ravel()]
     return w, near
 
 
@@ -377,14 +429,10 @@ def build_nystrom(problem, pot, spec=DEFAULT_SPEC):
 def correction_refinement_delta(problem, pot, spec=DEFAULT_SPEC, levels=(1, 2)):
     """Max relative change of the corrected near weights between two local
     subdivision levels (self-convergence indicator)."""
-    deltas = {}
-    n = pot.dim
-    for key in {tuple(v) for v in np.indices((2,) * n).reshape(n, -1).T}:
-        t = np.asarray(key, dtype=float) * pot.cell_sizes
-        w0 = cell_weight(problem, t, pot.cell_sizes, spec, levels[0])
-        w1 = cell_weight(problem, t, pot.cell_sizes, spec, levels[1])
-        deltas[key] = abs(w1 - w0) / max(abs(w1), 1e-300)
-    return deltas
+    keys = np.indices((2,) * pot.dim).reshape(pot.dim, -1).T
+    w0, w1 = (cell_weight(problem, keys * pot.cell_sizes, pot.cell_sizes, spec, lev)
+              for lev in levels)
+    return {tuple(k): abs(b - a) / max(abs(b), 1e-300) for k, a, b in zip(keys.tolist(), w0, w1)}
 
 
 def _gmres(matvec, b, tol):

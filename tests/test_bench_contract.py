@@ -39,3 +39,18 @@ def test_workload_unit_runs_without_failures(name):
     res = wl.run_unit(0)
     assert res.attempted > 0
     assert res.failed == 0, res.failures
+
+
+def test_traced_scatter_unit_attributes_cell_weight():
+    # the layer metrics read cell_weight and the _green_total_at calls under it
+    tracer = Tracer()
+    tracer.enabled = True
+    try:
+        layers.install(tracer, frachelm)
+        res = WORKLOADS["scatter-3d"](frachelm, 1, tracer).run_unit(0)
+    finally:
+        tracer.restore()
+    assert res.failed == 0, res.failures
+    metrics = layers.summarize(tracer.spans, frachelm.QuadratureSpec().max_subdiv)
+    assert metrics["scattering.cell_weight.calls"] > 0
+    assert metrics["scattering.cell_weight.radii_requested"] > 0

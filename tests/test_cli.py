@@ -59,7 +59,7 @@ def test_green_2d_fixture(capsys):
     assert abs(total - GREEN_2D_FIXTURE_R5) / abs(GREEN_2D_FIXTURE_R5) < 1e-5
 
 
-def test_invalid_params_exit_2(capsys):
+def test_invalid_params_exit_2(tmp_path, capsys):
     code, _ = run_cli(capsys, ["green", "--dim", "1", "--s", "1.5", "--k", "1",
                                "--r", "1"])
     assert code == 2
@@ -85,6 +85,13 @@ def test_invalid_params_exit_2(capsys):
     for extra in (["--quad-atol", "inf"], ["--quad-rtol", "inf"], ["--quad-rtol", "nan"]):
         args = ["green", "--dim", "1", "--s", "0.75", "--k", "1", "--r", "1"]
         code, _ = run_cli(capsys, args + extra)
+        assert code == 2
+    # a bool for a float key: not read as 1.0
+    path = tmp_path / "green.json"
+    for cfg in ({"problem": {"dim": 1, "s": 0.75, "k": True}, "r": [1.0]},
+                {"problem": {"dim": 1, "s": 0.75, "k": 1.0}, "r": [1.0], "quad": {"rel_tol": True}}):
+        path.write_text(json.dumps(cfg))
+        code, _ = run_cli(capsys, ["green", "--config", str(path)])
         assert code == 2
 
 
@@ -439,6 +446,11 @@ CHECKED_CONFIGS = [
     ("asymptotics", {"problem": {"dim": True, "s": 0.75, "k": 1.0}}, ["problem.dim", "integer"]),
     ("resonance-scan", {"k_grid": {"min": 0.5, "max": 2.0, "count": 4.0}}, ["k_grid.count"]),
     ("green", {"quad": {"laguerre_order": 4.7}}, ["quad.laguerre_order", "integer", "4.7"]),
+    # a float key holds a JSON number: no bool or string
+    ("radiation", {"problem": {"dim": 1, "s": 0.75, "k": True}}, ["problem.k", "number", "True"]),
+    ("scatter", {"quad": {"rel_tol": True}}, ["quad.rel_tol", "number", "True"]),
+    ("oracle-compare", {"eps": False}, ["eps", "number", "False"]),
+    ("asymptotics", {"rmax": "1e4"}, ["rmax", "number", "'1e4'"]),
 ]
 
 

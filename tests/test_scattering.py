@@ -546,3 +546,79 @@ def test_green_total_rounds_radii_relatively():
     sol = solve_ls(build_nystrom(P1, grid1(cells=4, q=0.3)), INC1)
     for x in (1e-9, -1e-9):
         assert np.isfinite(eval_scattered(sol, np.array([x])))
+
+
+def _table_radii(lo):
+    """About 400 radii over logspace(lo, 3) plus four runs of 50 inside single
+    dyadic panels, so those panels hold more than 2 (d + 2) distinct radii;
+    rounded as ``_green_total_at`` merges them, so they reach its batch as given."""
+    runs = [np.linspace(a, 1.96 * a, 50) for a in 2.0 ** np.array([-18.0, -6.0, 0.0, 6.0])]
+    m, e = np.frexp(np.concatenate([np.logspace(lo, 3.0, 400), *runs]))
+    return np.ldexp(np.round(m, 14), e)
+
+
+def _spy_batches(monkeypatch):
+    """The radii of every ``green_eval_batch`` call made by ``scattering``."""
+    seen, batch = [], scattering.green_eval_batch
+    monkeypatch.setattr(scattering, "green_eval_batch",
+                        lambda p, shift, r, spec: seen.append(r) or batch(p, shift, r, spec))
+    return seen
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_radial_table_matches_direct_reference(monkeypatch, n):
+    # the 2D batch converges over this range only at the default tolerances
+    # (tighter ones, or radii down to 1e-8 at s = 0.25, k = 2, raise
+    # AccuracyError on the direct path too)
+    from frachelm.green import green_eval_batch
+    spec = QuadratureSpec() if n == 2 else QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
+    r = _table_radii(-6.0 if n == 2 else -8.0)
+    seen = _spy_batches(monkeypatch)
+    for s in (0.25, 0.3, 0.5, 0.75):
+        for k in (0.5, 2.0):
+            p = Problem(n, s, k)
+            seen.clear()
+            total = scattering._green_total_at(p, r, spec)
+            helm, riesz, jt, _ = green_eval_batch(p, 0.0, r, spec)
+            ref = helm + riesz + jt
+            assert np.max(np.abs(total - ref) / np.abs(ref)) <= 1e-11, (s, k)
+            assert not np.all(np.isin(r, np.concatenate(seen))), (s, k)   # tabled
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_radial_table_falls_back_to_direct_values(monkeypatch, n):
+    # at degree 2 every panel (more than 8 radii) fails its checks, so every
+    # value comes from a direct evaluation
+    from frachelm.green import green_eval_batch
+    p, r = Problem(n, 0.3, 1.0), _table_radii(-6.0 if n == 2 else -8.0)
+    helm, riesz, jt, _ = green_eval_batch(p, 0.0, r, QuadratureSpec())
+    ref = helm + riesz + jt
+    monkeypatch.setattr(scattering, "_PANEL_DEGREE", 2)
+    seen = _spy_batches(monkeypatch)
+    total = scattering._green_total_at(p, r, QuadratureSpec())
+    assert len(seen) == 2 and np.all(np.isin(r, np.concatenate(seen)))
+    assert np.max(np.abs(total - ref) / np.abs(ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, s, cells", [(1, 0.3, 12), (2, 0.75, 6), (3, 0.3, 4)])
+def test_volume_weights_share_one_cell_weight_call(monkeypatch, n, s, cells):
+    # a build and a node observation make one cell_weight call over all their
+    # near keys (at most 2^n at a node); every _volume_weights makes at most
+    # two _green_total_at calls, and a far observation needs no cell_weight
+    p = Problem(n, s, 1.0)
+    pot = PotentialGrid.build([-1.0] * n, [1.0] * n, cells, 0.3)
+    targets, totals = [], []
+    weight, total = scattering.cell_weight, scattering._green_total_at
+    monkeypatch.setattr(scattering, "cell_weight", lambda pr, t, *a, **k:
+                        targets.append(np.shape(t)[0]) or weight(pr, t, *a, **k))
+    monkeypatch.setattr(scattering, "_green_total_at",
+                        lambda *a, **k: totals.append(1) or total(*a, **k))
+    sol = solve_ls(build_nystrom(p, pot), IncidentField(np.eye(n)[0]))
+    assert targets == [2 ** n] and len(totals) == 2
+    node = pot.nodes[np.flatnonzero(np.all(pot.index == cells // 2, axis=1))[0]]
+    for x, calls in ((node, 1), (np.full(n, 4.5), 0)):
+        targets.clear()
+        totals.clear()
+        eval_scattered(sol, x)
+        assert len(targets) == calls and all(m <= 2 ** n for m in targets)
+        assert 1 <= len(totals) <= 2
