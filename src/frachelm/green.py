@@ -3,7 +3,8 @@
 The value at radius r splits into three parts (Helmholtz part, Riesz power
 sum, tail integral); the decomposition is returned explicitly so diagnostics
 can test each part's asymptotics.  Tail integrals run through the quadrature
-engines; their error estimates propagate additively.
+engines, or, in large batches, through a checked Chebyshev table on dyadic
+panels; their error estimates propagate additively.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
 from .errors import DomainError
 from .kernels import (
-    LOW_INTEGER, SpectralShift, _bracket_1d, _bracket_3d, classify_regime, dF_m_dr,
-    dF_tilde_m_dr, F_m, F_tilde_m, helm_part, helm_part_dr, spectral_shift,
+    LOW_INTEGER, _bracket_1d, _bracket_3d, _resolve_shift, classify_regime, dF_m_dr,
+    dF_tilde_m_dr, F_m, F_tilde_m, helm_part, helm_part_dr,
 )
 from .quadrature import (
     DEFAULT_SPEC, QuadratureSpec, _exp_weighted_batch, integrate_bessel_transform,
@@ -27,6 +29,7 @@ DERIVATIVE_SPEC = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-11)
 
 # closed-form parts are specfun-accurate; their error contribution is nominal
 _CLOSED_FORM_REL = 1e-12
+_PANEL_DEGREE = 20    # Chebyshev degree of a dyadic panel of the tail table
 
 
 @dataclass
@@ -38,14 +41,6 @@ class GreenDecomposition:
     j_tail: complex
     total: complex
     err_estimate: float
-
-
-def _resolve_shift(p, shift):
-    if shift is None:
-        return spectral_shift(p, 0.0)
-    if isinstance(shift, SpectralShift):
-        return shift
-    return spectral_shift(p, float(shift))
 
 
 def _check_radii(r):
@@ -137,32 +132,85 @@ def _bessel_tail_batch(p, regime, kc, r, spec, derivative=False):
     return val, err
 
 
-def _tail_batch(p):
+def _tail_batch(p, regime, kc, r, spec, derivative=False):
     """The tail family of a dimension: e^{-y} integrals, or the 2D Bessel transform."""
-    return _bessel_tail_batch if p.n == 2 else _exp_tail_batch
+    family = _bessel_tail_batch if p.n == 2 else _exp_tail_batch
+    return family(p, regime, kc, r, spec, derivative)
 
 
-def _closed_parts(p, shift, r):
-    """(kc, regime, helm, riesz_sum): the closed-form parts at radii r."""
-    kc = _resolve_shift(p, shift).k_eps
-    regime = classify_regime(p.s)
-    helm = np.atleast_1d(helm_part(p.n, p.s, kc, r)).astype(complex)
-    return kc, regime, helm, _riesz_sum_batch(p, regime.m, kc, r)
+def _closed_parts(p, regime, kc, r, derivative=False):
+    """(helm, riesz_sum), or their r-derivatives: the closed-form parts at radii r."""
+    helm = (helm_part_dr if derivative else helm_part)(p.n, p.s, kc, r)
+    return np.atleast_1d(helm).astype(complex), _riesz_sum_batch(p, regime.m, kc, r, derivative)
+
+
+def _tabled_tail(p, regime, kc, r, spec):
+    """(j_tail, err) at sorted distinct radii r, tabled on dense dyadic panels.
+
+    Radii equal to 14 mantissa decimals share the tail of the first (the tail
+    has no phase).  A dyadic panel [2^(j-1), 2^j) holding more than 2 (d + 2)
+    of them, d = ``_PANEL_DEGREE`` (twice its nodes and check point, as a node
+    costs about one radius column), is tabled: its d + 1 Chebyshev nodes in
+    log2 r and a check point at its left end join the other radii in one tail
+    call, and its tail is interpolated by Clenshaw (Trefethen, *Approximation
+    Theory and Approximation Practice*, ch. 8).  It serves values only if its
+    last two coefficients and the check-point miss are within max(abs_tol,
+    rel_tol |G|); its err is then the largest node err plus both.  The radii
+    of a refused panel are evaluated directly.
+    """
+    m, e = np.frexp(r)
+    key = np.ldexp(np.round(m, 14), e)
+    lead = np.r_[True, key[1:] != key[:-1]]   # r is sorted, so merged radii are runs
+    t = r[lead]
+    mant, panel = np.frexp(t)                 # and so are panels
+    keys, first, counts = np.unique(panel, return_index=True, return_counts=True)
+    d, big = _PANEL_DEGREE, counts > 2 * (_PANEL_DEGREE + 2)
+    theta = np.pi * (np.arange(d + 1) + 0.5) / (d + 1)
+    nodes = np.ldexp(np.exp2(0.5 * np.append(np.cos(theta), -1.0) - 0.5), keys[big][:, None])
+    direct = ~np.repeat(big, counts)
+    jt, je = np.empty(t.size, dtype=complex), np.empty(t.size)
+    val, err = _tail_batch(p, regime, kc, np.r_[t[direct], nodes.ravel()], spec)
+    nd = np.count_nonzero(direct)
+    jt[direct], je[direct] = val[:nd], err[:nd]
+    jn, en = val[nd:].reshape(nodes.shape), err[nd:].reshape(nodes.shape)
+    g = jn + sum(_closed_parts(p, regime, kc, nodes.ravel())).reshape(nodes.shape)
+    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(g))
+    coef = (2.0 / (d + 1)) * jn[:, :-1] @ np.cos(np.outer(theta, np.arange(d + 1)))
+    coef[:, 0] *= 0.5
+    decay = np.abs(coef[:, -2]) + np.abs(coef[:, -1])
+    miss = np.abs(chebval(-1.0, coef.T) - jn[:, -1])
+    good = big.copy()
+    good[big] = (decay <= tol[:, :-1].min(axis=1)) & (miss <= tol[:, -1])
+    bound = en.max(axis=1) + decay + miss
+    for a, c, cf, b in zip(first[good], counts[good], coef[good[big]], bound[good[big]]):
+        jt[a:a + c] = chebval(2.0 * np.log2(mant[a:a + c]) + 1.0, cf)
+        je[a:a + c] = b
+    refused = ~(direct | np.repeat(good, counts))
+    if np.any(refused):
+        jt[refused], je[refused] = _tail_batch(p, regime, kc, t[refused], spec)
+    run = np.cumsum(lead) - 1
+    return jt[run], je[run]
 
 
 def green_eval_batch(p, shift, radii, spec=DEFAULT_SPEC):
     """Vectorized Green evaluation over a 1-D array of finite radii r > 0.
 
-    Returns (helm, riesz_sum, j_tail, err) arrays.  Every dimension makes one
-    batched tail call: the e^{-y} integrals (n = 1, 3) and the 2D Bessel
-    transform, whose J0-zero partition is fixed in t = rho r, share one
-    adaptive pass over the whole batch, with one error estimate per radius.
+    Returns (helm, riesz_sum, j_tail, err) arrays, one error estimate per
+    radius.  A batch too small to fill a tabled panel, at most
+    2 (``_PANEL_DEGREE`` + 2) radii, makes one tail call: the e^{-y}
+    integrals (n = 1, 3) and the 2D Bessel transform, whose J0-zero partition
+    is fixed in t = rho r, share one adaptive pass over the batch.  A larger
+    one evaluates the closed parts once per distinct radius and the tail by
+    ``_tabled_tail``.
     """
     r = _check_radii(np.asarray(radii, dtype=float))
-    kc, regime, helm, riesz = _closed_parts(p, shift, r)
-    jt, je = _tail_batch(p)(p, regime, kc, r, spec)
+    kc, regime = _resolve_shift(p, shift).k_eps, classify_regime(p.s)
+    small = r.size <= 2 * (_PANEL_DEGREE + 2)
+    u, inv = (r, slice(None)) if small else np.unique(r, return_inverse=True)
+    helm, riesz = _closed_parts(p, regime, kc, u)
+    jt, je = (_tail_batch if small else _tabled_tail)(p, regime, kc, u, spec)
     err = je + _CLOSED_FORM_REL * (np.abs(helm) + np.abs(riesz))
-    return helm, riesz, jt, err
+    return helm[inv], riesz[inv], jt[inv], err[inv]
 
 
 def green_eval(p, shift, r, spec=DEFAULT_SPEC):
@@ -183,12 +231,10 @@ def green_radial_derivative(p, shift, r, spec=None):
     `r` is a scalar (returns complex) or a 1-D array (returns an array).
     """
     spec = DERIVATIVE_SPEC if spec is None else spec
-    kc = _resolve_shift(p, shift).k_eps
+    kc, regime = _resolve_shift(p, shift).k_eps, classify_regime(p.s)
     rr = _check_radii(np.atleast_1d(np.asarray(r, dtype=float)))
-    regime = classify_regime(p.s)
-    djt, _ = _tail_batch(p)(p, regime, kc, rr, spec, derivative=True)
-    out = np.atleast_1d(helm_part_dr(p.n, p.s, kc, rr)) \
-        + _riesz_sum_batch(p, regime.m, kc, rr, derivative=True) + djt
+    djt, _ = _tail_batch(p, regime, kc, rr, spec, derivative=True)
+    out = sum(_closed_parts(p, regime, kc, rr, derivative=True)) + djt
     return complex(out[0]) if np.ndim(r) == 0 else out
 
 
@@ -212,15 +258,3 @@ def green_closed_form_3d_half(k, r):
     return complex(1.0 / (2.0 * np.pi ** 2 * r ** 2)
                    - 1j * k / (4.0 * np.pi ** 2 * r) * (a - b)
                    + k * np.exp(1j * k * r) / (2.0 * np.pi * r))
-
-
-def green_closed_form_3d_half_dr(k, r):
-    """Radial derivative of the s = 1/2, n = 3 closed form (test oracle)."""
-    a = np.exp(1j * k * r) * expint_e1(1j * k * r)
-    b = np.exp(-1j * k * r) * expint_e1(-1j * k * r)
-    diff = a - b
-    ddiff = 1j * k * (a + b)  # the 1/r terms from E1' cancel pairwise
-    return complex(-1.0 / (np.pi ** 2 * r ** 3)
-                   - 1j * k / (4.0 * np.pi ** 2) * (ddiff / r - diff / r ** 2)
-                   + k * (1j * k / r - 1.0 / r ** 2) * np.exp(1j * k * r) / (2.0 * np.pi))
-

@@ -94,6 +94,13 @@ def spectral_shift(problem, epsilon):
     return SpectralShift(float(epsilon), complex(k_eps))
 
 
+def _resolve_shift(problem, shift):
+    """A SpectralShift as given, else that of a float epsilon (None: epsilon = 0)."""
+    if isinstance(shift, SpectralShift):
+        return shift
+    return spectral_shift(problem, 0.0 if shift is None else float(shift))
+
+
 def _as_array(x):
     """(x as a 1-D float array, whether x was a scalar)."""
     x = np.asarray(x, dtype=float)

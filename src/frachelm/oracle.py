@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .kernels import classify_regime
+from .kernels import _resolve_shift, classify_regime
 from .quadrature import DEFAULT_SPEC, QuadResult, integrate_oscillatory
 from .specfun import bessel_j0, riesz_constant
 
@@ -32,10 +32,11 @@ def _subtracted_count(n, s, m):
 
 def fourier_invert_detailed(p, shift, r, spec=DEFAULT_SPEC, intervals=None):
     """Fourier-inversion value with the quadrature error estimate attached."""
-    if shift is None or getattr(shift, "epsilon", 0.0) <= 0.0:
+    shift = _resolve_shift(p, shift)
+    if shift.epsilon <= 0.0:
         raise DomainError("fourier_invert requires strictly positive absorption")
-    if not r > 0.0:
-        raise DomainError("fourier_invert requires r > 0")
+    if not 0.0 < r < np.inf:
+        raise DomainError("fourier_invert requires finite r > 0")
     s, k = p.s, p.k
     kc2s = k ** (2.0 * s) + 1j * shift.epsilon
     m = classify_regime(s).m

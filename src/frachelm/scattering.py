@@ -2,9 +2,9 @@
 
 The kernel is radial and the nodes sit on a uniform lattice, so the quadrature
 weight for a pair of cells depends only on their index offset.  Assembly
-therefore evaluates the Green's function once per unique distance, and where a
-dyadic range of distances holds many, interpolates its tail from a checked
-Chebyshev table built for that call (``_green_total_at``); the
+therefore needs the Green's function only at the distinct distances, which
+``green_eval_batch`` evaluates once per batch, interpolating the tail of a
+large batch from a checked dyadic table; the
 block-Toeplitz operator is applied by FFT on a circulant embedding (Vainikko
 2000), and large systems are solved by GMRES, small ones by a dense LU of the
 matrix gathered from the offset table.  Off-diagonal weights use the midpoint
@@ -18,14 +18,13 @@ build or an observation share one ``cell_weight`` call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, NearResonanceError
-from .green import _check_radii, _closed_parts, green_eval_batch, green_radial_derivative
+from .green import green_eval_batch, green_radial_derivative
 from .kernels import Problem
 from .quadrature import DEFAULT_SPEC
 
@@ -37,7 +36,7 @@ _RESIDUAL_TOL = 1e-13  # true relative residual of u on the GMRES path
 _GMRES_RESTART = 30   # Krylov vectors per column between restarts
 _GMRES_MAXIT = 300    # iterations before the dense fallback
 _NEAR_DECIMALS = 9    # cell-unit rounding of the near test and near-weight keys
-_PANEL_DEGREE = 20    # Chebyshev degree of a radial panel of _green_total_at
+_gauss_legendre = lru_cache(maxsize=None)(leggauss)   # every target reuses a few orders
 
 
 @dataclass
@@ -187,7 +186,7 @@ class ScatterSolution:
 # ---------------------------------------------------------------------------
 
 def _segment_nodes(edges, order):
-    xg, wg = leggauss(order)
+    xg, wg = _gauss_legendre(order)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     return (mid + half * xg[None, :]).ravel(), (half * wg[None, :]).ravel()
@@ -211,7 +210,7 @@ def _tensor_cell_nodes(t, h, level, order):
     """Tensor Gauss points over the cell (centered at origin) for a target t
     outside the cell; returns (radii to t, weights)."""
     n = h.size
-    xg, wg = leggauss(order + 2 * level)
+    xg, wg = _gauss_legendre(order + 2 * level)
     grids = np.meshgrid(*[0.5 * h[a] * xg for a in range(n)], indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     wgrid = np.meshgrid(*[0.5 * h[a] * wg for a in range(n)], indexing="ij")
@@ -231,7 +230,7 @@ def _fan_triangle_nodes(p1, p2, gamma, level, order_theta=8, order_rho=9):
     nrm = np.array([edge[1], -edge[0]])
     nrm /= np.linalg.norm(nrm)
     d = abs(float(nrm @ p1))
-    xg, wg = leggauss(order_theta + 2 * level)
+    xg, wg = _gauss_legendre(order_theta + 2 * level)
     thetas = 0.5 * (a1 + a2) + 0.5 * (a2 - a1) * xg
     wth = 0.5 * (a2 - a1) * wg
     radii, weights = [], []
@@ -247,7 +246,7 @@ def _fan_triangle_nodes(p1, p2, gamma, level, order_theta=8, order_rho=9):
 def _pyramid_nodes(t, h, gamma, level, order_tau=7):
     """3D: six pyramids from the interior target t to the cell faces."""
     radii, weights = [], []
-    xg, wg = leggauss(7 + 3 * level)
+    xg, wg = _gauss_legendre(7 + 3 * level)
     tau, wtau = _power_line(1.0, gamma, level, order_tau)
     for axis in range(3):
         for sign in (-1.0, 1.0):
@@ -301,51 +300,10 @@ def _cell_quad(t, h, gamma, level):
 
 
 def _green_total_at(problem, radii, spec):
-    """Total Green values at a radius array, deduplicated to 14 mantissa decimals.
-
-    The distinct radii are grouped by dyadic panel [2^(j-1), 2^j), j their
-    ``np.frexp`` exponent.  Away from r = 0 the tail ``j_tail`` is analytic,
-    so in t = 2 log2(r) - 2j + 1 its Chebyshev interpolant of degree
-    d = ``_PANEL_DEGREE`` converges at a rate independent of j (Trefethen,
-    *Approximation Theory and Approximation Practice*, ch. 8).  A panel holding
-    more than 2 (d + 2) radii, twice its d + 1 nodes and one check point (a node
-    costs about one radius column of the batched tail engines), is tabled: the
-    nodes, the check point t = -1 and the other radii share one
-    ``green_eval_batch`` call, ``j_tail`` is interpolated by Clenshaw
-    (``chebval``) and the Helmholtz and Riesz parts stay in closed form.  A
-    panel serves values only if its last two coefficients and the interpolant's
-    error at the check point are within max(abs_tol, rel_tol |G|); otherwise
-    its radii are evaluated directly.  The table lives for one call.
-    """
-    m, e = np.frexp(np.asarray(radii, dtype=float))
-    uniq, inv = np.unique(np.ldexp(np.round(m, 14), e), return_inverse=True)
-    mant, panel = np.frexp(_check_radii(uniq))   # sorted, so panels are runs
-    keys, first, counts = np.unique(panel, return_index=True, return_counts=True)
-    d, big = _PANEL_DEGREE, counts > 2 * (_PANEL_DEGREE + 2)
-    theta = np.pi * (np.arange(d + 1) + 0.5) / (d + 1)
-    nodes = np.ldexp(np.exp2(0.5 * np.append(np.cos(theta), -1.0) - 0.5), keys[big][:, None])
-    direct = ~np.repeat(big, counts)
-    helm, riesz, jt, _ = green_eval_batch(problem, 0.0, np.r_[uniq[direct], nodes.ravel()], spec)
-    total, nd = np.empty(uniq.size, dtype=complex), np.count_nonzero(direct)
-    total[direct], g = np.split(helm + riesz + jt, [nd])
-    jt = jt[nd:].reshape(nodes.shape)
-    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(g.reshape(nodes.shape)))
-    coef = (2.0 / (d + 1)) * jt[:, :-1] @ np.cos(np.outer(theta, np.arange(d + 1)))
-    coef[:, 0] *= 0.5
-    good = big.copy()
-    good[big] = (np.abs(coef[:, -2]) + np.abs(coef[:, -1]) <= tol[:, :-1].min(axis=1)) \
-        & (np.abs(chebval(-1.0, coef.T) - jt[:, -1]) <= tol[:, -1])
-    served = np.repeat(good, counts)
-    if np.any(served):
-        _, _, helm, riesz = _closed_parts(problem, 0.0, uniq[served])
-        total[served] = helm + riesz
-        for a, c, cf in zip(first[good], counts[good], coef[good[big]]):
-            total[a:a + c] += chebval(2.0 * np.log2(mant[a:a + c]) + 1.0, cf)
-    refused = ~(direct | served)
-    if np.any(refused):
-        helm, riesz, jt, _ = green_eval_batch(problem, 0.0, uniq[refused], spec)
-        total[refused] = helm + riesz + jt
-    return total[inv]
+    """Total Green values at a radius array: the sum of the ``green_eval_batch``
+    parts (whose large batches interpolate the tail from a dyadic table)."""
+    helm, riesz, jt, _ = green_eval_batch(problem, 0.0, radii, spec)
+    return helm + riesz + jt
 
 
 def cell_weight(problem, offset, cell_sizes, spec=DEFAULT_SPEC, level=1):

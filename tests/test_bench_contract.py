@@ -54,3 +54,6 @@ def test_traced_scatter_unit_attributes_cell_weight():
     metrics = layers.summarize(tracer.spans, frachelm.QuadratureSpec().max_subdiv)
     assert metrics["scattering.cell_weight.calls"] > 0
     assert metrics["scattering.cell_weight.radii_requested"] > 0
+    # green.batch counts requested radii, exp_weighted the tail columns left
+    # after the radial table
+    assert 0 < metrics["quadrature.exp_weighted.columns"] < metrics["green.batch.radii.n3"]

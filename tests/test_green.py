@@ -5,11 +5,23 @@ import pytest
 
 from frachelm.errors import DomainError
 from frachelm.green import (
-    DERIVATIVE_SPEC, green_closed_form_3d_half, green_closed_form_3d_half_dr, green_eval,
-    green_eval_batch, green_radial_derivative, src_residual,
+    DERIVATIVE_SPEC, green_closed_form_3d_half, green_eval, green_eval_batch,
+    green_radial_derivative, src_residual,
 )
 from frachelm.kernels import Problem, helm_part, helm_part_dr, spectral_shift
 from frachelm.quadrature import QuadratureSpec
+from frachelm.specfun import expint_e1
+
+
+def green_closed_form_3d_half_dr(k, r):
+    """Radial derivative of the s = 1/2, n = 3 closed form (test oracle)."""
+    a = np.exp(1j * k * r) * expint_e1(1j * k * r)
+    b = np.exp(-1j * k * r) * expint_e1(-1j * k * r)
+    diff = a - b
+    ddiff = 1j * k * (a + b)  # the 1/r terms from E1' cancel pairwise
+    return complex(-1.0 / (np.pi ** 2 * r ** 3)
+                   - 1j * k / (4.0 * np.pi ** 2) * (ddiff / r - diff / r ** 2)
+                   + k * (1j * k / r - 1.0 / r ** 2) * np.exp(1j * k * r) / (2.0 * np.pi))
 
 
 def test_closed_form_agreement_3d_half():

@@ -17,6 +17,14 @@ def test_requires_positive_absorption():
         fourier_invert(p, spectral_shift(p, 0.0), 1.0)
     with pytest.raises(DomainError):
         fourier_invert(p, None, 1.0)
+    with pytest.raises(DomainError):
+        fourier_invert(p, 0.0, 1.0)
+    # a float epsilon is accepted as green_eval accepts it; radii are finite
+    sh = spectral_shift(p, 0.3)
+    assert fourier_invert(p, 0.3, 1.0) == fourier_invert(p, sh, 1.0)
+    for r in (np.inf, np.nan):
+        with pytest.raises(DomainError):
+            fourier_invert(p, sh, r)
 
 
 @pytest.mark.parametrize("n,s", [(1, 0.75), (1, 0.25), (2, 0.3), (3, 0.5)])

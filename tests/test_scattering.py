@@ -1,10 +1,12 @@
 """Lippmann-Schwinger solver tests: identities, convergence, scaling laws."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from frachelm import scattering
-from frachelm.errors import DomainError, NearResonanceError
+from frachelm import green, scattering
+from frachelm.errors import AccuracyError, DomainError, NearResonanceError
 from frachelm.kernels import Problem
 from frachelm.quadrature import QuadratureSpec
 from frachelm.scattering import (
@@ -546,58 +548,124 @@ def test_green_total_rounds_radii_relatively():
     sol = solve_ls(build_nystrom(P1, grid1(cells=4, q=0.3)), INC1)
     for x in (1e-9, -1e-9):
         assert np.isfinite(eval_scattered(sol, np.array([x])))
+    # full-mantissa radii keep their Helmholtz phase k r ~ 2e3 (a 14-decimal
+    # merge moves it by up to 1e-11)
+    r = np.random.default_rng(21).uniform(1e3, 1.02e3, 10)
+    for n in (1, 2, 3):
+        p = Problem(n, 0.3, 2.0)
+        g = sum(green_eval_batch(p, 0.0, r, QuadratureSpec())[:3])
+        total = scattering._green_total_at(p, r, QuadratureSpec())
+        assert np.all(np.abs(total - g) <= 1e-14 * np.abs(g)), n
 
 
 def _table_radii(lo):
     """About 400 radii over logspace(lo, 3) plus four runs of 50 inside single
-    dyadic panels, so those panels hold more than 2 (d + 2) distinct radii;
-    rounded as ``_green_total_at`` merges them, so they reach its batch as given."""
+    dyadic panels, so those panels hold more than 2 (d + 2) distinct radii."""
     runs = [np.linspace(a, 1.96 * a, 50) for a in 2.0 ** np.array([-18.0, -6.0, 0.0, 6.0])]
-    m, e = np.frexp(np.concatenate([np.logspace(lo, 3.0, 400), *runs]))
-    return np.ldexp(np.round(m, 14), e)
+    return np.concatenate([np.logspace(lo, 3.0, 400), *runs])
+
+
+def _direct(p, r, spec, size=None):
+    """(total, j_tail, err) at r from direct passes over batches of ``size``
+    radii (all of r by default), with the table switched off; a 2D batch that
+    exhausts max_subdiv, although each of its radii converges alone, goes one
+    radius at a time."""
+    size, parts = size or r.size, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(green, "_PANEL_DEGREE", r.size)   # no batch is large enough to table
+        for i in range(0, r.size, size):
+            try:
+                parts.append(green.green_eval_batch(p, 0.0, r[i:i + size], spec))
+            except AccuracyError:
+                parts += [green.green_eval_batch(p, 0.0, x[None], spec) for x in r[i:i + size]]
+    helm, riesz, jt, err = (np.concatenate(a) for a in zip(*parts))
+    return helm + riesz + jt, jt, err
 
 
 def _spy_batches(monkeypatch):
-    """The radii of every ``green_eval_batch`` call made by ``scattering``."""
-    seen, batch = [], scattering.green_eval_batch
-    monkeypatch.setattr(scattering, "green_eval_batch",
-                        lambda p, shift, r, spec: seen.append(r) or batch(p, shift, r, spec))
+    """The radii of every direct tail evaluation made by ``green``."""
+    seen, tail = [], green._tail_batch
+    monkeypatch.setattr(green, "_tail_batch", lambda p, regime, kc, r, spec, **k:
+                        seen.append(r) or tail(p, regime, kc, r, spec, **k))
     return seen
+
+
+@lru_cache(maxsize=None)
+def _table_case(n, s, k):
+    """(problem, spec, radii, direct total, j_tail, err) of one table test case.
+    The 2D batch converges over this range only at the default tolerances
+    (tighter ones, or radii down to 1e-8 at s = 0.25, k = 2, raise
+    AccuracyError on the direct path too); one direct 2D pass exhausts
+    max_subdiv at s = 0.25, k = 2 (see test_wide_2d_batch_converges), batches
+    of 40 radii do not."""
+    spec = QuadratureSpec() if n == 2 else QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
+    p, r = Problem(n, s, k), _table_radii(-6.0 if n == 2 else -8.0)
+    return (p, spec, r) + _direct(p, r, spec, 40 if (n, s, k) == (2, 0.25, 2.0) else None)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_radial_table_matches_direct_reference(monkeypatch, n):
-    # the 2D batch converges over this range only at the default tolerances
-    # (tighter ones, or radii down to 1e-8 at s = 0.25, k = 2, raise
-    # AccuracyError on the direct path too)
-    from frachelm.green import green_eval_batch
-    spec = QuadratureSpec() if n == 2 else QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
-    r = _table_radii(-6.0 if n == 2 else -8.0)
     seen = _spy_batches(monkeypatch)
     for s in (0.25, 0.3, 0.5, 0.75):
         for k in (0.5, 2.0):
-            p = Problem(n, s, k)
+            p, spec, r, ref, _, _ = _table_case(n, s, k)
             seen.clear()
             total = scattering._green_total_at(p, r, spec)
-            helm, riesz, jt, _ = green_eval_batch(p, 0.0, r, spec)
-            ref = helm + riesz + jt
             assert np.max(np.abs(total - ref) / np.abs(ref)) <= 1e-11, (s, k)
             assert not np.all(np.isin(r, np.concatenate(seen))), (s, k)   # tabled
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_radial_table_error_estimates_are_honest(monkeypatch, n):
+    # every tabled tail value lies within its own and the direct error estimate
+    seen = _spy_batches(monkeypatch)
+    for s in (0.25, 0.3, 0.5, 0.75):
+        for k in (0.5, 2.0):
+            p, spec, r, _, jref, eref = _table_case(n, s, k)
+            seen.clear()
+            _, _, jt, err = green.green_eval_batch(p, 0.0, r, spec)
+            tabled = ~np.isin(r, np.concatenate(seen))
+            assert np.any(tabled), (s, k)
+            assert np.all(np.abs(jt - jref)[tabled] <= (err + eref)[tabled]), (s, k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_radial_table_falls_back_to_direct_values(monkeypatch, n):
     # at degree 2 every panel (more than 8 radii) fails its checks, so every
     # value comes from a direct evaluation
-    from frachelm.green import green_eval_batch
     p, r = Problem(n, 0.3, 1.0), _table_radii(-6.0 if n == 2 else -8.0)
-    helm, riesz, jt, _ = green_eval_batch(p, 0.0, r, QuadratureSpec())
-    ref = helm + riesz + jt
-    monkeypatch.setattr(scattering, "_PANEL_DEGREE", 2)
+    ref = _direct(p, r, QuadratureSpec())[0]
+    monkeypatch.setattr(green, "_PANEL_DEGREE", 2)
     seen = _spy_batches(monkeypatch)
     total = scattering._green_total_at(p, r, QuadratureSpec())
     assert len(seen) == 2 and np.all(np.isin(r, np.concatenate(seen)))
     assert np.max(np.abs(total - ref) / np.abs(ref)) <= 1e-12
+
+
+def test_wide_2d_batch_converges():
+    # one direct 2D pass over these radii exhausted max_subdiv at s = 0.25,
+    # k = 2, although each radius converges alone; the table leaves that pass
+    # its panel nodes and the radii of sparse panels
+    p, r = Problem(2, 0.25, 2.0), _table_radii(-6.0)
+    helm, riesz, jt, err = green.green_eval_batch(p, 0.0, r)
+    for i in range(0, r.size, 25):
+        _, _, one, one_err = green.green_eval_batch(p, 0.0, r[i:i + 1])
+        assert abs(jt[i] - one[0]) <= err[i] + one_err[0], r[i]
+
+
+@pytest.mark.parametrize("n, x, y", [(2, [0.113, -0.271], [-0.29, 0.41]),
+                                     (3, [0.113, -0.271, 0.0537], [-0.29, 0.41, 0.07])])
+def test_cell_rules_reuse_cached_gauss_legendre(n, x, y):
+    # an off-node observation integrates cells with the target inside and
+    # outside; a second one builds no Gauss-Legendre rule and its weights
+    # equal those computed with an empty cache
+    p, pot = Problem(n, 0.3, 1.0), PotentialGrid.build([-1.0] * n, [1.0] * n, 6, 0.3)
+    scattering._scatter_weights(p, pot, np.array(x), QuadratureSpec())
+    misses = scattering._gauss_legendre.cache_info().misses
+    w = scattering._scatter_weights(p, pot, np.array(y), QuadratureSpec())
+    assert scattering._gauss_legendre.cache_info().misses == misses
+    scattering._gauss_legendre.cache_clear()
+    assert np.array_equal(scattering._scatter_weights(p, pot, np.array(y), QuadratureSpec()), w)
 
 
 @pytest.mark.parametrize("n, s, cells", [(1, 0.3, 12), (2, 0.75, 6), (3, 0.3, 4)])
