@@ -277,12 +277,13 @@ def cmd_scatter(cfg, spec):
         return {"error": str(exc), "rcond": exc.rcond}, ["x"], [], EXIT_NEAR_RESONANCE
     cols = ["point", "u_scat", "born"] if cfg["born"] else ["point", "u_scat"]
     rows = []
-    for pt in cfg["observation_points"]:
-        x = np.asarray(pt, dtype=float)
-        row = [";".join(repr(float(c)) for c in x), eval_scattered(sol, x, spec)]
+    if len(cfg["observation_points"]):
+        x = np.asarray(cfg["observation_points"], dtype=float)
+        vals = [eval_scattered(sol, x, spec)]
         if cfg["born"]:
-            row.append(born_approx(p, pot, inc, x, spec))
-        rows.append(row)
+            vals.append(born_approx(p, pot, inc, x, spec))
+        rows = [[";".join(repr(float(c)) for c in pt), *v]
+                for pt, *v in zip(np.atleast_2d(x), *map(np.atleast_1d, vals))]
     # rcond: certified lower bound on smin/smax; exact if the SVD ran
     return {"residual": sol.residual, "rcond": sol.rcond}, cols, rows, EXIT_OK
 

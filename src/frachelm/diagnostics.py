@@ -17,6 +17,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .green import green_eval, green_eval_batch, green_radial_derivative
 from .quadrature import DEFAULT_SPEC
+from .scattering import volume_potential
 from .specfun import hankel1_0, hankel1_1
 
 DRIFT_FACTOR = 100.0
@@ -202,10 +203,10 @@ def convolution_norm_check(p, source, delta, truncation_radius, oversample=1.0,
     convolution is sampled on a uniform grid out to the truncation radius
     (half-integer multiples of the spacing, so on a symmetric box with an even
     cell count samples can fall on source nodes, which the shared near weights
-    of the solver handle) and the weighted norm accumulated discretely.
+    of the solver handle) and the weighted norm accumulated discretely.  All
+    m samples share one ``volume_potential`` call, whose weights take memory
+    for m N rows (N source cells).
     """
-    from .scattering import _scatter_weights
-
     if not (0.5 < delta < 1.0):
         raise DomainError("delta must lie in (1/2, 1)")
     if not (0.0 < truncation_radius < np.inf and 0.0 < oversample < np.inf):
@@ -213,19 +214,16 @@ def convolution_norm_check(p, source, delta, truncation_radius, oversample=1.0,
     n = p.n
     if source.dim != n:
         raise DomainError("source grid dimension mismatch")
+    f = source.q_values
+    den = np.sqrt(np.sum(np.abs(f) ** 2) * source.cell_volume)
+    if den == 0.0:
+        raise DomainError("source is identically zero")
     h = float(np.max(source.cell_sizes)) / float(oversample)
     m = int(np.ceil(truncation_radius / h))
     axes = [(-m + 0.5 + np.arange(2 * m)) * h for _ in range(n)]
     grids = np.meshgrid(*axes, indexing="ij")
     samples = np.stack([g.ravel() for g in grids], axis=1)
-    f = source.q_values
-    acc = 0.0
-    for x in samples:
-        w = _scatter_weights(p, source, x, spec)
-        conv = np.sum(w * f)
-        acc += abs(conv) ** 2 * (1.0 + float(x @ x)) ** (-delta)
+    conv = volume_potential(p, source, f, samples, spec)
+    acc = np.sum(np.abs(conv) ** 2 * (1.0 + np.sum(samples ** 2, axis=1)) ** (-delta))
     num = np.sqrt(acc * h ** n)
-    den = np.sqrt(np.sum(np.abs(f) ** 2) * source.cell_volume)
-    if den == 0.0:
-        raise DomainError("source is identically zero")
     return float(num / den)

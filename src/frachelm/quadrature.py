@@ -5,7 +5,8 @@
   batched over radii,
 * generic adaptive finite-interval integration.
 
-All engines return a :class:`QuadResult` with an error estimate; assemblies
+The public engines return a :class:`QuadResult` with an error estimate, the
+batched e^{-y} engine a (values, errors, evaluations) triple; assemblies
 downstream propagate those estimates additively.  Integrand callables must be
 vectorized over a 1-D numpy array of abscissae and may return either a 1-D
 array (scalar integrand) or a 2-D array ``(npoints, nbatch)`` for batched
@@ -153,19 +154,6 @@ def _exp_weighted_batch(f, spec, y_cut):
         err = err + np.abs(tail_hi - tail_lo)
         evals += t_hi.size + t_lo.size
     return val, err, evals
-
-
-def integrate_exp_weighted(f, spec=DEFAULT_SPEC, y_cut=10.0):
-    """Integrate e^{-y} f(y) over (0, inf); the weight is applied internally.
-
-    `f` may carry an integrable power singularity y^{-alpha}, alpha < 1, at 0.
-    `y_cut` marks where near-singular structure of f may live (callers pass
-    max(10, 5 k r) for the spectral-dip feature); the head [0, y_cut] is
-    integrated adaptively and the remainder by shifted Gauss-Laguerre.
-    """
-    val, err, evals = _exp_weighted_batch(f, spec, float(y_cut))
-    return QuadResult(complex(val[0]) if val.size == 1 else val,
-                      float(err.max()), evals)
 
 
 def _integrate_partitioned(f, breakpoints, spec):

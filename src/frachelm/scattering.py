@@ -12,7 +12,10 @@ rule; entries whose cells lie within the 3^n neighborhood are replaced by a
 local integration of the kernel over the source cell (polar/pyramid
 decomposition around the singularity with a power substitution absorbing it),
 which converges under refinement of the local subdivision.  All near cells of a
-build or an observation share one ``cell_weight`` call.
+build or an observation share one ``cell_weight`` call.  ``volume_potential``
+applies the same weights at observation points, one point or the rows of an
+(m, n) array per call; ``eval_scattered`` and ``born_approx`` are that
+potential applied to q u and q u_inc.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, NearResonanceError
-from .green import green_eval_batch, green_radial_derivative
+# green_radial_derivative is unused here but stays importable as
+# scattering.green_radial_derivative, where the benchmark's layer tracing wraps it
+from .green import green_eval_batch, green_radial_derivative  # noqa: F401
 from .kernels import Problem
 from .quadrature import DEFAULT_SPEC
 
@@ -384,15 +389,6 @@ def build_nystrom(problem, pot, spec=DEFAULT_SPEC):
     return NystromSystem(problem, pot, weights, _circulant_spectrum(weights, pot), record)
 
 
-def correction_refinement_delta(problem, pot, spec=DEFAULT_SPEC, levels=(1, 2)):
-    """Max relative change of the corrected near weights between two local
-    subdivision levels (self-convergence indicator)."""
-    keys = np.indices((2,) * pot.dim).reshape(pot.dim, -1).T
-    w0, w1 = (cell_weight(problem, keys * pot.cell_sizes, pot.cell_sizes, spec, lev)
-              for lev in levels)
-    return {tuple(k): abs(b - a) / max(abs(b), 1e-300) for k, a, b in zip(keys.tolist(), w0, w1)}
-
-
 def _gmres(matvec, b, tol):
     """Lockstep restarted GMRES (Saad & Schultz 1986) on the rows of b until
     each true residual ||b_c - A x_c|| <= tol[c]; (x, b - A x), or None after
@@ -495,49 +491,32 @@ def solve_ls(system, incident, check_conditioning=True):
     return ScatterSolution(system.problem, system.pot, incident, *out)
 
 
-def _observation_point(pot, x):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (pot.dim,):
-        raise DomainError(f"observation point of shape {x.shape} on a {pot.dim}D grid")
-    return x
-
-
-def _scatter_weights(problem, pot, x, spec):
-    """Quadrature weights w_j(x) for the volume potential at observation x."""
-    return _volume_weights(problem, pot, _observation_point(pot, x)[None, :] - pot.nodes, spec)[0]
+def volume_potential(problem, pot, density, x, spec=DEFAULT_SPEC):
+    """sum_j w_j(x) density_j with the Nystrom matrix's weights w_j(x) of
+    int G(|x - y|) f(y) dy: a complex for one point x of shape (n,), an (m,)
+    array for the rows of an (m, n) one.  The m N rows x_i - y_j of all points
+    go through one ``_volume_weights`` call."""
+    x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
+    if x.ndim > 2 or pts.shape[1:] != (pot.dim,) or pts.shape[0] == 0:
+        raise DomainError(f"observation points of shape {x.shape} on a {pot.dim}D grid")
+    delta = (pts[:, None, :] - pot.nodes[None, :, :]).reshape(-1, pot.dim)
+    w = _volume_weights(problem, pot, delta, spec)[0].reshape(pts.shape[0], -1)
+    vals = np.sum(w * density, axis=1)
+    return complex(vals[0]) if x.ndim < 2 else vals
 
 
 def eval_scattered(solution, x, spec=DEFAULT_SPEC):
-    """Scattered field u^scat(x) = k^{2s} sum_j w_j G(x - y_j) q_j u_j."""
+    """Scattered field u^scat(x) = k^{2s} sum_j w_j(x) q_j u_j at one point
+    or the rows of an (m, n) array (see ``volume_potential``)."""
     p, pot = solution.problem, solution.pot
-    w = _scatter_weights(p, pot, x, spec)
-    return complex(p.k2s * np.sum(w * pot.q_values * solution.u_total))
+    return p.k2s * volume_potential(p, pot, pot.q_values * solution.u_total, x, spec)
 
 
 def born_approx(problem, pot, incident, x, spec=DEFAULT_SPEC):
     """First Born approximation: the volume potential applied to u_inc."""
-    w = _scatter_weights(problem, pot, x, spec)
     uinc = incident.values(problem, pot.nodes)
-    return complex(problem.k2s * np.sum(w * pot.q_values * uinc))
-
-
-def eval_scattered_with_radial_derivative(solution, x, spec=None):
-    """(u^scat(x), d/d|x| u^scat(x)) by the chain rule on the radial kernel,
-    for x outside the near cells (``_near_cells``) of every node."""
-    p, pot = solution.problem, solution.pot
-    x = _observation_point(pot, x)
-    delta = x[None, :] - pot.nodes
-    dist = np.linalg.norm(delta, axis=1)
-    if np.any(_near_cells(pot, delta)[1]):
-        raise DomainError("radial derivative evaluation requires a far observation point")
-    gvals = _green_total_at(p, dist, spec or DEFAULT_SPEC)
-    dg = green_radial_derivative(p, 0.0, dist, spec)
-    xhat = x / np.linalg.norm(x)
-    proj = (delta @ xhat) / dist
-    coef = pot.cell_volume * p.k2s * pot.q_values * solution.u_total
-    val = np.sum(coef * gvals)
-    dval = np.sum(coef * dg * proj)
-    return complex(val), complex(dval)
+    return problem.k2s * volume_potential(problem, pot, pot.q_values * uinc, x, spec)
 
 
 def resonance_scan(problem_template, pot, k_grid, spec=DEFAULT_SPEC):

@@ -305,6 +305,23 @@ def test_scatter_observation_point_dimension_exit_2(capsys):
     assert code == 2
 
 
+def test_scatter_observes_all_points_in_one_call(monkeypatch, capsys):
+    calls = {}
+    for name in ("eval_scattered", "born_approx"):
+        def counted(*args, fn=getattr(frachelm.cli, name), name=name, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(frachelm.cli, name, counted)
+    code, out = run_cli(capsys, ["scatter", "--dim", "2", "--s", "0.75", "--k", "1",
+                                 "--box-lo", " -1,-1", "--box-hi", "1,1", "--cells", "4",
+                                 "--q", "0.2", "--direction", "1,0", "--born",
+                                 "--observe", "3,0;0,4;0.1,0.2"])
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert calls == {"eval_scattered": 1, "born_approx": 1}
+    assert [row[0] for row in rows] == ["3.0;0.0", "0.0;4.0", "0.1;0.2"]
+
+
 @pytest.mark.parametrize("command, fmt", [(path.stem, fmt) for path in sorted(CONFIGS.glob("*.json"))
                                           for fmt in ("csv", "json")])
 def test_docs_config_round_trip(tmp_path, capsys, command, fmt):

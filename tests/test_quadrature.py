@@ -7,9 +7,16 @@ import pytest
 
 from frachelm.errors import AccuracyError, DomainError
 from frachelm.quadrature import (
-    QuadratureSpec, integrate_adaptive, integrate_bessel_transform,
-    integrate_exp_weighted, integrate_oscillatory,
+    QuadratureSpec, QuadResult, _exp_weighted_batch, integrate_adaptive,
+    integrate_bessel_transform, integrate_oscillatory,
 )
+
+
+def _exp_weighted(f):
+    """int_0^inf e^{-y} f(y) dy from the batched engine green uses, with its
+    default head cut y_cut = 10."""
+    val, err, evals = _exp_weighted_batch(f, QuadratureSpec(), 10.0)
+    return QuadResult(complex(val[0]), float(err.max()), evals)
 
 
 def test_spec_validation():
@@ -43,15 +50,15 @@ def test_adaptive_max_subdiv():
 
 
 def test_exp_weighted_trivial_examples():
-    assert integrate_exp_weighted(lambda y: np.ones_like(y)).value == pytest.approx(1.0, rel=1e-10)
-    assert integrate_exp_weighted(lambda y: y).value == pytest.approx(1.0, rel=1e-10)
-    assert integrate_exp_weighted(lambda y: y ** -0.5).value == pytest.approx(
+    assert _exp_weighted(lambda y: np.ones_like(y)).value == pytest.approx(1.0, rel=1e-10)
+    assert _exp_weighted(lambda y: y).value == pytest.approx(1.0, rel=1e-10)
+    assert _exp_weighted(lambda y: y ** -0.5).value == pytest.approx(
         np.sqrt(np.pi), rel=1e-8)
 
 
 def test_exp_weighted_moments():
     for n in (2, 3, 5):
-        res = integrate_exp_weighted(lambda y, n=n: y ** n)
+        res = _exp_weighted(lambda y, n=n: y ** n)
         assert res.value == pytest.approx(math.factorial(n), rel=1e-10)
 
 
@@ -59,8 +66,8 @@ def test_linearity():
     f = lambda y: np.sin(y)
     g = lambda y: y ** 2
     a, b = 0.3, -1.7
-    lhs = integrate_exp_weighted(lambda y: a * f(y) + b * g(y))
-    rf, rg = integrate_exp_weighted(f), integrate_exp_weighted(g)
+    lhs = _exp_weighted(lambda y: a * f(y) + b * g(y))
+    rf, rg = _exp_weighted(f), _exp_weighted(g)
     combined_err = abs(a) * rf.err_estimate + abs(b) * rg.err_estimate + lhs.err_estimate
     assert abs(lhs.value - (a * rf.value + b * rg.value)) <= combined_err + 1e-14
 
@@ -97,7 +104,7 @@ def test_error_estimate_honesty_battery():
         if kind == "fin":
             res = integrate_adaptive(f, *args)
         else:
-            res = integrate_exp_weighted(f)
+            res = _exp_weighted(f)
         true_err = abs(res.value - exact)
         if true_err <= 10.0 * res.err_estimate + 1e-14:
             honest += 1
@@ -106,7 +113,7 @@ def test_error_estimate_honesty_battery():
 
 def test_gamma_2p5_frozen():
     # Gamma(5/2) = 3 sqrt(pi) / 4, used to sanity-pin the battery entry above
-    res = integrate_exp_weighted(lambda y: y ** 1.5)
+    res = _exp_weighted(lambda y: y ** 1.5)
     assert res.value == pytest.approx(0.75 * np.sqrt(np.pi), rel=1e-9)
 
 

@@ -11,12 +11,20 @@ from frachelm.kernels import Problem
 from frachelm.quadrature import QuadratureSpec
 from frachelm.scattering import (
     RCOND_FLOOR, IncidentField, PotentialGrid, born_approx, build_nystrom,
-    cell_weight, correction_refinement_delta, eval_scattered,
-    eval_scattered_with_radial_derivative, resonance_scan, solve_ls,
+    cell_weight, eval_scattered, resonance_scan, solve_ls, volume_potential,
 )
 
 P1 = Problem(1, 0.3, 1.0)
 INC1 = IncidentField(np.array([1.0]))
+
+
+def correction_refinement_delta(problem, pot, levels=(1, 2)):
+    """Max relative change of the corrected near weights between two local
+    subdivision levels (self-convergence indicator)."""
+    keys = np.indices((2,) * pot.dim).reshape(pot.dim, -1).T
+    w0, w1 = (cell_weight(problem, keys * pot.cell_sizes, pot.cell_sizes, level=lev)
+              for lev in levels)
+    return {tuple(k): abs(b - a) / max(abs(b), 1e-300) for k, a, b in zip(keys.tolist(), w0, w1)}
 
 
 def grid1(cells=16, q=0.2):
@@ -185,8 +193,9 @@ def test_far_field_src_decreasing():
     sol = solve_ls(build_nystrom(P1, pot), INC1)
     res = []
     for r in (50.0, 100.0, 200.0):
-        u, du = eval_scattered_with_radial_derivative(sol, np.array([r]))
-        res.append(abs(du - 1j * P1.k * u))   # (n-1)/2 = 0 in 1D
+        # d/dr by a central difference over one batched call
+        lo, u, hi = eval_scattered(sol, [[r - 1e-3], [r], [r + 1e-3]])
+        res.append(abs((hi - lo) / 2e-3 - 1j * P1.k * u))   # (n-1)/2 = 0 in 1D
     assert res[2] < res[1] < res[0]
 
 
@@ -503,13 +512,12 @@ def test_observation_and_incident_dimension_checked():
     pot = PotentialGrid.build([-1.0] * 3, [1.0] * 3, 2, 0.3)
     inc = IncidentField(np.array([0.0, 0.0, 1.0]))
     sol = solve_ls(build_nystrom(p3, pot), inc)
-    for x in (np.array([5.0]), 5.0, np.array([5.0, 5.0]), np.full((1, 3), 5.0)):
+    for x in (np.array([5.0]), 5.0, np.array([5.0, 5.0]), np.full((1, 2), 5.0),
+              np.full((1, 1, 3), 5.0), np.zeros((0, 3))):
         with pytest.raises(DomainError):
             eval_scattered(sol, x)
         with pytest.raises(DomainError):
             born_approx(p3, pot, inc, x)
-        with pytest.raises(DomainError):
-            eval_scattered_with_radial_derivative(sol, x)
     flat = IncidentField(np.array([1.0, 0.0]))
     with pytest.raises(DomainError):
         solve_ls(build_nystrom(p3, pot), flat)
@@ -660,12 +668,12 @@ def test_cell_rules_reuse_cached_gauss_legendre(n, x, y):
     # outside; a second one builds no Gauss-Legendre rule and its weights
     # equal those computed with an empty cache
     p, pot = Problem(n, 0.3, 1.0), PotentialGrid.build([-1.0] * n, [1.0] * n, 6, 0.3)
-    scattering._scatter_weights(p, pot, np.array(x), QuadratureSpec())
+    volume_potential(p, pot, pot.q_values, np.array(x), QuadratureSpec())
     misses = scattering._gauss_legendre.cache_info().misses
-    w = scattering._scatter_weights(p, pot, np.array(y), QuadratureSpec())
+    w = volume_potential(p, pot, pot.q_values, np.array(y), QuadratureSpec())
     assert scattering._gauss_legendre.cache_info().misses == misses
     scattering._gauss_legendre.cache_clear()
-    assert np.array_equal(scattering._scatter_weights(p, pot, np.array(y), QuadratureSpec()), w)
+    assert np.array_equal(volume_potential(p, pot, pot.q_values, np.array(y), QuadratureSpec()), w)
 
 
 @pytest.mark.parametrize("n, s, cells", [(1, 0.3, 12), (2, 0.75, 6), (3, 0.3, 4)])
@@ -690,3 +698,40 @@ def test_volume_weights_share_one_cell_weight_call(monkeypatch, n, s, cells):
         eval_scattered(sol, x)
         assert len(targets) == calls and all(m <= 2 ** n for m in targets)
         assert 1 <= len(totals) <= 2
+
+
+def _mixed_points(n):
+    # two far points and two off-node points, one of them inside a boundary cell
+    rng = np.random.default_rng(11)
+    far = rng.standard_normal((2, n))
+    far *= 4.5 / np.linalg.norm(far, axis=1)[:, None]
+    return np.vstack([far, rng.uniform(-0.9, 0.9, (2, n))])
+
+
+@pytest.mark.parametrize("n, s, cells", [(1, 0.3, 12), (2, 0.75, 6), (2, 0.3, 6), (3, 0.3, 4)])
+def test_batched_observation_matches_per_point(n, s, cells):
+    # an (m, n) call returns each point's one-point value
+    p = Problem(n, s, 1.0)
+    q = np.random.default_rng(3).uniform(0.1, 0.6, cells ** n)
+    pot = PotentialGrid.build([-1.0] * n, [1.0] * n, cells, q)
+    inc = IncidentField(np.eye(n)[0])
+    sol = solve_ls(build_nystrom(p, pot), inc)
+    x = _mixed_points(n)
+    for batch, one in ((eval_scattered(sol, x), [eval_scattered(sol, xi) for xi in x]),
+                       (born_approx(p, pot, inc, x), [born_approx(p, pot, inc, xi) for xi in x])):
+        assert batch.shape == (x.shape[0],)
+        assert all(isinstance(v, complex) for v in one)
+        assert np.all(np.abs(batch - one) <= 1e-10 * np.abs(one))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_observation_makes_one_volume_weights_call(monkeypatch, n):
+    p = Problem(n, 0.3, 1.0)
+    pot = PotentialGrid.build([-1.0] * n, [1.0] * n, 4, 0.3)
+    sol = solve_ls(build_nystrom(p, pot), IncidentField(np.eye(n)[0]))
+    rows, weights = [], scattering._volume_weights
+    monkeypatch.setattr(scattering, "_volume_weights", lambda pr, pt, delta, *a:
+                        rows.append(delta.shape[0]) or weights(pr, pt, delta, *a))
+    x = _mixed_points(n)
+    eval_scattered(sol, x)
+    assert rows == [x.shape[0] * pot.nodes.shape[0]]
