@@ -18,10 +18,11 @@ from .errors import AccuracyError, DomainError
 from .green import green_eval, green_eval_batch, green_radial_derivative
 from .quadrature import DEFAULT_SPEC
 from .scattering import volume_potential
-from .specfun import hankel1_0, hankel1_1
+from .specfun import gauss_panels, hankel1_0, hankel1_1
 
 DRIFT_FACTOR = 100.0
 GSRC_TAIL_FRACTION = 0.05
+_PROFILE_POINTS = 7    # log-spaced radii of a radiation profile; shells between them
 
 
 @dataclass
@@ -125,14 +126,14 @@ def _surface_measure(n, r):
     return {1: 2.0, 2: 2.0 * np.pi * r, 3: 4.0 * np.pi * r ** 2}[n]
 
 
-def radiation_classify(field, k, r0, r_max, delta, profile_points=7):
+def radiation_classify(field, k, r0, r_max, delta):
     """Classify a radial field against both radiation conditions.
 
     src verdict: the profile r^{(n-1)/2} |d_r u - i k u| decays below 0.1 of
     its first value.  gsrc verdict: the cumulative weighted annulus integrals
     with weight (1+r^2)^{delta-1} are Cauchy-converging (last shell adds less
     than ``GSRC_TAIL_FRACTION`` of the total).  The field is evaluated once,
-    at the profile radii and the 6-point Gauss nodes of every shell together.
+    at the 7 profile radii and the 6-point Gauss nodes of every shell together.
     """
     if not isinstance(field, RadialField) or field.n not in (1, 2, 3):
         raise DomainError("radiation_classify requires a RadialField with n in {1, 2, 3}")
@@ -142,19 +143,15 @@ def radiation_classify(field, k, r0, r_max, delta, profile_points=7):
         raise DomainError("need 0 < R0 < R_max < inf")
     if not (0.0 < k < np.inf):
         raise DomainError("k must be finite and positive")
-    if profile_points < 2:
-        raise DomainError("profile_points must be at least 2")
     n = field.n
-    radii = np.logspace(np.log10(r0), np.log10(r_max), profile_points)
-    xg, wg = np.polynomial.legendre.leggauss(6)
-    mid, half = 0.5 * (radii[:-1] + radii[1:]), 0.5 * (radii[1:] - radii[:-1])
-    nodes = mid[:, None] + half[:, None] * xg
-    r = np.concatenate([radii, nodes.ravel()])
+    radii = np.logspace(np.log10(r0), np.log10(r_max), _PROFILE_POINTS)
+    nodes, w = gauss_panels(radii, 6)
+    r = np.concatenate([radii, nodes])
     res_sq = np.abs(field.deriv_fn(r) - 1j * k * field.value_fn(r)) ** 2
     profile = radii ** ((n - 1) / 2.0) * np.sqrt(res_sq[:radii.size])
-    terms = half[:, None] * wg * res_sq[radii.size:].reshape(nodes.shape) \
-        * (1.0 + nodes ** 2) ** (delta - 1.0) * _surface_measure(n, nodes)
-    total = np.cumsum(terms.sum(axis=1))
+    terms = w * res_sq[radii.size:] * (1.0 + nodes ** 2) ** (delta - 1.0) \
+        * _surface_measure(n, nodes)
+    total = np.cumsum(terms.reshape(radii.size - 1, -1).sum(axis=1))
     last = np.diff(total, prepend=0.0)[-1]
     return RadiationReport(
         [(float(a), float(b)) for a, b in zip(radii, profile)],
@@ -195,22 +192,22 @@ def lap_differences(p, r, eps_list, spec=DEFAULT_SPEC):
 # Weighted-norm convolution check
 # ---------------------------------------------------------------------------
 
-def convolution_norm_check(p, source, delta, truncation_radius, oversample=1.0,
-                           spec=DEFAULT_SPEC):
+def convolution_norm_check(p, source, delta, truncation_radius, spec=DEFAULT_SPEC):
     """Ratio ||G * f||_{L^{2,-delta}} / ||f||_{L^2} on a truncated sample grid.
 
     `source` is a PotentialGrid whose q_values play the role of f.  The
-    convolution is sampled on a uniform grid out to the truncation radius
-    (half-integer multiples of the spacing, so on a symmetric box with an even
-    cell count samples can fall on source nodes, which the shared near weights
-    of the solver handle) and the weighted norm accumulated discretely.  All
-    m samples share one ``volume_potential`` call, whose weights take memory
-    for m N rows (N source cells).
+    convolution is sampled on a uniform grid of the source's largest cell
+    size out to the truncation radius (half-integer multiples of the spacing,
+    so on a symmetric box with an even cell count samples can fall on source
+    nodes, which the shared near weights of the solver handle) and the
+    weighted norm accumulated discretely.  All m samples share one
+    ``volume_potential`` call, which holds at most 2^17 of its m N weight
+    rows (N source cells) at once, so memory does not grow with m.
     """
     if not (0.5 < delta < 1.0):
         raise DomainError("delta must lie in (1/2, 1)")
-    if not (0.0 < truncation_radius < np.inf and 0.0 < oversample < np.inf):
-        raise DomainError("truncation_radius and oversample must be positive and finite")
+    if not 0.0 < truncation_radius < np.inf:
+        raise DomainError("truncation_radius must be positive and finite")
     n = p.n
     if source.dim != n:
         raise DomainError("source grid dimension mismatch")
@@ -218,7 +215,7 @@ def convolution_norm_check(p, source, delta, truncation_radius, oversample=1.0,
     den = np.sqrt(np.sum(np.abs(f) ** 2) * source.cell_volume)
     if den == 0.0:
         raise DomainError("source is identically zero")
-    h = float(np.max(source.cell_sizes)) / float(oversample)
+    h = float(np.max(source.cell_sizes))
     m = int(np.ceil(truncation_radius / h))
     axes = [(-m + 0.5 + np.arange(2 * m)) * h for _ in range(n)]
     grids = np.meshgrid(*axes, indexing="ij")

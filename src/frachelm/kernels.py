@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .errors import DomainError
 from .specfun import hankel1_0
@@ -169,21 +170,6 @@ def _m_window_coeffs(s):
     return e
 
 
-def _poly_eval(coeffs, u):
-    acc = np.zeros_like(u)
-    for c in coeffs[::-1]:
-        acc = acc * u + c
-    return acc
-
-
-def _poly_eval_deriv(coeffs, u):
-    # d/du of sum_j coeffs[j-1] u^{j-1}
-    acc = np.zeros_like(u)
-    for j in range(len(coeffs) - 1, 0, -1):
-        acc = acc * u + j * coeffs[j]
-    return acc
-
-
 def _windowed(x, z, direct, series):
     """``direct(x)`` off the Taylor window |x - z| < TAYLOR_WINDOW |z|, and
     ``series(u)``, u = x/z - 1, inside it; both take and return complex arrays."""
@@ -216,7 +202,7 @@ def F_m(r, kc, s, m):
         raise DomainError("F_m requires r > 0")
     coeffs = _fm_window_coeffs(float(s), int(m))
     out = _windowed(r, kc, lambda rr: _fm_direct(rr, kc, s, m),
-                    lambda u: kc ** (-2.0 * s) / (2.0 * s) * _poly_eval(coeffs, u))
+                    lambda u: kc ** (-2.0 * s) / (2.0 * s) * polyval(u, coeffs))
     return _as_given(out, scalar)
 
 
@@ -236,7 +222,7 @@ def dF_m_dr(r, kc, s, m):
 
     coeffs = _fm_window_coeffs(float(s), int(m))
     out = _windowed(r, kc, direct,
-                    lambda u: kc ** (-2.0 * s) / (2.0 * s) * _poly_eval_deriv(coeffs, u) / kc)
+                    lambda u: kc ** (-2.0 * s) / (2.0 * s) * polyval(u, polyder(coeffs)) / kc)
     return _as_given(out, scalar)
 
 
@@ -293,7 +279,7 @@ def multiplier_M(xi, z, s):
 
     coeffs = _m_window_coeffs(float(s))
     out = _windowed(xi, z, direct,
-                    lambda u: z ** (2.0 - 2.0 * s) / (2.0 * s) * _poly_eval(coeffs, u))
+                    lambda u: z ** (2.0 - 2.0 * s) / (2.0 * s) * polyval(u, coeffs))
     return _as_given(out, scalar)
 
 

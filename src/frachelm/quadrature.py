@@ -22,10 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
-from numpy.polynomial.legendre import leggauss
 
 from .errors import AccuracyError, DomainError
-from .specfun import bessel_j0, iterated_average, j0_zeros
+from .specfun import bessel_j0, gauss_legendre, iterated_average, j0_zeros
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,8 @@ class QuadResult:
 
 DEFAULT_SPEC = QuadratureSpec()
 
-_GL_LO = leggauss(7)
-_GL_HI = leggauss(15)
+_GL_LO = gauss_legendre(7)
+_GL_HI = gauss_legendre(15)
 
 # e^{-y} is below 1e-52 here; features beyond are invisible at any tolerance
 _EXP_HEAD_CAP = 120.0

@@ -21,10 +21,9 @@ potential applied to q u and q u_inc.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, NearResonanceError
 # green_radial_derivative is unused here but stays importable as
@@ -32,6 +31,7 @@ from .errors import DomainError, NearResonanceError
 from .green import green_eval_batch, green_radial_derivative  # noqa: F401
 from .kernels import Problem
 from .quadrature import DEFAULT_SPEC
+from .specfun import gauss_legendre, gauss_panels
 
 RCOND_FLOOR = 1e-12
 _PROBES = 4           # Gaussian probe columns solved with the incident field
@@ -41,7 +41,7 @@ _RESIDUAL_TOL = 1e-13  # true relative residual of u on the GMRES path
 _GMRES_RESTART = 30   # Krylov vectors per column between restarts
 _GMRES_MAXIT = 300    # iterations before the dense fallback
 _NEAR_DECIMALS = 9    # cell-unit rounding of the near test and near-weight keys
-_gauss_legendre = lru_cache(maxsize=None)(leggauss)   # every target reuses a few orders
+_ROW_BUDGET = 2 ** 17  # rows x - y_j per _volume_weights call of an observation
 
 
 @dataclass
@@ -190,32 +190,23 @@ class ScatterSolution:
 # Local integration of the radial kernel over one cell
 # ---------------------------------------------------------------------------
 
-def _segment_nodes(edges, order):
-    xg, wg = _gauss_legendre(order)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return (mid + half * xg[None, :]).ravel(), (half * wg[None, :]).ravel()
-
-
 def _power_line(length, gamma, level, order=10):
-    """Radial nodes rho = length * v^gamma on (0, length].
+    """Radial nodes rho = length * v^gamma on (0, length]; a (rays, 1) array
+    of lengths gives one row of nodes per ray.
 
     The substitution absorbs the integrable kernel singularity at 0: every
     local integrand here behaves like rho^{2s-1} after the volume Jacobian, so
     gamma >= 1/(2s) turns it into a smooth function of v.
     """
-    edges = np.linspace(0.0, 1.0, 4 + level)
-    v, wv = _segment_nodes(edges, order + level)
-    rho = length * v ** gamma
-    w = length * gamma * v ** (gamma - 1.0) * wv
-    return rho, w
+    v, wv = gauss_panels(np.linspace(0.0, 1.0, 4 + level), order + level)
+    return length * v ** gamma, length * gamma * v ** (gamma - 1.0) * wv
 
 
-def _tensor_cell_nodes(t, h, level, order):
+def _tensor_cell_nodes(t, h, level):
     """Tensor Gauss points over the cell (centered at origin) for a target t
     outside the cell; returns (radii to t, weights)."""
     n = h.size
-    xg, wg = _gauss_legendre(order + 2 * level)
+    xg, wg = gauss_legendre(10 + 2 * level)
     grids = np.meshgrid(*[0.5 * h[a] * xg for a in range(n)], indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     wgrid = np.meshgrid(*[0.5 * h[a] * wg for a in range(n)], indexing="ij")
@@ -224,7 +215,7 @@ def _tensor_cell_nodes(t, h, level, order):
     return radii, w
 
 
-def _fan_triangle_nodes(p1, p2, gamma, level, order_theta=8, order_rho=9):
+def _fan_triangle_nodes(p1, p2, gamma, level):
     """Polar nodes for the triangle (origin, p1, p2): theta Gauss times
     singularity-absorbing radial nodes up to the opposite edge."""
     a1 = np.arctan2(p1[1], p1[0])
@@ -235,24 +226,17 @@ def _fan_triangle_nodes(p1, p2, gamma, level, order_theta=8, order_rho=9):
     nrm = np.array([edge[1], -edge[0]])
     nrm /= np.linalg.norm(nrm)
     d = abs(float(nrm @ p1))
-    xg, wg = _gauss_legendre(order_theta + 2 * level)
-    thetas = 0.5 * (a1 + a2) + 0.5 * (a2 - a1) * xg
-    wth = 0.5 * (a2 - a1) * wg
-    radii, weights = [], []
-    for th, wt in zip(thetas, wth):
-        cosang = abs(np.cos(th) * nrm[0] + np.sin(th) * nrm[1])
-        rmax = d / max(cosang, 1e-300)
-        rho, wr = _power_line(rmax, gamma, level, order_rho)
-        radii.append(rho)
-        weights.append(wt * wr * rho)   # polar Jacobian rho
-    return np.concatenate(radii), np.concatenate(weights)
+    thetas, wth = gauss_panels(np.array([a1, a2]), 8 + 2 * level)
+    cosang = np.abs(np.cos(thetas) * nrm[0] + np.sin(thetas) * nrm[1])
+    rho, wr = _power_line((d / np.maximum(cosang, 1e-300))[:, None], gamma, level, 9)
+    return rho.ravel(), (wth[:, None] * wr * rho).ravel()   # polar Jacobian rho
 
 
-def _pyramid_nodes(t, h, gamma, level, order_tau=7):
+def _pyramid_nodes(t, h, gamma, level):
     """3D: six pyramids from the interior target t to the cell faces."""
     radii, weights = [], []
-    xg, wg = _gauss_legendre(7 + 3 * level)
-    tau, wtau = _power_line(1.0, gamma, level, order_tau)
+    xg, wg = gauss_legendre(7 + 3 * level)
+    tau, wtau = _power_line(1.0, gamma, level, 7)
     for axis in range(3):
         for sign in (-1.0, 1.0):
             d = sign * h[axis] / 2.0 - t[axis]
@@ -287,10 +271,9 @@ def _cell_quad(t, h, gamma, level):
             r2, w2 = _power_line(0.5 * h[0] + t[0], gamma, level)
             return np.concatenate([r1, r2]), np.concatenate([w1, w2])
         lo, hi = sorted((abs(-0.5 * h[0] - t[0]), abs(0.5 * h[0] - t[0])))
-        rho, w = _segment_nodes(np.linspace(lo, hi, 4 + level), 10 + level)
-        return rho, w
+        return gauss_panels(np.linspace(lo, hi, 4 + level), 10 + level)
     if not inside:
-        return _tensor_cell_nodes(t, h, level, order=10)
+        return _tensor_cell_nodes(t, h, level)
     if n == 2:
         corners = np.array([[0.5 * h[0], 0.5 * h[1]], [-0.5 * h[0], 0.5 * h[1]],
                             [-0.5 * h[0], -0.5 * h[1]], [0.5 * h[0], -0.5 * h[1]]])
@@ -494,15 +477,19 @@ def solve_ls(system, incident, check_conditioning=True):
 def volume_potential(problem, pot, density, x, spec=DEFAULT_SPEC):
     """sum_j w_j(x) density_j with the Nystrom matrix's weights w_j(x) of
     int G(|x - y|) f(y) dy: a complex for one point x of shape (n,), an (m,)
-    array for the rows of an (m, n) one.  The m N rows x_i - y_j of all points
-    go through one ``_volume_weights`` call."""
+    array for the rows of an (m, n) one.  The m N rows x_i - y_j go through
+    one ``_volume_weights`` call per chunk of max(1, ``_ROW_BUDGET`` // N)
+    points, which bounds the memory of a large batch."""
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(x)
     if x.ndim > 2 or pts.shape[1:] != (pot.dim,) or pts.shape[0] == 0:
         raise DomainError(f"observation points of shape {x.shape} on a {pot.dim}D grid")
-    delta = (pts[:, None, :] - pot.nodes[None, :, :]).reshape(-1, pot.dim)
-    w = _volume_weights(problem, pot, delta, spec)[0].reshape(pts.shape[0], -1)
-    vals = np.sum(w * density, axis=1)
+    step = max(1, _ROW_BUDGET // pot.nodes.shape[0])
+    vals = np.empty(pts.shape[0], dtype=complex)
+    for i in range(0, pts.shape[0], step):
+        delta = (pts[i:i + step, None, :] - pot.nodes[None, :, :]).reshape(-1, pot.dim)
+        w = _volume_weights(problem, pot, delta, spec)[0].reshape(-1, pot.nodes.shape[0])
+        vals[i:i + step] = np.sum(w * density, axis=1)
     return complex(vals[0]) if x.ndim < 2 else vals
 
 

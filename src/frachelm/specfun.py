@@ -1,10 +1,12 @@
-"""Self-contained special functions used by the Green's-function formulas.
+"""Self-contained special functions used by the Green's-function formulas,
+and the Gauss-Legendre rules every layer above integrates with.
 
 Everything here except Gamma (Python's ``math.gamma``) is evaluated from first
 principles (power series near the origin, Hankel asymptotic expansions at large
 argument, and a contour-type integral representation in between), so the library
 carries no special-function dependency.  The crossover radii are validated by
-overlap-band tests.
+overlap-band tests.  ``gauss_legendre`` caches NumPy's rule per order and
+``gauss_panels`` lays it on panels; no other module builds a Gauss-Legendre rule.
 
 Branch convention: all complex powers/logs are principal, with the cut on
 (-inf, 0].  Arguments on the cut raise :class:`DomainError`.
@@ -13,8 +15,10 @@ Branch convention: all complex powers/logs are principal, with the cut on
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
 
@@ -28,6 +32,19 @@ _SERIES_TERMS = 48
 _ASYM_TERMS = 16
 
 _HARMONIC = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, _SERIES_TERMS + 2))])
+
+
+# callers reuse a few orders and share the cached arrays, so none writes to them
+gauss_legendre = lru_cache(maxsize=None)(leggauss)
+
+
+def gauss_panels(edges, order):
+    """Composite Gauss-Legendre rule with ``order`` nodes on each panel
+    [edges[i], edges[i + 1]]: (nodes, weights), raveled panel by panel."""
+    xg, wg = gauss_legendre(order)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (mid + half * xg[None, :]).ravel(), (half * wg[None, :]).ravel()
 
 
 def riesz_constant(n, s, j):
@@ -50,14 +67,15 @@ def riesz_constant(n, s, j):
 # Bessel functions of order 0 and 1 (series region)
 # ---------------------------------------------------------------------------
 
-def _j0_series(z):
+def _j_series(z, nu):
+    # J_nu(z) = (z/2)^nu sum_j (-z^2/4)^j / (j! (j + nu)!), nu in {0, 1}
     q = -0.25 * z * z
     term = np.ones_like(q)
     acc = np.ones_like(q)
     for j in range(1, _SERIES_TERMS):
-        term = term * q / (j * j)
+        term = term * q / (j * (j + nu))
         acc = acc + term
-    return acc
+    return acc if nu == 0 else 0.5 * z * acc
 
 
 def _y0_series(z):
@@ -69,17 +87,7 @@ def _y0_series(z):
         term = term * q / (j * j)
         sgn = -1.0 if (j % 2 == 0) else 1.0
         acc = acc + sgn * _HARMONIC[j] * term
-    return (2.0 / np.pi) * ((np.log(0.5 * z) + EULER_GAMMA) * _j0_series(z) + acc)
-
-
-def _j1_series(z):
-    q = -0.25 * z * z
-    term = np.ones_like(q)
-    acc = np.ones_like(q)
-    for j in range(1, _SERIES_TERMS):
-        term = term * q / (j * (j + 1.0))
-        acc = acc + term
-    return 0.5 * z * acc
+    return (2.0 / np.pi) * ((np.log(0.5 * z) + EULER_GAMMA) * _j_series(z, 0) + acc)
 
 
 def _y1_series(z):
@@ -90,7 +98,7 @@ def _y1_series(z):
     for j in range(1, _SERIES_TERMS):
         term = term * q / (j * (j + 1.0))
         acc = acc + (_HARMONIC[j] + _HARMONIC[j + 1] - 2.0 * EULER_GAMMA) * term
-    return (2.0 / np.pi) * np.log(0.5 * z) * _j1_series(z) - (2.0 / np.pi) / z \
+    return (2.0 / np.pi) * np.log(0.5 * z) * _j_series(z, 1) - (2.0 / np.pi) / z \
         - (0.5 * z / np.pi) * acc
 
 
@@ -138,7 +146,7 @@ def _real_bessel(x, nu):
     out = np.empty_like(x)
     small = x < _ASYM_RADIUS
     if np.any(small):
-        out[small] = _j0_series(x[small]) if nu == 0 else _j1_series(x[small])
+        out[small] = _j_series(x[small], nu)
     if np.any(~small):
         out[~small] = _hankel1_asym(x[~small].astype(complex), nu).real
     return float(out[0]) if scalar else out
@@ -173,12 +181,7 @@ def _hankel1_cosh_integral(z, nu):
     # panel count follows the total phase swing along the path
     cycles = (abs(z.real) * np.sinh(t_max) + im * (np.cosh(t_max) - 1.0)) / (2.0 * np.pi)
     npan = max(12, int(4 * cycles) + 4)
-    xg, wg = np.polynomial.legendre.leggauss(16)
-    edges = np.linspace(0.0, t_max, npan + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    t = (mid + half * xg[None, :]).ravel()
-    w = (half * wg[None, :]).ravel()
+    t, w = gauss_panels(np.linspace(0.0, t_max, npan + 1), 16)
     ch = np.cosh(t)
     core = np.exp(1j * z * ch)
     if nu == 0:
@@ -197,10 +200,7 @@ def _hankel1(z, nu):
     series = ~big & (np.abs(z.imag) <= _SERIES_IM_MAX)
     if np.any(series):
         zs = z[series]
-        if nu == 0:
-            out[series] = _j0_series(zs) + 1j * _y0_series(zs)
-        else:
-            out[series] = _j1_series(zs) + 1j * _y1_series(zs)
+        out[series] = _j_series(zs, nu) + 1j * (_y0_series(zs) if nu == 0 else _y1_series(zs))
     # |Im z| > _SERIES_IM_MAX inside the asymptotic radius: the cosh integral
     # above the real axis, and below it the reflection through H^(2),
     # H1(z) = 2 J(z) - conj(H1(conj z))
@@ -209,7 +209,7 @@ def _hankel1(z, nu):
         if zi.imag > 0.0:
             out[idx] = _hankel1_cosh_integral(zi, nu)
         else:
-            jv = _j0_series(np.complex128(zi)) if nu == 0 else _j1_series(np.complex128(zi))
+            jv = _j_series(np.complex128(zi), nu)
             out[idx] = 2.0 * complex(jv) - np.conj(_hankel1_cosh_integral(np.conj(zi), nu))
     return complex(out[0]) if scalar else out
 
@@ -247,7 +247,6 @@ def j0_zeros(count):
 # Struve functions of the second kind, K0(z) = (2/pi) int_0^inf J0(t)/(t+z) dt
 # ---------------------------------------------------------------------------
 
-_GL24 = np.polynomial.legendre.leggauss(24)
 _STRUVE_INTERVALS = 48
 
 
@@ -272,7 +271,6 @@ def _struve_integral(z, power):
     """int_0^inf J0(t) / (t+z)^power dt for a 1-D array of z, by J0-zero
     partition + iterated averaging.  J0 is evaluated once per panel and shared
     by every z."""
-    xg, wg = _GL24
     zeros = j0_zeros(_STRUVE_INTERVALS)
     # head [0, j_{0,1}]: grade toward 0 when the smallest |z| is small so
     # 1/(t+z)^p is resolved for every z
@@ -284,11 +282,9 @@ def _struve_integral(z, power):
             edges.append(g)
             g *= 2.0
     n_head = len(edges)
-    edges = np.concatenate([edges, zeros])
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    t = mid[:, None] + half[:, None] * xg[None, :]
-    jw = half[:, None] * wg[None, :] * bessel_j0(t)
+    t, w = gauss_panels(np.concatenate([edges, zeros]), 24)
+    t = t.reshape(-1, 24)
+    jw = w.reshape(t.shape) * bessel_j0(t)
     panels = np.array([jw_p @ (1.0 / (t_p[:, None] + z[None, :]) ** power)
                        for t_p, jw_p in zip(t, jw)])
     partials = panels[:n_head].sum(axis=0) + np.cumsum(panels[n_head:], axis=0)

@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from frachelm import green, scattering
+from frachelm import green, scattering, specfun
 from frachelm.errors import AccuracyError, DomainError, NearResonanceError
 from frachelm.kernels import Problem
 from frachelm.quadrature import QuadratureSpec
@@ -661,6 +661,29 @@ def test_wide_2d_batch_converges():
         assert abs(jt[i] - one[0]) <= err[i] + one_err[0], r[i]
 
 
+def test_wide_2d_batch_splits_until_it_converges():
+    # one direct pass over these 400 radii (no dyadic panel holds enough of
+    # them to table) exhausts max_subdiv although each radius converges alone
+    p, r = Problem(2, 0.25, 2.0), np.logspace(-8.0, 3.0, 400)
+    _, _, jt, err = green.green_eval_batch(p, 0.0, r)
+    for i in range(0, r.size, 25):
+        _, _, one, one_err = green.green_eval_batch(p, 0.0, r[i:i + 1])
+        assert abs(jt[i] - one[0]) <= err[i] + one_err[0], r[i]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batch_of_failing_radii_still_raises(n):
+    # every radius fails alone at this spec, so splitting the batch ends in
+    # the first single radius's AccuracyError
+    p, r = Problem(n, 0.3, 1.0), np.logspace(-2.0, 1.0, 9)
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16, max_subdiv=8)
+    for x in r:
+        with pytest.raises(AccuracyError):
+            green.green_eval_batch(p, 0.0, r[r == x], spec)
+    with pytest.raises(AccuracyError):
+        green.green_eval_batch(p, 0.0, r, spec)
+
+
 @pytest.mark.parametrize("n, x, y", [(2, [0.113, -0.271], [-0.29, 0.41]),
                                      (3, [0.113, -0.271, 0.0537], [-0.29, 0.41, 0.07])])
 def test_cell_rules_reuse_cached_gauss_legendre(n, x, y):
@@ -669,10 +692,10 @@ def test_cell_rules_reuse_cached_gauss_legendre(n, x, y):
     # equal those computed with an empty cache
     p, pot = Problem(n, 0.3, 1.0), PotentialGrid.build([-1.0] * n, [1.0] * n, 6, 0.3)
     volume_potential(p, pot, pot.q_values, np.array(x), QuadratureSpec())
-    misses = scattering._gauss_legendre.cache_info().misses
+    misses = specfun.gauss_legendre.cache_info().misses
     w = volume_potential(p, pot, pot.q_values, np.array(y), QuadratureSpec())
-    assert scattering._gauss_legendre.cache_info().misses == misses
-    scattering._gauss_legendre.cache_clear()
+    assert specfun.gauss_legendre.cache_info().misses == misses
+    specfun.gauss_legendre.cache_clear()
     assert np.array_equal(volume_potential(p, pot, pot.q_values, np.array(y), QuadratureSpec()), w)
 
 
@@ -722,6 +745,28 @@ def test_batched_observation_matches_per_point(n, s, cells):
         assert batch.shape == (x.shape[0],)
         assert all(isinstance(v, complex) for v in one)
         assert np.all(np.abs(batch - one) <= 1e-10 * np.abs(one))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_observation_rows_are_chunked_by_the_row_budget(monkeypatch, n):
+    # a budget of 3 points' rows splits 7 points into chunks of 3, 3 and 1,
+    # each of them evaluated as its own call; the far Green values of a chunk
+    # come from its own radius batch, so they move within the quadrature
+    # tolerance (as in test_batched_observation_matches_per_point)
+    p = Problem(n, 0.3, 1.0)
+    pot = PotentialGrid.build([-1.0] * n, [1.0] * n, 4, 0.3)
+    sol = solve_ls(build_nystrom(p, pot), IncidentField(np.eye(n)[0]))
+    x = np.vstack([_mixed_points(n), 2.5 * np.eye(n)[0] + 0.3 * _mixed_points(n)[:3]])
+    ref = eval_scattered(sol, x)
+    chunks = np.concatenate([eval_scattered(sol, x[i:i + 3]) for i in (0, 3, 6)])
+    rows, weights = [], scattering._volume_weights
+    monkeypatch.setattr(scattering, "_ROW_BUDGET", 3 * pot.nodes.shape[0] + 1)
+    monkeypatch.setattr(scattering, "_volume_weights", lambda pr, pt, delta, *a:
+                        rows.append(delta.shape[0]) or weights(pr, pt, delta, *a))
+    vals = eval_scattered(sol, x)
+    assert rows == [3 * pot.nodes.shape[0]] * 2 + [pot.nodes.shape[0]]
+    assert np.array_equal(vals, chunks)
+    assert np.all(np.abs(vals - ref) <= 1e-10 * np.abs(ref))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

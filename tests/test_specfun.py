@@ -178,6 +178,21 @@ def test_j0_zeros_are_roots():
     assert np.all(np.diff(zs) > 3.0)
 
 
+@pytest.mark.parametrize("order", range(1, 25))
+def test_gauss_panels_exact_to_degree_2_order_minus_1(order):
+    # on every panel of uneven edges the rule integrates x^d, d <= 2 order - 1,
+    # to round-off; the nodes and weights come panel by panel
+    edges = np.array([-1.3, -0.2, 0.05, 0.9, 2.7])
+    x, w = sf.gauss_panels(edges, order)
+    assert x.shape == w.shape == (4 * order,)
+    x, w = x.reshape(4, order), w.reshape(4, order)
+    assert np.all((x > edges[:-1, None]) & (x < edges[1:, None]))
+    for d in range(2 * order):
+        exact = (edges[1:] ** (d + 1) - edges[:-1] ** (d + 1)) / (d + 1)
+        scale = np.sum(w * np.abs(x) ** d, axis=1)
+        assert np.all(np.abs(np.sum(w * x ** d, axis=1) - exact) <= 1e-13 * scale), d
+
+
 # ---------------------------------------------------------------------------
 # Struve functions of the second kind
 # ---------------------------------------------------------------------------
