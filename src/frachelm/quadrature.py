@@ -12,6 +12,13 @@ vectorized over a 1-D numpy array of abscissae and may return either a 1-D
 array (scalar integrand) or a 2-D array ``(npoints, nbatch)`` for batched
 evaluation; the adaptive engine then refines until every batch column meets
 the tolerance.
+
+The adaptive engine also takes an optional weight(a, b) that returns a fixed
+factor at the 7- and 15-point Gauss nodes of panel [a, b]; it multiplies the
+integrand values.  The Bessel transform passes J0 this way: its partition and
+every bisection of it are fixed in t = rho r, so J0 is tabulated once per
+panel (``_j0_panel``, an LRU cache of ``_J0_PANELS`` panels keyed by the panel
+ends) and every later call reuses it.
 """
 
 from __future__ import annotations
@@ -59,6 +66,10 @@ _GL_HI = gauss_legendre(15)
 # e^{-y} is below 1e-52 here; features beyond are invisible at any tolerance
 _EXP_HEAD_CAP = 120.0
 
+# J0 panels kept by the Bessel transform: 22 floats (176 B of values, about
+# 0.5 kB with the arrays, tuple and key) each, so at most about 1 MB
+_J0_PANELS = 2048
+
 
 @lru_cache(maxsize=None)
 def _laggauss_cached(order):
@@ -74,23 +85,34 @@ def _as_batch(values, npts):
     raise DomainError(f"integrand returned shape {arr.shape}, expected ({npts},) or ({npts}, B)")
 
 
-def _panel_estimates(f, a, b):
-    """Two-level Gauss panel: (fine value, |fine - coarse| error, evaluations)."""
+def _panel_nodes(a, b):
+    """(7-point nodes, 15-point nodes, half width) of the Gauss pair on [a, b]."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x_lo = mid + half * _GL_LO[0]
-    x_hi = mid + half * _GL_HI[0]
+    return mid + half * _GL_LO[0], mid + half * _GL_HI[0], half
+
+
+def _panel_estimates(f, a, b, weight=None):
+    """Two-level Gauss panel: (fine value, |fine - coarse| error, evaluations).
+
+    ``weight(a, b)``, if given, returns (7-point, 15-point) factors that
+    multiply the integrand values at the nodes."""
+    x_lo, x_hi, half = _panel_nodes(a, b)
     f_lo = _as_batch(f(x_lo), x_lo.size)
     f_hi = _as_batch(f(x_hi), x_hi.size)
+    if weight is not None:
+        w_lo, w_hi = weight(a, b)
+        f_lo = w_lo[:, None] * f_lo
+        f_hi = w_hi[:, None] * f_hi
     v_lo = half * (_GL_LO[1][:, None] * f_lo).sum(axis=0)
     v_hi = half * (_GL_HI[1][:, None] * f_hi).sum(axis=0)
     return v_hi, np.abs(v_hi - v_lo), x_lo.size + x_hi.size
 
 
-def _adaptive_batch(f, a, b, spec, abs_tol=None):
+def _adaptive_batch(f, a, b, spec, abs_tol=None, weight=None):
     """Adaptive bisection on [a, b]; returns (value_vec, err_vec, evaluations)."""
     rel = spec.rel_tol
     atol = spec.abs_tol if abs_tol is None else abs_tol
-    val, err, evals = _panel_estimates(f, a, b)
+    val, err, evals = _panel_estimates(f, a, b, weight)
     counter = 0
     heap = [(-float(err.max()), counter, a, b, val, err)]
     total_val, total_err = val.copy(), err.copy()
@@ -105,8 +127,8 @@ def _adaptive_batch(f, a, b, spec, abs_tol=None):
                 value=total_val, err_estimate=float(total_err.max()))
         _, _, pa, pb, pval, perr = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
-        lval, lerr, ev1 = _panel_estimates(f, pa, pm)
-        rval, rerr, ev2 = _panel_estimates(f, pm, pb)
+        lval, lerr, ev1 = _panel_estimates(f, pa, pm, weight)
+        rval, rerr, ev2 = _panel_estimates(f, pm, pb, weight)
         evals += ev1 + ev2
         total_val += lval + rval - pval
         total_err += lerr + rerr - perr
@@ -155,7 +177,7 @@ def _exp_weighted_batch(f, spec, y_cut):
     return val, err, evals
 
 
-def _integrate_partitioned(f, breakpoints, spec):
+def _integrate_partitioned(f, breakpoints, spec, weight=None):
     """Integrate f over [b_0, b_last] split at the given breakpoints, per column.
 
     The first cell is the head; the remaining cells form partial sums
@@ -168,7 +190,7 @@ def _integrate_partitioned(f, breakpoints, spec):
     per_panel_abs = spec.abs_tol / max(1, len(pts) - 1)
     cells, errs, evals = [], 0.0, 0
     for a, b in zip(pts[:-1], pts[1:]):
-        v, e, ev = _adaptive_batch(f, a, b, spec, abs_tol=per_panel_abs)
+        v, e, ev = _adaptive_batch(f, a, b, spec, abs_tol=per_panel_abs, weight=weight)
         cells.append(v)
         errs = errs + e
         evals += ev
@@ -180,13 +202,24 @@ def _integrate_partitioned(f, breakpoints, spec):
     return head + limit, errs + accel_err, evals, np.abs(tail)
 
 
+@lru_cache(maxsize=_J0_PANELS)
+def _j0_panel(a, b):
+    """J0 at the Gauss nodes of panel [a, b] in t, read-only.  Looks up
+    ``bessel_j0`` in this module at each miss."""
+    x_lo, x_hi, _ = _panel_nodes(a, b)
+    w_lo, w_hi = bessel_j0(x_lo), bessel_j0(x_hi)
+    w_lo.flags.writeable = w_hi.flags.writeable = False
+    return w_lo, w_hi
+
+
 def integrate_bessel_transform(g, r, spec=DEFAULT_SPEC):
     """Compute int_0^inf J0(rho r) g(rho) drho for r > 0 (scalar or 1-D array).
 
     Substituting rho = t/r gives (1/r) int_0^inf J0(t) g(t/r) dt, so the
     partition at the zeros of J0 is fixed in t and every radius is one column
-    of the adaptive engine; `g` receives (points, radii) arrays of rho.  The
-    alternating series of cell integrals is accelerated by iterated averaging.
+    of the adaptive engine; `g` receives (points, radii) arrays of rho.  J0
+    enters as the engine's weight, tabulated once per panel.  The alternating
+    series of cell integrals is accelerated by iterated averaging.
     Errors are per column.  Raises :class:`AccuracyError` when a column's cell
     integrals are still growing faster than the oscillation envelope at the
     end of the partition (g violates the decay precondition).
@@ -198,10 +231,9 @@ def integrate_bessel_transform(g, r, spec=DEFAULT_SPEC):
 
     def integrand(t):
         rho = t[:, None] / radii[None, :]
-        gv = np.asarray(g(rho), dtype=complex)
-        return bessel_j0(t)[:, None] * gv / radii[None, :]
+        return np.asarray(g(rho), dtype=complex) / radii[None, :]
 
-    value, err, evals, incr = _integrate_partitioned(integrand, pts, spec)
+    value, err, evals, incr = _integrate_partitioned(integrand, pts, spec, _j0_panel)
     _check_tail_decay(incr, value, err, spec)
     if np.ndim(r) == 0:
         return QuadResult(complex(value[0]), float(err[0]), evals)

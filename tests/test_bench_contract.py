@@ -10,6 +10,7 @@ classes that other tests catch.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import frachelm
@@ -57,3 +58,20 @@ def test_traced_scatter_unit_attributes_cell_weight():
     # green.batch counts requested radii, exp_weighted the tail columns left
     # after the radial table
     assert 0 < metrics["quadrature.exp_weighted.columns"] < metrics["green.batch.radii.n3"]
+
+
+def test_traced_2d_batch_counts_j0_table_misses():
+    # bench/layers.py wraps frachelm.quadrature.bessel_j0, which the J0 panel
+    # table calls on each miss; an empty table must show up in the count
+    frachelm.quadrature._j0_panel.cache_clear()
+    tracer = Tracer()
+    tracer.enabled = True
+    tracer.op = 0
+    try:
+        layers.install(tracer, frachelm)
+        frachelm.green.green_eval_batch(frachelm.Problem(2, 0.3, 1.0), 0.0,
+                                        np.array([0.5, 1.0, 2.0]))
+    finally:
+        tracer.restore()
+    metrics = layers.summarize(tracer.spans, frachelm.QuadratureSpec().max_subdiv)
+    assert metrics["specfun.bessel_j0.points"] > 0

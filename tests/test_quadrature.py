@@ -190,6 +190,32 @@ def test_bessel_transform_decay_check_per_column():
         integrate_bessel_transform(g, np.array([0.5, 1.0]))
 
 
+def test_bessel_transform_tabulates_j0_once_per_panel(monkeypatch):
+    # the partition and its bisections are fixed in t = rho r, so a repeated
+    # call reads every J0 panel from the table and calls bessel_j0 no more
+    import frachelm.quadrature as quad
+    from frachelm.specfun import bessel_j0
+    calls = []
+    monkeypatch.setattr(quad, "bessel_j0", lambda x: calls.append(np.size(x)) or bessel_j0(x))
+    quad._j0_panel.cache_clear()
+    g = lambda rho: rho * np.exp(-rho)
+    radii = np.array([0.3, 1.0, 4.0])
+    first = integrate_bessel_transform(g, radii)
+    assert len(calls) > 0
+    calls.clear()
+    second = integrate_bessel_transform(g, radii)
+    assert calls == []
+    assert np.array_equal(first.value, second.value)
+    for i, r in enumerate(radii):
+        ref = integrate_adaptive(lambda rho: bessel_j0(r * rho) * g(rho), 0.0, 60.0)
+        assert abs(second.value[i] - ref.value) <= second.err_estimate[i] + ref.err_estimate
+    info = quad._j0_panel.cache_info()
+    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+    # the e^{-y} engine takes no weight and leaves the table alone
+    _exp_weighted(lambda y: 1.0 / (1.0 + y))
+    assert quad._j0_panel.cache_info() == info
+
+
 def test_oscillatory_cos_known_value():
     # int_0^inf cos(x)/(1+x^2) dx = pi/(2 e)
     res = integrate_oscillatory(lambda x: np.cos(x) / (1 + x ** 2), 1.0, "cos",
