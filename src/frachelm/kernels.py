@@ -4,7 +4,10 @@ Helmholtz parts, and the e^{-y} tail brackets.
 The removable singularities (F_m and F~_m at r = k_eps, M at xi = |z| for real
 z) are evaluated through a power-series window in u = r/k_eps - 1 of relative
 width ``TAYLOR_WINDOW``; outside the window the closed forms are used
-directly.  The window width is validated by the continuity tests.
+directly.  The closed forms subtract r^{2s} - kc^{2s} and r^2 - kc^2, so they
+lose accuracy as u shrinks; at the window edge |u| = 2e-2 they hold F_m and M
+to about 5e-12 and dF_m/dr to about 6e-10 relative, while the 10-term series
+is exact to 2e-14 there (checked against mpmath in the tests).
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from numpy.polynomial.polynomial import polyder, polyval
 from .errors import DomainError
 from .specfun import hankel1_0
 
-TAYLOR_WINDOW = 1e-3      # relative window |r - kc| < TAYLOR_WINDOW * |kc|
-_SERIES_TERMS = 6
+TAYLOR_WINDOW = 2e-2      # relative window |r - kc| < TAYLOR_WINDOW * |kc|
+_SERIES_TERMS = 10
 REGIME_SNAP = 1e-12       # s within this of a 1/(2s)-integer boundary snaps to it
 
 HIGH = "HIGH"

@@ -24,6 +24,16 @@ def green_closed_form_3d_half_dr(k, r):
                    + k * (1j * k / r - 1.0 / r ** 2) * np.exp(1j * k * r) / (2.0 * np.pi))
 
 
+def test_low_integer_radius_near_the_window_edge_converges():
+    # r/kc - 1 just inside the old 1e-3 Taylor-window edge, where the closed
+    # form of F_m had lost 6e-10 and the adaptive engine ran out of panels
+    p, r = Problem(2, 1.0 / 6.0, 1.3), np.array([2.9572463768115944])
+    helm, riesz, tail, err = green_eval_batch(p, 0.0, r)
+    total = helm + riesz + tail
+    assert np.all(np.isfinite(total))
+    assert err[0] <= QuadratureSpec().rel_tol * abs(total[0])
+
+
 def test_closed_form_agreement_3d_half():
     p = Problem(3, 0.5, 1.0)
     for r in (0.1, 1.0, 10.0):

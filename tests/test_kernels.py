@@ -109,7 +109,7 @@ def test_fm_continuity_across_window():
     # |F_m(k +- h) - F_m(k)| -> 0 with observed order >= 1
     s, m, k = 0.3, 1, 1.0
     center = F_m(k, complex(k), s, m)
-    hs = np.array([8e-3, 4e-3, 2e-3])        # straddle the 1e-3 k window edge
+    hs = np.array([3e-2, 1.5e-2, 7.5e-3])     # straddle the 2e-2 k window edge
     errs = np.array([abs(F_m(k + h, complex(k), s, m) - center) for h in hs])
     assert np.all(np.diff(errs) < 0.0)
     order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -118,14 +118,73 @@ def test_fm_continuity_across_window():
 
 def test_fm_derivative_series_vs_richardson():
     # the series window must match Richardson extrapolation of the direct
-    # formula approached from outside the window
+    # formula approached from outside the window: the mean of k + h and k - h
+    # is exact up to O(h^2), which one extrapolation step removes
     s, m, k = 0.3, 1, 1.0
     window = dF_m_dr(k, complex(k), s, m)
-    h1, h2 = 4e-3, 2e-3      # outside the 1e-3 k series window
-    d1 = dF_m_dr(k + h1, complex(k), s, m)
-    d2 = dF_m_dr(k + h2, complex(k), s, m)
-    richardson = 2.0 * d2 - d1
+    h1, h2 = 8e-2, 4e-2      # outside the 2e-2 k series window
+    sym = lambda h: 0.5 * (dF_m_dr(k + h, complex(k), s, m) + dF_m_dr(k - h, complex(k), s, m))
+    richardson = (4.0 * sym(h2) - sym(h1)) / 3.0
     assert window == pytest.approx(richardson, rel=1e-3)
+
+
+# the window edge |u| = 2e-2, u = r/kc - 1, at kc = 1.3: largest relative
+# errors against mpmath measured there (s = 1/6, 1/4, 0.3, 0.75), with margin
+_EDGE_KC = 1.3
+_EDGE_U = (-2.02e-2, -1.98e-2, 1.98e-2, 2.02e-2)
+
+
+def _mp_kernels(s, m):
+    """mpmath references of F_m, dF_m/dr and M(.; kc) at one radius."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    k, s_ = mp.mpf(_EDGE_KC), mp.mpf(s)
+
+    def fm(r):
+        return (k ** (2 * s_ * m) / (r ** (2 * s_ * m) * (r ** (2 * s_) - k ** (2 * s_)))
+                - k ** (2 - 2 * s_) / (s_ * (r * r - k * k)))
+
+    def mult(x):
+        return ((k ** (2 * s_) * x ** (2 - 2 * s_) - k ** (2 - 2 * s_) * x ** (2 * s_))
+                / (x ** (2 * s_) - k ** (2 * s_)))
+
+    return lambda r: (complex(fm(mp.mpf(r))), complex(mp.diff(fm, mp.mpf(r))),
+                      complex(mult(mp.mpf(r))))
+
+
+def _kernel_errors(s):
+    m = classify_regime(s).m
+    ref = _mp_kernels(s, m)
+    errs = []
+    for u in _EDGE_U:
+        r = _EDGE_KC * (1.0 + u)
+        got = (F_m(r, _EDGE_KC + 0j, s, m), dF_m_dr(r, _EDGE_KC + 0j, s, m),
+               multiplier_M(r, _EDGE_KC, s))
+        errs.append([abs(g - e) / abs(e) for g, e in zip(got, ref(r))])
+    return np.array(errs)          # (u, [F, dF, M])
+
+
+@pytest.mark.parametrize("s", [1 / 6, 0.25, 0.3, 0.75])
+def test_window_edge_against_mpmath(s):
+    # just inside the edge is the series, just outside the closed form; the
+    # closed form's cancellation r^{2s} - kc^{2s} costs the derivative most
+    errs = _kernel_errors(s)
+    assert np.all(errs[:, 0] <= 1e-11)
+    assert np.all(errs[:, 1] <= 2e-9)
+    assert np.all(errs[:, 2] <= 1e-13)
+    inside = np.abs(_EDGE_U) < 2e-2
+    assert np.all(errs[inside] <= 1e-15)
+
+
+@pytest.mark.parametrize("s", [1 / 6, 0.25, 0.3, 0.75])
+def test_window_series_truncation_at_edge(s, monkeypatch):
+    # the 10-term series evaluated just outside its window, where the closed
+    # form takes over: the truncation error it would carry there
+    import frachelm.kernels as kernels
+    monkeypatch.setattr(kernels, "TAYLOR_WINDOW", 1.0)
+    errs = _kernel_errors(s)
+    assert np.all(errs[:, [0, 2]] <= 1e-15)
+    assert np.all(errs[:, 1] <= 1e-13)
 
 
 def test_fm_decay_exponent():

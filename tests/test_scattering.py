@@ -663,7 +663,9 @@ def test_wide_2d_batch_converges():
 
 def test_wide_2d_batch_splits_until_it_converges():
     # one direct pass over these 400 radii (no dyadic panel holds enough of
-    # them to table) exhausts max_subdiv although each radius converges alone
+    # them to table); it exhausted max_subdiv and reached the split while the
+    # Taylor window of F_m was 1e-3 wide, and converges in one pass with 2e-2.
+    # Either way each value must agree with its radius evaluated alone
     p, r = Problem(2, 0.25, 2.0), np.logspace(-8.0, 3.0, 400)
     _, _, jt, err = green.green_eval_batch(p, 0.0, r)
     for i in range(0, r.size, 25):
