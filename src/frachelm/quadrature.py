@@ -66,8 +66,8 @@ _GL_HI = gauss_legendre(15)
 # e^{-y} is below 1e-52 here; features beyond are invisible at any tolerance
 _EXP_HEAD_CAP = 120.0
 
-# J0 panels kept by the Bessel transform: 22 floats (176 B of values, about
-# 0.5 kB with the arrays, tuple and key) each, so at most about 1 MB
+# J0 panels kept by the Bessel transform: 22 floats (176 B of values, 650 B
+# with the arrays, tuple, key and cache link) each, so at most 1.3 MB
 _J0_PANELS = 2048
 
 
