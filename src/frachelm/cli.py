@@ -15,6 +15,7 @@ Exit codes: 0 ok, 2 usage/validation error, 3 quadrature accuracy failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import NamedTuple
@@ -222,10 +223,12 @@ def cmd_green(cfg, spec):
 def cmd_oracle_compare(cfg, spec):
     p = _problem(cfg)
     shift = spectral_shift(p, float(cfg["eps"]))
+    ospec = (spec if cfg["intervals"] is None
+             else dataclasses.replace(spec, bessel_intervals=cfg["intervals"]))
     rows = []
     for r in cfg["r"]:
         g = green_eval(p, shift, float(r), spec)
-        o = fourier_invert_detailed(p, shift, float(r), spec, intervals=cfg["intervals"])
+        o = fourier_invert_detailed(p, shift, float(r), ospec)
         rows.append([float(r), g.total, o.value, abs(g.total - o.value) / abs(g.total)])
     return {}, ["r", "green", "oracle", "rel_diff"], rows, EXIT_OK
 

@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 from .kernels import (
     LOW_INTEGER, _bracket_1d, _bracket_3d, _resolve_shift, classify_regime, dF_m_dr,
     dF_tilde_m_dr, F_m, F_tilde_m, helm_part, helm_part_dr,
@@ -134,18 +134,9 @@ def _bessel_tail_batch(p, regime, kc, r, spec, derivative=False):
 
 def _tail_batch(p, regime, kc, r, spec, derivative=False):
     """The tail family of a dimension: e^{-y} integrals, or the 2D Bessel
-    transform.  A batch that does not converge is split at its median radius
-    and each half evaluated alone; a single radius re-raises."""
+    transform."""
     family = _bessel_tail_batch if p.n == 2 else _exp_tail_batch
-    try:
-        return family(p, regime, kc, r, spec, derivative)
-    except AccuracyError:
-        if r.size == 1:
-            raise
-    val, err = np.empty(r.shape, dtype=complex), np.empty(r.shape)
-    for half in np.array_split(np.argsort(r), 2):
-        val[half], err[half] = _tail_batch(p, regime, kc, r[half], spec, derivative=derivative)
-    return val, err
+    return family(p, regime, kc, r, spec, derivative)
 
 
 def _closed_parts(p, regime, kc, r, derivative=False):

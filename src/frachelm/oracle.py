@@ -30,7 +30,7 @@ def _subtracted_count(n, s, m):
     return count
 
 
-def fourier_invert_detailed(p, shift, r, spec=DEFAULT_SPEC, intervals=None):
+def fourier_invert_detailed(p, shift, r, spec=DEFAULT_SPEC):
     """Fourier-inversion value with the quadrature error estimate attached."""
     shift = _resolve_shift(p, shift)
     if shift.epsilon <= 0.0:
@@ -46,20 +46,16 @@ def fourier_invert_detailed(p, shift, r, spec=DEFAULT_SPEC, intervals=None):
         xi = xi.astype(complex)
         return kc2s ** msub / (xi ** (2.0 * s * msub) * (xi ** (2.0 * s) - kc2s))
 
-    count = spec.bessel_intervals if intervals is None else intervals
     if p.n == 1:
-        res = integrate_oscillatory(lambda x: np.cos(x * r) * remainder(x),
-                                    r, "cos", spec, intervals=count)
+        res = integrate_oscillatory(lambda x: np.cos(x * r) * remainder(x), r, "cos", spec)
         value = res.value / np.pi
         err = res.err_estimate / np.pi
     elif p.n == 2:
-        res = integrate_oscillatory(lambda x: bessel_j0(x * r) * x * remainder(x),
-                                    r, "j0", spec, intervals=count)
+        res = integrate_oscillatory(lambda x: bessel_j0(x * r) * x * remainder(x), r, "j0", spec)
         value = res.value / (2.0 * np.pi)
         err = res.err_estimate / (2.0 * np.pi)
     else:
-        res = integrate_oscillatory(lambda x: x * np.sin(x * r) * remainder(x),
-                                    r, "sin", spec, intervals=count)
+        res = integrate_oscillatory(lambda x: x * np.sin(x * r) * remainder(x), r, "sin", spec)
         value = res.value / (2.0 * np.pi ** 2 * r)
         err = res.err_estimate / (2.0 * np.pi ** 2 * r)
 
@@ -68,6 +64,6 @@ def fourier_invert_detailed(p, shift, r, spec=DEFAULT_SPEC, intervals=None):
     return QuadResult(value, err, res.evaluations)
 
 
-def fourier_invert(p, shift, r, spec=DEFAULT_SPEC, intervals=None):
+def fourier_invert(p, shift, r, spec=DEFAULT_SPEC):
     """Fundamental solution by direct numerical Fourier inversion (eps > 0)."""
-    return fourier_invert_detailed(p, shift, r, spec, intervals).value
+    return fourier_invert_detailed(p, shift, r, spec).value

@@ -11,7 +11,9 @@ downstream propagate those estimates additively.  Integrand callables must be
 vectorized over a 1-D numpy array of abscissae and may return either a 1-D
 array (scalar integrand) or a 2-D array ``(npoints, nbatch)`` for batched
 evaluation; the adaptive engine then refines until every batch column meets
-the tolerance.
+the tolerance.  It bisects next the panel with the largest err_c / tol_c over
+the columns c, tol = max(abs_tol, rel_tol |total|), not the largest absolute
+error, so columns of very different size share one pass.
 
 The adaptive engine also takes an optional weight(a, b) that returns a fixed
 factor at the 7- and 15-point Gauss nodes of panel [a, b]; it multiplies the
@@ -109,18 +111,21 @@ def _panel_estimates(f, a, b, weight=None):
 
 
 def _adaptive_batch(f, a, b, spec, abs_tol=None, weight=None):
-    """Adaptive bisection on [a, b]; returns (value_vec, err_vec, evaluations)."""
+    """Adaptive bisection on [a, b]; returns (value_vec, err_vec, evaluations).
+
+    The panel bisected next is the one whose largest err_c / tol_c over the
+    columns c is largest, tol = max(abs_tol, rel_tol |total_c|) taken when the
+    panel was pushed, so a large column already within its tolerance does not
+    draw the bisections a small column needs."""
     rel = spec.rel_tol
     atol = spec.abs_tol if abs_tol is None else abs_tol
     val, err, evals = _panel_estimates(f, a, b, weight)
-    counter = 0
-    heap = [(-float(err.max()), counter, a, b, val, err)]
     total_val, total_err = val.copy(), err.copy()
+    tol = np.maximum(atol, rel * np.abs(total_val))
+    counter = 0
+    heap = [(-float((err / tol).max()), counter, a, b, val, err)]
     npanels = 1
-    while True:
-        tol = np.maximum(atol, rel * np.abs(total_val))
-        if np.all(total_err <= tol):
-            break
+    while not np.all(total_err <= tol):
         if npanels >= spec.max_subdiv or not heap:
             raise AccuracyError(
                 f"adaptive quadrature did not converge within {spec.max_subdiv} panels",
@@ -133,10 +138,11 @@ def _adaptive_batch(f, a, b, spec, abs_tol=None, weight=None):
         total_val += lval + rval - pval
         total_err += lerr + rerr - perr
         total_err = np.maximum(total_err, 0.0)
+        tol = np.maximum(atol, rel * np.abs(total_val))
         counter += 1
-        heapq.heappush(heap, (-float(lerr.max()), counter, pa, pm, lval, lerr))
+        heapq.heappush(heap, (-float((lerr / tol).max()), counter, pa, pm, lval, lerr))
         counter += 1
-        heapq.heappush(heap, (-float(rerr.max()), counter, pm, pb, rval, rerr))
+        heapq.heappush(heap, (-float((rerr / tol).max()), counter, pm, pb, rval, rerr))
         npanels += 1
     return total_val, total_err, evals
 
@@ -266,7 +272,7 @@ def _check_tail_decay(incr, value, err, spec):
                 value=value, err_estimate=float(np.max(err)))
 
 
-def integrate_oscillatory(f, r, kind, spec=DEFAULT_SPEC, intervals=None):
+def integrate_oscillatory(f, r, kind, spec=DEFAULT_SPEC):
     """Partition-and-accelerate integral of f over (0, inf) against an
     oscillation of wavelength set by `kind` in {"cos", "sin", "j0"}.
 
@@ -276,7 +282,7 @@ def integrate_oscillatory(f, r, kind, spec=DEFAULT_SPEC, intervals=None):
     """
     if not r > 0.0:
         raise DomainError(f"oscillation radius must be positive, got {r}")
-    count = spec.bessel_intervals if intervals is None else intervals
+    count = spec.bessel_intervals
     if kind == "cos":
         zeros = (np.arange(1, count + 1) - 0.5) * np.pi / r
     elif kind == "sin":

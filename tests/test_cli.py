@@ -140,6 +140,15 @@ def test_oracle_compare_small_rel_diff(capsys):
         assert float(row[header.index("rel_diff")]) < 1e-5
 
 
+@pytest.mark.parametrize("count", ["-3", "0", "3"])
+def test_oracle_compare_too_few_intervals_exit_2(capsys, count):
+    # the count reaches the oracle as QuadratureSpec.bessel_intervals, which
+    # must be >= 4, like quad.bessel_intervals
+    assert main(["oracle-compare", "--dim", "2", "--s", "0.75", "--k", "1",
+                 "--eps", "0.3", "--r", "1", "--intervals", count]) == 2
+    assert "orders must be >= 4" in capsys.readouterr().err
+
+
 def test_lap_slope_in_range(capsys):
     code, out = run_cli(capsys, ["lap", "--dim", "1", "--s", "0.3", "--k", "1",
                                  "--r", "2", "--eps", "1e-1,1e-2,1e-3"])

@@ -246,6 +246,6 @@ def test_2d_integer_branch_split_equals_direct_kernel():
     s, r = 0.25, 1.3
     res = integrate_oscillatory(
         lambda rho: bessel_j0(rho * r) * rho * np.atleast_1d(F_m(rho, 1.0 + 0j, s, 2)),
-        r, "j0", QuadratureSpec(), intervals=60)
+        r, "j0", QuadratureSpec(bessel_intervals=60))
     g = green_eval(Problem(2, s, 1.0), 0.0, r)
     assert abs(res.value / (2.0 * np.pi) - g.j_tail) < 1e-9

@@ -40,8 +40,8 @@ def test_green_agreement_sample(n, s):
 def test_self_consistency_under_doubling():
     p = Problem(3, 0.3, 1.0)
     sh = spectral_shift(p, 0.3)
-    a = fourier_invert_detailed(p, sh, 2.0, intervals=30)
-    b = fourier_invert_detailed(p, sh, 2.0, intervals=60)
+    a = fourier_invert_detailed(p, sh, 2.0, QuadratureSpec(bessel_intervals=30))
+    b = fourier_invert_detailed(p, sh, 2.0, QuadratureSpec(bessel_intervals=60))
     assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate
 
 
@@ -58,8 +58,8 @@ def test_even_integrand_half_line_reduction():
         return (np.exp(1j * x * r) + np.exp(-1j * x * r)) * sym / 2.0
 
     res = integrate_oscillatory(via_exponentials, r, "cos",
-                                QuadratureSpec(), intervals=40)
-    direct = fourier_invert(p, sh, r, intervals=40)
+                                QuadratureSpec(bessel_intervals=40))
+    direct = fourier_invert(p, sh, r, QuadratureSpec(bessel_intervals=40))
     assert res.value / np.pi == pytest.approx(direct, rel=1e-9)
 
 

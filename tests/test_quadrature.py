@@ -7,7 +7,7 @@ import pytest
 
 from frachelm.errors import AccuracyError, DomainError
 from frachelm.quadrature import (
-    QuadratureSpec, QuadResult, _exp_weighted_batch, integrate_adaptive,
+    QuadratureSpec, QuadResult, _adaptive_batch, _exp_weighted_batch, integrate_adaptive,
     integrate_bessel_transform, integrate_oscillatory,
 )
 
@@ -47,6 +47,19 @@ def test_adaptive_max_subdiv():
     with pytest.raises(AccuracyError) as exc:
         integrate_adaptive(lambda x: 1 / np.sqrt(x), 0, 1, spec)
     assert exc.value.value is not None   # best estimate is carried
+
+
+def test_adaptive_batch_ranks_panels_by_each_columns_tolerance():
+    # the large smooth column is within its tolerance after one panel; its
+    # round-off sits far above the small column's whole error, so ranking
+    # panels by absolute error would bisect it until max_subdiv
+    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-30)
+    both = lambda x: np.stack([1e8 * np.exp(x), 1e-8 * np.sqrt(x)], axis=1)
+    val, err, evals = _adaptive_batch(both, 0.0, 1.0, spec)
+    _, _, alone = _adaptive_batch(lambda x: 1e-8 * np.sqrt(x), 0.0, 1.0, spec)
+    assert evals == alone
+    assert np.all(err <= spec.rel_tol * np.abs(val))
+    assert val[1] == pytest.approx(2e-8 / 3, rel=1e-12)
 
 
 def test_exp_weighted_trivial_examples():
@@ -219,14 +232,14 @@ def test_bessel_transform_tabulates_j0_once_per_panel(monkeypatch):
 def test_oscillatory_cos_known_value():
     # int_0^inf cos(x)/(1+x^2) dx = pi/(2 e)
     res = integrate_oscillatory(lambda x: np.cos(x) / (1 + x ** 2), 1.0, "cos",
-                                intervals=40)
+                                QuadratureSpec(bessel_intervals=40))
     assert res.value == pytest.approx(np.pi / (2 * np.e), abs=1e-9)
 
 
 def test_oscillatory_sin_known_value():
     # int_0^inf x sin(x)/(1+x^2) dx = pi/(2 e)
     res = integrate_oscillatory(lambda x: x * np.sin(x) / (1 + x ** 2), 1.0, "sin",
-                                intervals=60)
+                                QuadratureSpec(bessel_intervals=60))
     assert res.value == pytest.approx(np.pi / (2 * np.e), abs=1e-8)
 
 

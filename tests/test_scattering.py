@@ -573,20 +573,12 @@ def _table_radii(lo):
     return np.concatenate([np.logspace(lo, 3.0, 400), *runs])
 
 
-def _direct(p, r, spec, size=None):
-    """(total, j_tail, err) at r from direct passes over batches of ``size``
-    radii (all of r by default), with the table switched off; a 2D batch that
-    exhausts max_subdiv, although each of its radii converges alone, goes one
-    radius at a time."""
-    size, parts = size or r.size, []
+def _direct(p, r, spec):
+    """(total, j_tail, err) at r from one direct pass, with the table switched
+    off."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(green, "_PANEL_DEGREE", r.size)   # no batch is large enough to table
-        for i in range(0, r.size, size):
-            try:
-                parts.append(green.green_eval_batch(p, 0.0, r[i:i + size], spec))
-            except AccuracyError:
-                parts += [green.green_eval_batch(p, 0.0, x[None], spec) for x in r[i:i + size]]
-    helm, riesz, jt, err = (np.concatenate(a) for a in zip(*parts))
+        helm, riesz, jt, err = green.green_eval_batch(p, 0.0, r, spec)
     return helm + riesz + jt, jt, err
 
 
@@ -600,15 +592,11 @@ def _spy_batches(monkeypatch):
 
 @lru_cache(maxsize=None)
 def _table_case(n, s, k):
-    """(problem, spec, radii, direct total, j_tail, err) of one table test case.
-    The 2D batch converges over this range only at the default tolerances
-    (tighter ones, or radii down to 1e-8 at s = 0.25, k = 2, raise
-    AccuracyError on the direct path too); one direct 2D pass exhausts
-    max_subdiv at s = 0.25, k = 2 (see test_wide_2d_batch_converges), batches
-    of 40 radii do not."""
+    """(problem, spec, radii, direct total, j_tail, err) of one table test case;
+    the direct reference is one pass over all the radii."""
     spec = QuadratureSpec() if n == 2 else QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
     p, r = Problem(n, s, k), _table_radii(-6.0 if n == 2 else -8.0)
-    return (p, spec, r) + _direct(p, r, spec, 40 if (n, s, k) == (2, 0.25, 2.0) else None)
+    return (p, spec, r) + _direct(p, r, spec)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -651,9 +639,8 @@ def test_radial_table_falls_back_to_direct_values(monkeypatch, n):
 
 
 def test_wide_2d_batch_converges():
-    # one direct 2D pass over these radii exhausted max_subdiv at s = 0.25,
-    # k = 2, although each radius converges alone; the table leaves that pass
-    # its panel nodes and the radii of sparse panels
+    # the table leaves the direct 2D pass its panel nodes and the radii of
+    # sparse panels; each value agrees with its radius evaluated alone
     p, r = Problem(2, 0.25, 2.0), _table_radii(-6.0)
     helm, riesz, jt, err = green.green_eval_batch(p, 0.0, r)
     for i in range(0, r.size, 25):
@@ -661,29 +648,35 @@ def test_wide_2d_batch_converges():
         assert abs(jt[i] - one[0]) <= err[i] + one_err[0], r[i]
 
 
-def test_wide_2d_batch_splits_until_it_converges():
+@pytest.mark.parametrize("s, spec", [(0.25, QuadratureSpec()),
+                                     (1.0 / 6.0, QuadratureSpec(rel_tol=1e-11))],
+                         ids=["default-spec", "rel_tol-1e-11"])
+def test_wide_2d_batch_converges_in_one_pass(monkeypatch, s, spec):
     # one direct pass over these 400 radii (no dyadic panel holds enough of
-    # them to table); it exhausted max_subdiv and reached the split while the
-    # Taylor window of F_m was 1e-3 wide, and converges in one pass with 2e-2.
-    # Either way each value must agree with its radius evaluated alone
-    p, r = Problem(2, 0.25, 2.0), np.logspace(-8.0, 3.0, 400)
-    _, _, jt, err = green.green_eval_batch(p, 0.0, r)
+    # them to table), with columns from 1e-8 to 1e3 sharing the engine's
+    # panels; each value must agree with its radius evaluated alone
+    p, r = Problem(2, s, 2.0), np.logspace(-8.0, 3.0, 400)
+    seen = _spy_batches(monkeypatch)
+    _, _, jt, err = green.green_eval_batch(p, 0.0, r, spec)
+    assert len(seen) == 1 and seen[0].size == r.size
     for i in range(0, r.size, 25):
-        _, _, one, one_err = green.green_eval_batch(p, 0.0, r[i:i + 1])
+        _, _, one, one_err = green.green_eval_batch(p, 0.0, r[i:i + 1], spec)
         assert abs(jt[i] - one[0]) <= err[i] + one_err[0], r[i]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_batch_of_failing_radii_still_raises(n):
-    # every radius fails alone at this spec, so splitting the batch ends in
-    # the first single radius's AccuracyError
+def test_batch_of_failing_radii_still_raises(monkeypatch, n):
+    # every radius fails alone at this spec, so the batch raises too, after
+    # one tail evaluation
     p, r = Problem(n, 0.3, 1.0), np.logspace(-2.0, 1.0, 9)
     spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16, max_subdiv=8)
     for x in r:
         with pytest.raises(AccuracyError):
             green.green_eval_batch(p, 0.0, r[r == x], spec)
+    seen = _spy_batches(monkeypatch)
     with pytest.raises(AccuracyError):
         green.green_eval_batch(p, 0.0, r, spec)
+    assert len(seen) == 1
 
 
 @pytest.mark.parametrize("n, x, y", [(2, [0.113, -0.271], [-0.29, 0.41]),

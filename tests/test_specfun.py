@@ -215,7 +215,7 @@ def test_struve_k0_quadrature_oracle():
     from frachelm.quadrature import integrate_oscillatory
     z = 1.0
     res = integrate_oscillatory(lambda t: sf.bessel_j0(t) / (t + z), 1.0, "j0",
-                                QuadratureSpec(), intervals=60)
+                                QuadratureSpec(bessel_intervals=60))
     assert sf.struve_k0(z) == pytest.approx(2.0 / np.pi * res.value, abs=1e-9)
 
 
