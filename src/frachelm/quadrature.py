@@ -15,9 +15,14 @@ the tolerance.  It bisects next the panel with the largest err_c / tol_c over
 the columns c, tol = max(abs_tol, rel_tol |total|), not the largest absolute
 error, so columns of very different size share one pass.
 
+Each panel estimate is the embedded Gauss-Kronrod pair G7/K15 (QUADPACK's
+``qk15``; Piessens et al., *QUADPACK*, Springer 1983): the integrand is called
+once, at the 15 Kronrod nodes, the value is the K15 sum and the error the raw
+|K15 - G7|, where G7 reuses 7 of the same 15 values.
+
 The adaptive engine also takes an optional weight(a, b) that returns a fixed
-factor at the 7- and 15-point Gauss nodes of panel [a, b]; it multiplies the
-integrand values.  The Bessel transform passes J0 this way: its partition and
+factor at the 15 Kronrod nodes of panel [a, b]; it multiplies the integrand
+values.  The Bessel transform passes J0 this way: its partition and
 every bisection of it are fixed in t = rho r, so J0 is tabulated once per
 panel (``_j0_panel``, an LRU cache of ``_J0_PANELS`` panels keyed by the panel
 ends) and every later call reuses it.
@@ -62,14 +67,28 @@ class QuadResult:
 
 DEFAULT_SPEC = QuadratureSpec()
 
-_GL_LO = gauss_legendre(7)
-_GL_HI = gauss_legendre(15)
+# the nonnegative Kronrod abscissae on [-1, 1] (outermost first; the odd
+# entries are G7 nodes) and their K15 weights, from QUADPACK's qk15
+_XGK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0])
+_WGK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_KRONROD_NODES = np.r_[-_XGK, _XGK[-2::-1]]
+# rows: K15 weights, and K15 minus G7 weights (G7 sits at the odd nodes)
+_KRONROD_WEIGHTS = np.array([np.r_[_WGK, _WGK[-2::-1]]] * 2)
+_KRONROD_WEIGHTS[1, 1::2] -= gauss_legendre(7)[1]
 
 # e^{-y} is below 1e-52 here; features beyond are invisible at any tolerance
 _EXP_HEAD_CAP = 120.0
 
-# J0 panels kept by the Bessel transform: 22 floats (176 B of values, 650 B
-# with the arrays, tuple, key and cache link) each, so at most 1.3 MB
+# J0 panels kept by the Bessel transform: 15 floats (120 B of values, 420 B
+# with the array, key tuple, key floats and cache link) each, so at most 0.86 MB
 _J0_PANELS = 2048
 
 
@@ -88,26 +107,22 @@ def _as_batch(values, npts):
 
 
 def _panel_nodes(a, b):
-    """(7-point nodes, 15-point nodes, half width) of the Gauss pair on [a, b]."""
+    """(15 Kronrod nodes, half width) of panel [a, b]."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * _GL_LO[0], mid + half * _GL_HI[0], half
+    return mid + half * _KRONROD_NODES, half
 
 
 def _panel_estimates(f, a, b, weight=None):
-    """Two-level Gauss panel: (fine value, |fine - coarse| error, evaluations).
+    """Gauss-Kronrod 7/15 panel: (K15 value, |K15 - G7| error, evaluations).
 
-    ``weight(a, b)``, if given, returns (7-point, 15-point) factors that
-    multiply the integrand values at the nodes."""
-    x_lo, x_hi, half = _panel_nodes(a, b)
-    f_lo = _as_batch(f(x_lo), x_lo.size)
-    f_hi = _as_batch(f(x_hi), x_hi.size)
+    The integrand is called once, at the 15 Kronrod nodes.  ``weight(a, b)``,
+    if given, returns 15 factors that multiply the integrand values there."""
+    x, half = _panel_nodes(a, b)
+    fx = _as_batch(f(x), x.size)
     if weight is not None:
-        w_lo, w_hi = weight(a, b)
-        f_lo = w_lo[:, None] * f_lo
-        f_hi = w_hi[:, None] * f_hi
-    v_lo = half * (_GL_LO[1][:, None] * f_lo).sum(axis=0)
-    v_hi = half * (_GL_HI[1][:, None] * f_hi).sum(axis=0)
-    return v_hi, np.abs(v_hi - v_lo), x_lo.size + x_hi.size
+        fx = weight(a, b)[:, None] * fx
+    val, diff = half * (_KRONROD_WEIGHTS @ fx)
+    return val, np.abs(diff), x.size
 
 
 def _adaptive_batch(f, a, b, spec, abs_tol=None, weight=None):
@@ -148,7 +163,7 @@ def _adaptive_batch(f, a, b, spec, abs_tol=None, weight=None):
 
 
 def integrate_adaptive(f, a, b, spec=DEFAULT_SPEC):
-    """Adaptive Gauss quadrature of f over [a, b] with an embedded error estimate.
+    """Adaptive Gauss-Kronrod quadrature of f over [a, b] with an embedded error estimate.
 
     Handles integrable endpoint singularities of power/log type through
     bisection toward the endpoint (nodes never touch the endpoints).
@@ -210,12 +225,11 @@ def _integrate_partitioned(f, breakpoints, spec, weight=None):
 
 @lru_cache(maxsize=_J0_PANELS)
 def _j0_panel(a, b):
-    """J0 at the Gauss nodes of panel [a, b] in t, read-only.  Looks up
+    """J0 at the 15 Kronrod nodes of panel [a, b] in t, read-only.  Looks up
     ``bessel_j0`` in this module at each miss."""
-    x_lo, x_hi, _ = _panel_nodes(a, b)
-    w_lo, w_hi = bessel_j0(x_lo), bessel_j0(x_hi)
-    w_lo.flags.writeable = w_hi.flags.writeable = False
-    return w_lo, w_hi
+    w = bessel_j0(_panel_nodes(a, b)[0])
+    w.flags.writeable = False
+    return w
 
 
 def integrate_bessel_transform(g, r, spec=DEFAULT_SPEC):

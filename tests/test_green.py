@@ -249,3 +249,18 @@ def test_2d_integer_branch_split_equals_direct_kernel():
         r, "j0", QuadratureSpec(bessel_intervals=60))
     g = green_eval(Problem(2, s, 1.0), 0.0, r)
     assert abs(res.value / (2.0 * np.pi) - g.j_tail) < 1e-9
+
+
+@pytest.mark.parametrize("s", [0.25, 0.3, 0.5, 0.75])
+def test_2d_err_covers_the_hankel_crossover(s):
+    # at eps = 0, Im G = (k^{2-2s}/s) J0(kr)/4 exactly: the Helmholtz part
+    # carries all of it.  Across kr in [8, 14) the power series of hankel1_0
+    # cancels, so err must cover the Hankel miss as well as the tail's
+    mp = pytest.importorskip("mpmath")
+    kr = np.linspace(8.0, 16.0, 401)
+    with mp.workdps(30):
+        j0 = np.array([float(mp.besselj(0, x)) for x in kr])
+    for k in (0.7, 1.0, 2.0):
+        helm, riesz, tail, err = green_eval_batch(Problem(2, s, k), 0.0, kr / k)
+        exact = k ** (2.0 - 2.0 * s) / s * j0 / 4.0
+        assert np.all(np.abs((helm + riesz + tail).imag - exact) <= err)

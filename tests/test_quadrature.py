@@ -246,3 +246,38 @@ def test_oscillatory_sin_known_value():
 def test_oscillatory_unknown_kind():
     with pytest.raises(DomainError):
         integrate_oscillatory(lambda x: x, 1.0, "sinc")
+
+
+def test_kronrod_panel_rule():
+    # K15 is exact to degree 23, and its embedded G7 (the odd nodes) to
+    # degree 13 with the nodes and weights of gauss_legendre(7)
+    import frachelm.quadrature as quad
+    from frachelm.specfun import gauss_legendre
+    x = quad._KRONROD_NODES
+    k15, diff = quad._KRONROD_WEIGHTS
+    g7 = k15 - diff
+    gx, gw = gauss_legendre(7)
+    assert np.allclose(x[1::2], gx, rtol=0.0, atol=1e-15)
+    assert np.allclose(g7[1::2], gw, rtol=0.0, atol=1e-15)
+    assert np.all(g7[::2] == 0.0)
+    exact = lambda d: 2.0 / (d + 1) if d % 2 == 0 else 0.0
+    for d in range(24):
+        assert abs(k15 @ x ** d - exact(d)) <= 1e-15
+    for d in range(14):
+        assert abs(g7 @ x ** d - exact(d)) <= 1e-15
+
+
+def test_adaptive_batch_calls_integrand_once_per_panel():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return 1.0 / np.sqrt(x)
+
+    val, err, evals = _adaptive_batch(f, 0.0, 1.0, QuadratureSpec())
+    # every bisection estimates two new panels; the first estimate is one
+    panels = (len(calls) + 1) // 2
+    assert len(calls) % 2 == 1 and panels > 1
+    assert calls == [15] * len(calls)
+    assert evals == 15 * (2 * panels - 1)
+    assert abs(val[0] - 2.0) <= err[0]
