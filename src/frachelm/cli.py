@@ -43,8 +43,7 @@ EXIT_ACCURACY = 3
 EXIT_NEAR_RESONANCE = 4
 
 # QuadratureSpec fields a config may set (under "quad") and metadata echoes
-_QUAD_FIELDS = {"rel_tol": float, "abs_tol": float, "laguerre_order": int,
-                "bessel_intervals": int}
+_QUAD_FIELDS = {"rel_tol": float, "abs_tol": float, "bessel_intervals": int}
 
 
 def _float_list(text):

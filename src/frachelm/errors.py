@@ -1,4 +1,11 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the integer check of counts."""
+
+import numbers
+
+
+def is_count(value):
+    """Whether value is a Python or NumPy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class DomainError(ValueError):

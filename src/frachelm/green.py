@@ -23,17 +23,13 @@ from .kernels import (
 from .quadrature import (
     DEFAULT_SPEC, QuadratureSpec, _exp_weighted_batch, integrate_bessel_transform,
 )
-from .specfun import expint_e1, riesz_constant, struve_k0, struve_k1
+from .specfun import expint_e1, hankel1_0_rel_error, riesz_constant, struve_k0, struve_k1
 
 DERIVATIVE_SPEC = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-11)
 
-# closed-form parts are specfun-accurate; their error contribution is nominal
+# closed-form parts are specfun-accurate; their error contribution is nominal,
+# except the 2D Helmholtz part, which specfun bounds per evaluation path
 _CLOSED_FORM_REL = 1e-12
-# except the 2D Helmholtz part (hankel1_0) around the switch from its power
-# series to its asymptotic series at |z| = 14: against mpmath on a 5e-4 grid
-# it misses up to 7.1e-11 relative on [8, 14), where the series cancels, and
-# 2.5e-12 on [14, 15); (lower |kc| r, upper |kc| r, charge)
-_HANKEL_REL = ((8.0, 14.0, 1e-10), (14.0, 15.0, 3e-12))
 _PANEL_DEGREE = 20    # Chebyshev degree of a dyadic panel of the tail table
 
 
@@ -152,12 +148,8 @@ def _closed_parts(p, regime, kc, r, derivative=False):
 
 def _helm_rel(p, kc, r):
     """Relative error charged to the Helmholtz part at radii r."""
-    rel = np.full(r.shape, _CLOSED_FORM_REL)
-    if p.n == 2:
-        x = abs(kc) * r
-        for lo, hi, charge in _HANKEL_REL:
-            rel[(x >= lo) & (x < hi)] = charge
-    return rel
+    # specfun bounds hankel1_0 at the very argument helm_part passes it
+    return hankel1_0_rel_error(kc * r) if p.n == 2 else np.full(r.shape, _CLOSED_FORM_REL)
 
 
 def _tabled_tail(p, regime, kc, r, spec):

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
-from .errors import DomainError
+from .errors import DomainError, is_count
 from .specfun import hankel1_0
 
 TAYLOR_WINDOW = 2e-2      # relative window |r - kc| < TAYLOR_WINDOW * |kc|
@@ -39,8 +39,8 @@ class Problem:
     k: float
 
     def __post_init__(self):
-        if self.n not in (1, 2, 3):
-            raise DomainError(f"dimension must be 1, 2 or 3, got {self.n}")
+        if not (is_count(self.n) and self.n in (1, 2, 3)):
+            raise DomainError(f"dimension must be 1, 2 or 3, got {self.n!r}")
         if not (0.0 < self.s < 1.0):
             raise DomainError(f"fractional order must lie in (0,1), got {self.s}")
         if not 0.0 < self.k < np.inf:

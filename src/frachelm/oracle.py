@@ -12,12 +12,20 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import _resolve_shift, classify_regime
-from .quadrature import DEFAULT_SPEC, QuadResult, integrate_oscillatory
-from .specfun import bessel_j0, riesz_constant
+from .quadrature import DEFAULT_SPEC, QuadResult, integrate_partitioned
+from .specfun import bessel_j0, j0_zeros, riesz_constant
 
 # a Riesz term may be subtracted only when its closed-form inverse exists,
 # i.e. 2 s (j+1) < n; the 1D integer branch loses its last term this way
 _SUBTRACT_MARGIN = 1e-9
+
+# radial reduction per dimension, at radius r and interval numbers ell = 1, 2, ...:
+# (oscillatory factor of xi, its zeros in xi r, normalisation of the integral)
+_RADIAL = {
+    1: lambda r, ell: (lambda x: np.cos(x * r), (ell - 0.5) * np.pi, np.pi),
+    2: lambda r, ell: (lambda x: bessel_j0(x * r) * x, j0_zeros(ell.size), 2.0 * np.pi),
+    3: lambda r, ell: (lambda x: x * np.sin(x * r), ell * np.pi, 2.0 * np.pi ** 2 * r),
+}
 
 
 def _subtracted_count(n, s, m):
@@ -46,22 +54,12 @@ def fourier_invert_detailed(p, shift, r, spec=DEFAULT_SPEC):
         xi = xi.astype(complex)
         return kc2s ** msub / (xi ** (2.0 * s * msub) * (xi ** (2.0 * s) - kc2s))
 
-    if p.n == 1:
-        res = integrate_oscillatory(lambda x: np.cos(x * r) * remainder(x), r, "cos", spec)
-        value = res.value / np.pi
-        err = res.err_estimate / np.pi
-    elif p.n == 2:
-        res = integrate_oscillatory(lambda x: bessel_j0(x * r) * x * remainder(x), r, "j0", spec)
-        value = res.value / (2.0 * np.pi)
-        err = res.err_estimate / (2.0 * np.pi)
-    else:
-        res = integrate_oscillatory(lambda x: x * np.sin(x * r) * remainder(x), r, "sin", spec)
-        value = res.value / (2.0 * np.pi ** 2 * r)
-        err = res.err_estimate / (2.0 * np.pi ** 2 * r)
-
+    factor, zeros, norm = _RADIAL[p.n](r, np.arange(1, spec.bessel_intervals + 1))
+    res = integrate_partitioned(lambda x: factor(x) * remainder(x), np.r_[0.0, zeros / r], spec)
+    value = res.value / norm
     for j in range(msub):
         value += riesz_constant(p.n, s, j) * kc2s ** j / r ** (p.n - 2.0 * s * (j + 1.0))
-    return QuadResult(value, err, res.evaluations)
+    return QuadResult(value, res.err_estimate / norm, res.evaluations)
 
 
 def fourier_invert(p, shift, r, spec=DEFAULT_SPEC):

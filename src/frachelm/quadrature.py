@@ -3,7 +3,8 @@
 * semi-infinite integrals with an e^{-y} weight (1D/3D tail terms),
 * oscillatory Bessel transforms int_0^inf J0(rho r) g(rho) drho (2D tail),
   batched over radii,
-* generic adaptive finite-interval integration.
+* ``integrate_partitioned`` over caller-given breakpoints: adaptive on one
+  interval, or a head cell plus averaged oscillation cells (the Fourier oracle).
 
 The public engines return a :class:`QuadResult` with an error estimate, the
 batched e^{-y} engine a (values, errors, evaluations) triple; assemblies
@@ -37,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, is_count
 from .specfun import bessel_j0, gauss_legendre, iterated_average, j0_zeros
 
 
@@ -48,14 +49,16 @@ class QuadratureSpec:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_subdiv: int = 4000
-    laguerre_order: int = 64
     bessel_intervals: int = 30
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < np.inf and 0.0 < self.abs_tol < np.inf):
             raise DomainError("tolerances must be finite and positive")
-        if self.laguerre_order < 4 or self.bessel_intervals < 4:
-            raise DomainError("orders must be >= 4")
+        if not (is_count(self.max_subdiv) and self.max_subdiv >= 1):
+            raise DomainError(f"max_subdiv must be an integer >= 1, got {self.max_subdiv!r}")
+        if not (is_count(self.bessel_intervals) and self.bessel_intervals >= 4):
+            raise DomainError("bessel_intervals must be an integer; orders must be >= 4, "
+                              f"got {self.bessel_intervals!r}")
 
 
 @dataclass
@@ -83,6 +86,9 @@ _KRONROD_NODES = np.r_[-_XGK, _XGK[-2::-1]]
 # rows: K15 weights, and K15 minus G7 weights (G7 sits at the odd nodes)
 _KRONROD_WEIGHTS = np.array([np.r_[_WGK, _WGK[-2::-1]]] * 2)
 _KRONROD_WEIGHTS[1, 1::2] -= gauss_legendre(7)[1]
+
+# Gauss-Laguerre order of the e^{-y} tail; half of it gives the error estimate
+_LAGUERRE_ORDER = 64
 
 # e^{-y} is below 1e-52 here; features beyond are invisible at any tolerance
 _EXP_HEAD_CAP = 120.0
@@ -162,19 +168,6 @@ def _adaptive_batch(f, a, b, spec, abs_tol=None, weight=None):
     return total_val, total_err, evals
 
 
-def integrate_adaptive(f, a, b, spec=DEFAULT_SPEC):
-    """Adaptive Gauss-Kronrod quadrature of f over [a, b] with an embedded error estimate.
-
-    Handles integrable endpoint singularities of power/log type through
-    bisection toward the endpoint (nodes never touch the endpoints).
-    """
-    if not a < b:
-        raise DomainError(f"integrate_adaptive needs a < b, got [{a}, {b}]")
-    val, err, evals = _adaptive_batch(f, float(a), float(b), spec)
-    return QuadResult(complex(val[0]) if val.size == 1 else val,
-                      float(err.max()), evals)
-
-
 def _exp_weighted_batch(f, spec, y_cut):
     """int_0^inf e^{-y} f(y) dy, batched.  Head adaptive on [0, y_cut], shifted
     Gauss-Laguerre tail beyond."""
@@ -186,8 +179,8 @@ def _exp_weighted_batch(f, spec, y_cut):
     val, err, evals = _adaptive_batch(weighted, 0.0, head_end, spec)
     scale = np.exp(-head_end)
     if scale > 0.0:
-        t_hi, w_hi = _laggauss_cached(spec.laguerre_order)
-        t_lo, w_lo = _laggauss_cached(max(4, spec.laguerre_order // 2))
+        t_hi, w_hi = _laggauss_cached(_LAGUERRE_ORDER)
+        t_lo, w_lo = _laggauss_cached(_LAGUERRE_ORDER // 2)
         f_hi = _as_batch(f(t_hi + head_end), t_hi.size)
         f_lo = _as_batch(f(t_lo + head_end), t_lo.size)
         tail_hi = scale * (w_hi[:, None] * f_hi).sum(axis=0)
@@ -221,6 +214,24 @@ def _integrate_partitioned(f, breakpoints, spec, weight=None):
         return head, errs, evals, np.abs(tail)
     limit, accel_err = iterated_average(np.cumsum(tail, axis=0))
     return head + limit, errs + accel_err, evals, np.abs(tail)
+
+
+def integrate_partitioned(f, breakpoints, spec=DEFAULT_SPEC):
+    """Integral of f over [b_0, b_last] split at the breakpoints, with an error
+    estimate (QUADPACK's QAGP shape).  Two breakpoints give adaptive
+    Gauss-Kronrod on one interval, which resolves power/log endpoint
+    singularities; more give a head cell plus cells resummed by iterated
+    averaging, as over (0, inf) at the zeros of an oscillatory factor.  Value
+    and error are scalars for an integrand of one column, else per column."""
+    pts = np.asarray(breakpoints)
+    if not (pts.ndim == 1 and pts.size >= 2 and pts.dtype.kind in "iuf"
+            and np.all(np.isfinite(pts)) and np.all(np.diff(pts) > 0)):
+        raise DomainError("breakpoints must be >= 2 finite, strictly increasing numbers, "
+                          f"got {breakpoints!r}")
+    value, err, evals, _ = _integrate_partitioned(f, pts, spec)
+    if value.size == 1:
+        return QuadResult(complex(value[0]), float(err[0]), evals)
+    return QuadResult(value, err, evals)
 
 
 @lru_cache(maxsize=_J0_PANELS)
@@ -284,27 +295,3 @@ def _check_tail_decay(incr, value, err, spec):
                 f"cell integrals growing like ell^{np.max(p):.2f} after "
                 f"{ncell} intervals (insufficient integrand decay)",
                 value=value, err_estimate=float(np.max(err)))
-
-
-def integrate_oscillatory(f, r, kind, spec=DEFAULT_SPEC):
-    """Partition-and-accelerate integral of f over (0, inf) against an
-    oscillation of wavelength set by `kind` in {"cos", "sin", "j0"}.
-
-    The breakpoints are the zeros of cos(xi r) / sin(xi r) / J0(xi r); `f` is
-    the full integrand (oscillatory factor included).  Used by the
-    Fourier-inversion oracle.
-    """
-    if not r > 0.0:
-        raise DomainError(f"oscillation radius must be positive, got {r}")
-    count = spec.bessel_intervals
-    if kind == "cos":
-        zeros = (np.arange(1, count + 1) - 0.5) * np.pi / r
-    elif kind == "sin":
-        zeros = np.arange(1, count + 1) * np.pi / r
-    elif kind == "j0":
-        zeros = j0_zeros(count) / r
-    else:
-        raise DomainError(f"unknown oscillation kind {kind!r}")
-    pts = np.concatenate([[0.0], zeros])
-    value, err, evals, _ = _integrate_partitioned(f, pts, spec)
-    return QuadResult(complex(value[0]), float(err[0]), evals)

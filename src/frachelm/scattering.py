@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NearResonanceError
+from .errors import DomainError, NearResonanceError, is_count
 # green_radial_derivative is unused here but stays importable as
 # scattering.green_radial_derivative, where the benchmark's layer tracing wraps it
 from .green import green_eval_batch, green_radial_derivative  # noqa: F401
@@ -69,9 +69,9 @@ class PotentialGrid:
             raise DomainError("box corners must be finite")
         if np.any(hi <= lo):
             raise DomainError("box must be nonempty")
+        if not (is_count(cells_per_axis) and cells_per_axis >= 1):
+            raise DomainError(f"cells_per_axis must be an integer >= 1, got {cells_per_axis!r}")
         nc = int(cells_per_axis)
-        if nc < 1:
-            raise DomainError("cells_per_axis must be >= 1")
         n = lo.size
         h = (hi - lo) / nc
         idx = np.indices((nc,) * n).reshape(n, -1).T

@@ -219,6 +219,21 @@ def hankel1_0(z):
     return _hankel1(z, 0)
 
 
+def hankel1_0_rel_error(z):
+    """Relative error bound of ``hankel1_0(z)`` for Im z >= 0, by its path: on
+    the power series (|z| < 14, Im z <= 2.5) eps e^{|z| + Im z}, as terms of
+    about e^{|z|} sum to about e^{-Im z}; 3e-12 on the asymptotic series for
+    |z| in [14, 15), measured against mpmath; at least 1e-12 everywhere."""
+    z = np.asarray(z, dtype=complex)
+    az = np.abs(z)
+    rel = np.full(z.shape, 1e-12)
+    series = (az < _ASYM_RADIUS) & (np.abs(z.imag) <= _SERIES_IM_MAX)
+    rel[series] = np.maximum(1e-12, np.finfo(float).eps
+                             * np.exp(az[series] + np.abs(z.imag[series])))
+    rel[(az >= _ASYM_RADIUS) & (az < 15.0)] = 3e-12
+    return rel
+
+
 def hankel1_1(z):
     """Hankel function H1^(1)(z) = -d/dz H0^(1)(z), used for radial derivatives."""
     return _hankel1(z, 1)

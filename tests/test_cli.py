@@ -105,6 +105,15 @@ def test_unknown_quad_key_exit_2(tmp_path, capsys):
     assert all(name in err for name in _QUAD_FIELDS)
 
 
+def test_green_rows_that_miss_the_tolerance_exit_3(capsys):
+    # each radius that raises AccuracyError is counted, not emitted
+    code, out = run_cli(capsys, ["green", "--dim", "2", "--s", "0.3", "--k", "1", "--r", "1,2",
+                                 "--quad-rtol", "1e-15", "--quad-atol", "1e-300"])
+    assert code == 3
+    meta, _, rows = parse_csv(out)
+    assert meta["accuracy_failures"] == 2 and rows == []
+
+
 def test_scatter_near_resonance_exit_4(capsys, monkeypatch):
     built = []
 
@@ -471,7 +480,7 @@ CHECKED_CONFIGS = [
     ("asymptotics", {"points": 3.9}, ["points", "integer", "3.9"]),
     ("asymptotics", {"problem": {"dim": True, "s": 0.75, "k": 1.0}}, ["problem.dim", "integer"]),
     ("resonance-scan", {"k_grid": {"min": 0.5, "max": 2.0, "count": 4.0}}, ["k_grid.count"]),
-    ("green", {"quad": {"laguerre_order": 4.7}}, ["quad.laguerre_order", "integer", "4.7"]),
+    ("green", {"quad": {"bessel_intervals": 4.7}}, ["quad.bessel_intervals", "integer", "4.7"]),
     # a float key holds a JSON number: no bool or string
     ("radiation", {"problem": {"dim": 1, "s": 0.75, "k": True}}, ["problem.k", "number", "True"]),
     ("scatter", {"quad": {"rel_tol": True}}, ["quad.rel_tol", "number", "True"]),

@@ -5,12 +5,12 @@ import pytest
 
 from frachelm.errors import DomainError
 from frachelm.green import (
-    DERIVATIVE_SPEC, green_closed_form_3d_half, green_eval, green_eval_batch,
+    DERIVATIVE_SPEC, _helm_rel, green_closed_form_3d_half, green_eval, green_eval_batch,
     green_radial_derivative, src_residual,
 )
 from frachelm.kernels import Problem, helm_part, helm_part_dr, spectral_shift
 from frachelm.quadrature import QuadratureSpec
-from frachelm.specfun import expint_e1
+from frachelm.specfun import expint_e1, hankel1_0
 
 
 def green_closed_form_3d_half_dr(k, r):
@@ -51,7 +51,7 @@ def test_closed_form_small_r_riesz_dominates():
 
 def test_closed_form_nonhelm_decay_r4():
     # first two terms decay like r^{-4}: r^4 |part| bounded over [10, 1e4]
-    from frachelm.specfun import expint_e1
+    from frachelm.specfun import expint_e1, hankel1_0
     k = 1.0
     prods = []
     for r in np.logspace(1, 4, 10):
@@ -241,12 +241,12 @@ def test_2d_integer_branch_split_equals_direct_kernel():
     # the corrected-kernel + Struve split must equal the direct (conditionally
     # convergent) transform of rho F_m, since the corrector identity is exact
     from frachelm.kernels import F_m
-    from frachelm.quadrature import QuadratureSpec, integrate_oscillatory
-    from frachelm.specfun import bessel_j0
+    from frachelm.quadrature import integrate_partitioned
+    from frachelm.specfun import bessel_j0, j0_zeros
     s, r = 0.25, 1.3
-    res = integrate_oscillatory(
+    res = integrate_partitioned(
         lambda rho: bessel_j0(rho * r) * rho * np.atleast_1d(F_m(rho, 1.0 + 0j, s, 2)),
-        r, "j0", QuadratureSpec(bessel_intervals=60))
+        np.r_[0.0, j0_zeros(60) / r])
     g = green_eval(Problem(2, s, 1.0), 0.0, r)
     assert abs(res.value / (2.0 * np.pi) - g.j_tail) < 1e-9
 
@@ -264,3 +264,26 @@ def test_2d_err_covers_the_hankel_crossover(s):
         helm, riesz, tail, err = green_eval_batch(Problem(2, s, k), 0.0, kr / k)
         exact = k ** (2.0 - 2.0 * s) / s * j0 / 4.0
         assert np.all(np.abs((helm + riesz + tail).imag - exact) <= err)
+
+
+def test_2d_helm_charge_bounds_hankel_off_the_axis():
+    # at eps > 0, z = k_eps r leaves the real axis, where the power series of
+    # hankel1_0 (|z| < 14, |Im z| <= 2.5) cancels harder than on it; the
+    # charge on the Helmholtz part must still bound its miss
+    mp = pytest.importorskip("mpmath")
+    x, y = np.meshgrid(np.linspace(0.02, 14.99, 300), np.linspace(0.0, 2.5, 26))
+    z = (x + 1j * y).ravel()
+    z = z[np.abs(z) < 15.0]
+    with mp.workdps(30):
+        exact = np.array([complex(mp.besselj(0, v) + 1j * mp.bessely(0, v))
+                          for v in map(mp.mpc, z.real, z.imag)])
+    charge = _helm_rel(Problem(2, 0.5, 1.0), z, np.ones(z.size))
+    assert np.all(np.abs(hankel1_0(z) - exact) <= charge * np.abs(exact))
+    # specfun picks the series here, as np.abs(kc * r) rounds below 14, and
+    # abs(kc) * r does not; green must charge the path that ran
+    p, r = Problem(2, 0.75, 2.0), 6.999883337222071
+    helm, _, _, err = green_eval_batch(p, 0.02, [r])
+    kc = spectral_shift(p, 0.02).k_eps
+    with mp.workdps(30):
+        h0 = complex(mp.hankel1(0, mp.mpc(kc * r)))
+    assert abs(helm[0] - 1j * kc ** (2.0 - 2.0 * p.s) / (4.0 * p.s) * h0) <= err[0]

@@ -66,6 +66,13 @@ def test_problem_validation():
             Problem(1, 0.5, k)
 
 
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_problem_dimension_must_be_an_integer(n):
+    with pytest.raises(DomainError):
+        Problem(n, 0.3, 1.0)
+    assert Problem(np.int64(2), 0.3, 1.0).n == 2
+
+
 def test_spectral_shift_admissibility():
     p = Problem(2, 0.25, 1.0)
     sh = spectral_shift(p, 0.3)

@@ -7,7 +7,7 @@ from frachelm.errors import DomainError
 from frachelm.green import green_eval
 from frachelm.kernels import Problem, classify_regime, spectral_shift
 from frachelm.oracle import fourier_invert, fourier_invert_detailed
-from frachelm.quadrature import QuadratureSpec, integrate_adaptive, integrate_oscillatory
+from frachelm.quadrature import QuadratureSpec, integrate_partitioned
 from frachelm.specfun import riesz_constant
 
 
@@ -57,8 +57,8 @@ def test_even_integrand_half_line_reduction():
         sym = 1.0 / (x.astype(complex) ** (2 * p.s) - kc2s)
         return (np.exp(1j * x * r) + np.exp(-1j * x * r)) * sym / 2.0
 
-    res = integrate_oscillatory(via_exponentials, r, "cos",
-                                QuadratureSpec(bessel_intervals=40))
+    res = integrate_partitioned(via_exponentials,
+                                np.r_[0.0, (np.arange(1, 41) - 0.5) * np.pi / r])
     direct = fourier_invert(p, sh, r, QuadratureSpec(bessel_intervals=40))
     assert res.value / np.pi == pytest.approx(direct, rel=1e-9)
 
@@ -75,7 +75,7 @@ def test_large_absorption_against_plain_adaptive():
     def integrand(x):
         return np.cos(x * r) / (x.astype(complex) ** (2 * p.s) - kc2s)
 
-    head = integrate_adaptive(integrand, 0.0, cutoff, QuadratureSpec(rel_tol=1e-10))
+    head = integrate_partitioned(integrand, [0.0, cutoff], QuadratureSpec(rel_tol=1e-10))
     # |tail| <= int_cutoff^inf x^{-2s} dx / pi-normalization margin
     tail_bound = cutoff ** (1 - 2 * p.s) / (2 * p.s - 1)
     accel = fourier_invert_detailed(p, sh, r)

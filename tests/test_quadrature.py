@@ -7,8 +7,8 @@ import pytest
 
 from frachelm.errors import AccuracyError, DomainError
 from frachelm.quadrature import (
-    QuadratureSpec, QuadResult, _adaptive_batch, _exp_weighted_batch, integrate_adaptive,
-    integrate_bessel_transform, integrate_oscillatory,
+    QuadratureSpec, QuadResult, _adaptive_batch, _exp_weighted_batch,
+    integrate_bessel_transform, integrate_partitioned,
 )
 
 
@@ -23,7 +23,7 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(DomainError):
-        QuadratureSpec(laguerre_order=2)
+        QuadratureSpec(bessel_intervals=2)
     for bad in (np.inf, np.nan):
         with pytest.raises(DomainError):
             QuadratureSpec(rel_tol=bad)
@@ -31,21 +31,31 @@ def test_spec_validation():
             QuadratureSpec(abs_tol=bad)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("bessel_intervals", 4.5), ("max_subdiv", float("nan")), ("max_subdiv", 0),
+    ("max_subdiv", 2.5), ("max_subdiv", True),
+])
+def test_spec_counts_must_be_integers_in_range(field, value):
+    with pytest.raises(DomainError):
+        QuadratureSpec(**{field: value})
+
+
 def test_adaptive_trivial_examples():
-    assert integrate_adaptive(lambda x: x ** 2, 0, 1).value == pytest.approx(1 / 3, rel=1e-12)
-    assert integrate_adaptive(np.log, 0, 1).value == pytest.approx(-1.0, abs=1e-8)
-    assert integrate_adaptive(lambda x: 1 / np.sqrt(x), 0, 1).value == pytest.approx(2.0, abs=1e-8)
+    assert integrate_partitioned(lambda x: x ** 2, [0, 1]).value == pytest.approx(1 / 3, rel=1e-12)
+    assert integrate_partitioned(np.log, [0, 1]).value == pytest.approx(-1.0, abs=1e-8)
+    res = integrate_partitioned(lambda x: 1 / np.sqrt(x), [0, 1])
+    assert res.value == pytest.approx(2.0, abs=1e-8)
 
 
 def test_adaptive_domain():
     with pytest.raises(DomainError):
-        integrate_adaptive(lambda x: x, 1.0, 1.0)
+        integrate_partitioned(lambda x: x, [1.0, 1.0])
 
 
 def test_adaptive_max_subdiv():
     spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15, max_subdiv=8)
     with pytest.raises(AccuracyError) as exc:
-        integrate_adaptive(lambda x: 1 / np.sqrt(x), 0, 1, spec)
+        integrate_partitioned(lambda x: 1 / np.sqrt(x), [0, 1], spec)
     assert exc.value.value is not None   # best estimate is carried
 
 
@@ -115,7 +125,7 @@ def test_error_estimate_honesty_battery():
     honest = 0
     for kind, f, args, exact in _BATTERY:
         if kind == "fin":
-            res = integrate_adaptive(f, *args)
+            res = integrate_partitioned(f, args)
         else:
             res = _exp_weighted(f)
         true_err = abs(res.value - exact)
@@ -150,7 +160,7 @@ def test_bessel_transform_compact_support_consistency():
     g = lambda rho: np.where(rho <= a, rho * (a - rho), 0.0)
     res = integrate_bessel_transform(g, 1.3)
     from frachelm.specfun import bessel_j0
-    ref = integrate_adaptive(lambda rho: bessel_j0(1.3 * rho) * g(rho), 0.0, a)
+    ref = integrate_partitioned(lambda rho: bessel_j0(1.3 * rho) * g(rho), [0.0, a])
     assert res.value == pytest.approx(ref.value, abs=1e-10)
 
 
@@ -220,7 +230,7 @@ def test_bessel_transform_tabulates_j0_once_per_panel(monkeypatch):
     assert calls == []
     assert np.array_equal(first.value, second.value)
     for i, r in enumerate(radii):
-        ref = integrate_adaptive(lambda rho: bessel_j0(r * rho) * g(rho), 0.0, 60.0)
+        ref = integrate_partitioned(lambda rho: bessel_j0(r * rho) * g(rho), [0.0, 60.0])
         assert abs(second.value[i] - ref.value) <= second.err_estimate[i] + ref.err_estimate
     info = quad._j0_panel.cache_info()
     assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
@@ -231,21 +241,40 @@ def test_bessel_transform_tabulates_j0_once_per_panel(monkeypatch):
 
 def test_oscillatory_cos_known_value():
     # int_0^inf cos(x)/(1+x^2) dx = pi/(2 e)
-    res = integrate_oscillatory(lambda x: np.cos(x) / (1 + x ** 2), 1.0, "cos",
-                                QuadratureSpec(bessel_intervals=40))
+    res = integrate_partitioned(lambda x: np.cos(x) / (1 + x ** 2),
+                                np.r_[0.0, (np.arange(1, 41) - 0.5) * np.pi])
     assert res.value == pytest.approx(np.pi / (2 * np.e), abs=1e-9)
 
 
 def test_oscillatory_sin_known_value():
     # int_0^inf x sin(x)/(1+x^2) dx = pi/(2 e)
-    res = integrate_oscillatory(lambda x: x * np.sin(x) / (1 + x ** 2), 1.0, "sin",
-                                QuadratureSpec(bessel_intervals=60))
+    res = integrate_partitioned(lambda x: x * np.sin(x) / (1 + x ** 2),
+                                np.r_[0.0, np.arange(1, 61) * np.pi])
     assert res.value == pytest.approx(np.pi / (2 * np.e), abs=1e-8)
 
 
-def test_oscillatory_unknown_kind():
+@pytest.mark.parametrize("breakpoints", [
+    [1.0], [], [[0.0, 1.0]], [0.0, np.nan], [0.0, np.inf], [1.0, 0.0], [0.0, 1.0, 1.0],
+    [0.0, 1j], ["0", "1"], [False, True],
+])
+def test_partitioned_breakpoint_validation(breakpoints):
     with pytest.raises(DomainError):
-        integrate_oscillatory(lambda x: x, 1.0, "sinc")
+        integrate_partitioned(lambda x: x, breakpoints)
+
+
+def test_partitioned_two_points_is_one_adaptive_interval():
+    # [a, b] is the adaptive engine on one interval, bit for bit; a batched
+    # integrand gets one value and one error per column
+    spec = QuadratureSpec(rel_tol=1e-11)
+    f = lambda x: np.stack([np.sqrt(x), np.cos(3.0 * x)], axis=1)
+    val, err, evals = _adaptive_batch(f, 0.0, 2.0, spec)
+    res = integrate_partitioned(f, [0.0, 2.0], spec)
+    assert np.array_equal(res.value, val) and np.array_equal(res.err_estimate, err)
+    assert res.evaluations == evals
+    val, err, evals = _adaptive_batch(np.sqrt, 0.0, 2.0, spec)
+    one = integrate_partitioned(np.sqrt, [0.0, 2.0], spec)
+    assert (one.value, one.err_estimate, one.evaluations) == (val[0], err[0], evals)
+    assert type(one.value) is complex and type(one.err_estimate) is float
 
 
 def test_kronrod_panel_rule():

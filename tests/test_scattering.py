@@ -54,6 +54,13 @@ def test_grid_build_validation():
     assert np.array_equal(pot.q_values, pot.nodes[:, 0] ** 2)
 
 
+@pytest.mark.parametrize("cells", [2.7, np.nan, True])
+def test_grid_cells_must_be_a_positive_integer(cells):
+    with pytest.raises(DomainError):
+        PotentialGrid.build([-1.0], [1.0], cells, 0.1)
+    assert PotentialGrid.build([-1.0], [1.0], np.int64(3), 0.1).cells_per_axis == 3
+
+
 def test_incident_field_unit_direction():
     with pytest.raises(DomainError):
         IncidentField(np.array([1.0, 1.0]))
@@ -91,7 +98,7 @@ def test_dimension_mismatch():
 def test_diagonal_correction_vs_adaptive_oracle():
     # the locally integrated self-weight against a brute-force adaptive integral
     from frachelm.green import green_eval_batch
-    from frachelm.quadrature import integrate_adaptive
+    from frachelm.quadrature import integrate_partitioned
     pot = grid1()
     h = pot.cell_sizes
 
@@ -99,7 +106,7 @@ def test_diagonal_correction_vs_adaptive_oracle():
         helm, riesz, jt, _ = green_eval_batch(P1, 0.0, rr, QuadratureSpec())
         return helm + riesz + jt
 
-    oracle = 2.0 * integrate_adaptive(gtot, 0.0, h[0] / 2.0).value
+    oracle = 2.0 * integrate_partitioned(gtot, [0.0, h[0] / 2.0]).value
     assert cell_weight(P1, np.array([0.0]), h) == pytest.approx(oracle, rel=1e-8)
 
 

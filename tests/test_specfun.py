@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from frachelm.errors import DomainError
 from frachelm import specfun as sf
-from frachelm.quadrature import QuadratureSpec, integrate_adaptive
+from frachelm.quadrature import integrate_partitioned
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +141,34 @@ def test_hankel1_0_region_consistency():
     assert a == pytest.approx(b, rel=1e-9)
 
 
+def _hankel_misses(z, nu):
+    """Relative miss of hankel1_{nu} at the points z against mpmath at 30
+    digits; at its default 15 it misstates H0(1 + 12i) by 4e-10."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        exact = np.array([complex(mp.hankel1(nu, mp.mpc(complex(v)))) for v in z])
+    got = (sf.hankel1_0 if nu == 0 else sf.hankel1_1)(z)
+    return np.abs(got - exact) / np.abs(exact)
+
+
+# |z| < 14 with |Im z| > 2.5: neither the power series nor the asymptotic series
+_X, _Y = np.meshgrid(np.linspace(0.1, 13.5, 12), np.linspace(2.6, 13.9, 8))
+_OFF_SERIES = (_X + 1j * _Y).ravel()[np.abs(_X + 1j * _Y).ravel() < 14.0]
+
+
+def test_hankel1_1_cosh_integral_branch():
+    assert np.all(_hankel_misses(_OFF_SERIES, 1) <= 1e-12)
+
+
+@pytest.mark.parametrize("nu", [0, 1])
+def test_hankel1_lower_half_plane_reflection(nu):
+    # H1(z) = 2 J(z) - conj(H1(conj z)): the J series adds round-off of about
+    # eps e^{|z|} to a value of size e^{|Im z|}
+    z = _OFF_SERIES.conj()
+    bound = np.maximum(1e-12, 10.0 * np.finfo(float).eps * np.exp(np.abs(z) + z.imag))
+    assert np.all(_hankel_misses(z, nu) <= bound)
+
+
 def test_hankel_branch_cut():
     with pytest.raises(DomainError):
         sf.hankel1_0(-1.0 + 0.0j)
@@ -212,10 +240,9 @@ def test_struve_k0_against_struve_weber_identity():
 def test_struve_k0_quadrature_oracle():
     # direct finite-interval quadrature of the defining integral plus an
     # averaged oscillatory tail, done with the generic engine only
-    from frachelm.quadrature import integrate_oscillatory
     z = 1.0
-    res = integrate_oscillatory(lambda t: sf.bessel_j0(t) / (t + z), 1.0, "j0",
-                                QuadratureSpec(bessel_intervals=60))
+    res = integrate_partitioned(lambda t: sf.bessel_j0(t) / (t + z),
+                                np.r_[0.0, sf.j0_zeros(60)])
     assert sf.struve_k0(z) == pytest.approx(2.0 / np.pi * res.value, abs=1e-9)
 
 
@@ -260,7 +287,7 @@ def test_struve_branch_cut():
 # ---------------------------------------------------------------------------
 
 def test_e1_at_one_quadrature_oracle():
-    qr = integrate_adaptive(lambda t: np.exp(-t) / t, 1.0, 60.0, QuadratureSpec())
+    qr = integrate_partitioned(lambda t: np.exp(-t) / t, [1.0, 60.0])
     assert qr.value.real == pytest.approx(0.219383934395520, abs=1e-12)
     assert sf.expint_e1(1.0) == pytest.approx(0.219383934395520, rel=1e-10)
 
