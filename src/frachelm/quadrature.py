@@ -17,9 +17,16 @@ the columns c, tol = max(abs_tol, rel_tol |total|), not the largest absolute
 error, so columns of very different size share one pass.
 
 Each panel estimate is the embedded Gauss-Kronrod pair G7/K15 (QUADPACK's
-``qk15``; Piessens et al., *QUADPACK*, Springer 1983): the integrand is called
-once, at the 15 Kronrod nodes, the value is the K15 sum and the error the raw
-|K15 - G7|, where G7 reuses 7 of the same 15 values.
+``qk15``; Piessens et al., *QUADPACK*, Springer 1983): the value is the K15
+sum over the panel's 15 Kronrod nodes and the error the raw |K15 - G7|, where
+G7 reuses 7 of the same 15 values.  One integrand call evaluates the nodes of
+many panels: the first panel of every cell of a partition, and the children
+of the next panels down a left-end bisection cascade, which an endpoint
+singularity takes one after another.  A call holds at most ``_CALL_POINTS``
+point-columns (points times integrand columns) unless one panel pair alone
+needs more.  The engine bisects the same panels as with one call per panel,
+so values and errors do not depend on this batching; the evaluation counts
+include the lookahead panels it estimated and never used.
 
 The adaptive engine also takes an optional weight(a, b) that returns a fixed
 factor at the 15 Kronrod nodes of panel [a, b]; it multiplies the integrand
@@ -97,6 +104,12 @@ _EXP_HEAD_CAP = 120.0
 # with the array, key tuple, key floats and cache link) each, so at most 0.86 MB
 _J0_PANELS = 2048
 
+# point-columns (integrand points times columns) one call of the integrand
+# may hold, unless one panel pair alone holds more; and the most levels of a
+# left-end bisection cascade one call estimates ahead
+_CALL_POINTS = 4096
+_LOOKAHEAD_LEVELS = 16
+
 
 @lru_cache(maxsize=None)
 def _laggauss_cached(order):
@@ -119,46 +132,85 @@ def _panel_nodes(a, b):
 
 
 def _panel_estimates(f, a, b, weight=None):
-    """Gauss-Kronrod 7/15 panel: (K15 value, |K15 - G7| error, evaluations).
-
-    The integrand is called once, at the 15 Kronrod nodes.  ``weight(a, b)``,
-    if given, returns 15 factors that multiply the integrand values there."""
-    x, half = _panel_nodes(a, b)
-    fx = _as_batch(f(x), x.size)
+    """Gauss-Kronrod 7/15 estimates of the panels [a_i, b_i], from one call
+    of f at all their Kronrod nodes: (K15 values, |K15 - G7| errors, points),
+    the first two of shape (panels, columns).  ``weight(a_i, b_i)``, if
+    given, returns 15 factors that multiply the integrand values of panel i."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    x, half = _panel_nodes(a[:, None], b[:, None])
+    fx = _as_batch(f(x.ravel()), x.size).reshape(*x.shape, -1)
     if weight is not None:
-        fx = weight(a, b)[:, None] * fx
-    val, diff = half * (_KRONROD_WEIGHTS @ fx)
-    return val, np.abs(diff), x.size
+        fx = np.array([weight(ai, bi) for ai, bi in zip(a, b)])[:, :, None] * fx
+    est = half[:, :, None] * (_KRONROD_WEIGHTS @ fx)
+    return est[:, 0], np.abs(est[:, 1]), x.size
 
 
-def _adaptive_batch(f, a, b, spec, abs_tol=None, weight=None):
+def _bisected(pa, pb, a, depth):
+    """The panels whose children one integrand call estimates: [pa, pb], and,
+    when it starts at the interval's left end a, the next depth - 1 panels of
+    that end's bisection cascade, [a, x_1], [a, x_2], ... with
+    x_j = 0.5 * (a + x_{j-1}) and x_0 = pb, as the engine computes midpoints."""
+    parents = [(pa, pb)]
+    while pa == a and len(parents) < depth:
+        x = 0.5 * (a + parents[-1][1])
+        if not a < x:   # [a, x_{j-1}] is as narrow as floats near a allow
+            break
+        parents.append((a, x))
+    return parents
+
+
+def _adaptive_batch(f, a, b, spec, abs_tol=None, weight=None, first=None):
     """Adaptive bisection on [a, b]; returns (value_vec, err_vec, evaluations).
 
     The panel bisected next is the one whose largest err_c / tol_c over the
     columns c is largest, tol = max(abs_tol, rel_tol |total_c|) taken when the
     panel was pushed, so a large column already within its tolerance does not
-    draw the bisections a small column needs."""
+    draw the bisections a small column needs.
+
+    Bisecting a panel whose children are not yet estimated is one call of f.
+    When that panel starts at a, the call also estimates the children of the
+    next panels down the left-end cascade (``_bisected``): up to
+    ``_LOOKAHEAD_LEVELS`` levels, fewer when the columns would take the call
+    past ``_CALL_POINTS`` point-columns.  Later bisections take them from a
+    table keyed by the parent panel, so the panels, values and errors are
+    those of one call per panel; a lookahead panel never used costs only its
+    points, which count in the evaluations.  ``first``, if given, is the
+    (value, error) of [a, b] that the caller estimated; its 15 points count
+    here."""
     rel = spec.rel_tol
     atol = spec.abs_tol if abs_tol is None else abs_tol
-    val, err, evals = _panel_estimates(f, a, b, weight)
+    if first is None:
+        (val,), (err,), evals = _panel_estimates(f, [a], [b], weight)
+    else:
+        (val, err), evals = first, _KRONROD_NODES.size
+    # a level of lookahead is two 15-point children
+    depth = min(_LOOKAHEAD_LEVELS, max(1, _CALL_POINTS // (30 * val.size)))
     total_val, total_err = val.copy(), err.copy()
     tol = np.maximum(atol, rel * np.abs(total_val))
     counter = 0
     heap = [(-float((err / tol).max()), counter, a, b, val, err)]
+    ahead = {}
     npanels = 1
-    while not np.all(total_err <= tol):
+    while not (total_err <= tol).all():
         if npanels >= spec.max_subdiv or not heap:
             raise AccuracyError(
                 f"adaptive quadrature did not converge within {spec.max_subdiv} panels",
                 value=total_val, err_estimate=float(total_err.max()))
         _, _, pa, pb, pval, perr = heapq.heappop(heap)
+        if (pa, pb) not in ahead:
+            parents = _bisected(pa, pb, a, depth)
+            lo, hi = np.array(parents).T
+            mid = 0.5 * (lo + hi)
+            v, e, ev = _panel_estimates(f, np.concatenate([lo, mid]),
+                                        np.concatenate([mid, hi]), weight)
+            evals += ev
+            n = len(parents)
+            ahead.update(zip(parents, zip(v[:n], e[:n], v[n:], e[n:])))
+        lval, lerr, rval, rerr = ahead.pop((pa, pb))
         pm = 0.5 * (pa + pb)
-        lval, lerr, ev1 = _panel_estimates(f, pa, pm, weight)
-        rval, rerr, ev2 = _panel_estimates(f, pm, pb, weight)
-        evals += ev1 + ev2
         total_val += lval + rval - pval
         total_err += lerr + rerr - perr
-        total_err = np.maximum(total_err, 0.0)
+        np.maximum(total_err, 0.0, out=total_err)
         tol = np.maximum(atol, rel * np.abs(total_val))
         counter += 1
         heapq.heappush(heap, (-float((lerr / tol).max()), counter, pa, pm, lval, lerr))
@@ -196,15 +248,27 @@ def _integrate_partitioned(f, breakpoints, spec, weight=None):
 
     The first cell is the head; the remaining cells form partial sums
     accelerated by iterated averaging, which is how the conditionally
-    convergent oscillatory tails are resummed.
+    convergent oscillatory tails are resummed.  The first estimates of all
+    cells take as few integrand calls as ``_CALL_POINTS`` allows: the head
+    cell's alone, whose column count sizes the calls for the others.  Each
+    cell then refines adaptively from its first estimate.
     Returns (values, errors, evaluations, |tail cells|), the last of shape
     (cells, columns).
     """
     pts = np.asarray(breakpoints, dtype=float)
     per_panel_abs = spec.abs_tol / max(1, len(pts) - 1)
+    lo, hi = pts[:-1], pts[1:]
+    val, err, _ = _panel_estimates(f, lo[:1], hi[:1], weight)
+    chunk = max(1, _CALL_POINTS // (_KRONROD_NODES.size * val.shape[1]))
+    firsts = list(zip(val, err))
+    for i in range(1, lo.size, chunk):
+        v, e, _ = _panel_estimates(f, lo[i:i + chunk], hi[i:i + chunk], weight)
+        firsts += zip(v, e)
+    # each cell's loop counts the 15 points of its first estimate
     cells, errs, evals = [], 0.0, 0
-    for a, b in zip(pts[:-1], pts[1:]):
-        v, e, ev = _adaptive_batch(f, a, b, spec, abs_tol=per_panel_abs, weight=weight)
+    for a, b, first in zip(lo, hi, firsts):
+        v, e, ev = _adaptive_batch(f, a, b, spec, abs_tol=per_panel_abs, weight=weight,
+                                   first=first)
         cells.append(v)
         errs = errs + e
         evals += ev

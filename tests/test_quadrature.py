@@ -1,15 +1,18 @@
 """Quadrature engine tests: known values, linearity, error honesty."""
 
+import heapq
 import math
 
 import numpy as np
 import pytest
 
+import frachelm.quadrature as quad
 from frachelm.errors import AccuracyError, DomainError
 from frachelm.quadrature import (
     QuadratureSpec, QuadResult, _adaptive_batch, _exp_weighted_batch,
     integrate_bessel_transform, integrate_partitioned,
 )
+from frachelm.specfun import iterated_average
 
 
 def _exp_weighted(f):
@@ -296,17 +299,154 @@ def test_kronrod_panel_rule():
         assert abs(g7 @ x ** d - exact(d)) <= 1e-15
 
 
-def test_adaptive_batch_calls_integrand_once_per_panel():
+# one integrand call per panel estimate: the engine before the lookahead, kept
+# as the reference its panels, values and errors must match bit for bit
+
+def _reference_panel(f, a, b, weight=None):
+    x, half = quad._panel_nodes(a, b)
+    fx = quad._as_batch(f(x), x.size)
+    if weight is not None:
+        fx = weight(a, b)[:, None] * fx
+    val, diff = half * (quad._KRONROD_WEIGHTS @ fx)
+    return val, np.abs(diff), x.size
+
+
+def _reference_adaptive(f, a, b, spec, abs_tol=None, weight=None):
+    rel = spec.rel_tol
+    atol = spec.abs_tol if abs_tol is None else abs_tol
+    val, err, evals = _reference_panel(f, a, b, weight)
+    total_val, total_err = val.copy(), err.copy()
+    tol = np.maximum(atol, rel * np.abs(total_val))
+    counter = 0
+    heap = [(-float((err / tol).max()), counter, a, b, val, err)]
+    npanels = 1
+    while not np.all(total_err <= tol):
+        if npanels >= spec.max_subdiv or not heap:
+            raise AccuracyError("no convergence", value=total_val,
+                                err_estimate=float(total_err.max()))
+        _, _, pa, pb, pval, perr = heapq.heappop(heap)
+        pm = 0.5 * (pa + pb)
+        lval, lerr, ev1 = _reference_panel(f, pa, pm, weight)
+        rval, rerr, ev2 = _reference_panel(f, pm, pb, weight)
+        evals += ev1 + ev2
+        total_val += lval + rval - pval
+        total_err += lerr + rerr - perr
+        total_err = np.maximum(total_err, 0.0)
+        tol = np.maximum(atol, rel * np.abs(total_val))
+        counter += 1
+        heapq.heappush(heap, (-float((lerr / tol).max()), counter, pa, pm, lval, lerr))
+        counter += 1
+        heapq.heappush(heap, (-float((rerr / tol).max()), counter, pm, pb, rval, rerr))
+        npanels += 1
+    return total_val, total_err, evals
+
+
+def _reference_partitioned(f, breakpoints, spec, weight=None):
+    pts = np.asarray(breakpoints, dtype=float)
+    per_panel_abs = spec.abs_tol / max(1, len(pts) - 1)
+    cells, errs, evals = [], 0.0, 0
+    for a, b in zip(pts[:-1], pts[1:]):
+        v, e, ev = _reference_adaptive(f, a, b, spec, abs_tol=per_panel_abs, weight=weight)
+        cells.append(v)
+        errs = errs + e
+        evals += ev
+    cells = np.array(cells)
+    head, tail = cells[0], cells[1:]
+    limit, accel_err = iterated_average(np.cumsum(tail, axis=0))
+    return head + limit, errs + accel_err, evals, np.abs(tail)
+
+
+def _use_reference(monkeypatch, calls=None):
+    """Route the engines through the reference loop; with a list, record one
+    entry per integrand call of the adaptive engine."""
+    def counted(f):
+        return f if calls is None else (lambda x: calls.append(1) or f(x))
+    monkeypatch.setattr(quad, "_adaptive_batch",
+                        lambda f, *a, **k: _reference_adaptive(counted(f), *a, **k))
+    monkeypatch.setattr(quad, "_integrate_partitioned",
+                        lambda f, *a, **k: _reference_partitioned(counted(f), *a, **k))
+
+
+def _recording(f, calls):
+    """f, recording (points, columns) of each call."""
+    def rec(x):
+        out = f(x)
+        calls.append((np.shape(x)[0], 1 if np.ndim(out) == 1 else np.shape(out)[1]))
+        return out
+    return rec
+
+
+_TWO_COLUMNS = lambda x: np.stack([1e8 * np.exp(x), 1e-8 * np.sqrt(x)], axis=1)
+_LOOKAHEAD_CASES = [
+    # (integrand, interval, spec)
+    (lambda x: 1.0 / np.sqrt(x), (0.0, 1.0), QuadratureSpec()),
+    (_TWO_COLUMNS, (0.0, 1.0), QuadratureSpec(rel_tol=1e-12, abs_tol=1e-30)),
+    (lambda x: np.log(x) * np.cos(x), (0.0, 3.0), QuadratureSpec(rel_tol=1e-12)),
+]
+
+
+@pytest.mark.parametrize("f, ab, spec", _LOOKAHEAD_CASES,
+                         ids=["inv_sqrt", "two_columns", "log_cos"])
+def test_adaptive_batch_estimates_the_left_end_cascade_ahead(f, ab, spec):
+    # the same panels, values and errors as one call per panel, in fewer calls
+    # of at most _CALL_POINTS point-columns; evaluations count every point
     calls = []
+    val, err, evals = _adaptive_batch(_recording(f, calls), *ab, spec)
+    ref_calls = []
+    ref_val, ref_err, ref_evals = _reference_adaptive(_recording(f, ref_calls), *ab, spec)
+    assert np.array_equal(val, ref_val) and np.array_equal(err, ref_err)
+    assert evals == sum(n for n, _ in calls) >= ref_evals
+    cols = calls[0][1]
+    assert max(n * c for n, c in calls) <= max(30 * cols, quad._CALL_POINTS)
+    assert 1 < len(calls) <= len(ref_calls) // 2
 
-    def f(x):
-        calls.append(x.size)
-        return 1.0 / np.sqrt(x)
 
-    val, err, evals = _adaptive_batch(f, 0.0, 1.0, QuadratureSpec())
-    # every bisection estimates two new panels; the first estimate is one
-    panels = (len(calls) + 1) // 2
-    assert len(calls) % 2 == 1 and panels > 1
-    assert calls == [15] * len(calls)
-    assert evals == 15 * (2 * panels - 1)
-    assert abs(val[0] - 2.0) <= err[0]
+def test_exp_weighted_head_matches_one_call_per_panel(monkeypatch):
+    # a y^{2s-1}-type singularity at y = 0, as in the 1D and 3D tails
+    f = lambda y: np.stack([y ** -0.4, y ** 0.6 * np.cos(3.0 * y)], axis=1)
+    spec = QuadratureSpec(rel_tol=1e-11)
+    calls = []
+    val, err, evals = _exp_weighted_batch(_recording(f, calls), spec, 10.0)
+    assert evals == sum(n for n, _ in calls)
+    _use_reference(monkeypatch)
+    ref_val, ref_err, _ = _exp_weighted_batch(f, spec, 10.0)
+    assert np.array_equal(val, ref_val) and np.array_equal(err, ref_err)
+
+
+@pytest.mark.parametrize("nradii", [1, 3, 70, 200])
+def test_bessel_transform_matches_one_call_per_panel(monkeypatch, nradii):
+    # the J0-weighted partition: every cell's first panel in as few calls as
+    # the budget allows, the head cell's cascade ahead; 70 radii take one
+    # lookahead level per call, 200 one cell per call
+    radii = np.geomspace(0.05, 40.0, nradii)
+    g = lambda rho: rho ** 0.5 * np.exp(-rho)
+    calls = []
+    res = integrate_bessel_transform(_recording(g, calls), radii)
+    assert res.evaluations == sum(n for n, _ in calls)
+    assert max(n * c for n, c in calls) <= max(30 * nradii, quad._CALL_POINTS)
+    _use_reference(monkeypatch)
+    ref = integrate_bessel_transform(g, radii)
+    assert np.array_equal(res.value, ref.value)
+    assert np.array_equal(res.err_estimate, ref.err_estimate)
+
+
+def test_green_rows_take_at_most_half_the_integrand_calls(monkeypatch):
+    # a green-sweep 1D row and a 2D transform at 3 radii: the adaptive engine
+    # calls the integrand at most half as often as with one call per panel,
+    # and every value is the same
+    from frachelm.green import green_eval_batch
+    from frachelm.kernels import Problem
+    rows = [(Problem(1, 0.3, 1.0), np.geomspace(10.0, 1e4, 9)),
+            (Problem(2, 0.3, 1.0), np.array([0.3, 2.0, 15.0]))]
+    estimate = quad._panel_estimates
+    for p, radii in rows:
+        calls, ref_calls = [], []
+        with monkeypatch.context() as m:
+            m.setattr(quad, "_panel_estimates",
+                      lambda *a, **k: calls.append(1) or estimate(*a, **k))
+            got = green_eval_batch(p, 0.0, radii)
+        with monkeypatch.context() as m:
+            _use_reference(m, ref_calls)
+            ref = green_eval_batch(p, 0.0, radii)
+        assert all(np.array_equal(u, v) for u, v in zip(got, ref))
+        assert 0 < len(calls) <= len(ref_calls) // 2

@@ -169,6 +169,23 @@ def test_hankel1_lower_half_plane_reflection(nu):
     assert np.all(_hankel_misses(z, nu) <= bound)
 
 
+@pytest.mark.parametrize("z", [1.67 - 13.9j, 13.7 - 2.6j, 1.67 - 13.91j])
+def test_hankel1_0_rel_error_refuses_the_lower_half_plane(z):
+    with pytest.raises(DomainError):
+        sf.hankel1_0_rel_error(z)
+    with pytest.raises(DomainError):
+        sf.hankel1_0_rel_error(np.array([5.0 + 0.0j, z]))
+    assert sf.hankel1_0_rel_error(np.conj(z)) >= 1e-12
+    assert sf.hankel1_0_rel_error(complex(z.real, -0.0)) >= 1e-12
+
+
+def test_hankel1_0_misses_its_mirror_bound_below_the_axis():
+    # why the bound stops at the axis: the reflection below |z| = 14 and the
+    # asymptotic series just above it miss by more than the mirror point's bound
+    z = np.array([13.7 - 2.6j, 1.67 - 13.91j])
+    assert np.all(_hankel_misses(z, 0) > sf.hankel1_0_rel_error(z.conj()))
+
+
 def test_hankel_branch_cut():
     with pytest.raises(DomainError):
         sf.hankel1_0(-1.0 + 0.0j)
