@@ -5,12 +5,22 @@ sum, tail integral); the decomposition is returned explicitly so diagnostics
 can test each part's asymptotics.  Tail integrals run through the quadrature
 engines, or, in large batches, through a checked Chebyshev table on dyadic
 panels; their error estimates propagate additively.
+
+The n = 1, 3 tail is pref * int_0^inf e^{-y} bracket(y) dy with the bracket
+rational in w = y^{2s}.  At large kr its far branch (``_far_series``) expands
+each 1/(w e^{+-i pi s} - c) in powers of w/c and integrates term by term
+(Watson's lemma), with a remainder bound from the distance of c to the rays
+w e^{+-i pi s}.  Each radius and bracket power takes the J <= ``_FAR_TERMS``
+terms that minimise the bound, and uses the series only where the bound plus
+its rounding meets the tolerance the quadrature would be held to; the other
+radii go to the e^{-y} engine.  The 2D tail has no far branch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -31,6 +41,7 @@ DERIVATIVE_SPEC = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-11)
 # except the 2D Helmholtz part, which specfun bounds per evaluation path
 _CLOSED_FORM_REL = 1e-12
 _PANEL_DEGREE = 20    # Chebyshev degree of a dyadic panel of the tail table
+_FAR_TERMS = 64       # most terms the far series of an e^{-y} tail sums
 
 
 @dataclass
@@ -66,34 +77,128 @@ def _riesz_sum_batch(p, m, kc, r, derivative=False):
 
 
 def _exp_tail_terms(p, regime, kc, r):
-    """(pref, dpref, bracket) of the n in {1, 3} tail at radii r: the tail is
-    pref * int_0^inf e^{-y} bracket(y) dy, dpref = d pref / dr, and
-    bracket(y, power=1) returns a (points, radii) array."""
+    """(pref, dpref, c, bracket, far) of the n in {1, 3} tail at radii r: the
+    tail is pref * int_0^inf e^{-y} bracket(y, c) dy, dpref = d pref / dr,
+    and bracket(y, c, power=1) returns a (points, radii) array.  far = (s,
+    delta, a, b) writes the bracket as y^delta [a/(w e^{i pi s} - c)^p
+    + b/(w e^{-i pi s} - c)^p], w = y^{2s}, for ``_far_series``."""
     s, m = p.s, regime.m
     c = kc ** (2.0 * s) * r.astype(complex) ** (2.0 * s)
     if p.n == 1:
         pref = 1j / (2.0 * np.pi * r ** (1.0 - 2.0 * s))
         dpref = 1j * (2.0 * s - 1.0) / (2.0 * np.pi * r ** (2.0 - 2.0 * s))
-        return pref, dpref, partial(_bracket_1d, c=c, s=s)
+        return pref, dpref, c, partial(_bracket_1d, s=s), (s, 0.0, 1.0, -1.0)
     expo = 3.0 - 2.0 * s * (m + 1.0)
     pref = kc ** (2.0 * s * m) / (4j * np.pi ** 2 * r ** expo)
-    return pref, -expo * pref / r, partial(_bracket_3d, c=c, s=s, m=m)
+    em = np.exp(1j * np.pi * s * m)
+    return (pref, -expo * pref / r, c, partial(_bracket_3d, s=s, m=m),
+            (s, 1.0 - 2.0 * s * m, -1.0 / em, em))
+
+
+@lru_cache(maxsize=256)
+def _far_rows(s, delta, a, b, power, rel_tol, abs_tol):
+    """Constants of ``_far_series`` for one bracket, power and tolerance:
+
+    * a |c| below which no column meets its tolerance.  The distance d from
+      c to the rays is at most |c| and the integral at most 2 Gamma(1 +
+      delta) / d^power, so there every J's bound exceeds max(abs_tol,
+      2 rel_tol |integral|);
+    * for J = 1 .. ``_FAR_TERMS``, as (terms, 1) columns: log 2 Gamma(1 +
+      delta + 2sJ), and J;
+    * for the terms j = 0 .. ``_FAR_TERMS`` - 1: j, the log of
+      (j + 1)^(power - 1) Gamma(1 + delta + 2sj), the signed phase factor,
+      and |log Gamma| + 2, the term's rounding weight;
+    * e^{-+i pi s}, which turns the rays onto the positive axis.
+    """
+    j = np.arange(_FAR_TERMS + 1.0)[:, None]
+    lg = np.array([math.lgamma(1.0 + delta + 2.0 * s * i) for i in j[:, 0]])[:, None]
+    big_j, lgb, lg = j[1:], lg[1:], lg[:-1]
+    j = j[:-1]
+    rel = (lgb - lg[0] - math.log(2.0 * rel_tol)) / big_j
+    tol_abs = (math.log(2.0 / abs_tol) + (power - 1) * np.log(big_j + 1.0) + lgb) / (big_j + power)
+    phase = a * np.exp(1j * np.pi * s * j) + b * np.exp(-1j * np.pi * s * j)
+    return (math.exp(min(rel.min(), tol_abs.min())), math.log(2.0) + lgb, big_j, j,
+            lg + (power - 1) * np.log(j + 1.0), (-1.0) ** power * phase, np.abs(lg) + 2.0,
+            np.exp(-1j * np.pi * s * np.array([[1.0], [-1.0]])))
+
+
+def _far_series(c, s, delta, a, b, spec, power):
+    """(values, errors, served) of int_0^inf e^{-y} y^delta [a/(x_+ - c)^p
+    + b/(x_- - c)^p] dy, x_+- = y^{2s} e^{+-i pi s}, p = power, by Watson's
+    lemma with an explicit remainder (Olver, *Asymptotics and Special
+    Functions*, ch. 3).
+
+    1/(x - c) = -sum_{j<J} x^j / c^{j+1} + (x/c)^J / (x - c), and each x^j
+    integrates to Gamma(1 + delta + 2sj) e^{+-i pi s j}.  With d the distance
+    from c to the two rays, the remainder is at most 2 Gamma(1 + delta + 2sJ)
+    / (|c|^J d), and that of its d/dc (p = 2) 2 Gamma(1 + delta + 2sJ) / |c|^J
+    (J / (|c| d) + 1/d^2).  Per column J <= ``_FAR_TERMS`` minimises the
+    bound; the error is the bound plus the summation's rounding, and a column
+    is served when that meets max(abs_tol, rel_tol |value|).  Columns with
+    |c| below the threshold of ``_far_rows`` are not tried, and when no
+    column is tried the values and errors are None.
+    """
+    thresh, lb0, big_j, j, lt, phase, lg_size, rot = _far_rows(
+        s, delta, a, b, power, spec.rel_tol, spec.abs_tol)
+    ac = np.abs(c)
+    served = ac >= thresh
+    if not served.any():
+        return None, None, served
+    cc, ac = c[served], ac[served]
+    d = ac * np.sin(np.minimum(np.abs(np.angle(cc * rot)).min(axis=0), 0.5 * np.pi))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # log of the remainder bound after J = 1 .. _FAR_TERMS terms
+        lb = lb0 - big_j * np.log(ac) + (
+            -np.log(d) if power == 1 else np.log(big_j / (ac * d) + d ** -2.0))
+        nterms, bound = lb.argmin(axis=0) + 1, np.exp(lb.min(axis=0))
+        top, logc = nterms.max(), np.log(cc)
+        jp = j[:top] + power
+        terms = np.where(j[:top] < nterms, np.exp(lt[:top] - jp * logc), 0.0)
+        sv = (phase[:top] * terms).sum(axis=0)
+        # a term's relative rounding follows the size of its exponent's
+        # parts, and the sum adds one rounding per term
+        size = lg_size[:top] + jp * np.abs(logc) + nterms
+        rounding = (np.abs(terms) * size).sum(axis=0) * (abs(a) + abs(b))
+        se = bound + 8.0 * np.finfo(float).eps * rounding
+        ok = np.isfinite(sv) & (se <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(sv)))
+    served[served] = ok
+    val, err = np.zeros(c.shape, dtype=complex), np.zeros(c.shape)
+    val[served], err[served] = sv[ok], se[ok]
+    return val, err, served
+
+
+def _exp_integral(bracket, far, c, spec, y_cut, power):
+    """(values, errors) of int_0^inf e^{-y} bracket(y, c, power) dy per
+    radius: the far series where it meets the tolerance, else the e^{-y}
+    engine over the other radii.  y_cut is that of all the radii, so the head
+    interval of a near radius does not depend on which of its neighbours the
+    series took."""
+    val, err, served = _far_series(c, *far, spec, power)
+    if served.all():
+        return val, err
+    rest = ~served
+    qv, qe, _ = _exp_weighted_batch(partial(bracket, c=c[rest], power=power), spec, y_cut)
+    if val is None:
+        return qv, qe
+    val[rest], err[rest] = qv, qe
+    return val, err
 
 
 def _exp_tail_batch(p, regime, kc, r, spec, derivative=False):
-    """Tail integrals for n in {1, 3}: e^{-y} integrals, batched over radii.
+    """Tail integrals for n in {1, 3}: e^{-y} integrals, batched over radii,
+    or their far series (``_far_series``) where that meets the tolerance.
 
     Returns (values, errors).  With ``derivative=True`` the integrand is the
     one obtained by differentiation under the integral sign, plus the
     prefactor-derivative term.
     """
     s = p.s
-    pref, dpref, bracket = _exp_tail_terms(p, regime, kc, r)
+    pref, dpref, c, bracket, far = _exp_tail_terms(p, regime, kc, r)
     y_cut = max(10.0, 5.0 * abs(kc) * float(r.max()))
-    ival, ierr, _ = _exp_weighted_batch(bracket, spec, y_cut)
+    ival, ierr = _exp_integral(bracket, far, c, spec, y_cut, 1)
     if not derivative:
         return pref * ival, np.abs(pref) * ierr
-    dval, derr, _ = _exp_weighted_batch(partial(bracket, power=2), spec, y_cut)
+    dval, derr = _exp_integral(bracket, far, c, spec, y_cut, 2)
     dc_dr = 2.0 * s * kc ** (2.0 * s) * r.astype(complex) ** (2.0 * s - 1.0)
     val = dpref * ival + pref * dval * dc_dr
     err = np.abs(dpref) * ierr + np.abs(pref * dc_dr) * derr

@@ -28,17 +28,19 @@ needs more.  The engine bisects the same panels as with one call per panel,
 so values and errors do not depend on this batching; the evaluation counts
 include the lookahead panels it estimated and never used.
 
-The adaptive engine also takes an optional weight(a, b) that returns a fixed
-factor at the 15 Kronrod nodes of panel [a, b]; it multiplies the integrand
-values.  The Bessel transform passes J0 this way: its partition and
+The adaptive engine also takes an optional weight(a, b) that returns fixed
+factors at the 15 Kronrod nodes of each panel [a_i, b_i]; they multiply the
+integrand values.  The Bessel transform passes J0 this way: its partition and
 every bisection of it are fixed in t = rho r, so J0 is tabulated once per
-panel (``_j0_panel``, an LRU cache of ``_J0_PANELS`` panels keyed by the panel
-ends) and every later call reuses it.
+panel (``_j0_panels``, an LRU table of ``_J0_PANELS`` panels keyed by the
+panel ends, filled in one ``bessel_j0`` call per integrand call) and every
+later call reuses it.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -134,13 +136,13 @@ def _panel_nodes(a, b):
 def _panel_estimates(f, a, b, weight=None):
     """Gauss-Kronrod 7/15 estimates of the panels [a_i, b_i], from one call
     of f at all their Kronrod nodes: (K15 values, |K15 - G7| errors, points),
-    the first two of shape (panels, columns).  ``weight(a_i, b_i)``, if
-    given, returns 15 factors that multiply the integrand values of panel i."""
+    the first two of shape (panels, columns).  ``weight(a, b)``, if given,
+    returns (panels, 15) factors that multiply the integrand values."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     x, half = _panel_nodes(a[:, None], b[:, None])
     fx = _as_batch(f(x.ravel()), x.size).reshape(*x.shape, -1)
     if weight is not None:
-        fx = np.array([weight(ai, bi) for ai, bi in zip(a, b)])[:, :, None] * fx
+        fx = weight(a, b)[:, :, None] * fx
     est = half[:, :, None] * (_KRONROD_WEIGHTS @ fx)
     return est[:, 0], np.abs(est[:, 1]), x.size
 
@@ -250,8 +252,8 @@ def _integrate_partitioned(f, breakpoints, spec, weight=None):
     accelerated by iterated averaging, which is how the conditionally
     convergent oscillatory tails are resummed.  The first estimates of all
     cells take as few integrand calls as ``_CALL_POINTS`` allows: the head
-    cell's alone, whose column count sizes the calls for the others.  Each
-    cell then refines adaptively from its first estimate.
+    cell's alone, whose column count sizes the calls for the others.  A cell
+    whose first estimate misses its tolerance then refines adaptively from it.
     Returns (values, errors, evaluations, |tail cells|), the last of shape
     (cells, columns).
     """
@@ -260,19 +262,22 @@ def _integrate_partitioned(f, breakpoints, spec, weight=None):
     lo, hi = pts[:-1], pts[1:]
     val, err, _ = _panel_estimates(f, lo[:1], hi[:1], weight)
     chunk = max(1, _CALL_POINTS // (_KRONROD_NODES.size * val.shape[1]))
-    firsts = list(zip(val, err))
+    vals, errs = [val], [err]
     for i in range(1, lo.size, chunk):
         v, e, _ = _panel_estimates(f, lo[i:i + chunk], hi[i:i + chunk], weight)
-        firsts += zip(v, e)
-    # each cell's loop counts the 15 points of its first estimate
-    cells, errs, evals = [], 0.0, 0
-    for a, b, first in zip(lo, hi, firsts):
-        v, e, ev = _adaptive_batch(f, a, b, spec, abs_tol=per_panel_abs, weight=weight,
-                                   first=first)
-        cells.append(v)
-        errs = errs + e
-        evals += ev
-    cells = np.array(cells)
+        vals.append(v)
+        errs.append(e)
+    cells, errs = np.concatenate(vals), np.concatenate(errs)
+    evals = _KRONROD_NODES.size * lo.size
+    # a cell whose first estimate meets its tolerance is done; the others
+    # refine adaptively from it, and their loop counts its 15 points again
+    done = (errs <= np.maximum(per_panel_abs, spec.rel_tol * np.abs(cells))).all(axis=1)
+    for i in np.flatnonzero(~done):
+        cells[i], errs[i], ev = _adaptive_batch(f, lo[i], hi[i], spec, abs_tol=per_panel_abs,
+                                                weight=weight, first=(cells[i], errs[i]))
+        evals += ev - _KRONROD_NODES.size
+    # summed in cell order; np.sum may pair the terms of a one-column array
+    errs = np.cumsum(errs, axis=0)[-1]
     head, tail = cells[0], cells[1:]
     if tail.shape[0] == 0:
         return head, errs, evals, np.abs(tail)
@@ -298,13 +303,33 @@ def integrate_partitioned(f, breakpoints, spec=DEFAULT_SPEC):
     return QuadResult(value, err, evals)
 
 
-@lru_cache(maxsize=_J0_PANELS)
-def _j0_panel(a, b):
-    """J0 at the 15 Kronrod nodes of panel [a, b] in t, read-only.  Looks up
-    ``bessel_j0`` in this module at each miss."""
-    w = bessel_j0(_panel_nodes(a, b)[0])
-    w.flags.writeable = False
-    return w
+class _J0Table:
+    """J0 at the 15 Kronrod nodes of panels [a, b] in t: an LRU table of at
+    most ``size`` panels keyed by the panel ends.  A call takes arrays of
+    panel ends and returns a (panels, 15) array; it tabulates all the panels
+    it misses in one call of ``bessel_j0``, looked up in this module."""
+
+    def __init__(self, size):
+        self.size = size
+        self.panels = OrderedDict()
+
+    def __call__(self, a, b):
+        keys = list(zip(a.tolist(), b.tolist()))
+        miss = [key for key in dict.fromkeys(keys) if key not in self.panels]
+        if miss:
+            lo, hi = np.array(miss).T
+            values = bessel_j0(_panel_nodes(lo[:, None], hi[:, None])[0])
+            # a row of its own, so an evicted panel frees its values
+            self.panels.update(zip(miss, map(np.copy, values)))
+        for key in keys:
+            self.panels.move_to_end(key)
+        out = np.array([self.panels[key] for key in keys])
+        while len(self.panels) > self.size:
+            self.panels.popitem(last=False)
+        return out
+
+
+_j0_panels = _J0Table(_J0_PANELS)
 
 
 def integrate_bessel_transform(g, r, spec=DEFAULT_SPEC):
@@ -328,7 +353,7 @@ def integrate_bessel_transform(g, r, spec=DEFAULT_SPEC):
         rho = t[:, None] / radii[None, :]
         return np.asarray(g(rho), dtype=complex) / radii[None, :]
 
-    value, err, evals, incr = _integrate_partitioned(integrand, pts, spec, _j0_panel)
+    value, err, evals, incr = _integrate_partitioned(integrand, pts, spec, _j0_panels)
     _check_tail_decay(incr, value, err, spec)
     if np.ndim(r) == 0:
         return QuadResult(complex(value[0]), float(err[0]), evals)

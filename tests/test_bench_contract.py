@@ -63,7 +63,7 @@ def test_traced_scatter_unit_attributes_cell_weight():
 def test_traced_2d_batch_counts_j0_table_misses():
     # bench/layers.py wraps frachelm.quadrature.bessel_j0, which the J0 panel
     # table calls on each miss; an empty table must show up in the count
-    frachelm.quadrature._j0_panel.cache_clear()
+    frachelm.quadrature._j0_panels.panels.clear()
     tracer = Tracer()
     tracer.enabled = True
     tracer.op = 0

@@ -1,15 +1,18 @@
 """Green's-function assembly tests: closed forms, derivatives, asymptotics."""
 
+import math
+
 import numpy as np
 import pytest
 
+from frachelm import green
 from frachelm.errors import DomainError
 from frachelm.green import (
     DERIVATIVE_SPEC, _helm_rel, green_closed_form_3d_half, green_eval, green_eval_batch,
     green_radial_derivative, src_residual,
 )
-from frachelm.kernels import Problem, helm_part, helm_part_dr, spectral_shift
-from frachelm.quadrature import QuadratureSpec
+from frachelm.kernels import Problem, classify_regime, helm_part, helm_part_dr, spectral_shift
+from frachelm.quadrature import DEFAULT_SPEC, QuadratureSpec
 from frachelm.specfun import expint_e1, hankel1_0
 
 
@@ -287,3 +290,157 @@ def test_2d_helm_charge_bounds_hankel_off_the_axis():
     with mp.workdps(30):
         h0 = complex(mp.hankel1(0, mp.mpc(kc * r)))
     assert abs(helm[0] - 1j * kc ** (2.0 - 2.0 * p.s) / (4.0 * p.s) * h0) <= err[0]
+
+
+# ---------------------------------------------------------------------------
+# The far branch of the n = 1, 3 tail: its Watson series against the e^{-y}
+# engine, the s = 1/2 closed form, mpmath and the far-field expansion
+# ---------------------------------------------------------------------------
+
+_FAR_S = (1.0 / 6.0, 0.25, 0.3, 0.5, 0.75)
+_FAR_KR = np.array([30.0, 100.0, 1e3, 1e4])
+# (spec, bracket power) of the value integral and the derivative's two
+_FAR_INTEGRALS = ((DEFAULT_SPEC, 1), (DERIVATIVE_SPEC, 1), (DERIVATIVE_SPEC, 2))
+
+
+def _quadrature_only(monkeypatch):
+    """Send every tail column to the e^{-y} engine, as before the far branch."""
+    monkeypatch.setattr(green, "_far_series",
+                        lambda c, *args: (None, None, np.zeros(c.shape, dtype=bool)))
+
+
+def _exp_tail(p, shift, r, spec, derivative):
+    """(values, errors) of the n = 1, 3 tail, or of its r-derivative."""
+    kc = spectral_shift(p, shift).k_eps
+    return green._exp_tail_batch(p, classify_regime(p.s), kc, r, spec, derivative)
+
+
+def _far_served(p, shift, r):
+    """Per bracket integral of ``_FAR_INTEGRALS``, which radii the series serves."""
+    kc = spectral_shift(p, shift).k_eps
+    _, _, c, _, far = green._exp_tail_terms(p, classify_regime(p.s), kc, r)
+    return [green._far_series(c, *far, spec, power)[2] for spec, power in _FAR_INTEGRALS]
+
+
+def _series_and_quadrature(monkeypatch, p, shift, r):
+    """[(value, err), (derivative, err)] of the tail with the far branch, and
+    the same with the e^{-y} engine alone."""
+    def tails():
+        return [_exp_tail(p, shift, r, DEFAULT_SPEC, False),
+                _exp_tail(p, shift, r, DERIVATIVE_SPEC, True)]
+    got = tails()
+    with monkeypatch.context() as m:
+        _quadrature_only(m)
+        return got, tails()
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_far_series_agrees_with_the_quadrature(monkeypatch, n):
+    for s in _FAR_S:
+        for k in (0.7, 2.0):
+            p, r = Problem(n, s, k), _FAR_KR / k
+            assert all(np.all(served) for served in _far_served(p, 0.0, r)), (s, k)
+            got, ref = _series_and_quadrature(monkeypatch, p, 0.0, r)
+            for (v, e), (rv, re) in zip(got, ref):
+                assert np.all(np.abs(v - rv) <= e + re), (s, k)
+
+
+def test_far_series_with_absorption(monkeypatch):
+    # at eps > 0, c = k_eps^{2s} r^{2s} leaves the real axis toward the ray
+    # at +pi s, and the remainder bound follows its distance to that ray
+    for n in (1, 3):
+        p, r = Problem(n, 0.3, 1.0), np.array([30.0, 100.0, 1e3])
+        assert all(np.all(served) for served in _far_served(p, 0.5, r))
+        got, ref = _series_and_quadrature(monkeypatch, p, 0.5, r)
+        for (v, e), (rv, re) in zip(got, ref):
+            assert np.all(np.abs(v - rv) <= e + re), n
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_near_radii_never_take_the_far_series(monkeypatch, n):
+    # kr <= 10: no column qualifies, and every value is the e^{-y} engine's,
+    # bit for bit
+    for s in _FAR_S:
+        for k in (0.7, 2.0):
+            p, r = Problem(n, s, k), np.geomspace(1e-6, 10.0, 9) / k
+            assert not any(np.any(served) for served in _far_served(p, 0.0, r)), (s, k)
+            got = green_eval_batch(p, 0.0, r) + (green_radial_derivative(p, 0.0, r),)
+            with monkeypatch.context() as m:
+                _quadrature_only(m)
+                ref = green_eval_batch(p, 0.0, r) + (green_radial_derivative(p, 0.0, r),)
+            assert all(np.array_equal(u, v) for u, v in zip(got, ref)), (s, k)
+
+
+def test_far_series_against_the_3d_half_closed_form():
+    for k in (0.7, 2.0):
+        p, r = Problem(3, 0.5, k), _FAR_KR / k
+        helm, riesz, jt, err = green_eval_batch(p, 0.0, r)
+        ref = np.array([green_closed_form_3d_half(k, x) for x in r])
+        assert np.all(np.abs(helm + riesz + jt - ref) <= err)
+        # the derivative's error: its tail's, plus the closed parts' charge
+        _, derr = _exp_tail(p, 0.0, r, DERIVATIVE_SPEC, True)
+        dhelm, driesz = green._closed_parts(p, classify_regime(0.5), complex(k), r, True)
+        derr = derr + green._CLOSED_FORM_REL * (np.abs(dhelm) + np.abs(driesz))
+        dref = np.array([green_closed_form_3d_half_dr(k, x) for x in r])
+        assert np.all(np.abs(green_radial_derivative(p, 0.0, r) - dref) <= derr)
+
+
+@pytest.mark.parametrize("n, s, kr", [(1, 0.3, 30.0), (1, 0.75, 100.0), (3, 1.0 / 6.0, 30.0),
+                                      (3, 0.5, 100.0), (3, 0.75, 1e3)])
+def test_far_series_against_mpmath(n, s, kr):
+    # each bracket integral the series serves lies within its err of a
+    # 30-digit quadrature of the same integral
+    mp = pytest.importorskip("mpmath")
+    k = 0.7
+    _, _, c, _, far = green._exp_tail_terms(Problem(n, s, k), classify_regime(s), complex(k),
+                                            np.array([kr / k]))
+    _, delta, a, b = far
+    for spec, power in _FAR_INTEGRALS:
+        val, err, served = green._far_series(c, *far, spec, power)
+        assert served[0]
+        with mp.workdps(30):
+            ep, cc, a_, b_ = mp.expjpi(s), mp.mpc(c[0]), mp.mpc(a), mp.mpc(b)
+            f = lambda y: mp.exp(-y) * y ** delta * (a_ / (y ** (2 * s) * ep - cc) ** power
+                                                     + b_ / (y ** (2 * s) / ep - cc) ** power)
+            exact = complex(mp.quad(f, [0, 0.5, 2, 8, 30, 100, mp.inf]))
+        assert abs(val[0] - exact) <= err[0], (spec, power)
+
+
+def _far_field_expansion(n, s, k, r, derivative=False):
+    """G - helm ~ -sum_{j>=1} k^{-2s(j+1)} C_n(2sj) r^{-n-2sj} (or its
+    r-derivative), C_n(a) = 2^a pi^{-n/2} Gamma((n+a)/2) / Gamma(-a/2), the
+    transform of |xi|^a (Stein, *Singular Integrals*, ch. V sec. 1).  With
+    1/Gamma(-a/2) = -sin(pi a/2) Gamma(1 + a/2) / pi, term j is sin(pi s j)
+    e^{L_j}, so the terms with 2sj even vanish; summed until they fall below
+    1e-17 of the sum, as they do long before growing at kr >= 100."""
+    total = 0.0
+    for j in range(1, 400):
+        a = 2.0 * s * j
+        log_mag = (a * math.log(2.0) - 2.0 * s * (j + 1) * math.log(k) - (n + a) * math.log(r)
+                   - (n / 2.0 + 1.0) * math.log(math.pi)
+                   + math.lgamma((n + a) / 2.0) + math.lgamma(1.0 + a / 2.0))
+        if total and log_mag < math.log(1e-17 * abs(total)):
+            return total
+        term = math.sin(math.pi * s * j) * math.exp(log_mag)
+        total += -(n + a) / r * term if derivative else term
+    raise AssertionError("the far-field expansion did not converge")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_far_field_expansion_within_err(n):
+    # G - helm = riesz + j_tail against the expansion at kr in {100, 1e3}:
+    # in 2D a reference only (the library has no 2D far branch), in 1D and 3D
+    # a check of the far series, for the value and the derivative
+    for s in _FAR_S:
+        for k in (0.7, 2.0):
+            p, r = Problem(n, s, k), np.array([100.0, 1e3]) / k
+            _, riesz, jt, err = green_eval_batch(p, 0.0, r)
+            ref = [_far_field_expansion(n, s, k, x) for x in r]
+            assert np.all(np.abs(riesz + jt - ref) <= err), (s, k)
+            if n == 2:
+                continue
+            djt, derr = _exp_tail(p, 0.0, r, DERIVATIVE_SPEC, True)
+            _, driesz = green._closed_parts(p, classify_regime(s), complex(k), r, True)
+            dref = [_far_field_expansion(n, s, k, x, derivative=True) for x in r]
+            derr = derr + green._CLOSED_FORM_REL * np.abs(driesz)
+            assert np.all(np.abs(driesz + djt - dref) <= derr), (s, k)

@@ -330,9 +330,9 @@ def test_helm_part_domain():
 
 def _tail_integrand(n, s, k, r, y):
     # pref(r) e^{-y} bracket(y), the complete integrand of the n = 1, 3 tail
-    pref, _, bracket = _exp_tail_terms(Problem(n, s, k), classify_regime(s),
-                                       complex(k), np.array([r]))
-    return pref[0] * np.exp(-y) * bracket(y)[:, 0]
+    pref, _, c, bracket, _ = _exp_tail_terms(Problem(n, s, k), classify_regime(s),
+                                             complex(k), np.array([r]))
+    return pref[0] * np.exp(-y) * bracket(y, c)[:, 0]
 
 
 def test_j_tail_integrand_1d_half_reduction():

@@ -218,16 +218,17 @@ def test_bessel_transform_decay_check_per_column():
 
 def test_bessel_transform_tabulates_j0_once_per_panel(monkeypatch):
     # the partition and its bisections are fixed in t = rho r, so a repeated
-    # call reads every J0 panel from the table and calls bessel_j0 no more
+    # call reads every J0 panel from the table and calls bessel_j0 no more;
+    # the panels one integrand call misses take one bessel_j0 call
     import frachelm.quadrature as quad
     from frachelm.specfun import bessel_j0
     calls = []
-    monkeypatch.setattr(quad, "bessel_j0", lambda x: calls.append(np.size(x)) or bessel_j0(x))
-    quad._j0_panel.cache_clear()
+    monkeypatch.setattr(quad, "bessel_j0", lambda x: calls.append("j0") or bessel_j0(x))
+    quad._j0_panels.panels.clear()
     g = lambda rho: rho * np.exp(-rho)
     radii = np.array([0.3, 1.0, 4.0])
-    first = integrate_bessel_transform(g, radii)
-    assert len(calls) > 0
+    first = integrate_bessel_transform(lambda rho: calls.append("f") or g(rho), radii)
+    assert "j0" in calls and ("j0", "j0") not in zip(calls, calls[1:])
     calls.clear()
     second = integrate_bessel_transform(g, radii)
     assert calls == []
@@ -235,11 +236,11 @@ def test_bessel_transform_tabulates_j0_once_per_panel(monkeypatch):
     for i, r in enumerate(radii):
         ref = integrate_partitioned(lambda rho: bessel_j0(r * rho) * g(rho), [0.0, 60.0])
         assert abs(second.value[i] - ref.value) <= second.err_estimate[i] + ref.err_estimate
-    info = quad._j0_panel.cache_info()
-    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+    table = list(quad._j0_panels.panels)
+    assert 0 < len(table) <= quad._j0_panels.size == quad._J0_PANELS
     # the e^{-y} engine takes no weight and leaves the table alone
     _exp_weighted(lambda y: 1.0 / (1.0 + y))
-    assert quad._j0_panel.cache_info() == info
+    assert list(quad._j0_panels.panels) == table
 
 
 def test_oscillatory_cos_known_value():
@@ -306,7 +307,7 @@ def _reference_panel(f, a, b, weight=None):
     x, half = quad._panel_nodes(a, b)
     fx = quad._as_batch(f(x), x.size)
     if weight is not None:
-        fx = weight(a, b)[:, None] * fx
+        fx = weight(np.array([a]), np.array([b]))[0][:, None] * fx
     val, diff = half * (quad._KRONROD_WEIGHTS @ fx)
     return val, np.abs(diff), x.size
 
@@ -450,3 +451,21 @@ def test_green_rows_take_at_most_half_the_integrand_calls(monkeypatch):
             ref = green_eval_batch(p, 0.0, radii)
         assert all(np.array_equal(u, v) for u, v in zip(got, ref))
         assert 0 < len(calls) <= len(ref_calls) // 2
+
+
+def test_partitioned_cells_within_tolerance_skip_the_adaptive_loop(monkeypatch):
+    # a cell whose first estimate meets its share of the tolerance is done
+    # without the adaptive loop; values and errors as if it ran, and the
+    # count is every point the integrand was called at
+    f = lambda x: np.cos(x) / (1.0 + x ** 2)
+    pts = np.r_[0.0, (np.arange(1, 41) - 0.5) * np.pi]
+    ran, calls = [], []
+    with monkeypatch.context() as m:
+        m.setattr(quad, "_adaptive_batch",
+                  lambda *a, **k: ran.append(1) or _adaptive_batch(*a, **k))
+        got = integrate_partitioned(_recording(f, calls), pts)
+    assert 0 < len(ran) < pts.size - 1
+    assert got.evaluations == sum(n for n, _ in calls)
+    _use_reference(monkeypatch)
+    ref = integrate_partitioned(f, pts)
+    assert got.value == ref.value and got.err_estimate == ref.err_estimate
