@@ -20,15 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from .errors import DomainError
 from .kernels import (
-    LOW_INTEGER, _bracket_1d, _bracket_3d, _resolve_shift, classify_regime, dF_m_dr,
-    dF_tilde_m_dr, F_m, F_tilde_m, helm_part, helm_part_dr,
+    LOW_INTEGER, _resolve_shift, classify_regime, dF_m_dr, dF_tilde_m_dr, F_m, F_tilde_m,
+    helm_part, helm_part_dr,
 )
 from .quadrature import (
     DEFAULT_SPEC, QuadratureSpec, _exp_weighted_batch, integrate_bessel_transform,
@@ -41,6 +41,9 @@ DERIVATIVE_SPEC = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-11)
 # except the 2D Helmholtz part, which specfun bounds per evaluation path
 _CLOSED_FORM_REL = 1e-12
 _PANEL_DEGREE = 20    # Chebyshev degree of a dyadic panel of the tail table
+# most radii a batch (or a dyadic panel) holds before its tail is tabled:
+# twice the nodes and check point of a panel, as a node costs about one radius
+_SMALL_BATCH = 2 * (_PANEL_DEGREE + 2)
 _FAR_TERMS = 64       # most terms the far series of an e^{-y} tail sums
 
 
@@ -77,22 +80,35 @@ def _riesz_sum_batch(p, m, kc, r, derivative=False):
 
 
 def _exp_tail_terms(p, regime, kc, r):
-    """(pref, dpref, c, bracket, far) of the n in {1, 3} tail at radii r: the
-    tail is pref * int_0^inf e^{-y} bracket(y, c) dy, dpref = d pref / dr,
-    and bracket(y, c, power=1) returns a (points, radii) array.  far = (s,
-    delta, a, b) writes the bracket as y^delta [a/(w e^{i pi s} - c)^p
-    + b/(w e^{-i pi s} - c)^p], w = y^{2s}, for ``_far_series``."""
+    """(pref, dpref, c, tail) of the n in {1, 3} tail at radii r: the tail is
+    pref * int_0^inf e^{-y} _bracket(y, c, *tail, 1) dy and dpref = d pref / dr.
+    tail = (s, delta, a, b), with delta = 0, a = 1, b = -1 in 1D and
+    delta = 1 - 2sm, a = -e^{-i pi s m}, b = e^{i pi s m} in 3D."""
     s, m = p.s, regime.m
     c = kc ** (2.0 * s) * r.astype(complex) ** (2.0 * s)
     if p.n == 1:
         pref = 1j / (2.0 * np.pi * r ** (1.0 - 2.0 * s))
         dpref = 1j * (2.0 * s - 1.0) / (2.0 * np.pi * r ** (2.0 - 2.0 * s))
-        return pref, dpref, c, partial(_bracket_1d, s=s), (s, 0.0, 1.0, -1.0)
+        return pref, dpref, c, (s, 0.0, 1.0, -1.0)
     expo = 3.0 - 2.0 * s * (m + 1.0)
     pref = kc ** (2.0 * s * m) / (4j * np.pi ** 2 * r ** expo)
     em = np.exp(1j * np.pi * s * m)
-    return (pref, -expo * pref / r, c, partial(_bracket_3d, s=s, m=m),
-            (s, 1.0 - 2.0 * s * m, -1.0 / em, em))
+    return pref, -expo * pref / r, c, (s, 1.0 - 2.0 * s * m, -1.0 / em, em)
+
+
+def _bracket(y, c, s, delta, a, b, power):
+    """y^delta [a/(y^{2s} e^{i pi s} - c)^p + b/(y^{2s} e^{-i pi s} - c)^p]
+    for p = power in {1, 2} (2: the d/dc integrand), as a (points, radii)
+    array; single expressions, so NumPy reuses the large temporaries."""
+    y = np.asarray(y, dtype=complex)
+    y2s = (y ** (2.0 * s))[:, None]
+    c = c[None, :]
+    ep = np.exp(1j * np.pi * s)
+    if power == 2:
+        out = a / (y2s * ep - c) ** 2 + b / (y2s / ep - c) ** 2
+    else:
+        out = a / (y2s * ep - c) + b / (y2s / ep - c)
+    return out if delta == 0.0 else (y ** delta)[:, None] * out
 
 
 @lru_cache(maxsize=256)
@@ -122,11 +138,10 @@ def _far_rows(s, delta, a, b, power, rel_tol, abs_tol):
             np.exp(-1j * np.pi * s * np.array([[1.0], [-1.0]])))
 
 
-def _far_series(c, s, delta, a, b, spec, power):
-    """(values, errors, served) of int_0^inf e^{-y} y^delta [a/(x_+ - c)^p
-    + b/(x_- - c)^p] dy, x_+- = y^{2s} e^{+-i pi s}, p = power, by Watson's
-    lemma with an explicit remainder (Olver, *Asymptotics and Special
-    Functions*, ch. 3).
+def _far_series(c, tail, spec, power):
+    """(values, errors, served) of int_0^inf e^{-y} _bracket(y, c, *tail,
+    power) dy, tail = (s, delta, a, b), by Watson's lemma with an explicit
+    remainder (Olver, *Asymptotics and Special Functions*, ch. 3).
 
     1/(x - c) = -sum_{j<J} x^j / c^{j+1} + (x/c)^J / (x - c), and each x^j
     integrates to Gamma(1 + delta + 2sj) e^{+-i pi s j}.  With d the distance
@@ -135,15 +150,17 @@ def _far_series(c, s, delta, a, b, spec, power):
     (J / (|c| d) + 1/d^2).  Per column J <= ``_FAR_TERMS`` minimises the
     bound; the error is the bound plus the summation's rounding, and a column
     is served when that meets max(abs_tol, rel_tol |value|).  Columns with
-    |c| below the threshold of ``_far_rows`` are not tried, and when no
-    column is tried the values and errors are None.
+    |c| below the threshold of ``_far_rows`` are not tried; the values and
+    errors of the columns not served are zero.
     """
+    _, _, a, b = tail
     thresh, lb0, big_j, j, lt, phase, lg_size, rot = _far_rows(
-        s, delta, a, b, power, spec.rel_tol, spec.abs_tol)
+        *tail, power, spec.rel_tol, spec.abs_tol)
     ac = np.abs(c)
     served = ac >= thresh
+    val, err = np.zeros(c.shape, dtype=complex), np.zeros(c.shape)
     if not served.any():
-        return None, None, served
+        return val, err, served
     cc, ac = c[served], ac[served]
     d = ac * np.sin(np.minimum(np.abs(np.angle(cc * rot)).min(axis=0), 0.5 * np.pi))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -162,25 +179,22 @@ def _far_series(c, s, delta, a, b, spec, power):
         se = bound + 8.0 * np.finfo(float).eps * rounding
         ok = np.isfinite(sv) & (se <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(sv)))
     served[served] = ok
-    val, err = np.zeros(c.shape, dtype=complex), np.zeros(c.shape)
     val[served], err[served] = sv[ok], se[ok]
     return val, err, served
 
 
-def _exp_integral(bracket, far, c, spec, y_cut, power):
-    """(values, errors) of int_0^inf e^{-y} bracket(y, c, power) dy per
-    radius: the far series where it meets the tolerance, else the e^{-y}
+def _exp_integral(c, tail, spec, y_cut, power):
+    """(values, errors) of int_0^inf e^{-y} _bracket(y, c, *tail, power) dy
+    per radius: the far series where it meets the tolerance, else the e^{-y}
     engine over the other radii.  y_cut is that of all the radii, so the head
     interval of a near radius does not depend on which of its neighbours the
     series took."""
-    val, err, served = _far_series(c, *far, spec, power)
-    if served.all():
-        return val, err
+    val, err, served = _far_series(c, tail, spec, power)
     rest = ~served
-    qv, qe, _ = _exp_weighted_batch(partial(bracket, c=c[rest], power=power), spec, y_cut)
-    if val is None:
-        return qv, qe
-    val[rest], err[rest] = qv, qe
+    if rest.any():
+        cr = c[rest]
+        val[rest], err[rest], _ = _exp_weighted_batch(
+            lambda y: _bracket(y, cr, *tail, power), spec, y_cut)
     return val, err
 
 
@@ -193,12 +207,12 @@ def _exp_tail_batch(p, regime, kc, r, spec, derivative=False):
     prefactor-derivative term.
     """
     s = p.s
-    pref, dpref, c, bracket, far = _exp_tail_terms(p, regime, kc, r)
+    pref, dpref, c, tail = _exp_tail_terms(p, regime, kc, r)
     y_cut = max(10.0, 5.0 * abs(kc) * float(r.max()))
-    ival, ierr = _exp_integral(bracket, far, c, spec, y_cut, 1)
+    ival, ierr = _exp_integral(c, tail, spec, y_cut, 1)
     if not derivative:
         return pref * ival, np.abs(pref) * ierr
-    dval, derr = _exp_integral(bracket, far, c, spec, y_cut, 2)
+    dval, derr = _exp_integral(c, tail, spec, y_cut, 2)
     dc_dr = 2.0 * s * kc ** (2.0 * s) * r.astype(complex) ** (2.0 * s - 1.0)
     val = dpref * ival + pref * dval * dc_dr
     err = np.abs(dpref) * ierr + np.abs(pref * dc_dr) * derr
@@ -261,10 +275,9 @@ def _tabled_tail(p, regime, kc, r, spec):
     """(j_tail, err) at sorted distinct radii r, tabled on dense dyadic panels.
 
     Radii equal to 14 mantissa decimals share the tail of the first (the tail
-    has no phase).  A dyadic panel [2^(j-1), 2^j) holding more than 2 (d + 2)
-    of them, d = ``_PANEL_DEGREE`` (twice its nodes and check point, as a node
-    costs about one radius column), is tabled: its d + 1 Chebyshev nodes in
-    log2 r and a check point at its left end join the other radii in one tail
+    has no phase).  A dyadic panel [2^(j-1), 2^j) holding more than
+    ``_SMALL_BATCH`` of them is tabled: its d + 1 Chebyshev nodes in log2 r,
+    d = ``_PANEL_DEGREE``, and a check point at its left end join the other radii in one tail
     call, and its tail is interpolated by Clenshaw (Trefethen, *Approximation
     Theory and Approximation Practice*, ch. 8).  It serves values only if its
     last two coefficients and the check-point miss are within max(abs_tol,
@@ -277,7 +290,7 @@ def _tabled_tail(p, regime, kc, r, spec):
     t = r[lead]
     mant, panel = np.frexp(t)                 # and so are panels
     keys, first, counts = np.unique(panel, return_index=True, return_counts=True)
-    d, big = _PANEL_DEGREE, counts > 2 * (_PANEL_DEGREE + 2)
+    d, big = _PANEL_DEGREE, counts > _SMALL_BATCH
     theta = np.pi * (np.arange(d + 1) + 0.5) / (d + 1)
     nodes = np.ldexp(np.exp2(0.5 * np.append(np.cos(theta), -1.0) - 0.5), keys[big][:, None])
     direct = ~np.repeat(big, counts)
@@ -310,7 +323,7 @@ def green_eval_batch(p, shift, radii, spec=DEFAULT_SPEC):
 
     Returns (helm, riesz_sum, j_tail, err) arrays, one error estimate per
     radius.  A batch too small to fill a tabled panel, at most
-    2 (``_PANEL_DEGREE`` + 2) radii, makes one tail call: the e^{-y}
+    ``_SMALL_BATCH`` radii, makes one tail call: the e^{-y}
     integrals (n = 1, 3) and the 2D Bessel transform, whose J0-zero partition
     is fixed in t = rho r, share one adaptive pass over the batch.  A larger
     one evaluates the closed parts once per distinct radius and the tail by
@@ -318,7 +331,7 @@ def green_eval_batch(p, shift, radii, spec=DEFAULT_SPEC):
     """
     r = _check_radii(np.asarray(radii, dtype=float))
     kc, regime = _resolve_shift(p, shift).k_eps, classify_regime(p.s)
-    small = r.size <= 2 * (_PANEL_DEGREE + 2)
+    small = r.size <= _SMALL_BATCH
     u, inv = (r, slice(None)) if small else np.unique(r, return_inverse=True)
     helm, riesz = _closed_parts(p, regime, kc, u)
     jt, je = (_tail_batch if small else _tabled_tail)(p, regime, kc, u, spec)

@@ -1,5 +1,6 @@
-"""Scalar kernel building blocks: regimes, F_m, F~_m, the multiplier M,
-Helmholtz parts, and the e^{-y} tail brackets.
+"""Scalar kernel building blocks: regimes, F_m, F~_m, the multiplier M and the
+Helmholtz parts.  The e^{-y} tail integrand of n = 1, 3 lives with its
+prefactors in ``green`` (``_exp_tail_terms``, ``_bracket``).
 
 The removable singularities (F_m and F~_m at r = k_eps, M at xi = |z| for real
 z) are evaluated through a power-series window in u = r/k_eps - 1 of relative
@@ -290,19 +291,21 @@ def multiplier_M(xi, z, s):
 # Helmholtz parts
 # ---------------------------------------------------------------------------
 
-def _check_kc(kc):
+def _helm_args(kc, r):
+    """(kc, r as a 1-D array, whether r was a scalar) of a Helmholtz part, with
+    kc in the closed first quadrant and every r finite and > 0."""
     kc = complex(kc)
     if kc == 0 or kc.real < 0.0 or kc.imag < 0.0:
         raise DomainError(f"shifted wavenumber must lie in the closed first quadrant, got {kc}")
-    return kc
+    r, scalar = _as_array(r)
+    if not np.all(np.isfinite(r) & (r > 0.0)):
+        raise DomainError("Helmholtz parts require finite r > 0")
+    return kc, r, scalar
 
 
 def helm_part(n, s, kc, r):
     """Helmholtz component of the fundamental solution (per-dimension closed form)."""
-    kc = _check_kc(kc)
-    r, scalar = _as_array(r)
-    if np.any(r <= 0.0):
-        raise DomainError("helm_part requires r > 0")
+    kc, r, scalar = _helm_args(kc, r)
     if n == 1:
         out = 1j * np.exp(1j * r * kc) / (2.0 * s * kc ** (2.0 * s - 1.0))
     elif n == 2:
@@ -316,8 +319,7 @@ def helm_part(n, s, kc, r):
 
 def helm_part_dr(n, s, kc, r):
     """Radial derivative of the Helmholtz component (closed forms)."""
-    kc = _check_kc(kc)
-    r, scalar = _as_array(r)
+    kc, r, scalar = _helm_args(kc, r)
     if n == 1:
         out = -kc ** (2.0 - 2.0 * s) / (2.0 * s) * np.exp(1j * r * kc)
     elif n == 2:
@@ -329,32 +331,3 @@ def helm_part_dr(n, s, kc, r):
     else:
         raise DomainError(f"dimension must be 1, 2 or 3, got {n}")
     return _as_given(out, scalar)
-
-
-# ---------------------------------------------------------------------------
-# Brackets of the e^{-y} tail integrands (n = 1, 3)
-# ---------------------------------------------------------------------------
-
-def _bracket(y, c, s, a, b, power):
-    # a/(y^{2s} e^{i pi s} - c)^p + b/(y^{2s} e^{-i pi s} - c)^p, p in {1, 2},
-    # over y[:, None] against c[None, :]; p = 2 gives the d/dc integrands.
-    # Single expressions, so NumPy reuses the large (points, radii) temporaries.
-    y2s = (np.asarray(y, dtype=complex) ** (2.0 * s))[:, None]
-    c = np.atleast_1d(c)[None, :]
-    ep = np.exp(1j * np.pi * s)
-    if power == 2:
-        return a / (y2s * ep - c) ** 2 + b / (y2s / ep - c) ** 2
-    return a / (y2s * ep - c) + b / (y2s / ep - c)
-
-
-def _bracket_1d(y, c, s, power=1):
-    # 1/(y^{2s} e^{i pi s} - c)^p - 1/(y^{2s} e^{-i pi s} - c)^p
-    return _bracket(y, c, s, 1.0, -1.0, power)
-
-
-def _bracket_3d(y, c, s, m, power=1):
-    # y^{1-2sm} [e^{i pi s m}/(y^{2s} e^{-i pi s} - c)^p
-    #            - e^{-i pi s m}/(y^{2s} e^{i pi s} - c)^p]
-    em = np.exp(1j * np.pi * s * m)
-    w = np.asarray(y, dtype=complex) ** (1.0 - 2.0 * s * m)
-    return w[:, None] * _bracket(y, c, s, -1.0 / em, em, power)

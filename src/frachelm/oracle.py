@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_count
 from .kernels import _resolve_shift, classify_regime
 from .quadrature import DEFAULT_SPEC, QuadResult, integrate_partitioned
 from .specfun import bessel_j0, j0_zeros, riesz_constant
@@ -29,17 +29,15 @@ _RADIAL = {
 
 
 def _subtracted_count(n, s, m):
-    count = 0
-    for j in range(m):
-        if 2.0 * s * (j + 1.0) < n - _SUBTRACT_MARGIN:
-            count += 1
-        else:
-            break
-    return count
+    # 2 s (j+1) grows with j, so the subtractable terms are the first ones
+    return sum(2.0 * s * (j + 1.0) < n - _SUBTRACT_MARGIN for j in range(m))
 
 
-def fourier_invert_detailed(p, shift, r, spec=DEFAULT_SPEC):
-    """Fourier-inversion value with the quadrature error estimate attached."""
+def fourier_invert_detailed(p, shift, r, spec=DEFAULT_SPEC, intervals=30):
+    """Fourier-inversion value with the quadrature error estimate attached; the
+    radial integral is split at the first ``intervals`` (>= 4) zeros of its factor."""
+    if not (is_count(intervals) and intervals >= 4):
+        raise DomainError(f"intervals must be an integer >= 4, got {intervals!r}")
     shift = _resolve_shift(p, shift)
     if shift.epsilon <= 0.0:
         raise DomainError("fourier_invert requires strictly positive absorption")
@@ -54,7 +52,7 @@ def fourier_invert_detailed(p, shift, r, spec=DEFAULT_SPEC):
         xi = xi.astype(complex)
         return kc2s ** msub / (xi ** (2.0 * s * msub) * (xi ** (2.0 * s) - kc2s))
 
-    factor, zeros, norm = _RADIAL[p.n](r, np.arange(1, spec.bessel_intervals + 1))
+    factor, zeros, norm = _RADIAL[p.n](r, np.arange(1, intervals + 1))
     res = integrate_partitioned(lambda x: factor(x) * remainder(x), np.r_[0.0, zeros / r], spec)
     value = res.value / norm
     for j in range(msub):

@@ -53,21 +53,18 @@ from .specfun import bessel_j0, gauss_legendre, iterated_average, j0_zeros
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and resolution knobs shared by every engine."""
+    """Tolerances and the adaptive panel budget shared by every engine; each
+    partition is its caller's (``_BESSEL_INTERVALS``, the oracle's ``intervals``)."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_subdiv: int = 4000
-    bessel_intervals: int = 30
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < np.inf and 0.0 < self.abs_tol < np.inf):
             raise DomainError("tolerances must be finite and positive")
         if not (is_count(self.max_subdiv) and self.max_subdiv >= 1):
             raise DomainError(f"max_subdiv must be an integer >= 1, got {self.max_subdiv!r}")
-        if not (is_count(self.bessel_intervals) and self.bessel_intervals >= 4):
-            raise DomainError("bessel_intervals must be an integer; orders must be >= 4, "
-                              f"got {self.bessel_intervals!r}")
 
 
 @dataclass
@@ -98,6 +95,9 @@ _KRONROD_WEIGHTS[1, 1::2] -= gauss_legendre(7)[1]
 
 # Gauss-Laguerre order of the e^{-y} tail; half of it gives the error estimate
 _LAGUERRE_ORDER = 64
+
+# cells of the Bessel transform's partition at the zeros of J0
+_BESSEL_INTERVALS = 30
 
 # e^{-y} is below 1e-52 here; features beyond are invisible at any tolerance
 _EXP_HEAD_CAP = 120.0
@@ -347,7 +347,7 @@ def integrate_bessel_transform(g, r, spec=DEFAULT_SPEC):
     radii = np.atleast_1d(np.asarray(r, dtype=float))
     if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0.0)):
         raise DomainError(f"transform radii must be finite and positive, got {r}")
-    pts = np.concatenate([[0.0], j0_zeros(spec.bessel_intervals)])
+    pts = np.concatenate([[0.0], j0_zeros(_BESSEL_INTERVALS)])
 
     def integrand(t):
         rho = t[:, None] / radii[None, :]

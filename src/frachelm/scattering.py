@@ -202,17 +202,15 @@ def _power_line(length, gamma, level, order=10):
     return length * v ** gamma, length * gamma * v ** (gamma - 1.0) * wv
 
 
-def _tensor_cell_nodes(t, h, level):
-    """Tensor Gauss points over the cell (centered at origin) for a target t
-    outside the cell; returns (radii to t, weights)."""
-    n = h.size
-    xg, wg = gauss_legendre(10 + 2 * level)
-    grids = np.meshgrid(*[0.5 * h[a] * xg for a in range(n)], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wgrid = np.meshgrid(*[0.5 * h[a] * wg for a in range(n)], indexing="ij")
-    w = np.prod(np.stack([g.ravel() for g in wgrid], axis=1), axis=1)
-    radii = np.linalg.norm(pts - t[None, :], axis=1)
-    return radii, w
+def _tensor_rule(half_widths, order):
+    """Tensor Gauss-Legendre rule of the given order per axis on the box
+    prod_a [-half_a, half_a]: (points (N, axes), weights (N,)), in
+    ``meshgrid(indexing="ij")`` order."""
+    xg, wg = gauss_legendre(order)
+    pts = np.meshgrid(*[hw * xg for hw in half_widths], indexing="ij")
+    wts = np.meshgrid(*[hw * wg for hw in half_widths], indexing="ij")
+    return (np.stack([g.ravel() for g in pts], axis=1),
+            np.prod(np.stack([g.ravel() for g in wts], axis=1), axis=1))
 
 
 def _fan_triangle_nodes(p1, p2, gamma, level):
@@ -235,28 +233,19 @@ def _fan_triangle_nodes(p1, p2, gamma, level):
 def _pyramid_nodes(t, h, gamma, level):
     """3D: six pyramids from the interior target t to the cell faces."""
     radii, weights = [], []
-    xg, wg = gauss_legendre(7 + 3 * level)
     tau, wtau = _power_line(1.0, gamma, level, 7)
     for axis in range(3):
+        others = [a for a in range(3) if a != axis]
+        face, wface = _tensor_rule(0.5 * h[others], 7 + 3 * level)
         for sign in (-1.0, 1.0):
             d = sign * h[axis] / 2.0 - t[axis]
             if d == 0.0:
                 raise DomainError("target on a cell face is not supported")
-            others = [a for a in range(3) if a != axis]
-            u = 0.5 * h[others[0]] * xg
-            v = 0.5 * h[others[1]] * xg
-            wu = 0.5 * h[others[0]] * wg
-            wv = 0.5 * h[others[1]] * wg
-            uu, vv = np.meshgrid(u, v, indexing="ij")
-            ww = np.outer(wu, wv)
-            p = np.zeros(uu.shape + (3,))
-            p[..., axis] = d
-            p[..., others[0]] = uu - t[others[0]]
-            p[..., others[1]] = vv - t[others[1]]
-            pnorm = np.linalg.norm(p, axis=-1).ravel()
-            wflat = (ww * abs(d)).ravel()
-            radii.append(np.outer(tau, pnorm).ravel())
-            weights.append(np.outer(wtau * tau ** 2, wflat).ravel())
+            p = np.empty((face.shape[0], 3))
+            p[:, axis] = d
+            p[:, others] = face - t[others]
+            radii.append(np.outer(tau, np.linalg.norm(p, axis=-1)).ravel())
+            weights.append(np.outer(wtau * tau ** 2, wface * abs(d)).ravel())
     return np.concatenate(radii), np.concatenate(weights)
 
 
@@ -273,7 +262,8 @@ def _cell_quad(t, h, gamma, level):
         lo, hi = sorted((abs(-0.5 * h[0] - t[0]), abs(0.5 * h[0] - t[0])))
         return gauss_panels(np.linspace(lo, hi, 4 + level), 10 + level)
     if not inside:
-        return _tensor_cell_nodes(t, h, level)
+        pts, w = _tensor_rule(0.5 * h, 10 + 2 * level)
+        return np.linalg.norm(pts - t[None, :], axis=1), w
     if n == 2:
         corners = np.array([[0.5 * h[0], 0.5 * h[1]], [-0.5 * h[0], 0.5 * h[1]],
                             [-0.5 * h[0], -0.5 * h[1]], [0.5 * h[0], -0.5 * h[1]]])

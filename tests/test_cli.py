@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import frachelm.cli
+import frachelm.green
 from frachelm.cli import _QUAD_FIELDS, main
 from frachelm.scattering import build_nystrom
 
@@ -151,11 +152,11 @@ def test_oracle_compare_small_rel_diff(capsys):
 
 @pytest.mark.parametrize("count", ["-3", "0", "3"])
 def test_oracle_compare_too_few_intervals_exit_2(capsys, count):
-    # the count reaches the oracle as QuadratureSpec.bessel_intervals, which
-    # must be >= 4, like quad.bessel_intervals
+    # the count reaches the oracle as its own partition, ``intervals``, which
+    # must be >= 4
     assert main(["oracle-compare", "--dim", "2", "--s", "0.75", "--k", "1",
                  "--eps", "0.3", "--r", "1", "--intervals", count]) == 2
-    assert "orders must be >= 4" in capsys.readouterr().err
+    assert "intervals must be an integer >= 4" in capsys.readouterr().err
 
 
 def test_lap_slope_in_range(capsys):
@@ -208,6 +209,23 @@ def test_radiation_verdicts(capsys):
     assert meta["verdict_src"] is False and meta["verdict_gsrc"] is False
 
 
+@pytest.mark.parametrize("flags, rel_tol", [([], 1e-7), (["--quad-rtol", "1e-6"], 1e-6)])
+def test_radiation_green_derivative_takes_quad(monkeypatch, capsys, flags, rel_tol):
+    # dG/dr runs at DERIVATIVE_SPEC (rel_tol 1e-7) unless the config holds quad
+    seen = []
+    tail_batch = frachelm.green._tail_batch
+
+    def spy(p, regime, kc, r, spec, derivative=False):
+        if derivative:
+            seen.append(spec.rel_tol)
+        return tail_batch(p, regime, kc, r, spec, derivative)
+
+    monkeypatch.setattr(frachelm.green, "_tail_batch", spy)
+    code, _ = run_cli(capsys, ["radiation", "--dim", "1", "--s", "0.75", "--k", "1",
+                               "--rmax", "100", *flags])
+    assert code == 0 and seen and set(seen) == {rel_tol}
+
+
 def test_scatter_zero_contrast(capsys):
     code, out = run_cli(capsys, ["scatter", "--dim", "1", "--s", "0.75", "--k", "1",
                                  "--box-lo", "-1", "--box-hi", "1", "--cells", "8",
@@ -258,8 +276,7 @@ def test_quad_tolerance_override_recorded(capsys):
                                  "--quad-atol", "1e-9"])
     assert code == 0
     meta, _, _ = parse_csv(out)
-    assert meta["tolerances"]["rel_tol"] == 1e-6
-    assert meta["tolerances"]["abs_tol"] == 1e-9
+    assert meta["tolerances"] == {"rel_tol": 1e-6, "abs_tol": 1e-9}
 
 
 def test_output_file(tmp_path, capsys):
@@ -480,7 +497,8 @@ CHECKED_CONFIGS = [
     ("asymptotics", {"points": 3.9}, ["points", "integer", "3.9"]),
     ("asymptotics", {"problem": {"dim": True, "s": 0.75, "k": 1.0}}, ["problem.dim", "integer"]),
     ("resonance-scan", {"k_grid": {"min": 0.5, "max": 2.0, "count": 4.0}}, ["k_grid.count"]),
-    ("green", {"quad": {"bessel_intervals": 4.7}}, ["quad.bessel_intervals", "integer", "4.7"]),
+    ("oracle-compare", {"intervals": 4.7}, ["intervals", "integer", "4.7"]),
+    ("green", {"quad": {"bessel_intervals": 30}}, ["quad", "bessel_intervals", "rel_tol"]),
     # a float key holds a JSON number: no bool or string
     ("radiation", {"problem": {"dim": 1, "s": 0.75, "k": True}}, ["problem.k", "number", "True"]),
     ("scatter", {"quad": {"rel_tol": True}}, ["quad.rel_tol", "number", "True"]),

@@ -305,8 +305,8 @@ _FAR_INTEGRALS = ((DEFAULT_SPEC, 1), (DERIVATIVE_SPEC, 1), (DERIVATIVE_SPEC, 2))
 
 def _quadrature_only(monkeypatch):
     """Send every tail column to the e^{-y} engine, as before the far branch."""
-    monkeypatch.setattr(green, "_far_series",
-                        lambda c, *args: (None, None, np.zeros(c.shape, dtype=bool)))
+    monkeypatch.setattr(green, "_far_series", lambda c, *args: (
+        np.zeros(c.shape, dtype=complex), np.zeros(c.shape), np.zeros(c.shape, dtype=bool)))
 
 
 def _exp_tail(p, shift, r, spec, derivative):
@@ -318,8 +318,8 @@ def _exp_tail(p, shift, r, spec, derivative):
 def _far_served(p, shift, r):
     """Per bracket integral of ``_FAR_INTEGRALS``, which radii the series serves."""
     kc = spectral_shift(p, shift).k_eps
-    _, _, c, _, far = green._exp_tail_terms(p, classify_regime(p.s), kc, r)
-    return [green._far_series(c, *far, spec, power)[2] for spec, power in _FAR_INTEGRALS]
+    _, _, c, tail = green._exp_tail_terms(p, classify_regime(p.s), kc, r)
+    return [green._far_series(c, tail, spec, power)[2] for spec, power in _FAR_INTEGRALS]
 
 
 def _series_and_quadrature(monkeypatch, p, shift, r):
@@ -392,11 +392,11 @@ def test_far_series_against_mpmath(n, s, kr):
     # 30-digit quadrature of the same integral
     mp = pytest.importorskip("mpmath")
     k = 0.7
-    _, _, c, _, far = green._exp_tail_terms(Problem(n, s, k), classify_regime(s), complex(k),
-                                            np.array([kr / k]))
-    _, delta, a, b = far
+    _, _, c, tail = green._exp_tail_terms(Problem(n, s, k), classify_regime(s), complex(k),
+                                          np.array([kr / k]))
+    _, delta, a, b = tail
     for spec, power in _FAR_INTEGRALS:
-        val, err, served = green._far_series(c, *far, spec, power)
+        val, err, served = green._far_series(c, tail, spec, power)
         assert served[0]
         with mp.workdps(30):
             ep, cc, a_, b_ = mp.expjpi(s), mp.mpc(c[0]), mp.mpc(a), mp.mpc(b)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frachelm.errors import DomainError
-from frachelm.green import _exp_tail_terms
+from frachelm.green import _bracket, _exp_tail_terms
 from frachelm.kernels import (
     HIGH, LOW_GENERIC, LOW_INTEGER, Problem, classify_regime, dF_m_dr, F_m,
     F_tilde_m, helm_part, helm_part_dr, multiplier_M, spectral_shift,
@@ -324,15 +324,26 @@ def test_helm_part_domain():
         helm_part(3, 0.6, -1.0 + 0j, 1.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("r", [0.0, -1.0, np.nan, np.inf])
+def test_helm_parts_reject_bad_radii(n, r):
+    # value and derivative share one check: a bad radius raises, never
+    # returns a number or NaN, alone or inside an array
+    for part in (helm_part, helm_part_dr):
+        for radii in (r, np.array([1.0, r])):
+            with pytest.raises(DomainError):
+                part(n, 0.6, 1.0 + 0j, radii)
+
+
 # ---------------------------------------------------------------------------
 # e^{-y} tail integrands (the prefactors and brackets the Green assembly uses)
 # ---------------------------------------------------------------------------
 
 def _tail_integrand(n, s, k, r, y):
     # pref(r) e^{-y} bracket(y), the complete integrand of the n = 1, 3 tail
-    pref, _, c, bracket, _ = _exp_tail_terms(Problem(n, s, k), classify_regime(s),
-                                             complex(k), np.array([r]))
-    return pref[0] * np.exp(-y) * bracket(y, c)[:, 0]
+    pref, _, c, tail = _exp_tail_terms(Problem(n, s, k), classify_regime(s),
+                                       complex(k), np.array([r]))
+    return pref[0] * np.exp(-y) * _bracket(y, c, *tail, 1)[:, 0]
 
 
 def test_j_tail_integrand_1d_half_reduction():

@@ -37,11 +37,18 @@ def test_green_agreement_sample(n, s):
         assert abs(g.total - o) / abs(g.total) < 1e-6
 
 
+@pytest.mark.parametrize("count", [True, 4.5, 3, -3])
+def test_intervals_must_be_an_integer_of_at_least_4(count):
+    p = Problem(2, 0.75, 1.0)
+    with pytest.raises(DomainError, match="intervals must be an integer >= 4"):
+        fourier_invert_detailed(p, 0.3, 1.0, intervals=count)
+
+
 def test_self_consistency_under_doubling():
     p = Problem(3, 0.3, 1.0)
     sh = spectral_shift(p, 0.3)
-    a = fourier_invert_detailed(p, sh, 2.0, QuadratureSpec(bessel_intervals=30))
-    b = fourier_invert_detailed(p, sh, 2.0, QuadratureSpec(bessel_intervals=60))
+    a = fourier_invert_detailed(p, sh, 2.0, intervals=30)
+    b = fourier_invert_detailed(p, sh, 2.0, intervals=60)
     assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate
 
 
@@ -59,7 +66,7 @@ def test_even_integrand_half_line_reduction():
 
     res = integrate_partitioned(via_exponentials,
                                 np.r_[0.0, (np.arange(1, 41) - 0.5) * np.pi / r])
-    direct = fourier_invert(p, sh, r, QuadratureSpec(bessel_intervals=40))
+    direct = fourier_invert_detailed(p, sh, r, intervals=40).value
     assert res.value / np.pi == pytest.approx(direct, rel=1e-9)
 
 

@@ -1,5 +1,6 @@
 """Quadrature engine tests: known values, linearity, error honesty."""
 
+import dataclasses
 import heapq
 import math
 
@@ -25,8 +26,6 @@ def _exp_weighted(f):
 def test_spec_validation():
     with pytest.raises(DomainError):
         QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadratureSpec(bessel_intervals=2)
     for bad in (np.inf, np.nan):
         with pytest.raises(DomainError):
             QuadratureSpec(rel_tol=bad)
@@ -35,12 +34,20 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("bessel_intervals", 4.5), ("max_subdiv", float("nan")), ("max_subdiv", 0),
+    ("max_subdiv", float("nan")), ("max_subdiv", 0),
     ("max_subdiv", 2.5), ("max_subdiv", True),
 ])
 def test_spec_counts_must_be_integers_in_range(field, value):
     with pytest.raises(DomainError):
         QuadratureSpec(**{field: value})
+
+
+def test_spec_holds_no_partition():
+    # partitions belong to their callers: the transform's constant and the
+    # oracle's own ``intervals``
+    assert [f.name for f in dataclasses.fields(QuadratureSpec)] == [
+        "rel_tol", "abs_tol", "max_subdiv"]
+    assert quad._BESSEL_INTERVALS == 30
 
 
 def test_adaptive_trivial_examples():
@@ -167,12 +174,13 @@ def test_bessel_transform_compact_support_consistency():
     assert res.value == pytest.approx(ref.value, abs=1e-10)
 
 
-def test_bessel_transform_slow_tail_doubling():
+def test_bessel_transform_slow_tail_doubling(monkeypatch):
     # rho/(rho^2+a^2) tail: doubling the interval count changes the value by
     # no more than the reported estimate
     g = lambda rho: rho / (rho ** 2 + 2.0)
-    base = integrate_bessel_transform(g, 1.0, QuadratureSpec(bessel_intervals=30))
-    fine = integrate_bessel_transform(g, 1.0, QuadratureSpec(bessel_intervals=60))
+    base = integrate_bessel_transform(g, 1.0)
+    monkeypatch.setattr(quad, "_BESSEL_INTERVALS", 60)
+    fine = integrate_bessel_transform(g, 1.0)
     assert abs(base.value - fine.value) <= base.err_estimate + fine.err_estimate
 
 

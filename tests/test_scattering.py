@@ -575,7 +575,8 @@ def test_green_total_rounds_radii_relatively():
 
 def _table_radii(lo):
     """About 400 radii over logspace(lo, 3) plus four runs of 50 inside single
-    dyadic panels, so those panels hold more than 2 (d + 2) distinct radii."""
+    dyadic panels, so those panels hold more than ``green._SMALL_BATCH`` distinct
+    radii."""
     runs = [np.linspace(a, 1.96 * a, 50) for a in 2.0 ** np.array([-18.0, -6.0, 0.0, 6.0])]
     return np.concatenate([np.logspace(lo, 3.0, 400), *runs])
 
@@ -584,7 +585,7 @@ def _direct(p, r, spec):
     """(total, j_tail, err) at r from one direct pass, with the table switched
     off."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(green, "_PANEL_DEGREE", r.size)   # no batch is large enough to table
+        mp.setattr(green, "_SMALL_BATCH", r.size)   # no batch is large enough to table
         helm, riesz, jt, err = green.green_eval_batch(p, 0.0, r, spec)
     return helm + riesz + jt, jt, err
 
@@ -639,6 +640,7 @@ def test_radial_table_falls_back_to_direct_values(monkeypatch, n):
     p, r = Problem(n, 0.3, 1.0), _table_radii(-6.0 if n == 2 else -8.0)
     ref = _direct(p, r, QuadratureSpec())[0]
     monkeypatch.setattr(green, "_PANEL_DEGREE", 2)
+    monkeypatch.setattr(green, "_SMALL_BATCH", 2 * (2 + 2))
     seen = _spy_batches(monkeypatch)
     total = scattering._green_total_at(p, r, QuadratureSpec())
     assert len(seen) == 2 and np.all(np.isin(r, np.concatenate(seen)))
