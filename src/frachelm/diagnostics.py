@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .green import green_eval, green_eval_batch, green_radial_derivative
+from .green import green_eval_batch, green_radial_derivative
 from .quadrature import DEFAULT_SPEC
 from .scattering import volume_potential
 from .specfun import gauss_panels, hankel1_0, hankel1_1
@@ -172,20 +172,19 @@ def lap_slope(p, r, eps_list, spec=DEFAULT_SPEC):
 
 def lap_differences(p, r, eps_list, spec=DEFAULT_SPEC):
     """(log-log slope against eps, |G^{k_eps}(r) - G^k(r)| per eps), from one
-    Green evaluation per eps plus one at eps = 0."""
+    Green call at r that takes eps = 0 and every eps as its shifts."""
     eps = np.asarray(eps_list, dtype=float)
     if eps.size < 2 or np.any(np.diff(eps) >= 0.0) or np.any(eps <= 0.0):
         raise DomainError("eps_list must be positive and strictly decreasing")
-    base = green_eval(p, 0.0, r, spec)
-    diffs = np.empty(eps.size)
-    for i, e in enumerate(eps):
-        ge = green_eval(p, float(e), r, spec)
-        d = abs(ge.total - base.total)
-        if d < 10.0 * (ge.err_estimate + base.err_estimate):
+    shifts = np.r_[0.0, eps]
+    helm, riesz, jt, err = green_eval_batch(p, shifts, np.full(shifts.size, float(r)), spec)
+    total = helm + riesz + jt
+    diffs = np.abs(total[1:] - total[0])
+    for e, d, ge in zip(eps, diffs, err[1:]):
+        if d < 10.0 * (ge + err[0]):
             raise AccuracyError(
                 f"absorption difference at eps={e} is below 10x the quadrature "
-                "error estimate; slope would be inconclusive", value=d)
-        diffs[i] = d
+                "error estimate; slope would be inconclusive", value=float(d))
     return float(np.polyfit(np.log(eps), np.log(diffs), 1)[0]), diffs
 
 

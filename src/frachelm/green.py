@@ -28,7 +28,7 @@ from numpy.polynomial.chebyshev import chebval
 from .errors import DomainError
 from .kernels import (
     LOW_INTEGER, _resolve_shift, classify_regime, dF_m_dr, dF_tilde_m_dr, F_m, F_tilde_m,
-    helm_part, helm_part_dr,
+    helm_part, helm_part_dr, spectral_shift,
 )
 from .quadrature import (
     DEFAULT_SPEC, QuadratureSpec, _exp_weighted_batch, integrate_bessel_transform,
@@ -64,6 +64,26 @@ def _check_radii(r):
     if not np.all(np.isfinite(r) & (r > 0.0)):
         raise DomainError("green evaluation requires finite r > 0")
     return r
+
+
+def _by_shift(f, kc, x):
+    """f(kc, x) for one k_eps.  For kc given per column of x (its last axis),
+    f(v, x[..., cols]) once per distinct v over its columns, as the kernels
+    and closed forms take one k_eps; the outputs, an array or a tuple of
+    arrays shaped like x, are put back in column order."""
+    if np.ndim(kc) == 0:
+        return f(kc, x)
+    out = None
+    # dict.fromkeys, not np.unique: np.unique without indices imports numpy.ma
+    for v in dict.fromkeys(kc.tolist()):
+        cols = kc == v
+        part = f(v, x[..., cols])
+        parts = part if isinstance(part, tuple) else (part,)
+        if out is None:
+            out = [np.empty(x.shape, dtype=q.dtype) for q in parts]
+        for o, q in zip(out, parts):
+            o[..., cols] = q
+    return tuple(out) if isinstance(part, tuple) else out[0]
 
 
 def _riesz_sum_batch(p, m, kc, r, derivative=False):
@@ -201,6 +221,8 @@ def _exp_integral(c, tail, spec, y_cut, power):
 def _exp_tail_batch(p, regime, kc, r, spec, derivative=False):
     """Tail integrals for n in {1, 3}: e^{-y} integrals, batched over radii,
     or their far series (``_far_series``) where that meets the tolerance.
+    kc is one k_eps or one per radius; the terms are elementwise in it, so
+    every (k_eps, r) pair is a column of the same pass.
 
     Returns (values, errors).  With ``derivative=True`` the integrand is the
     one obtained by differentiation under the integral sign, plus the
@@ -208,7 +230,7 @@ def _exp_tail_batch(p, regime, kc, r, spec, derivative=False):
     """
     s = p.s
     pref, dpref, c, tail = _exp_tail_terms(p, regime, kc, r)
-    y_cut = max(10.0, 5.0 * abs(kc) * float(r.max()))
+    y_cut = max(10.0, float((5.0 * abs(kc) * r).max()))
     ival, ierr = _exp_integral(c, tail, spec, y_cut, 1)
     if not derivative:
         return pref * ival, np.abs(pref) * ierr
@@ -221,7 +243,9 @@ def _exp_tail_batch(p, regime, kc, r, spec, derivative=False):
 
 def _bessel_tail_batch(p, regime, kc, r, spec, derivative=False):
     """Tail integrals for n = 2: Bessel transform of rho*F, batched over radii,
-    plus the Struve term on LOW_INTEGER.  Returns (values, errors)."""
+    plus the Struve term on LOW_INTEGER.  kc is one k_eps or one per radius;
+    the kernels and the Struve term run once per distinct k_eps.  Returns
+    (values, errors)."""
     s, m = p.s, regime.m
     integer_branch = regime.branch == LOW_INTEGER
     fval, fder = (F_tilde_m, dF_tilde_m_dr) if integer_branch else (F_m, dF_m_dr)
@@ -234,19 +258,23 @@ def _bessel_tail_batch(p, regime, kc, r, spec, derivative=False):
             # d/dr of the 2D inverse transform: -(1/r) * transform of rho F' + 2 F
             # (the n-dimensional divergence identity; equals -(1/2pi) int J1(rho r)
             # rho^2 F by parts, and is validated against finite differences)
-            qr = integrate_bessel_transform(
-                lambda rho: rho * (rho * fder(rho, kc, s, m) + 2.0 * fval(rho, kc, s, m)),
-                r, spec)
+            def g(kc, rho):
+                return rho * (rho * fder(rho, kc, s, m) + 2.0 * fval(rho, kc, s, m))
             scale = -1.0 / (2.0 * np.pi * r)
         else:
-            qr = integrate_bessel_transform(lambda rho: rho * fval(rho, kc, s, m), r, spec)
+            def g(kc, rho):
+                return rho * fval(rho, kc, s, m)
             scale = 1.0 / (2.0 * np.pi)
+        qr = integrate_bessel_transform(lambda rho: _by_shift(g, kc, rho), r, spec)
         val = scale * qr.value
         err = np.abs(scale) * qr.err_estimate
     if integer_branch:
-        # d/dr K0(kc r) = kc (2/pi - K1(kc r))
-        struve = kc * (2.0 / np.pi - struve_k1(kc * r)) if derivative else struve_k0(kc * r)
-        term = -kc ** (2.0 - 2.0 * s) / 4.0 * struve
+        def struve_term(kc, r):
+            # d/dr K0(kc r) = kc (2/pi - K1(kc r))
+            struve = kc * (2.0 / np.pi - struve_k1(kc * r)) if derivative else struve_k0(kc * r)
+            return -kc ** (2.0 - 2.0 * s) / 4.0 * struve
+
+        term = _by_shift(struve_term, kc, r)
         val = val + term
         err = err + np.abs(term) * 1e-10
     return val, err
@@ -260,9 +288,12 @@ def _tail_batch(p, regime, kc, r, spec, derivative=False):
 
 
 def _closed_parts(p, regime, kc, r, derivative=False):
-    """(helm, riesz_sum), or their r-derivatives: the closed-form parts at radii r."""
-    helm = (helm_part_dr if derivative else helm_part)(p.n, p.s, kc, r)
-    return np.atleast_1d(helm).astype(complex), _riesz_sum_batch(p, regime.m, kc, r, derivative)
+    """(helm, riesz_sum), or their r-derivatives: the closed-form parts at
+    radii r, once per distinct k_eps of kc."""
+    def parts(kc, r):
+        helm = (helm_part_dr if derivative else helm_part)(p.n, p.s, kc, r)
+        return np.atleast_1d(helm).astype(complex), _riesz_sum_batch(p, regime.m, kc, r, derivative)
+    return _by_shift(parts, kc, r)
 
 
 def _helm_rel(p, kc, r):
@@ -318,25 +349,49 @@ def _tabled_tail(p, regime, kc, r, spec):
     return jt[run], je[run]
 
 
-def green_eval_batch(p, shift, radii, spec=DEFAULT_SPEC):
-    """Vectorized Green evaluation over a 1-D array of finite radii r > 0.
+def _shifted_wavenumber(p, shift, size):
+    """k_eps of a shift (SpectralShift, float epsilon or None), or, for a 1-D
+    array of ``size`` absorption values (one per radius), k_eps per radius.
+    Every distinct value is checked by ``spectral_shift`` before any tail
+    work; an array of one distinct value gives that value's scalar k_eps."""
+    if np.ndim(shift) == 0:
+        return _resolve_shift(p, shift).k_eps
+    eps = np.asarray(shift, dtype=float)
+    if eps.shape != (size,):
+        raise DomainError(f"shift array of shape {eps.shape} does not give one "
+                          f"absorption per radius of {size}")
+    kc = {e: spectral_shift(p, e).k_eps for e in dict.fromkeys(eps.tolist())}
+    return next(iter(kc.values())) if len(kc) == 1 else np.array([kc[e] for e in eps.tolist()])
 
-    Returns (helm, riesz_sum, j_tail, err) arrays, one error estimate per
-    radius.  A batch too small to fill a tabled panel, at most
-    ``_SMALL_BATCH`` radii, makes one tail call: the e^{-y}
-    integrals (n = 1, 3) and the 2D Bessel transform, whose J0-zero partition
-    is fixed in t = rho r, share one adaptive pass over the batch.  A larger
-    one evaluates the closed parts once per distinct radius and the tail by
-    ``_tabled_tail``.
-    """
-    r = _check_radii(np.asarray(radii, dtype=float))
-    kc, regime = _resolve_shift(p, shift).k_eps, classify_regime(p.s)
+
+def _eval_batch(p, regime, kc, r, spec):
+    """``green_eval_batch`` at checked radii and their k_eps."""
     small = r.size <= _SMALL_BATCH
     u, inv = (r, slice(None)) if small else np.unique(r, return_inverse=True)
     helm, riesz = _closed_parts(p, regime, kc, u)
     jt, je = (_tail_batch if small else _tabled_tail)(p, regime, kc, u, spec)
     err = je + _helm_rel(p, kc, u) * np.abs(helm) + _CLOSED_FORM_REL * np.abs(riesz)
     return helm[inv], riesz[inv], jt[inv], err[inv]
+
+
+def green_eval_batch(p, shift, radii, spec=DEFAULT_SPEC):
+    """Vectorized Green evaluation over a 1-D array of finite radii r > 0.
+
+    `shift` is one shift for all radii (as for ``green_eval``) or a 1-D array
+    of absorption values, one per radius.  Returns (helm, riesz_sum, j_tail,
+    err) arrays, one error estimate per radius.  A batch too small to fill a
+    tabled panel, at most ``_SMALL_BATCH`` radii, makes one tail call: the
+    e^{-y} integrals (n = 1, 3) and the 2D Bessel transform, whose J0-zero
+    partition is fixed in t = rho r, share one adaptive pass over the batch,
+    each (k_eps, r) pair a column of it.  A larger one tables each distinct
+    shift's radii on their own: it evaluates the closed parts once per
+    distinct radius and the tail by ``_tabled_tail``.
+    """
+    r = _check_radii(np.asarray(radii, dtype=float))
+    kc, regime = _shifted_wavenumber(p, shift, r.size), classify_regime(p.s)
+    if np.ndim(kc) and r.size > _SMALL_BATCH:
+        return _by_shift(lambda v, x: _eval_batch(p, regime, v, x, spec), kc, r)
+    return _eval_batch(p, regime, kc, r, spec)
 
 
 def green_eval(p, shift, r, spec=DEFAULT_SPEC):

@@ -199,11 +199,11 @@ def _fm_direct(r, kc, s, m):
 def F_m(r, kc, s, m):
     """Regularized spectral kernel F_m(r, kc); removable singularity at r = kc.
 
-    Vectorized over r > 0; kc may be complex (closed first quadrant).
+    Vectorized over finite r > 0; kc may be complex (closed first quadrant).
     """
     r, scalar = _as_array(r)
-    if np.any(r <= 0.0):
-        raise DomainError("F_m requires r > 0")
+    if not np.all(np.isfinite(r) & (r > 0.0)):
+        raise DomainError("F_m requires finite r > 0")
     coeffs = _fm_window_coeffs(float(s), int(m))
     out = _windowed(r, kc, lambda rr: _fm_direct(rr, kc, s, m),
                     lambda u: kc ** (-2.0 * s) / (2.0 * s) * polyval(u, coeffs))
@@ -213,8 +213,8 @@ def F_m(r, kc, s, m):
 def dF_m_dr(r, kc, s, m):
     """Radial derivative of F_m, with the same Taylor window at r = kc."""
     r, scalar = _as_array(r)
-    if np.any(r <= 0.0):
-        raise DomainError("dF_m_dr requires r > 0")
+    if not np.all(np.isfinite(r) & (r > 0.0)):
+        raise DomainError("dF_m_dr requires finite r > 0")
 
     def direct(rr):
         r2s = rr ** (2.0 * s)
@@ -244,18 +244,19 @@ def F_tilde_m(r, kc, s, m):
     """
     _require_low_integer(s, m)
     r, scalar = _as_array(r)
-    corr = kc ** (2.0 - 2.0 * s) / (r.astype(complex) * (r + kc))
-    return _as_given(F_m(r, kc, s, m) + corr, scalar)
+    fm = F_m(r, kc, s, m)     # checks r first
+    return _as_given(fm + kc ** (2.0 - 2.0 * s) / (r.astype(complex) * (r + kc)), scalar)
 
 
 def dF_tilde_m_dr(r, kc, s, m):
     """Radial derivative of F~_m."""
     _require_low_integer(s, m)
     r, scalar = _as_array(r)
+    dfm = dF_m_dr(r, kc, s, m)     # checks r first
     rc = r.astype(complex)
     dcorr = -kc ** (2.0 - 2.0 * s) * (1.0 / (rc ** 2 * (rc + kc))
                                       + 1.0 / (rc * (rc + kc) ** 2))
-    return _as_given(dF_m_dr(r, kc, s, m) + dcorr, scalar)
+    return _as_given(dfm + dcorr, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +267,13 @@ def multiplier_M(xi, z, s):
     """M(xi; z) = (z^{2s} xi^{2-2s} - z^{2-2s} xi^{2s}) / (xi^{2s} - z^{2s}).
 
     Continuous across xi = |z| for real z, with limit (1-2s) k^{2-2s} / s.
-    Vectorized over xi >= 0; z in the closed first quadrant, z != 0.
+    Vectorized over finite xi >= 0; z in the closed first quadrant, z != 0.
     """
     if z == 0:
         raise DomainError("multiplier_M requires z != 0")
     xi, scalar = _as_array(xi)
-    if np.any(xi < 0.0):
-        raise DomainError("multiplier_M requires xi >= 0")
+    if not np.all(np.isfinite(xi) & (xi >= 0.0)):
+        raise DomainError("multiplier_M requires finite xi >= 0")
     z = complex(z)
 
     def direct(x):

@@ -168,23 +168,22 @@ def test_lap_slope_in_range(capsys):
 
 
 def test_lap_evaluates_each_green_value_once(capsys, monkeypatch):
-    import frachelm.cli as cli
     import frachelm.diagnostics as diag
 
     calls = []
-    green_eval = diag.green_eval
+    green_eval_batch = diag.green_eval_batch
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return green_eval(*args, **kwargs)
+    def counting(p, shift, radii, *args, **kwargs):
+        calls.append((np.asarray(shift, dtype=float).tolist(), np.asarray(radii).tolist()))
+        return green_eval_batch(p, shift, radii, *args, **kwargs)
 
-    monkeypatch.setattr(diag, "green_eval", counting)
-    monkeypatch.setattr(cli, "green_eval", counting)
+    monkeypatch.setattr(diag, "green_eval_batch", counting)
     eps = [1e-1, 1e-2, 1e-3]
     code, out = run_cli(capsys, ["lap", "--dim", "1", "--s", "0.3", "--k", "1",
                                  "--r", "2", "--eps", ",".join(map(str, eps))])
     assert code == 0
-    assert sorted(calls) == sorted([0.0] + eps)    # one per eps plus eps = 0
+    # one call: eps = 0 and every eps, once each, at the one radius
+    assert calls == [([0.0] + eps, [2.0] * (1 + len(eps)))]
     meta, header, rows = parse_csv(out)
     diffs = [float(row[header.index("diff")]) for row in rows]
     assert [float(row[header.index("eps")]) for row in rows] == eps

@@ -4,10 +4,11 @@ limiting-absorption slopes, convolution norms."""
 import numpy as np
 import pytest
 
+from frachelm import green
 from frachelm.errors import AccuracyError, DomainError
 from frachelm.diagnostics import (
     convolution_norm_check, decay_rate_check, green_radial_field,
-    RadialField, hankel_incoming_field, hankel_outgoing_field, lap_slope,
+    RadialField, hankel_incoming_field, hankel_outgoing_field, lap_differences, lap_slope,
     radiation_classify, singularity_rate_check,
 )
 from frachelm.green import green_eval_batch, green_radial_derivative
@@ -155,6 +156,27 @@ def test_radiation_green_profile_matches_tight_reference():
 def test_lap_slope_regimes():
     assert 0.8 <= lap_slope(Problem(1, 0.3, 1.0), 2.0, [1e-1, 1e-2, 1e-3]) <= 1.2
     assert 0.8 <= lap_slope(Problem(3, 0.75, 1.0), 1.0, [1e-1, 1e-2, 1e-3]) <= 1.2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("eps", [[1e-1, 1e-2], [1e-1, 1e-2, 1e-3],
+                                 [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]])
+def test_lap_makes_one_tail_call(monkeypatch, n, eps):
+    # eps = 0 and every eps are columns of one tail pass, whatever their number
+    calls = {"tail": 0, "engine": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(green, "_tail_batch", counting("tail", green._tail_batch))
+    for attr in ("_exp_weighted_batch", "integrate_bessel_transform"):
+        monkeypatch.setattr(green, attr, counting("engine", getattr(green, attr)))
+    slope, diffs = lap_differences(Problem(n, 0.3, 1.0), 2.0, eps)
+    assert calls["tail"] == 1 and calls["engine"] <= 1
+    assert diffs.shape == (len(eps),) and 0.8 <= slope <= 1.2
 
 
 def test_lap_slope_guards():

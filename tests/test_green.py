@@ -202,6 +202,68 @@ def test_incoming_sign_flip_does_not_cancel():
     assert src_residual(p, r) < 0.05 * anti
 
 
+_LAP_EPS = (0.0, 1e-1, 1e-2, 1e-3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("s", [1.0 / 6.0, 0.25, 0.3, 0.5, 0.75])
+def test_multi_shift_batch_matches_per_shift(n, s):
+    # every (k_eps, r) pair is a column of one tail pass; each column agrees
+    # with its own single-shift evaluation within the two estimates
+    radii = np.tile([0.5, 2.0, 6.0], len(_LAP_EPS))
+    shifts = np.repeat(_LAP_EPS, 3)
+    for k in (0.7, 2.0):
+        p = Problem(n, s, k)
+        helm, riesz, jt, err = green_eval_batch(p, shifts, radii)
+        for i, (eps, r) in enumerate(zip(shifts, radii)):
+            g = green_eval(p, float(eps), float(r))
+            assert abs(helm[i] + riesz[i] + jt[i] - g.total) <= err[i] + g.err_estimate, \
+                (k, eps, r)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("size", [5, 60])
+def test_one_repeated_shift_is_the_scalar_call(n, size):
+    # an array of one distinct absorption takes the single-shift path, small
+    # or tabled (more than _SMALL_BATCH radii, in one dyadic panel)
+    p = Problem(n, 0.3, 1.0)
+    radii = np.linspace(2.1, 3.9, size)
+    assert (size > green._SMALL_BATCH) == (size == 60)
+    for eps in (0.0, 0.1):
+        got = green_eval_batch(p, np.full(size, eps), radii)
+        want = green_eval_batch(p, eps, radii)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_large_multi_shift_batch_tables_each_shift(n):
+    # more than _SMALL_BATCH radii: each distinct shift's radii are evaluated
+    # as one single-shift call, here tabled, so every value is that call's
+    p = Problem(n, 0.3, 1.0)
+    radii = np.linspace(2.1, 3.9, 100)
+    shifts = np.where(np.arange(100) % 2 == 0, 0.1, 0.0)
+    got = green_eval_batch(p, shifts, radii)
+    for eps in (0.0, 0.1):
+        want = green_eval_batch(p, eps, radii[shifts == eps])
+        assert all(np.array_equal(a[shifts == eps], b) for a, b in zip(got, want))
+
+
+def test_shift_array_guards(monkeypatch):
+    def no_tail(*a, **k):
+        raise AssertionError("tail work before the shifts were checked")
+
+    monkeypatch.setattr(green, "_tail_batch", no_tail)
+    monkeypatch.setattr(green, "_tabled_tail", no_tail)
+    # arctan(1 / 1) = pi/4 is not < s pi = 0.1 pi
+    p = Problem(1, 0.1, 1.0)
+    with pytest.raises(DomainError):
+        green_eval_batch(p, np.array([0.0, 1e-2, 1.0]), np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(DomainError):
+        green_eval_batch(p, np.array([0.0, 1e-2]), np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(DomainError):
+        green_eval_batch(p, np.zeros((3, 1)), np.array([1.0, 2.0, 3.0]))
+
+
 def test_limiting_absorption_differences_shrink():
     p = Problem(1, 0.3, 1.0)
     base = green_eval(p, 0.0, 2.0).total

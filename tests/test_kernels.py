@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from frachelm.errors import DomainError
 from frachelm.green import _bracket, _exp_tail_terms
 from frachelm.kernels import (
-    HIGH, LOW_GENERIC, LOW_INTEGER, Problem, classify_regime, dF_m_dr, F_m,
+    HIGH, LOW_GENERIC, LOW_INTEGER, Problem, classify_regime, dF_m_dr, dF_tilde_m_dr, F_m,
     F_tilde_m, helm_part, helm_part_dr, multiplier_M, spectral_shift,
 )
 
@@ -333,6 +333,25 @@ def test_helm_parts_reject_bad_radii(n, r):
         for radii in (r, np.array([1.0, r])):
             with pytest.raises(DomainError):
                 part(n, 0.6, 1.0 + 0j, radii)
+
+
+_SPECTRAL_KERNELS = {
+    "F_m": lambda r: F_m(r, 1.0 + 0j, 0.3, 1),
+    "dF_m_dr": lambda r: dF_m_dr(r, 1.0 + 0j, 0.3, 1),
+    "F_tilde_m": lambda r: F_tilde_m(r, 1.0 + 0j, 0.25, 2),
+    "dF_tilde_m_dr": lambda r: dF_tilde_m_dr(r, 1.0 + 0j, 0.25, 2),
+    "multiplier_M": lambda xi: multiplier_M(xi, 1.0, 0.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPECTRAL_KERNELS))
+@pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
+def test_spectral_kernels_reject_non_finite_radii(name, r):
+    # a non-finite r (or xi) raises, never returns nan+nanj, alone or inside
+    # an array
+    for radii in (r, np.array([1.5, r])):
+        with pytest.raises(DomainError):
+            _SPECTRAL_KERNELS[name](radii)
 
 
 # ---------------------------------------------------------------------------
