@@ -7,13 +7,18 @@ engines, or, in large batches, through a checked Chebyshev table on dyadic
 panels; their error estimates propagate additively.
 
 The n = 1, 3 tail is pref * int_0^inf e^{-y} bracket(y) dy with the bracket
-rational in w = y^{2s}.  At large kr its far branch (``_far_series``) expands
-each 1/(w e^{+-i pi s} - c) in powers of w/c and integrates term by term
+rational in w = y^{2s}.  The 2D tail, a Bessel transform, is the same
+bracket integral with the weight K0(y) in place of e^{-y}: J0 = (H0^(1) +
+H0^(2))/2 with each Hankel function's contour turned onto +-i infinity, where
+the Helmholtz symbol takes the same value on both rays and cancels.  At large
+kr the far branch (``_far_series``) expands each 1/(w e^{+-i pi s} - c) in
+powers of w/c and integrates term by term against the weight's moments
 (Watson's lemma), with a remainder bound from the distance of c to the rays
-w e^{+-i pi s}.  Each radius and bracket power takes the J <= ``_FAR_TERMS``
-terms that minimise the bound, and uses the series only where the bound plus
-its rounding meets the tolerance the quadrature would be held to; the other
-radii go to the e^{-y} engine.  The 2D tail has no far branch.
+w e^{+-i pi s}; the bound holds for any positive weight.  Each radius and
+bracket power takes the J <= ``_FAR_TERMS`` terms that minimise the bound, and
+uses the series only where the bound plus its rounding meets the tolerance
+the quadrature would be held to; the other radii go to the e^{-y} engine, or
+in 2D to the Bessel transform and the Struve term.
 """
 
 from __future__ import annotations
@@ -68,9 +73,9 @@ def _check_radii(r):
 
 def _by_shift(f, kc, x):
     """f(kc, x) for one k_eps.  For kc given per column of x (its last axis),
-    f(v, x[..., cols]) once per distinct v over its columns, as the kernels
-    and closed forms take one k_eps; the outputs, an array or a tuple of
-    arrays shaped like x, are put back in column order."""
+    f(v, x[..., cols]) once per distinct v over its columns, as the spectral
+    kernels and a tabled batch take one k_eps; the outputs, an array or a
+    tuple of arrays shaped like x, are put back in column order."""
     if np.ndim(kc) == 0:
         return f(kc, x)
     out = None
@@ -93,27 +98,38 @@ def _riesz_sum_batch(p, m, kc, r, derivative=False):
     if p.n == 1:
         return out
     for j in range(m):
-        expo = p.n - 2.0 * p.s * (j + 1.0)
-        term = riesz_constant(p.n, p.s, j) * kc ** (2.0 * p.s * j) / r ** expo
+        expo, e = p.n - 2.0 * p.s * (j + 1.0), 2.0 * p.s * j
+        # kc^e in Python complex arithmetic per k_eps, as a one-shift call takes it
+        kce = kc ** e if np.ndim(kc) == 0 else np.array([v ** e for v in kc.tolist()])
+        term = riesz_constant(p.n, p.s, j) * kce / r ** expo
         out += -expo * term / r if derivative else term
     return out
 
 
+def _tail_shape(n, s, m):
+    """tail = (s, delta, a, b) of the bracket: delta = 0, a = 1, b = -1 in 1D,
+    and delta = 1 - 2sm, a = -e^{-i pi s m}, b = e^{i pi s m} in 2D and 3D."""
+    if n == 1:
+        return s, 0.0, 1.0, -1.0
+    em = np.exp(1j * np.pi * s * m)
+    return s, 1.0 - 2.0 * s * m, -1.0 / em, em
+
+
 def _exp_tail_terms(p, regime, kc, r):
-    """(pref, dpref, c, tail) of the n in {1, 3} tail at radii r: the tail is
-    pref * int_0^inf e^{-y} _bracket(y, c, *tail, 1) dy and dpref = d pref / dr.
-    tail = (s, delta, a, b), with delta = 0, a = 1, b = -1 in 1D and
-    delta = 1 - 2sm, a = -e^{-i pi s m}, b = e^{i pi s m} in 3D."""
+    """(pref, dpref, c, tail) of the tail at radii r: the tail is pref *
+    int_0^inf w(y) _bracket(y, c, *tail, 1) dy, w(y) = e^{-y} for n in {1, 3}
+    and K0(y) for n = 2, with c = (k_eps r)^{2s}, tail = ``_tail_shape`` and
+    dpref = d pref / dr."""
     s, m = p.s, regime.m
     c = kc ** (2.0 * s) * r.astype(complex) ** (2.0 * s)
+    tail = _tail_shape(p.n, s, m)
     if p.n == 1:
         pref = 1j / (2.0 * np.pi * r ** (1.0 - 2.0 * s))
         dpref = 1j * (2.0 * s - 1.0) / (2.0 * np.pi * r ** (2.0 - 2.0 * s))
-        return pref, dpref, c, (s, 0.0, 1.0, -1.0)
-    expo = 3.0 - 2.0 * s * (m + 1.0)
-    pref = kc ** (2.0 * s * m) / (4j * np.pi ** 2 * r ** expo)
-    em = np.exp(1j * np.pi * s * m)
-    return pref, -expo * pref / r, c, (s, 1.0 - 2.0 * s * m, -1.0 / em, em)
+        return pref, dpref, c, tail
+    expo = p.n - 2.0 * s * (m + 1.0)
+    pref = kc ** (2.0 * s * m) / ((4j if p.n == 3 else 2j) * np.pi ** 2 * r ** expo)
+    return pref, -expo * pref / r, c, tail
 
 
 def _bracket(y, c, s, delta, a, b, power):
@@ -131,23 +147,37 @@ def _bracket(y, c, s, delta, a, b, power):
     return out if delta == 0.0 else (y ** delta)[:, None] * out
 
 
+def _exp_moment(delta, x):
+    """log int_0^inf e^{-y} y^{delta + x} dy = log Gamma(1 + delta + x)."""
+    return math.lgamma(1.0 + delta + x)
+
+
+def _k0_moment(delta, x):
+    """log int_0^inf K0(y) y^mu dy, mu = delta + x: log 2^{mu - 1} Gamma((1 +
+    mu)/2)^2 (DLMF 10.43.19)."""
+    mu = delta + x
+    return (mu - 1.0) * math.log(2.0) + 2.0 * math.lgamma(0.5 * (1.0 + mu))
+
+
 @lru_cache(maxsize=256)
-def _far_rows(s, delta, a, b, power, rel_tol, abs_tol):
-    """Constants of ``_far_series`` for one bracket, power and tolerance:
+def _far_rows(s, delta, a, b, power, rel_tol, abs_tol, moment):
+    """Constants of ``_far_series`` for one bracket, power, tolerance and
+    weight w, whose log-moments are moment(delta, x) = log M(delta + x),
+    M(mu) = int_0^inf w(y) y^mu dy:
 
     * a |c| below which no column meets its tolerance.  The distance d from
-      c to the rays is at most |c| and the integral at most 2 Gamma(1 +
-      delta) / d^power, so there every J's bound exceeds max(abs_tol,
-      2 rel_tol |integral|);
-    * for J = 1 .. ``_FAR_TERMS``, as (terms, 1) columns: log 2 Gamma(1 +
-      delta + 2sJ), and J;
+      c to the rays is at most |c| and the integral at most 2 M(delta) /
+      d^power, so there every J's bound exceeds max(abs_tol, 2 rel_tol
+      |integral|);
+    * for J = 1 .. ``_FAR_TERMS``, as (terms, 1) columns: log 2 M(delta +
+      2sJ), and J;
     * for the terms j = 0 .. ``_FAR_TERMS`` - 1: j, the log of
-      (j + 1)^(power - 1) Gamma(1 + delta + 2sj), the signed phase factor,
-      and |log Gamma| + 2, the term's rounding weight;
+      (j + 1)^(power - 1) M(delta + 2sj), the signed phase factor, and
+      |log M| + 2, the term's rounding weight;
     * e^{-+i pi s}, which turns the rays onto the positive axis.
     """
     j = np.arange(_FAR_TERMS + 1.0)[:, None]
-    lg = np.array([math.lgamma(1.0 + delta + 2.0 * s * i) for i in j[:, 0]])[:, None]
+    lg = np.array([moment(delta, 2.0 * s * i) for i in j[:, 0]])[:, None]
     big_j, lgb, lg = j[1:], lg[1:], lg[:-1]
     j = j[:-1]
     rel = (lgb - lg[0] - math.log(2.0 * rel_tol)) / big_j
@@ -158,24 +188,25 @@ def _far_rows(s, delta, a, b, power, rel_tol, abs_tol):
             np.exp(-1j * np.pi * s * np.array([[1.0], [-1.0]])))
 
 
-def _far_series(c, tail, spec, power):
-    """(values, errors, served) of int_0^inf e^{-y} _bracket(y, c, *tail,
-    power) dy, tail = (s, delta, a, b), by Watson's lemma with an explicit
-    remainder (Olver, *Asymptotics and Special Functions*, ch. 3).
+def _far_series(c, tail, spec, power, moment=_exp_moment):
+    """(values, errors, served) of int_0^inf w(y) _bracket(y, c, *tail,
+    power) dy, tail = (s, delta, a, b), w = e^{-y} (``_exp_moment``) or K0
+    (``_k0_moment``), by Watson's lemma with an explicit remainder (Olver,
+    *Asymptotics and Special Functions*, ch. 3).
 
     1/(x - c) = -sum_{j<J} x^j / c^{j+1} + (x/c)^J / (x - c), and each x^j
-    integrates to Gamma(1 + delta + 2sj) e^{+-i pi s j}.  With d the distance
-    from c to the two rays, the remainder is at most 2 Gamma(1 + delta + 2sJ)
-    / (|c|^J d), and that of its d/dc (p = 2) 2 Gamma(1 + delta + 2sJ) / |c|^J
-    (J / (|c| d) + 1/d^2).  Per column J <= ``_FAR_TERMS`` minimises the
-    bound; the error is the bound plus the summation's rounding, and a column
-    is served when that meets max(abs_tol, rel_tol |value|).  Columns with
-    |c| below the threshold of ``_far_rows`` are not tried; the values and
-    errors of the columns not served are zero.
+    integrates to M(delta + 2sj) e^{+-i pi s j}, M the weight's moment.  As
+    w > 0, with d the distance from c to the two rays, the remainder is at
+    most 2 M(delta + 2sJ) / (|c|^J d), and that of its d/dc (p = 2)
+    2 M(delta + 2sJ) / |c|^J (J / (|c| d) + 1/d^2).  Per column J <=
+    ``_FAR_TERMS`` minimises the bound; the error is the bound plus the
+    summation's rounding, and a column is served when that meets max(abs_tol,
+    rel_tol |value|).  Columns with |c| below the threshold of ``_far_rows``
+    are not tried; the values and errors of the columns not served are zero.
     """
     _, _, a, b = tail
     thresh, lb0, big_j, j, lt, phase, lg_size, rot = _far_rows(
-        *tail, power, spec.rel_tol, spec.abs_tol)
+        *tail, power, spec.rel_tol, spec.abs_tol, moment)
     ac = np.abs(c)
     served = ac >= thresh
     val, err = np.zeros(c.shape, dtype=complex), np.zeros(c.shape)
@@ -218,6 +249,20 @@ def _exp_integral(c, tail, spec, y_cut, power):
     return val, err
 
 
+def _chain(p, kc, r, pref, dpref, one, two=None):
+    """(values, errors) of a tail pref * I(c), from one = (I, err): or, given
+    two = (dI/dc, err), of its r-derivative dpref I + pref dI/dc dc/dr."""
+    ival, ierr = one
+    if two is None:
+        return pref * ival, np.abs(pref) * ierr
+    s = p.s
+    dval, derr = two
+    dc_dr = 2.0 * s * kc ** (2.0 * s) * r.astype(complex) ** (2.0 * s - 1.0)
+    val = dpref * ival + pref * dval * dc_dr
+    err = np.abs(dpref) * ierr + np.abs(pref * dc_dr) * derr
+    return val, err
+
+
 def _exp_tail_batch(p, regime, kc, r, spec, derivative=False):
     """Tail integrals for n in {1, 3}: e^{-y} integrals, batched over radii,
     or their far series (``_far_series``) where that meets the tolerance.
@@ -228,24 +273,47 @@ def _exp_tail_batch(p, regime, kc, r, spec, derivative=False):
     one obtained by differentiation under the integral sign, plus the
     prefactor-derivative term.
     """
-    s = p.s
     pref, dpref, c, tail = _exp_tail_terms(p, regime, kc, r)
     y_cut = max(10.0, float((5.0 * abs(kc) * r).max()))
-    ival, ierr = _exp_integral(c, tail, spec, y_cut, 1)
-    if not derivative:
-        return pref * ival, np.abs(pref) * ierr
-    dval, derr = _exp_integral(c, tail, spec, y_cut, 2)
-    dc_dr = 2.0 * s * kc ** (2.0 * s) * r.astype(complex) ** (2.0 * s - 1.0)
-    val = dpref * ival + pref * dval * dc_dr
-    err = np.abs(dpref) * ierr + np.abs(pref * dc_dr) * derr
-    return val, err
+    one = _exp_integral(c, tail, spec, y_cut, 1)
+    two = _exp_integral(c, tail, spec, y_cut, 2) if derivative else None
+    return _chain(p, kc, r, pref, dpref, one, two)
 
 
-def _bessel_tail_batch(p, regime, kc, r, spec, derivative=False):
+@lru_cache(maxsize=256)
+def _k0_far_reach(s, m, spec, powers):
+    """|k_eps| r below which the 2D far series serves no radius: the largest
+    ``_far_rows`` threshold on |c| = (|k_eps| r)^{2s} over the bracket
+    powers the tail needs, to the power 1/(2s)."""
+    tail = _tail_shape(2, s, m)
+    thresh = max(_far_rows(*tail, q, spec.rel_tol, spec.abs_tol, _k0_moment)[0] for q in powers)
+    return thresh ** (1.0 / (2.0 * s))
+
+
+def _k0_far_tail(p, regime, kc, r, spec, derivative):
+    """(values, errors, served) of the 2D tail, or its r-derivative, from the
+    far series of its K0 form (``_exp_tail_terms``) at the radii it serves: a
+    radius is served when each bracket integral it needs is.  A call in which
+    no radius reaches ``_k0_far_reach`` returns (None, None, served) before
+    any prefactor."""
+    powers = (1, 2) if derivative else (1,)
+    served = np.abs(kc) * r >= _k0_far_reach(p.s, regime.m, spec, powers)
+    if not served.any():
+        return None, None, served
+    kf, rf = (kc if np.ndim(kc) == 0 else kc[served]), r[served]
+    pref, dpref, c, tail = _exp_tail_terms(p, regime, kf, rf)
+    parts = [_far_series(c, tail, spec, q, _k0_moment) for q in powers]
+    ok = np.logical_and.reduce([q[2] for q in parts])
+    val, err = _chain(p, kf, rf, pref, dpref, *(q[:2] for q in parts))
+    served[served] = ok
+    return val[ok], err[ok], served
+
+
+def _bessel_transform_tail(p, regime, kc, r, spec, derivative=False):
     """Tail integrals for n = 2: Bessel transform of rho*F, batched over radii,
     plus the Struve term on LOW_INTEGER.  kc is one k_eps or one per radius;
-    the kernels and the Struve term run once per distinct k_eps.  Returns
-    (values, errors)."""
+    the kernels run once per distinct k_eps, the Struve term once over all
+    radii.  Returns (values, errors)."""
     s, m = p.s, regime.m
     integer_branch = regime.branch == LOW_INTEGER
     fval, fder = (F_tilde_m, dF_tilde_m_dr) if integer_branch else (F_m, dF_m_dr)
@@ -269,31 +337,43 @@ def _bessel_tail_batch(p, regime, kc, r, spec, derivative=False):
         val = scale * qr.value
         err = np.abs(scale) * qr.err_estimate
     if integer_branch:
-        def struve_term(kc, r):
-            # d/dr K0(kc r) = kc (2/pi - K1(kc r))
-            struve = kc * (2.0 / np.pi - struve_k1(kc * r)) if derivative else struve_k0(kc * r)
-            return -kc ** (2.0 - 2.0 * s) / 4.0 * struve
-
-        term = _by_shift(struve_term, kc, r)
+        # d/dr K0(kc r) = kc (2/pi - K1(kc r))
+        struve = kc * (2.0 / np.pi - struve_k1(kc * r)) if derivative else struve_k0(kc * r)
+        term = -kc ** (2.0 - 2.0 * s) / 4.0 * struve
         val = val + term
         err = err + np.abs(term) * 1e-10
     return val, err
 
 
+def _bessel_tail_batch(p, regime, kc, r, spec, derivative=False):
+    """Tail integrals for n = 2: the far series of the K0 form where it meets
+    the tolerance (``_k0_far_tail``), else the Bessel transform and the
+    Struve term at the other radii and their k_eps.  Returns (values,
+    errors)."""
+    fval, ferr, served = _k0_far_tail(p, regime, kc, r, spec, derivative)
+    if not served.any():
+        return _bessel_transform_tail(p, regime, kc, r, spec, derivative)
+    val, err = np.empty(r.shape, dtype=complex), np.empty(r.shape)
+    val[served], err[served] = fval, ferr
+    rest = ~served
+    if rest.any():
+        kr = kc if np.ndim(kc) == 0 else kc[rest]
+        val[rest], err[rest] = _bessel_transform_tail(p, regime, kr, r[rest], spec, derivative)
+    return val, err
+
+
 def _tail_batch(p, regime, kc, r, spec, derivative=False):
-    """The tail family of a dimension: e^{-y} integrals, or the 2D Bessel
-    transform."""
+    """The tail family of a dimension: e^{-y} integrals, or in 2D the K0 far
+    series and the Bessel transform."""
     family = _bessel_tail_batch if p.n == 2 else _exp_tail_batch
     return family(p, regime, kc, r, spec, derivative)
 
 
 def _closed_parts(p, regime, kc, r, derivative=False):
     """(helm, riesz_sum), or their r-derivatives: the closed-form parts at
-    radii r, once per distinct k_eps of kc."""
-    def parts(kc, r):
-        helm = (helm_part_dr if derivative else helm_part)(p.n, p.s, kc, r)
-        return np.atleast_1d(helm).astype(complex), _riesz_sum_batch(p, regime.m, kc, r, derivative)
-    return _by_shift(parts, kc, r)
+    radii r, kc one k_eps or one per radius."""
+    helm = (helm_part_dr if derivative else helm_part)(p.n, p.s, kc, r)
+    return np.atleast_1d(helm).astype(complex), _riesz_sum_batch(p, regime.m, kc, r, derivative)
 
 
 def _helm_rel(p, kc, r):

@@ -293,41 +293,56 @@ def multiplier_M(xi, z, s):
 # ---------------------------------------------------------------------------
 
 def _helm_args(kc, r):
-    """(kc, r as a 1-D array, whether r was a scalar) of a Helmholtz part, with
-    kc in the closed first quadrant and every r finite and > 0."""
-    kc = complex(kc)
-    if kc == 0 or kc.real < 0.0 or kc.imag < 0.0:
+    """(kc, r as a 1-D array, whether both were scalars) of a Helmholtz part,
+    with kc (one k_eps, or one per radius) in the closed first quadrant and
+    every r finite and > 0."""
+    if np.ndim(kc) == 0:
+        kc = complex(kc)
+        bad = kc == 0 or kc.real < 0.0 or kc.imag < 0.0
+    else:
+        kc = np.asarray(kc, dtype=complex)
+        bad = np.any((kc == 0) | (kc.real < 0.0) | (kc.imag < 0.0))
+    if bad:
         raise DomainError(f"shifted wavenumber must lie in the closed first quadrant, got {kc}")
     r, scalar = _as_array(r)
     if not np.all(np.isfinite(r) & (r > 0.0)):
         raise DomainError("Helmholtz parts require finite r > 0")
-    return kc, r, scalar
+    return kc, r, scalar and np.ndim(kc) == 0
+
+
+def _per_k(f, kc):
+    """f(kc) of one k_eps, or f per element of an array of them, each in
+    Python complex arithmetic, so an array gives the scalar calls' bits."""
+    return f(kc) if np.ndim(kc) == 0 else np.array([f(v) for v in kc.tolist()])
 
 
 def helm_part(n, s, kc, r):
-    """Helmholtz component of the fundamental solution (per-dimension closed form)."""
+    """Helmholtz component of the fundamental solution (per-dimension closed
+    form); kc is one k_eps or one per radius."""
     kc, r, scalar = _helm_args(kc, r)
     if n == 1:
-        out = 1j * np.exp(1j * r * kc) / (2.0 * s * kc ** (2.0 * s - 1.0))
+        out = 1j * np.exp(1j * r * kc) / _per_k(lambda v: 2.0 * s * v ** (2.0 * s - 1.0), kc)
     elif n == 2:
-        out = 1j * kc ** (2.0 - 2.0 * s) / (4.0 * s) * hankel1_0(kc * r)
+        out = _per_k(lambda v: 1j * v ** (2.0 - 2.0 * s) / (4.0 * s), kc) * hankel1_0(kc * r)
     elif n == 3:
-        out = kc ** (2.0 - 2.0 * s) / s * np.exp(1j * r * kc) / (4.0 * np.pi * r)
+        out = _per_k(lambda v: v ** (2.0 - 2.0 * s) / s, kc) * np.exp(1j * r * kc) \
+            / (4.0 * np.pi * r)
     else:
         raise DomainError(f"dimension must be 1, 2 or 3, got {n}")
     return _as_given(out, scalar)
 
 
 def helm_part_dr(n, s, kc, r):
-    """Radial derivative of the Helmholtz component (closed forms)."""
+    """Radial derivative of the Helmholtz component (closed forms); kc is one
+    k_eps or one per radius."""
     kc, r, scalar = _helm_args(kc, r)
     if n == 1:
-        out = -kc ** (2.0 - 2.0 * s) / (2.0 * s) * np.exp(1j * r * kc)
+        out = _per_k(lambda v: -v ** (2.0 - 2.0 * s) / (2.0 * s), kc) * np.exp(1j * r * kc)
     elif n == 2:
         from .specfun import hankel1_1
-        out = -1j * kc ** (3.0 - 2.0 * s) / (4.0 * s) * hankel1_1(kc * r)
+        out = _per_k(lambda v: -1j * v ** (3.0 - 2.0 * s) / (4.0 * s), kc) * hankel1_1(kc * r)
     elif n == 3:
-        out = kc ** (2.0 - 2.0 * s) / s * (1j * kc / r - 1.0 / r ** 2) \
+        out = _per_k(lambda v: v ** (2.0 - 2.0 * s) / s, kc) * (1j * kc / r - 1.0 / r ** 2) \
             * np.exp(1j * r * kc) / (4.0 * np.pi)
     else:
         raise DomainError(f"dimension must be 1, 2 or 3, got {n}")

@@ -78,8 +78,9 @@ def _j_series(z, nu):
     return acc if nu == 0 else 0.5 * z * acc
 
 
-def _y0_series(z):
-    # (2/pi)[(ln(z/2)+gamma) J0 + sum_{j>=1} (-1)^{j+1} H_j (z^2/4)^j / (j!)^2]
+def _y0_series(z, j0):
+    # (2/pi)[(ln(z/2)+gamma) J0 + sum_{j>=1} (-1)^{j+1} H_j (z^2/4)^j / (j!)^2],
+    # j0 = _j_series(z, 0)
     q = 0.25 * z * z
     term = np.ones_like(q)
     acc = np.zeros_like(q)
@@ -87,18 +88,18 @@ def _y0_series(z):
         term = term * q / (j * j)
         sgn = -1.0 if (j % 2 == 0) else 1.0
         acc = acc + sgn * _HARMONIC[j] * term
-    return (2.0 / np.pi) * ((np.log(0.5 * z) + EULER_GAMMA) * _j_series(z, 0) + acc)
+    return (2.0 / np.pi) * ((np.log(0.5 * z) + EULER_GAMMA) * j0 + acc)
 
 
-def _y1_series(z):
-    # DLMF 10.8.1 specialized to order 1.
+def _y1_series(z, j1):
+    # DLMF 10.8.1 specialized to order 1, j1 = _j_series(z, 1)
     q = -0.25 * z * z
     term = np.ones_like(q)
     acc = (_HARMONIC[0] + _HARMONIC[1] - 2.0 * EULER_GAMMA) * term
     for j in range(1, _SERIES_TERMS):
         term = term * q / (j * (j + 1.0))
         acc = acc + (_HARMONIC[j] + _HARMONIC[j + 1] - 2.0 * EULER_GAMMA) * term
-    return (2.0 / np.pi) * np.log(0.5 * z) * _j_series(z, 1) - (2.0 / np.pi) / z \
+    return (2.0 / np.pi) * np.log(0.5 * z) * j1 - (2.0 / np.pi) / z \
         - (0.5 * z / np.pi) * acc
 
 
@@ -200,7 +201,8 @@ def _hankel1(z, nu):
     series = ~big & (np.abs(z.imag) <= _SERIES_IM_MAX)
     if np.any(series):
         zs = z[series]
-        out[series] = _j_series(zs, nu) + 1j * (_y0_series(zs) if nu == 0 else _y1_series(zs))
+        jv = _j_series(zs, nu)
+        out[series] = jv + 1j * (_y0_series(zs, jv) if nu == 0 else _y1_series(zs, jv))
     # |Im z| > _SERIES_IM_MAX inside the asymptotic radius: the cosh integral
     # above the real axis, and below it the reflection through H^(2),
     # H1(z) = 2 J(z) - conj(H1(conj z))
@@ -287,10 +289,19 @@ def iterated_average(partials):
     return t[0], np.abs(t[0] - prev)
 
 
+@lru_cache(maxsize=None)
+def _struve_zero_panels():
+    """(nodes, J0-weighted weights) of the 24-point rule on the fixed panels
+    between the first ``_STRUVE_INTERVALS`` zeros of J0, one row per panel."""
+    t, w = gauss_panels(j0_zeros(_STRUVE_INTERVALS), 24)
+    t = t.reshape(-1, 24)
+    return t, w.reshape(t.shape) * bessel_j0(t)
+
+
 def _struve_integral(z, power):
     """int_0^inf J0(t) / (t+z)^power dt for a 1-D array of z, by J0-zero
     partition + iterated averaging.  J0 is evaluated once per panel and shared
-    by every z."""
+    by every z; on the panels between zeros, once per process."""
     zeros = j0_zeros(_STRUVE_INTERVALS)
     # head [0, j_{0,1}]: grade toward 0 when the smallest |z| is small so
     # 1/(t+z)^p is resolved for every z
@@ -302,9 +313,10 @@ def _struve_integral(z, power):
             edges.append(g)
             g *= 2.0
     n_head = len(edges)
-    t, w = gauss_panels(np.concatenate([edges, zeros]), 24)
+    t, w = gauss_panels(np.append(edges, zeros[0]), 24)
     t = t.reshape(-1, 24)
-    jw = w.reshape(t.shape) * bessel_j0(t)
+    zt, zjw = _struve_zero_panels()
+    t, jw = np.concatenate([t, zt]), np.concatenate([w.reshape(t.shape) * bessel_j0(t), zjw])
     panels = np.array([jw_p @ (1.0 / (t_p[:, None] + z[None, :]) ** power)
                        for t_p, jw_p in zip(t, jw)])
     partials = panels[:n_head].sum(axis=0) + np.cumsum(panels[n_head:], axis=0)

@@ -179,6 +179,24 @@ def test_lap_makes_one_tail_call(monkeypatch, n, eps):
     assert diffs.shape == (len(eps),) and 0.8 <= slope <= 1.2
 
 
+@pytest.mark.parametrize("s", [0.25, 0.5])
+def test_2d_lap_evaluates_closed_forms_once(monkeypatch, s):
+    # the Helmholtz part and the Struve term take every k_eps in one call
+    import frachelm.kernels as kernels
+    calls = {"hankel1_0": 0, "struve_k0": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(kernels, "hankel1_0", counting("hankel1_0", kernels.hankel1_0))
+    monkeypatch.setattr(green, "struve_k0", counting("struve_k0", green.struve_k0))
+    lap_differences(Problem(2, s, 1.0), 2.0, [1e-1, 1e-2, 1e-3])
+    assert calls["hankel1_0"] == 1 and calls["struve_k0"] <= 1, calls
+
+
 def test_lap_slope_guards():
     p = Problem(1, 0.3, 1.0)
     with pytest.raises(DomainError):

@@ -325,6 +325,21 @@ def test_helm_part_domain():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
+def test_helm_parts_take_one_k_per_radius(n):
+    # an array of k_eps is elementwise, bit for bit the scalar calls
+    p = Problem(n, 0.3, 1.0)
+    kc = np.array([spectral_shift(p, e).k_eps for e in (0.0, 1e-1, 1e-2, 1e-3, 0.5)])
+    r = np.array([0.5, 2.0, 2.0, 6.0, 20.0])
+    for part in (helm_part, helm_part_dr):
+        got = part(n, p.s, kc, r)
+        want = np.array([part(n, p.s, complex(v), x) for v, x in zip(kc, r)])
+        assert np.array_equal(got, want)
+        for bad in (-1.0 + 0j, 1.0 - 1e-3j, 0j):
+            with pytest.raises(DomainError):
+                part(n, p.s, np.r_[kc[:2], bad], r[:3])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("r", [0.0, -1.0, np.nan, np.inf])
 def test_helm_parts_reject_bad_radii(n, r):
     # value and derivative share one check: a bad radius raises, never
