@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, is_count
 from .green import green_eval_batch, green_radial_derivative
 from .quadrature import DEFAULT_SPEC
 from .scattering import volume_potential
@@ -51,8 +51,8 @@ def _rate_values(p, part, lo, hi, claimed_rate, n_points, spec):
     """(radii, |part(r)|, |part(r)| r^claimed_rate) on a log grid of [lo, hi]."""
     if part not in ("j_tail", "nonhelm_total"):
         raise DomainError(f"unknown part {part!r}; use 'j_tail' or 'nonhelm_total'")
-    if n_points < 2 or not np.isfinite(claimed_rate):
-        raise DomainError("rate checks need n_points >= 2 and a finite claimed_rate")
+    if not (is_count(n_points) and n_points >= 2) or not np.isfinite(claimed_rate):
+        raise DomainError("rate checks need an integer n_points >= 2 and a finite claimed_rate")
     radii = np.logspace(np.log10(lo), np.log10(hi), n_points)
     helm, riesz, jt, _ = green_eval_batch(p, 0.0, radii, spec)
     values = np.abs(jt if part == "j_tail" else riesz + jt)

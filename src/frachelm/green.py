@@ -15,17 +15,18 @@ kr the far branch (``_far_series``) expands each 1/(w e^{+-i pi s} - c) in
 powers of w/c and integrates term by term against the weight's moments
 (Watson's lemma), with a remainder bound from the distance of c to the rays
 w e^{+-i pi s}; the bound holds for any positive weight.  Each radius and
-bracket power takes the J <= ``_FAR_TERMS`` terms that minimise the bound, and
-uses the series only where the bound plus its rounding meets the tolerance
-the quadrature would be held to; the other radii go to the e^{-y} engine, or
-in 2D to the Bessel transform and the Struve term.
+bracket power takes the J <= ``_FAR_TERMS`` terms that minimise the bound.  A
+radius uses the series only where, for every bracket power it needs, the
+bound plus its rounding meets the tolerance the quadrature would be held to;
+the other radii go to the e^{-y} engine, or in 2D to the Bessel transform and
+the Struve term (``_tail_batch``, one rule for every dimension).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -165,10 +166,10 @@ def _far_rows(s, delta, a, b, power, rel_tol, abs_tol, moment):
     weight w, whose log-moments are moment(delta, x) = log M(delta + x),
     M(mu) = int_0^inf w(y) y^mu dy:
 
-    * a |c| below which no column meets its tolerance.  The distance d from
-      c to the rays is at most |c| and the integral at most 2 M(delta) /
-      d^power, so there every J's bound exceeds max(abs_tol, 2 rel_tol
-      |integral|);
+    * a |c| below which no column meets its tolerance (``_far_reach``).  The
+      distance d from c to the rays is at most |c| and the integral at most
+      2 M(delta) / d^power, so there every J's bound exceeds max(abs_tol,
+      2 rel_tol |integral|);
     * for J = 1 .. ``_FAR_TERMS``, as (terms, 1) columns: log 2 M(delta +
       2sJ), and J;
     * for the terms j = 0 .. ``_FAR_TERMS`` - 1: j, the log of
@@ -188,7 +189,7 @@ def _far_rows(s, delta, a, b, power, rel_tol, abs_tol, moment):
             np.exp(-1j * np.pi * s * np.array([[1.0], [-1.0]])))
 
 
-def _far_series(c, tail, spec, power, moment=_exp_moment):
+def _far_series(c, tail, spec, power, moment):
     """(values, errors, served) of int_0^inf w(y) _bracket(y, c, *tail,
     power) dy, tail = (s, delta, a, b), w = e^{-y} (``_exp_moment``) or K0
     (``_k0_moment``), by Watson's lemma with an explicit remainder (Olver,
@@ -201,25 +202,21 @@ def _far_series(c, tail, spec, power, moment=_exp_moment):
     2 M(delta + 2sJ) / |c|^J (J / (|c| d) + 1/d^2).  Per column J <=
     ``_FAR_TERMS`` minimises the bound; the error is the bound plus the
     summation's rounding, and a column is served when that meets max(abs_tol,
-    rel_tol |value|).  Columns with |c| below the threshold of ``_far_rows``
-    are not tried; the values and errors of the columns not served are zero.
+    rel_tol |value|).  The caller passes the columns that reach
+    ``_far_reach``; the values and errors of the columns not served are not
+    used.
     """
     _, _, a, b = tail
-    thresh, lb0, big_j, j, lt, phase, lg_size, rot = _far_rows(
+    _, lb0, big_j, j, lt, phase, lg_size, rot = _far_rows(
         *tail, power, spec.rel_tol, spec.abs_tol, moment)
     ac = np.abs(c)
-    served = ac >= thresh
-    val, err = np.zeros(c.shape, dtype=complex), np.zeros(c.shape)
-    if not served.any():
-        return val, err, served
-    cc, ac = c[served], ac[served]
-    d = ac * np.sin(np.minimum(np.abs(np.angle(cc * rot)).min(axis=0), 0.5 * np.pi))
+    d = ac * np.sin(np.minimum(np.abs(np.angle(c * rot)).min(axis=0), 0.5 * np.pi))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # log of the remainder bound after J = 1 .. _FAR_TERMS terms
         lb = lb0 - big_j * np.log(ac) + (
             -np.log(d) if power == 1 else np.log(big_j / (ac * d) + d ** -2.0))
         nterms, bound = lb.argmin(axis=0) + 1, np.exp(lb.min(axis=0))
-        top, logc = nterms.max(), np.log(cc)
+        top, logc = nterms.max(), np.log(c)
         jp = j[:top] + power
         terms = np.where(j[:top] < nterms, np.exp(lt[:top] - jp * logc), 0.0)
         sv = (phase[:top] * terms).sum(axis=0)
@@ -229,24 +226,7 @@ def _far_series(c, tail, spec, power, moment=_exp_moment):
         rounding = (np.abs(terms) * size).sum(axis=0) * (abs(a) + abs(b))
         se = bound + 8.0 * np.finfo(float).eps * rounding
         ok = np.isfinite(sv) & (se <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(sv)))
-    served[served] = ok
-    val[served], err[served] = sv[ok], se[ok]
-    return val, err, served
-
-
-def _exp_integral(c, tail, spec, y_cut, power):
-    """(values, errors) of int_0^inf e^{-y} _bracket(y, c, *tail, power) dy
-    per radius: the far series where it meets the tolerance, else the e^{-y}
-    engine over the other radii.  y_cut is that of all the radii, so the head
-    interval of a near radius does not depend on which of its neighbours the
-    series took."""
-    val, err, served = _far_series(c, tail, spec, power)
-    rest = ~served
-    if rest.any():
-        cr = c[rest]
-        val[rest], err[rest], _ = _exp_weighted_batch(
-            lambda y: _bracket(y, cr, *tail, power), spec, y_cut)
-    return val, err
+    return sv, se, ok
 
 
 def _chain(p, kc, r, pref, dpref, one, two=None):
@@ -263,50 +243,15 @@ def _chain(p, kc, r, pref, dpref, one, two=None):
     return val, err
 
 
-def _exp_tail_batch(p, regime, kc, r, spec, derivative=False):
-    """Tail integrals for n in {1, 3}: e^{-y} integrals, batched over radii,
-    or their far series (``_far_series``) where that meets the tolerance.
-    kc is one k_eps or one per radius; the terms are elementwise in it, so
-    every (k_eps, r) pair is a column of the same pass.
-
-    Returns (values, errors).  With ``derivative=True`` the integrand is the
-    one obtained by differentiation under the integral sign, plus the
-    prefactor-derivative term.
-    """
+def _exp_tail(p, regime, kc, r, spec, derivative, y_cut):
+    """Tail integrals for n in {1, 3}: e^{-y} integrals batched over radii,
+    each (k_eps, r) pair a column of the same pass.  With ``derivative`` the
+    integrand is the one obtained by differentiation under the integral sign,
+    plus the prefactor-derivative term.  Returns (values, errors)."""
     pref, dpref, c, tail = _exp_tail_terms(p, regime, kc, r)
-    y_cut = max(10.0, float((5.0 * abs(kc) * r).max()))
-    one = _exp_integral(c, tail, spec, y_cut, 1)
-    two = _exp_integral(c, tail, spec, y_cut, 2) if derivative else None
-    return _chain(p, kc, r, pref, dpref, one, two)
-
-
-@lru_cache(maxsize=256)
-def _k0_far_reach(s, m, spec, powers):
-    """|k_eps| r below which the 2D far series serves no radius: the largest
-    ``_far_rows`` threshold on |c| = (|k_eps| r)^{2s} over the bracket
-    powers the tail needs, to the power 1/(2s)."""
-    tail = _tail_shape(2, s, m)
-    thresh = max(_far_rows(*tail, q, spec.rel_tol, spec.abs_tol, _k0_moment)[0] for q in powers)
-    return thresh ** (1.0 / (2.0 * s))
-
-
-def _k0_far_tail(p, regime, kc, r, spec, derivative):
-    """(values, errors, served) of the 2D tail, or its r-derivative, from the
-    far series of its K0 form (``_exp_tail_terms``) at the radii it serves: a
-    radius is served when each bracket integral it needs is.  A call in which
-    no radius reaches ``_k0_far_reach`` returns (None, None, served) before
-    any prefactor."""
-    powers = (1, 2) if derivative else (1,)
-    served = np.abs(kc) * r >= _k0_far_reach(p.s, regime.m, spec, powers)
-    if not served.any():
-        return None, None, served
-    kf, rf = (kc if np.ndim(kc) == 0 else kc[served]), r[served]
-    pref, dpref, c, tail = _exp_tail_terms(p, regime, kf, rf)
-    parts = [_far_series(c, tail, spec, q, _k0_moment) for q in powers]
-    ok = np.logical_and.reduce([q[2] for q in parts])
-    val, err = _chain(p, kf, rf, pref, dpref, *(q[:2] for q in parts))
-    served[served] = ok
-    return val[ok], err[ok], served
+    parts = [_exp_weighted_batch(lambda y: _bracket(y, c, *tail, q), spec, y_cut)[:2]
+             for q in ((1, 2) if derivative else (1,))]
+    return _chain(p, kc, r, pref, dpref, *parts)
 
 
 def _bessel_transform_tail(p, regime, kc, r, spec, derivative=False):
@@ -342,31 +287,61 @@ def _bessel_transform_tail(p, regime, kc, r, spec, derivative=False):
         term = -kc ** (2.0 - 2.0 * s) / 4.0 * struve
         val = val + term
         err = err + np.abs(term) * 1e-10
+        if derivative:
+            # 2/pi - K1(z) = O(z^-2) also loses the rounding of K1 ~ 2/pi:
+            # four eps (2/pi) |kc^{3-2s}|/4
+            err = err + 2.0 / np.pi * np.finfo(float).eps * np.abs(kc ** (3.0 - 2.0 * s))
     return val, err
 
 
-def _bessel_tail_batch(p, regime, kc, r, spec, derivative=False):
-    """Tail integrals for n = 2: the far series of the K0 form where it meets
-    the tolerance (``_k0_far_tail``), else the Bessel transform and the
-    Struve term at the other radii and their k_eps.  Returns (values,
-    errors)."""
-    fval, ferr, served = _k0_far_tail(p, regime, kc, r, spec, derivative)
-    if not served.any():
-        return _bessel_transform_tail(p, regime, kc, r, spec, derivative)
-    val, err = np.empty(r.shape, dtype=complex), np.empty(r.shape)
-    val[served], err[served] = fval, ferr
-    rest = ~served
-    if rest.any():
-        kr = kc if np.ndim(kc) == 0 else kc[rest]
-        val[rest], err[rest] = _bessel_transform_tail(p, regime, kr, r[rest], spec, derivative)
-    return val, err
+# the weight of the tail's bracket integral per dimension, by its log-moment
+_MOMENT = {1: _exp_moment, 2: _k0_moment, 3: _exp_moment}
+
+
+@lru_cache(maxsize=256)
+def _far_reach(n, s, m, spec, powers):
+    """|k_eps| r below which the far series serves no radius: the largest
+    ``_far_rows`` threshold on |c| = (|k_eps| r)^{2s} over the bracket
+    powers the tail needs, to the power 1/(2s)."""
+    tail = _tail_shape(n, s, m)
+    thresh = max(_far_rows(*tail, q, spec.rel_tol, spec.abs_tol, _MOMENT[n])[0] for q in powers)
+    return thresh ** (1.0 / (2.0 * s))
 
 
 def _tail_batch(p, regime, kc, r, spec, derivative=False):
-    """The tail family of a dimension: e^{-y} integrals, or in 2D the K0 far
-    series and the Bessel transform."""
-    family = _bessel_tail_batch if p.n == 2 else _exp_tail_batch
-    return family(p, regime, kc, r, spec, derivative)
+    """(values, errors) of the tail at radii r, or of its r-derivative; kc is
+    one k_eps or one per radius.
+
+    A radius takes the far series (``_far_series``) when it meets the
+    tolerance for every bracket power the radius needs: power 1 for a value,
+    1 and 2 (the d/dc integrand) for a derivative.  A call in which no radius
+    reaches ``_far_reach`` skips the series before any prefactor.  The other
+    radii, with their k_eps, go to their dimension's engine: the e^{-y}
+    integrals for n in {1, 3}, whose y_cut is that of all the call's radii so
+    that the head interval of a near radius does not depend on which of its
+    neighbours the series took, or in 2D the Bessel transform and the Struve
+    term.
+    """
+    engine = (_bessel_transform_tail if p.n == 2 else
+              partial(_exp_tail, y_cut=max(10.0, float((5.0 * abs(kc) * r).max()))))
+    powers = (1, 2) if derivative else (1,)
+    served = np.abs(kc) * r >= _far_reach(p.n, p.s, regime.m, spec, powers)
+    if not served.any():
+        return engine(p, regime, kc, r, spec, derivative)
+    kf, rf = (kc if np.ndim(kc) == 0 else kc[served]), r[served]
+    pref, dpref, c, tail = _exp_tail_terms(p, regime, kf, rf)
+    parts = [_far_series(c, tail, spec, q, _MOMENT[p.n]) for q in powers]
+    ok = np.logical_and.reduce([q[2] for q in parts])
+    fval, ferr = _chain(p, kf, rf, pref, dpref, *(q[:2] for q in parts))
+    if rf.size == r.size and ok.all():
+        return fval, ferr
+    served[served] = ok
+    val, err = np.empty(r.shape, dtype=complex), np.empty(r.shape)
+    val[served], err[served] = fval[ok], ferr[ok]
+    rest = ~served
+    kr = kc if np.ndim(kc) == 0 else kc[rest]
+    val[rest], err[rest] = engine(p, regime, kr, r[rest], spec, derivative)
+    return val, err
 
 
 def _closed_parts(p, regime, kc, r, derivative=False):
@@ -512,8 +487,8 @@ def green_closed_form_3d_half(k, r):
     1/(2 pi^2 r^2) - (i k /(4 pi^2 r)) (e^{ikr} E1(ikr) - e^{-ikr} E1(-ikr))
     + k e^{ikr} / (2 pi r).
     """
-    if not (k > 0.0 and r > 0.0):
-        raise DomainError("green_closed_form_3d_half requires k > 0 and r > 0")
+    if not (0.0 < k < math.inf and 0.0 < r < math.inf):
+        raise DomainError("green_closed_form_3d_half requires finite k > 0 and r > 0")
     a = np.exp(1j * k * r) * expint_e1(1j * k * r)
     b = np.exp(-1j * k * r) * expint_e1(-1j * k * r)
     return complex(1.0 / (2.0 * np.pi ** 2 * r ** 2)

@@ -58,8 +58,9 @@ def test_rate_check_windows_validated():
         singularity_rate_check(p, "j_tail", (0.1, 0.9), 1.0)
     with pytest.raises(DomainError):
         decay_rate_check(p, "nope", (10.0, 100.0), 1.0)
-    # a degenerate grid or a non-finite rate cannot be fitted
-    for n_points in (1, 0):
+    # a degenerate grid, a non-integer point count or a non-finite rate
+    # cannot be fitted
+    for n_points in (1, 0, 2.5, 3.0):
         with pytest.raises(DomainError):
             decay_rate_check(p, "j_tail", (10.0, 100.0), 1.0, n_points=n_points)
         with pytest.raises(DomainError):

@@ -133,6 +133,12 @@ def test_domain_errors():
                 green_radial_derivative(p, 0.0, bad)
             with pytest.raises(DomainError):
                 green_radial_derivative(p, 0.0, np.array([1.0, bad]))
+    # so are a non-finite wavenumber or radius of the s = 1/2 closed form
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            green_closed_form_3d_half(bad, 1.0)
+        with pytest.raises(DomainError):
+            green_closed_form_3d_half(1.0, bad)
 
 
 @pytest.mark.parametrize("n,s", [(1, 0.3), (1, 0.75), (2, 0.5), (2, 0.75),
@@ -380,14 +386,13 @@ def _tail(p, shift, r, spec, derivative):
 
 
 def _far_served(p, shift, r):
-    """Which radii the series serves: in 1D and 3D per bracket integral of
-    ``_FAR_INTEGRALS``, in 2D for the value and for the derivative."""
+    """Which radii the series serves per bracket integral of
+    ``_FAR_INTEGRALS``; a derivative radius takes it only where both of its
+    integrals are served."""
     kc, regime = spectral_shift(p, shift).k_eps, classify_regime(p.s)
-    if p.n == 2:
-        return [green._k0_far_tail(p, regime, kc, r, spec, derivative)[2]
-                for spec, derivative in ((DEFAULT_SPEC, False), (DERIVATIVE_SPEC, True))]
     _, _, c, tail = green._exp_tail_terms(p, regime, kc, r)
-    return [green._far_series(c, tail, spec, power)[2] for spec, power in _FAR_INTEGRALS]
+    return [green._far_series(c, tail, spec, power, green._MOMENT[p.n])[2]
+            for spec, power in _FAR_INTEGRALS]
 
 
 def _series_and_quadrature(monkeypatch, p, shift, r):
@@ -404,12 +409,9 @@ def _series_and_quadrature(monkeypatch, p, shift, r):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_far_series_agrees_with_the_quadrature(monkeypatch, n):
-    # in 2D up to kr = 1e3: beyond, the Struve derivative's 1e-10 charge does
-    # not cover its cancellation (2/pi - K1(z) = O(z^-2))
-    kr = _FAR_KR if n != 2 else _FAR_KR[:-1]
     for s in _FAR_S:
         for k in (0.7, 2.0):
-            p, r = Problem(n, s, k), kr / k
+            p, r = Problem(n, s, k), _FAR_KR / k
             assert all(np.all(served) for served in _far_served(p, 0.0, r)), (s, k)
             got, ref = _series_and_quadrature(monkeypatch, p, 0.0, r)
             for (v, e), (rv, re) in zip(got, ref):
@@ -442,6 +444,20 @@ def test_near_radii_never_take_the_far_series(monkeypatch, n):
             assert all(np.array_equal(u, v) for u, v in zip(got, ref)), (s, k)
 
 
+@pytest.mark.parametrize("n, s, r", [(3, 0.5, 20.0), (1, 0.3, 22.0)])
+def test_a_derivative_radius_takes_one_path_for_both_powers(monkeypatch, n, s, r):
+    # the series serves the derivative's first bracket integral here but not
+    # its second, so the radius takes the e^{-y} engine for both, bit for bit
+    p, r = Problem(n, s, 1.0), np.array([r])
+    _, one, two = _far_served(p, 0.0, r)
+    assert one[0] and not two[0]
+    got = _tail(p, 0.0, r, DERIVATIVE_SPEC, True)
+    with monkeypatch.context() as m:
+        _quadrature_only(m)
+        ref = _tail(p, 0.0, r, DERIVATIVE_SPEC, True)
+    assert all(np.array_equal(u, v) for u, v in zip(got, ref))
+
+
 def test_far_series_against_the_3d_half_closed_form():
     for k in (0.7, 2.0):
         p, r = Problem(3, 0.5, k), _FAR_KR / k
@@ -467,7 +483,7 @@ def test_far_series_against_mpmath(n, s, kr):
                                           np.array([kr / k]))
     _, delta, a, b = tail
     for spec, power in _FAR_INTEGRALS:
-        val, err, served = green._far_series(c, tail, spec, power)
+        val, err, served = green._far_series(c, tail, spec, power, green._exp_moment)
         assert served[0]
         with mp.workdps(30):
             ep, cc, a_, b_ = mp.expjpi(s), mp.mpc(c[0]), mp.mpc(a), mp.mpc(b)

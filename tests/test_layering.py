@@ -24,3 +24,43 @@ def _private_imports(path):
 def test_no_new_cross_module_private_imports():
     found = {pair for path in sorted(SRC.glob("*.py")) for pair in _private_imports(path)}
     assert found - ALLOWED == set()
+
+
+def _private_definitions(tree):
+    """(name, statement) of each module-level private name: a function, a
+    class or an assigned constant whose name starts with one underscore."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            names = []
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, stmt
+
+
+def _references(node):
+    """Names a piece of code reads: loaded names, attributes and imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def test_no_dead_private_helpers():
+    # every module-level private name is used somewhere in the package
+    # outside its own definition
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    stmts = [stmt for tree in trees.values() for stmt in tree.body]
+    refs = [set(_references(stmt)) for stmt in stmts]
+    dead = [f"{stem}.{name}" for stem, tree in trees.items()
+            for name, own in _private_definitions(tree)
+            if not any(name in used for stmt, used in zip(stmts, refs) if stmt is not own)]
+    assert dead == []
