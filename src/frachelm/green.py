@@ -4,7 +4,9 @@ The value at radius r splits into three parts (Helmholtz part, Riesz power
 sum, tail integral); the decomposition is returned explicitly so diagnostics
 can test each part's asymptotics.  Tail integrals run through the quadrature
 engines, or, in large batches, through a checked Chebyshev table on dyadic
-panels; their error estimates propagate additively.
+panels; their error estimates propagate additively.  Each checked panel is
+built once per (problem, k_eps, spec, panel) and kept across calls
+(``_tail_panel``), so a tabled value depends on its radius alone.
 
 The n = 1, 3 tail is pref * int_0^inf e^{-y} bracket(y) dy with the bracket
 rational in w = y^{2s}.  The 2D tail, a Bessel transform, is the same
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -51,6 +53,9 @@ _PANEL_DEGREE = 20    # Chebyshev degree of a dyadic panel of the tail table
 # twice the nodes and check point of a panel, as a node costs about one radius
 _SMALL_BATCH = 2 * (_PANEL_DEGREE + 2)
 _FAR_TERMS = 64       # most terms the far series of an e^{-y} tail sums
+# checked dyadic panels kept by ``_tail_panel``: 21 complex coefficients (336 B;
+# about 800 B with the array, tuple, key and cache link) each, so under 1 MB
+_TAIL_PANELS = 1024
 
 
 @dataclass
@@ -243,17 +248,6 @@ def _chain(p, kc, r, pref, dpref, one, two=None):
     return val, err
 
 
-def _exp_tail(p, regime, kc, r, spec, derivative, y_cut):
-    """Tail integrals for n in {1, 3}: e^{-y} integrals batched over radii,
-    each (k_eps, r) pair a column of the same pass.  With ``derivative`` the
-    integrand is the one obtained by differentiation under the integral sign,
-    plus the prefactor-derivative term.  Returns (values, errors)."""
-    pref, dpref, c, tail = _exp_tail_terms(p, regime, kc, r)
-    parts = [_exp_weighted_batch(lambda y: _bracket(y, c, *tail, q), spec, y_cut)[:2]
-             for q in ((1, 2) if derivative else (1,))]
-    return _chain(p, kc, r, pref, dpref, *parts)
-
-
 def _bessel_transform_tail(p, regime, kc, r, spec, derivative=False):
     """Tail integrals for n = 2: Bessel transform of rho*F, batched over radii,
     plus the Struve term on LOW_INTEGER.  kc is one k_eps or one per radius;
@@ -314,33 +308,38 @@ def _tail_batch(p, regime, kc, r, spec, derivative=False):
 
     A radius takes the far series (``_far_series``) when it meets the
     tolerance for every bracket power the radius needs: power 1 for a value,
-    1 and 2 (the d/dc integrand) for a derivative.  A call in which no radius
-    reaches ``_far_reach`` skips the series before any prefactor.  The other
-    radii, with their k_eps, go to their dimension's engine: the e^{-y}
+    1 and 2 (the d/dc integrand) for a derivative.  A 2D call in which no
+    radius reaches ``_far_reach`` skips the series before any prefactor.  The
+    other radii, with their k_eps, go to their dimension's engine: the e^{-y}
     integrals for n in {1, 3}, whose y_cut is that of all the call's radii so
     that the head interval of a near radius does not depend on which of its
     neighbours the series took, or in 2D the Bessel transform and the Struve
-    term.
+    term.  The prefactors and c are computed once for all radii, and the
+    e^{-y} engine takes the columns of c the series left.
     """
-    engine = (_bessel_transform_tail if p.n == 2 else
-              partial(_exp_tail, y_cut=max(10.0, float((5.0 * abs(kc) * r).max()))))
     powers = (1, 2) if derivative else (1,)
     served = np.abs(kc) * r >= _far_reach(p.n, p.s, regime.m, spec, powers)
-    if not served.any():
-        return engine(p, regime, kc, r, spec, derivative)
-    kf, rf = (kc if np.ndim(kc) == 0 else kc[served]), r[served]
-    pref, dpref, c, tail = _exp_tail_terms(p, regime, kf, rf)
-    parts = [_far_series(c, tail, spec, q, _MOMENT[p.n]) for q in powers]
-    ok = np.logical_and.reduce([q[2] for q in parts])
-    fval, ferr = _chain(p, kf, rf, pref, dpref, *(q[:2] for q in parts))
-    if rf.size == r.size and ok.all():
-        return fval, ferr
-    served[served] = ok
-    val, err = np.empty(r.shape, dtype=complex), np.empty(r.shape)
-    val[served], err[served] = fval[ok], ferr[ok]
+    if p.n == 2 and not served.any():
+        return _bessel_transform_tail(p, regime, kc, r, spec, derivative)
+    pref, dpref, c, tail = _exp_tail_terms(p, regime, kc, r)
+    # (integral, error) per bracket power, or the integral's d/dc for power 2
+    parts = [(np.zeros(r.shape, dtype=complex), np.zeros(r.shape)) for _ in powers]
+    if served.any():
+        far = [_far_series(c[served], tail, spec, q, _MOMENT[p.n]) for q in powers]
+        ok = np.logical_and.reduce([f[2] for f in far])
+        served[served] = ok
+        for (ival, ierr), (fval, ferr, _) in zip(parts, far):
+            ival[served], ierr[served] = fval[ok], ferr[ok]
     rest = ~served
-    kr = kc if np.ndim(kc) == 0 else kc[rest]
-    val[rest], err[rest] = engine(p, regime, kr, r[rest], spec, derivative)
+    if p.n != 2 and rest.any():
+        y_cut, cr = max(10.0, float((5.0 * abs(kc) * r).max())), c[rest]
+        for (ival, ierr), q in zip(parts, powers):
+            ival[rest], ierr[rest] = _exp_weighted_batch(
+                lambda y: _bracket(y, cr, *tail, q), spec, y_cut)[:2]
+    val, err = _chain(p, kc, r, pref, dpref, *parts)
+    if p.n == 2 and rest.any():
+        kr = kc if np.ndim(kc) == 0 else kc[rest]
+        val[rest], err[rest] = _bessel_transform_tail(p, regime, kr, r[rest], spec, derivative)
     return val, err
 
 
@@ -357,18 +356,42 @@ def _helm_rel(p, kc, r):
     return hankel1_0_rel_error(kc * r) if p.n == 2 else np.full(r.shape, _CLOSED_FORM_REL)
 
 
+@lru_cache(maxsize=_TAIL_PANELS)
+def _tail_panel(p, kc, spec, exponent):
+    """(coefficients, err) of the tail's checked Chebyshev interpolant in
+    log2 r on the panel [2^(exponent-1), 2^exponent), or None if it fails its
+    checks (Trefethen, *Approximation Theory and Approximation Practice*,
+    ch. 8).  Its d + 1 nodes, d = ``_PANEL_DEGREE``, and a check point at its
+    left end make one tail call of their own, so the table depends on its key
+    alone, never on other radii or on which panels were built before.  It
+    passes if its last two coefficients and the check-point miss are within
+    max(abs_tol, rel_tol |G|); its err is then the largest node err plus
+    both.  The coefficients, shared by every later call, are read-only."""
+    regime, d = classify_regime(p.s), _PANEL_DEGREE
+    theta = np.pi * (np.arange(d + 1) + 0.5) / (d + 1)
+    nodes = np.ldexp(np.exp2(0.5 * np.append(np.cos(theta), -1.0) - 0.5), exponent)
+    jn, en = _tail_batch(p, regime, kc, nodes, spec)
+    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(jn + sum(_closed_parts(
+        p, regime, kc, nodes))))
+    coef = (2.0 / (d + 1)) * jn[:-1] @ np.cos(np.outer(theta, np.arange(d + 1)))
+    coef[0] *= 0.5
+    decay = abs(coef[-2]) + abs(coef[-1])
+    miss = abs(chebval(-1.0, coef) - jn[-1])
+    if not (decay <= tol[:-1].min() and miss <= tol[-1]):
+        return None
+    coef.flags.writeable = False
+    return coef, float(en.max() + decay + miss)
+
+
 def _tabled_tail(p, regime, kc, r, spec):
     """(j_tail, err) at sorted distinct radii r, tabled on dense dyadic panels.
 
     Radii equal to 14 mantissa decimals share the tail of the first (the tail
     has no phase).  A dyadic panel [2^(j-1), 2^j) holding more than
-    ``_SMALL_BATCH`` of them is tabled: its d + 1 Chebyshev nodes in log2 r,
-    d = ``_PANEL_DEGREE``, and a check point at its left end join the other radii in one tail
-    call, and its tail is interpolated by Clenshaw (Trefethen, *Approximation
-    Theory and Approximation Practice*, ch. 8).  It serves values only if its
-    last two coefficients and the check-point miss are within max(abs_tol,
-    rel_tol |G|); its err is then the largest node err plus both.  The radii
-    of a refused panel are evaluated directly.
+    ``_SMALL_BATCH`` of them is tabled: its checked interpolant comes from
+    ``_tail_panel``, which keeps the last ``_TAIL_PANELS`` panels built in the
+    process, and its tail is interpolated by Clenshaw.  The other radii and
+    those of refused panels go through one direct tail call.
     """
     m, e = np.frexp(r)
     key = np.ldexp(np.round(m, 14), e)
@@ -376,30 +399,18 @@ def _tabled_tail(p, regime, kc, r, spec):
     t = r[lead]
     mant, panel = np.frexp(t)                 # and so are panels
     keys, first, counts = np.unique(panel, return_index=True, return_counts=True)
-    d, big = _PANEL_DEGREE, counts > _SMALL_BATCH
-    theta = np.pi * (np.arange(d + 1) + 0.5) / (d + 1)
-    nodes = np.ldexp(np.exp2(0.5 * np.append(np.cos(theta), -1.0) - 0.5), keys[big][:, None])
-    direct = ~np.repeat(big, counts)
+    big = counts > _SMALL_BATCH
     jt, je = np.empty(t.size, dtype=complex), np.empty(t.size)
-    val, err = _tail_batch(p, regime, kc, np.r_[t[direct], nodes.ravel()], spec)
-    nd = np.count_nonzero(direct)
-    jt[direct], je[direct] = val[:nd], err[:nd]
-    jn, en = val[nd:].reshape(nodes.shape), err[nd:].reshape(nodes.shape)
-    g = jn + sum(_closed_parts(p, regime, kc, nodes.ravel())).reshape(nodes.shape)
-    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(g))
-    coef = (2.0 / (d + 1)) * jn[:, :-1] @ np.cos(np.outer(theta, np.arange(d + 1)))
-    coef[:, 0] *= 0.5
-    decay = np.abs(coef[:, -2]) + np.abs(coef[:, -1])
-    miss = np.abs(chebval(-1.0, coef.T) - jn[:, -1])
-    good = big.copy()
-    good[big] = (decay <= tol[:, :-1].min(axis=1)) & (miss <= tol[:, -1])
-    bound = en.max(axis=1) + decay + miss
-    for a, c, cf, b in zip(first[good], counts[good], coef[good[big]], bound[good[big]]):
-        jt[a:a + c] = chebval(2.0 * np.log2(mant[a:a + c]) + 1.0, cf)
-        je[a:a + c] = b
-    refused = ~(direct | np.repeat(good, counts))
-    if np.any(refused):
-        jt[refused], je[refused] = _tail_batch(p, regime, kc, t[refused], spec)
+    direct = np.ones(t.size, dtype=bool)
+    for j, a, c in zip(keys[big].tolist(), first[big].tolist(), counts[big].tolist()):
+        # a Python complex, so equal k_eps of other numeric types build one table
+        table = _tail_panel(p, complex(kc), spec, j)
+        if table is not None:
+            jt[a:a + c] = chebval(2.0 * np.log2(mant[a:a + c]) + 1.0, table[0])
+            je[a:a + c] = table[1]
+            direct[a:a + c] = False
+    if direct.any():
+        jt[direct], je[direct] = _tail_batch(p, regime, kc, t[direct], spec)
     run = np.cumsum(lead) - 1
     return jt[run], je[run]
 

@@ -4,7 +4,7 @@ limiting-absorption slopes, convolution norms."""
 import numpy as np
 import pytest
 
-from frachelm import green
+from frachelm import green, scattering
 from frachelm.errors import AccuracyError, DomainError
 from frachelm.diagnostics import (
     convolution_norm_check, decay_rate_check, green_radial_field,
@@ -227,6 +227,26 @@ def test_convolution_norm_truncation_stability():
     r20 = convolution_norm_check(p, src, 0.75, 20.0)
     r40 = convolution_norm_check(p, src, 0.75, 40.0)
     assert abs(r40 - r20) / r20 < 0.2
+
+
+def test_chunked_convolution_builds_each_tail_panel_once(monkeypatch, cold_panels):
+    # at radius 20 a 2D 8^2 source's 1.6M weight rows take 13 chunks of 2^17;
+    # they build each tabled tail panel once, as one call over all rows does,
+    # and give its value
+    p = Problem(2, 0.3, 1.0)
+    src = PotentialGrid.build([-1.0, -1.0], [1.0, 1.0], 8,
+                              lambda x: np.exp(-2.0 * np.sum(x ** 2, axis=1)))
+    chunks, weights = [], scattering._volume_weights
+    monkeypatch.setattr(scattering, "_volume_weights", lambda *a:
+                        chunks.append(1) or weights(*a))
+    chunked = convolution_norm_check(p, src, 0.75, 20.0)
+    misses = cold_panels.cache_info().misses
+    cold_panels.cache_clear()
+    monkeypatch.setattr(scattering, "_ROW_BUDGET", 2 ** 30)
+    whole = convolution_norm_check(p, src, 0.75, 20.0)
+    assert len(chunks) == 13 + 1 and misses >= 1
+    assert cold_panels.cache_info().misses == misses
+    assert abs(chunked - whole) <= 1e-13 * whole
 
 
 def test_convolution_norm_guards():

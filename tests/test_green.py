@@ -13,7 +13,7 @@ from frachelm.green import (
 )
 from frachelm.kernels import Problem, classify_regime, helm_part, helm_part_dr, spectral_shift
 from frachelm.quadrature import DEFAULT_SPEC, QuadratureSpec
-from frachelm.specfun import expint_e1, hankel1_0
+from frachelm.specfun import bessel_j0, expint_e1, hankel1_0
 
 
 def green_closed_form_3d_half_dr(k, r):
@@ -627,3 +627,22 @@ def test_2d_near_batches_take_the_transform(monkeypatch, s):
         _quadrature_only(m)
         ref = calls()
     assert all(np.array_equal(u, v) for g, f in zip(got, ref) for u, v in zip(g, f))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zero_absorption_imaginary_part_through_the_table(n):
+    # at eps = 0, Im G = (k^{2-2s}/s) Im G_Helm: cos(kr)/(2k), J0(kr)/4 and
+    # sin(kr)/(4 pi r) in 1D, 2D and 3D.  The run of 50 radii in [1, 2) is
+    # tabled, so the panel cache's interpolants are held to it too
+    r = np.r_[np.logspace(-4.0, 4.0, 120), np.linspace(1.0, 1.98, 50)]
+    for s in (1.0 / 6.0, 0.25, 0.5, 0.75):
+        for k in (0.1, 10.0):
+            p = Problem(n, s, k)
+            helm, riesz, jt, err = green_eval_batch(p, 0.0, r)
+            im_helm = {1: np.cos(k * r) / (2.0 * k), 2: bessel_j0(k * r) / 4.0,
+                       3: np.sin(k * r) / (4.0 * np.pi * r)}[n]
+            miss = np.abs((helm + riesz + jt).imag - k ** (2.0 - 2.0 * s) / s * im_helm)
+            assert np.all(miss <= err), (s, k)
+            misses = green._tail_panel.cache_info().misses
+            panel = green._tail_panel(p, spectral_shift(p, 0.0).k_eps, DEFAULT_SPEC, 1)
+            assert panel is not None and green._tail_panel.cache_info().misses == misses

@@ -7,8 +7,8 @@ import pytest
 
 from frachelm import green, scattering, specfun
 from frachelm.errors import AccuracyError, DomainError, NearResonanceError
-from frachelm.kernels import Problem
-from frachelm.quadrature import QuadratureSpec
+from frachelm.kernels import Problem, spectral_shift
+from frachelm.quadrature import DEFAULT_SPEC, QuadratureSpec
 from frachelm.scattering import (
     RCOND_FLOOR, IncidentField, PotentialGrid, born_approx, build_nystrom,
     cell_weight, eval_scattered, resonance_scan, solve_ls, volume_potential,
@@ -634,22 +634,52 @@ def test_radial_table_error_estimates_are_honest(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_radial_table_falls_back_to_direct_values(monkeypatch, n):
-    # at degree 2 every panel (more than 8 radii) fails its checks, so every
-    # value comes from a direct evaluation
+def test_radial_table_falls_back_to_direct_values(monkeypatch, cold_panels, n):
+    # at degree 2 every panel with more than 8 radii fails its checks: it
+    # makes one node call of its own d + 2 = 4 radii, and then every value
+    # comes from one direct evaluation
     p, r = Problem(n, 0.3, 1.0), _table_radii(-6.0 if n == 2 else -8.0)
     ref = _direct(p, r, QuadratureSpec())[0]
     monkeypatch.setattr(green, "_PANEL_DEGREE", 2)
     monkeypatch.setattr(green, "_SMALL_BATCH", 2 * (2 + 2))
+    exponents, counts = np.unique(np.frexp(np.unique(r))[1], return_counts=True)
     seen = _spy_batches(monkeypatch)
     total = scattering._green_total_at(p, r, QuadratureSpec())
-    assert len(seen) == 2 and np.all(np.isin(r, np.concatenate(seen)))
+    *nodes, direct = seen
+    assert [np.frexp(x)[1].tolist() for x in nodes] == [[e] * 4 for e in exponents[counts > 8]]
+    assert np.all(np.isin(r, direct))
     assert np.max(np.abs(total - ref) / np.abs(ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tabled_value_depends_only_on_its_radius(cold_panels, n):
+    # a radius of a tabled panel gets the same j_tail and err, bit for bit,
+    # from a cold and a warm panel cache, and from two batches that share
+    # the panel but differ in every other radius
+    p, x = Problem(n, 0.3, 1.0), 2.718281828
+    batches = [np.r_[x, np.linspace(2.05, 3.95, 60), np.logspace(-3.0, 0.0, 30)],
+               np.r_[x, np.linspace(2.01, 3.99, 70), np.logspace(0.6, 3.0, 20)]]
+    assert np.isin(batches[0], batches[1]).sum() == 1
+
+    def at_x(radii):
+        _, _, jt, err = green.green_eval_batch(p, 0.0, radii)
+        return jt[0], err[0]
+
+    cold = at_x(batches[0])
+    misses = cold_panels.cache_info().misses
+    key = (p, spectral_shift(p, 0.0).k_eps, DEFAULT_SPEC, 2)     # the panel [2, 4)
+    assert misses >= 1 and cold_panels(*key) is not None
+    warm = [at_x(b) for b in batches]
+    assert cold_panels.cache_info().misses == misses
+    cold_panels.cache_clear()
+    other_cold = at_x(batches[1])
+    assert all(v == cold for v in warm + [other_cold])
+
+
 def test_wide_2d_batch_converges():
-    # the table leaves the direct 2D pass its panel nodes and the radii of
-    # sparse panels; each value agrees with its radius evaluated alone
+    # the table leaves the direct 2D pass the radii of sparse panels (each
+    # tabled panel's nodes make a call of their own); each value agrees with
+    # its radius evaluated alone
     p, r = Problem(2, 0.25, 2.0), _table_radii(-6.0)
     helm, riesz, jt, err = green.green_eval_batch(p, 0.0, r)
     for i in range(0, r.size, 25):
