@@ -254,9 +254,8 @@ def cmd_lap(cfg, spec):
 
 def cmd_radiation(cfg, spec):
     p = _problem(cfg)
-    gspec = spec if "quad" in cfg else None     # None: G and dG/dr keep their defaults
     field = {"h1": lambda: hankel_outgoing_field(p.k), "h2": lambda: hankel_incoming_field(p.k),
-             "green": lambda: green_radial_field(p, gspec)}[cfg["field"]]()
+             "green": lambda: green_radial_field(p, spec)}[cfg["field"]]()
     rep = radiation_classify(field, p.k, float(cfg["r0"]), float(cfg["rmax"]),
                              float(cfg["delta"]))
     rows = [[float(r), float(v), float(rep.gsrc_partial[i - 1][1]) if i else 0.0]

@@ -114,11 +114,11 @@ def hankel_incoming_field(k):
                        lambda r: np.conj(-k * hankel1_1(k * r)))
 
 
-def green_radial_field(p, spec=None):
+def green_radial_field(p, spec=DEFAULT_SPEC):
     """The assembled fundamental solution as a radial test field; as in
-    ``src_residual``, spec None means DEFAULT_SPEC for G, DERIVATIVE_SPEC for dG/dr."""
+    ``src_residual``, G and dG/dr both run at spec."""
     def value(r):
-        helm, riesz, jt, _ = green_eval_batch(p, 0.0, r, DEFAULT_SPEC if spec is None else spec)
+        helm, riesz, jt, _ = green_eval_batch(p, 0.0, r, spec)
         return helm + riesz + jt
     return RadialField(p.n, value, lambda r: green_radial_derivative(p, 0.0, r, spec))
 

@@ -38,12 +38,8 @@ from .kernels import (
     LOW_INTEGER, _resolve_shift, classify_regime, dF_m_dr, dF_tilde_m_dr, F_m, F_tilde_m,
     helm_part, helm_part_dr, spectral_shift,
 )
-from .quadrature import (
-    DEFAULT_SPEC, QuadratureSpec, _exp_weighted_batch, integrate_bessel_transform,
-)
+from .quadrature import DEFAULT_SPEC, _exp_weighted_batch, integrate_bessel_transform
 from .specfun import expint_e1, hankel1_0_rel_error, riesz_constant, struve_k0, struve_k1
-
-DERIVATIVE_SPEC = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-11)
 
 # closed-form parts are specfun-accurate; their error contribution is nominal,
 # except the 2D Helmholtz part, which specfun bounds per evaluation path
@@ -430,14 +426,21 @@ def _shifted_wavenumber(p, shift, size):
     return next(iter(kc.values())) if len(kc) == 1 else np.array([kc[e] for e in eps.tolist()])
 
 
-def _eval_batch(p, regime, kc, r, spec):
-    """``green_eval_batch`` at checked radii and their k_eps."""
-    small = r.size <= _SMALL_BATCH
-    u, inv = (r, slice(None)) if small else np.unique(r, return_inverse=True)
-    helm, riesz = _closed_parts(p, regime, kc, u)
-    jt, je = (_tail_batch if small else _tabled_tail)(p, regime, kc, u, spec)
-    err = je + _helm_rel(p, kc, u) * np.abs(helm) + _CLOSED_FORM_REL * np.abs(riesz)
-    return helm[inv], riesz[inv], jt[inv], err[inv]
+def _green_batch(p, shift, radii, spec, derivative=False):
+    """(helm, riesz_sum, j_tail, err) of ``green_eval_batch``, or their
+    r-derivatives, whose tail is always one direct call."""
+    r = _check_radii(np.asarray(radii, dtype=float))
+    kc, regime = _shifted_wavenumber(p, shift, r.size), classify_regime(p.s)
+
+    def batch(kc, r):
+        small = r.size <= _SMALL_BATCH or derivative
+        u, inv = (r, slice(None)) if small else np.unique(r, return_inverse=True)
+        helm, riesz = _closed_parts(p, regime, kc, u, derivative)
+        jt, je = (_tail_batch(p, regime, kc, u, spec, derivative=derivative) if small
+                  else _tabled_tail(p, regime, kc, u, spec))
+        err = je + _helm_rel(p, kc, u) * np.abs(helm) + _CLOSED_FORM_REL * np.abs(riesz)
+        return helm[inv], riesz[inv], jt[inv], err[inv]
+    return _by_shift(batch, kc, r) if np.ndim(kc) and r.size > _SMALL_BATCH else batch(kc, r)
 
 
 def green_eval_batch(p, shift, radii, spec=DEFAULT_SPEC):
@@ -453,11 +456,7 @@ def green_eval_batch(p, shift, radii, spec=DEFAULT_SPEC):
     shift's radii on their own: it evaluates the closed parts once per
     distinct radius and the tail by ``_tabled_tail``.
     """
-    r = _check_radii(np.asarray(radii, dtype=float))
-    kc, regime = _shifted_wavenumber(p, shift, r.size), classify_regime(p.s)
-    if np.ndim(kc) and r.size > _SMALL_BATCH:
-        return _by_shift(lambda v, x: _eval_batch(p, regime, v, x, spec), kc, r)
-    return _eval_batch(p, regime, kc, r, spec)
+    return _green_batch(p, shift, radii, spec)
 
 
 def green_eval(p, shift, r, spec=DEFAULT_SPEC):
@@ -471,23 +470,23 @@ def green_eval(p, shift, r, spec=DEFAULT_SPEC):
                               complex(total), float(err[0]))
 
 
-def green_radial_derivative(p, shift, r, spec=None):
-    """d/dr of the fundamental solution, by closed forms for helm/riesz parts
-    and differentiation under the integral sign for the tail.
+def green_radial_derivative(p, shift, r, spec=DEFAULT_SPEC):
+    """d/dr of the fundamental solution: the closed parts' derivatives plus
+    the tail's, differentiated under the integral sign, on the path of
+    ``green_eval_batch`` (its shifts, checks and spec) but never tabled.
 
     `r` is a scalar (returns complex) or a 1-D array (returns an array).
     """
-    spec = DERIVATIVE_SPEC if spec is None else spec
-    kc, regime = _resolve_shift(p, shift).k_eps, classify_regime(p.s)
-    rr = _check_radii(np.atleast_1d(np.asarray(r, dtype=float)))
-    djt, _ = _tail_batch(p, regime, kc, rr, spec, derivative=True)
-    out = sum(_closed_parts(p, regime, kc, rr, derivative=True)) + djt
+    out = sum(_green_batch(p, shift, np.atleast_1d(r), spec, derivative=True)[:3])
     return complex(out[0]) if np.ndim(r) == 0 else out
 
 
-def src_residual(p, r, spec=None):
-    """Sommerfeld residual r^{(n-1)/2} |dG/dr - i k G| at absorption zero."""
-    g = green_eval(p, 0.0, r, spec if spec is not None else DEFAULT_SPEC)
+def src_residual(p, r, spec=DEFAULT_SPEC):
+    """Sommerfeld residual r^{(n-1)/2} |dG/dr - i k G| at absorption zero and
+    one finite radius r > 0; G and dG/dr both run at spec."""
+    if np.ndim(r) != 0:
+        raise DomainError("src_residual takes one radius")
+    g = green_eval(p, 0.0, r, spec)
     dg = green_radial_derivative(p, 0.0, r, spec)
     return float(r ** ((p.n - 1) / 2.0) * abs(dg - 1j * p.k * g.total))
 

@@ -208,21 +208,23 @@ def test_radiation_verdicts(capsys):
     assert meta["verdict_src"] is False and meta["verdict_gsrc"] is False
 
 
-@pytest.mark.parametrize("flags, rel_tol", [([], 1e-7), (["--quad-rtol", "1e-6"], 1e-6)])
-def test_radiation_green_derivative_takes_quad(monkeypatch, capsys, flags, rel_tol):
-    # dG/dr runs at DERIVATIVE_SPEC (rel_tol 1e-7) unless the config holds quad
+@pytest.mark.parametrize("flags", [[], ["--quad-rtol", "1e-6"]])
+def test_radiation_green_derivative_takes_quad(monkeypatch, capsys, flags):
+    # G and dG/dr run at the spec the metadata echoes, the default or --quad-rtol
     seen = []
     tail_batch = frachelm.green._tail_batch
 
     def spy(p, regime, kc, r, spec, derivative=False):
-        if derivative:
-            seen.append(spec.rel_tol)
+        seen.append((derivative, spec.rel_tol))
         return tail_batch(p, regime, kc, r, spec, derivative)
 
     monkeypatch.setattr(frachelm.green, "_tail_batch", spy)
-    code, _ = run_cli(capsys, ["radiation", "--dim", "1", "--s", "0.75", "--k", "1",
-                               "--rmax", "100", *flags])
-    assert code == 0 and seen and set(seen) == {rel_tol}
+    code, out = run_cli(capsys, ["radiation", "--dim", "1", "--s", "0.75", "--k", "1",
+                                 "--rmax", "100", *flags])
+    rel_tol = parse_csv(out)[0]["tolerances"]["rel_tol"]
+    assert rel_tol == (float(flags[1]) if flags else 1e-9)
+    assert code == 0 and {d for d, _ in seen} == {False, True}
+    assert {tol for _, tol in seen} == {rel_tol}
 
 
 def test_scatter_zero_contrast(capsys):

@@ -64,3 +64,24 @@ def test_no_dead_private_helpers():
             for name, own in _private_definitions(tree)
             if not any(name in used for stmt, used in zip(stmts, refs) if stmt is not own)]
     assert dead == []
+
+
+def _builds_spec(node):
+    return any(isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "QuadratureSpec"
+               for sub in ast.walk(node))
+
+
+def test_one_module_level_quadrature_spec():
+    # every Green quantity runs at the spec it is given, DEFAULT_SPEC unless
+    # told otherwise: the package builds no second spec at import, in a
+    # module-level statement or a default argument
+    built = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.FunctionDef):
+                # of a function, only the signature runs at import
+                if _builds_spec(stmt.args):
+                    built.append(f"{path.stem}.{stmt.name}()")
+            elif not isinstance(stmt, ast.ClassDef) and _builds_spec(stmt):
+                built.append(f"{path.stem}.{ast.unparse(stmt).split(' =')[0]}")
+    assert built == ["quadrature.DEFAULT_SPEC"]
