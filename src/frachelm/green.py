@@ -462,8 +462,12 @@ def green_eval_batch(p, shift, radii, spec=DEFAULT_SPEC):
 def green_eval(p, shift, r, spec=DEFAULT_SPEC):
     """Outgoing fundamental solution at radius r, decomposed into its parts.
 
-    `shift` may be a SpectralShift, a float epsilon, or None (epsilon = 0).
+    `shift` may be a SpectralShift, a float epsilon, or None (epsilon = 0);
+    `r` is one radius, a scalar or a 0-d array (``green_eval_batch`` takes
+    arrays).
     """
+    if np.ndim(r) != 0:
+        raise DomainError(f"green_eval takes one radius, got shape {np.shape(r)}")
     helm, riesz, jt, err = green_eval_batch(p, shift, np.atleast_1d(float(r)), spec)
     total = helm[0] + riesz[0] + jt[0]
     return GreenDecomposition(complex(helm[0]), complex(riesz[0]), complex(jt[0]),
@@ -483,9 +487,8 @@ def green_radial_derivative(p, shift, r, spec=DEFAULT_SPEC):
 
 def src_residual(p, r, spec=DEFAULT_SPEC):
     """Sommerfeld residual r^{(n-1)/2} |dG/dr - i k G| at absorption zero and
-    one finite radius r > 0; G and dG/dr both run at spec."""
-    if np.ndim(r) != 0:
-        raise DomainError("src_residual takes one radius")
+    one finite radius r > 0 (``green_eval`` rejects an array); G and dG/dr
+    both run at spec."""
     g = green_eval(p, 0.0, r, spec)
     dg = green_radial_derivative(p, 0.0, r, spec)
     return float(r ** ((p.n - 1) / 2.0) * abs(dg - 1j * p.k * g.total))

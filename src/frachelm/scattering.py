@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NearResonanceError, is_count
+from .errors import AccuracyError, DomainError, NearResonanceError, is_count
 # green_radial_derivative is unused here but stays importable as
 # scattering.green_radial_derivative, where the benchmark's layer tracing wraps it
 from .green import green_eval_batch, green_radial_derivative  # noqa: F401
@@ -34,12 +34,18 @@ from .quadrature import DEFAULT_SPEC
 from .specfun import gauss_legendre, gauss_panels
 
 RCOND_FLOOR = 1e-12
-_PROBES = 4           # Gaussian probe columns solved with the incident field
+_PROBES = 4           # seeded Gaussian probe columns behind the rcond bound
 _PROBE_DELTA = 1e-2   # P(|u_min^H w| < delta) <= delta^2 for each probe w
 _DENSE_MAX_N = 400    # dense LU up to here, GMRES above (measured crossover)
 _RESIDUAL_TOL = 1e-13  # true relative residual of u on the GMRES path
 _GMRES_RESTART = 30   # Krylov vectors per column between restarts
 _GMRES_MAXIT = 300    # iterations before the dense fallback
+# Bytes the dense fallback may hold: ``matrix`` (complex, 16 N^2),
+# ``offset_encode`` (int64, 8 N^2) and LAPACK's copy of the matrix in
+# ``np.linalg.solve`` (16 N^2), so 40 N^2 in all.  2 GiB, a quarter of an
+# 8 GB machine, admits N <= 7,327: the 3D 16^3 grid (0.67 GB) still falls
+# back, the 3D 24^3 one (7.6 GB) raises ``AccuracyError`` instead.
+_DENSE_BYTES = 2 ** 31
 _NEAR_DECIMALS = 9    # cell-unit rounding of the near test and near-weight keys
 _ROW_BUDGET = 2 ** 17  # rows x - y_j per _volume_weights call of an observation
 
@@ -118,7 +124,11 @@ class NystromSystem:
     circulant embedding (independent of q).  The dense ``matrix`` and
     ``offset_encode`` are references built on first read and cached; only
     the LU path of ``solve_ls`` and ``singular_extremes`` read ``matrix``, so
-    editing or assigning it affects those alone."""
+    editing or assigning it affects those alone.  ``probe_rcond``, the GMRES
+    path's conditioning bound, is likewise computed once per system on first
+    read; it ignores later in-place edits of ``pot.q_values``,
+    ``weight_table`` or ``spectrum``, so change the contrast through
+    ``with_contrast``, whose system starts without it."""
 
     problem: Problem
     pot: PotentialGrid
@@ -145,6 +155,19 @@ class NystromSystem:
         a *= self.pot.q_values[None, :]
         a[np.diag_indices_from(a)] += 1.0
         return a
+
+    @cached_property
+    def probe_rcond(self):
+        """Lower bound (delta - max ||rho||) / (``sigma_max_bound()`` max ||x||)
+        on smin / smax from GMRES on the seeded probes w, solved to residuals
+        rho of at most 1e-3 delta, or None when GMRES stalls on them."""
+        probes = np.ascontiguousarray(_probes(self.pot.nodes.shape[0]).T)
+        out = _gmres(lambda v: _apply_A(self, v), probes, np.full(_PROBES, 1e-3 * _PROBE_DELTA))
+        if out is None:
+            return None
+        x, r = out
+        rho, xmax = np.linalg.norm(r, axis=1).max(), np.linalg.norm(x, axis=1).max()
+        return float((_PROBE_DELTA - rho) / (self.sigma_max_bound() * xmax))
 
     def singular_extremes(self):
         """(smallest, largest) singular value of ``matrix`` (values-only SVD)."""
@@ -397,28 +420,53 @@ def _gmres(matvec, b, tol):
         r = b - matvec(x)
 
 
-def _solve_gmres(system, b, probes, check):
-    """(u, residual, rcond), or None when GMRES stalls or rcond < RCOND_FLOOR."""
-    rhs = np.vstack([b, probes.T]) if check else b[None, :]
-    tol = np.r_[_RESIDUAL_TOL * np.linalg.norm(b), np.full(rhs.shape[0] - 1, 1e-3 * _PROBE_DELTA)]
-    out = _gmres(lambda v: v - system.problem.k2s * system.apply_T(v), rhs, tol)
-    if out is None:
-        return None
-    (x, r), rcond = out, 1.0
-    if check:
-        rho, xmax = np.linalg.norm(r[1:], axis=1).max(), np.linalg.norm(x[1:], axis=1).max()
-        rcond = float((_PROBE_DELTA - rho) / (system.sigma_max_bound() * xmax))
+def _apply_A(system, v):
+    """A v = v - k^{2s} T v by FFT, for v of shape (N,) or (m, N)."""
+    return v - system.problem.k2s * system.apply_T(v)
+
+
+def _probes(size):
+    """The ``_PROBES`` seeded complex Gaussian columns, (size, _PROBES) with
+    E |w_i|^2 = 1; seed 0, so every system draws the same probes."""
+    probes = np.random.default_rng(0).standard_normal((size, 2 * _PROBES)).view(complex)
+    probes /= np.sqrt(2.0)
+    return probes
+
+
+def _dense_fallback(size, reason):
+    """None, so the LU path runs, or ``AccuracyError`` when its 40 N^2 bytes
+    exceed ``_DENSE_BYTES``."""
+    need = 40 * size ** 2
+    if need > _DENSE_BYTES:
+        raise AccuracyError(f"{reason} at N = {size}, and the dense fallback would need "
+                            f"{need:,} bytes, over its budget of {_DENSE_BYTES:,}")
+    return None
+
+
+def _solve_gmres(system, b, check):
+    """(u, residual, rcond) from GMRES on b alone, with the system's cached
+    ``probe_rcond`` when checking; ``_dense_fallback`` when that bound stalled
+    or is below ``RCOND_FLOOR``, or when GMRES stalls on b."""
+    rcond = system.probe_rcond if check else 1.0
+    if rcond is None:
+        return _dense_fallback(b.size, "GMRES stalled on the conditioning probes")
     if not rcond >= RCOND_FLOOR:
-        return None
-    return x[0].copy(), float(np.linalg.norm(r[0]) / np.linalg.norm(b)), rcond
+        return _dense_fallback(b.size, f"the GMRES rcond bound {rcond:.2e} is below "
+                                       f"RCOND_FLOOR = {RCOND_FLOOR:.0e}")
+    out = _gmres(lambda v: _apply_A(system, v), b[None, :],
+                 np.array([_RESIDUAL_TOL * np.linalg.norm(b)]))
+    if out is None:
+        return _dense_fallback(b.size, "GMRES stalled on the incident field")
+    x, r = out
+    return x[0], float(np.linalg.norm(r[0]) / np.linalg.norm(b)), rcond
 
 
-def _solve_dense(system, b, probes, check):
+def _solve_dense(system, b, check):
     """(u, residual, rcond) from one LU of ``matrix`` for b and the probes."""
     a = system.matrix
     singular, rcond = None, 1.0
     try:
-        x = np.linalg.solve(a, np.column_stack([b, probes]))
+        x = np.linalg.solve(a, np.column_stack([b, _probes(b.size)]))
     except np.linalg.LinAlgError as exc:
         singular = exc
     if check:
@@ -439,28 +487,29 @@ def _solve_dense(system, b, probes, check):
 
 
 def solve_ls(system, incident, check_conditioning=True):
-    """Solve (I - k^{2s} T_k) u = u_inc for u and ``_PROBES`` seeded complex
-    Gaussian probes w, choosing the path from N alone.
+    """Solve (I - k^{2s} T_k) u = u_inc, bounding rcond = smin / smax from
+    below with ``_PROBES`` seeded complex Gaussian probes w; the path follows
+    from N alone.
 
-    Up to ``_DENSE_MAX_N`` unknowns one LU of ``matrix`` solves them and
-    rcond = delta / (sqrt(||A||_1 ||A||_inf) max ||A^{-1} w||) bounds
-    smin / smax from below, failing with probability <= delta^{2 _PROBES}
-    (Dixon 1983).  Above it, GMRES on the FFT operator solves them (u to a
-    true relative residual of ``_RESIDUAL_TOL``) and the probe residuals rho
-    are charged: rcond = (delta - max ||rho||) / (``sigma_max_bound()``
-    max ||x||).  If GMRES stalls or that bound is below ``RCOND_FLOOR``, the
-    LU path runs instead.  There, below the floor or on a singular LU, a
-    values-only SVD decides: rcond is the exact smin / smax, and
-    ``NearResonanceError`` is raised below the floor.  Without a contrast or
-    ``check_conditioning`` rcond is 1.  The residual is ||A u - b|| / ||b||.
+    Up to ``_DENSE_MAX_N`` unknowns one LU of ``matrix`` solves u and the
+    probes, and rcond = delta / (sqrt(||A||_1 ||A||_inf) max ||A^{-1} w||)
+    fails with probability <= delta^{2 _PROBES} (Dixon 1983).  Above it, the
+    probes are solved once per system by GMRES on the FFT operator, charging
+    their residuals (``NystromSystem.probe_rcond``); each solve then runs
+    GMRES on u alone, to a true relative residual of ``_RESIDUAL_TOL``.  If
+    GMRES stalls or the bound is below ``RCOND_FLOOR``, the LU path runs
+    instead, unless its matrix exceeds ``_DENSE_BYTES``: then
+    ``AccuracyError`` names the reason.  On the LU path, below the floor or
+    on a singular LU, a values-only SVD decides: rcond is the exact
+    smin / smax, and ``NearResonanceError`` is raised below the floor.
+    Without a contrast or ``check_conditioning`` rcond is 1 and no probe is
+    solved.  The residual is ||A u - b|| / ||b||.
     """
     b = incident.values(system.problem, system.pot.nodes)
-    probes = np.random.default_rng(0).standard_normal((b.size, 2 * _PROBES)).view(complex)
-    probes /= np.sqrt(2.0)
     check = check_conditioning and np.any(system.pot.q_values)
-    out = _solve_gmres(system, b, probes, check) if b.size > _DENSE_MAX_N else None
+    out = _solve_gmres(system, b, check) if b.size > _DENSE_MAX_N else None
     if out is None:
-        out = _solve_dense(system, b, probes, check)
+        out = _solve_dense(system, b, check)
     return ScatterSolution(system.problem, system.pot, incident, *out)
 
 

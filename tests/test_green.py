@@ -141,10 +141,14 @@ def test_domain_errors():
                 green_radial_derivative(p, 0.0, np.array([1.0, bad]))
             with pytest.raises(DomainError):
                 src_residual(p, bad)
-        # src_residual takes one radius, not an array
-        for bad in (np.array([1e2, 1e3]), np.array([1e2])):
+        # green_eval and src_residual take one radius, not an array
+        for bad in (np.array([1e2, 1e3]), np.array([1e2]), np.array([[1e2]])):
+            with pytest.raises(DomainError):
+                green_eval(p, 0.0, bad)
             with pytest.raises(DomainError):
                 src_residual(p, bad)
+        # a 0-d array is one radius
+        assert green_eval(p, 0.0, np.array(2.0)) == green_eval(p, 0.0, 2.0)
     # so are a non-finite wavenumber or radius of the s = 1/2 closed form
     for bad in (np.nan, np.inf):
         with pytest.raises(DomainError):

@@ -504,6 +504,63 @@ def test_gmres_fallbacks_take_the_dense_path(monkeypatch):
     assert (sol.residual, sol.rcond) == (lu.residual, lu.rcond)
 
 
+def _spy_operator_rows(monkeypatch):
+    """The leading shape of every grid convolution, (m,) for an (m, N) input."""
+    shapes = []
+    convolve = scattering._convolve
+    monkeypatch.setattr(scattering, "_convolve",
+                        lambda spec, x: shapes.append(np.shape(x)[:-1]) or convolve(spec, x))
+    return shapes
+
+
+def test_probes_solved_once_per_system(monkeypatch):
+    pot = PotentialGrid.build([-1.0, -1.0], [1.0, 1.0], 5, lambda x: 0.3 + 0.1 * x[:, 0])
+    system = build_nystrom(Problem(2, 0.5, 1.3), pot)
+    monkeypatch.setattr(scattering, "_DENSE_MAX_N", 0)
+    shapes = _spy_operator_rows(monkeypatch)
+    first = solve_ls(system, IncidentField(np.array([1.0, 0.0])))
+    assert (scattering._PROBES,) in shapes
+    shapes.clear()
+    second = solve_ls(system, IncidentField(np.array([0.6, 0.8])))
+    # the cached bound, bit for bit; the operator only ever sees u
+    assert second.rcond == first.rcond == system.probe_rcond
+    assert shapes and set(shapes) == {(1,)}
+    assert second.residual <= 1e-13
+    # a new contrast starts without the bound and computes its own
+    pot_b = PotentialGrid.build([-1.0, -1.0], [1.0, 1.0], 5, 0.2)
+    reused = system.with_contrast(pot_b.q_values)
+    assert "probe_rcond" not in vars(reused)
+    sol = solve_ls(reused, IncidentField(np.array([1.0, 0.0])))
+    assert sol.rcond == build_nystrom(system.problem, pot_b).probe_rcond != first.rcond
+    # without the check the probes are never solved
+    fresh = build_nystrom(system.problem, pot)
+    shapes.clear()
+    assert solve_ls(fresh, IncidentField(np.array([1.0, 0.0])), check_conditioning=False).rcond == 1.0
+    assert set(shapes) == {(1,)} and "probe_rcond" not in vars(fresh)
+
+
+def test_gmres_fallback_over_the_byte_budget_raises(monkeypatch):
+    system = build_nystrom(P1, grid1(q=0.3))
+    monkeypatch.setattr(scattering, "_DENSE_MAX_N", 0)
+    monkeypatch.setattr(scattering, "_DENSE_BYTES", 40 * 16 ** 2 - 1)
+    # a bound below the floor
+    monkeypatch.setattr(scattering, "RCOND_FLOOR", 0.5)
+    with pytest.raises(AccuracyError, match=r"below RCOND_FLOOR.*N = 16.* 10,240 bytes"):
+        solve_ls(system, INC1)
+    # a stall on u, with the cached bound above the floor
+    monkeypatch.setattr(scattering, "RCOND_FLOOR", RCOND_FLOOR)
+    monkeypatch.setattr(scattering, "_GMRES_MAXIT", 1)
+    with pytest.raises(AccuracyError, match=r"stalled on the incident field at N = 16"):
+        solve_ls(system, INC1)
+    # a stall on the probes
+    with pytest.raises(AccuracyError, match=r"stalled on the conditioning probes at N = 16"):
+        solve_ls(build_nystrom(P1, grid1(q=0.3)), INC1)
+    assert "matrix" not in vars(system) and "offset_encode" not in vars(system)
+    # within the budget the LU path takes over
+    monkeypatch.setattr(scattering, "_DENSE_BYTES", 40 * 16 ** 2)
+    assert solve_ls(system, INC1).residual < 1e-12
+
+
 def test_large_grid_solve_without_dense_matrix():
     cells = 24
     q = np.random.default_rng(7).uniform(0.1, 0.6, cells ** 3)
