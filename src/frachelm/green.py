@@ -137,8 +137,8 @@ def _exp_tail_terms(p, regime, kc, r):
 def _bracket(y, c, s, delta, a, b, power):
     """y^delta [a/(y^{2s} e^{i pi s} - c)^p + b/(y^{2s} e^{-i pi s} - c)^p]
     for p = power in {1, 2} (2: the d/dc integrand), as a (points, radii)
-    array; single expressions, so NumPy reuses the large temporaries."""
-    y = np.asarray(y, dtype=complex)
+    array; single expressions, so NumPy reuses the large temporaries.  The
+    nodes y are a real array, so y^{2s} and y^delta are real powers."""
     y2s = (y ** (2.0 * s))[:, None]
     c = c[None, :]
     ep = np.exp(1j * np.pi * s)

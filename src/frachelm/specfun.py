@@ -270,6 +270,7 @@ def j0_zeros(count):
 # ---------------------------------------------------------------------------
 
 _STRUVE_INTERVALS = 48
+_STRUVE_BLOCK = 64        # z per (panels, nodes, z) array of _struve_integral, < 2 MB
 
 
 def iterated_average(partials):
@@ -317,8 +318,13 @@ def _struve_integral(z, power):
     t = t.reshape(-1, 24)
     zt, zjw = _struve_zero_panels()
     t, jw = np.concatenate([t, zt]), np.concatenate([w.reshape(t.shape) * bessel_j0(t), zjw])
-    panels = np.array([jw_p @ (1.0 / (t_p[:, None] + z[None, :]) ** power)
-                       for t_p, jw_p in zip(t, jw)])
+    panels = np.empty((t.shape[0], z.size), dtype=complex)
+    for i in range(0, z.size, _STRUVE_BLOCK):   # inverted in place: one temporary
+        inv = t[:, :, None] + z[i:i + _STRUVE_BLOCK]
+        np.reciprocal(inv, out=inv)
+        if power == 2:
+            inv *= inv
+        panels[:, i:i + _STRUVE_BLOCK] = np.matmul(jw[:, None, :], inv)[:, 0, :]
     partials = panels[:n_head].sum(axis=0) + np.cumsum(panels[n_head:], axis=0)
     return iterated_average(partials)[0]
 

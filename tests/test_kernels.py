@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from frachelm.errors import DomainError
 from frachelm.green import _bracket, _exp_tail_terms
 from frachelm.kernels import (
-    HIGH, LOW_GENERIC, LOW_INTEGER, Problem, classify_regime, dF_m_dr, dF_tilde_m_dr, F_m,
-    F_tilde_m, helm_part, helm_part_dr, multiplier_M, spectral_shift,
+    HIGH, LOW_GENERIC, LOW_INTEGER, TAYLOR_WINDOW, Problem, classify_regime, dF_m_dr,
+    dF_tilde_m_dr, F_m, F_tilde_m, helm_part, helm_part_dr, multiplier_M, spectral_shift,
 )
 
 
@@ -141,11 +141,11 @@ _EDGE_KC = 1.3
 _EDGE_U = (-2.02e-2, -1.98e-2, 1.98e-2, 2.02e-2)
 
 
-def _mp_kernels(s, m):
+def _mp_kernels(s, m, kc=_EDGE_KC):
     """mpmath references of F_m, dF_m/dr and M(.; kc) at one radius."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
-    k, s_ = mp.mpf(_EDGE_KC), mp.mpf(s)
+    k, s_ = mp.mpmathify(kc), mp.mpf(s)
 
     def fm(r):
         return (k ** (2 * s_ * m) / (r ** (2 * s_ * m) * (r ** (2 * s_) - k ** (2 * s_)))
@@ -181,6 +181,41 @@ def test_window_edge_against_mpmath(s):
     assert np.all(errs[:, 2] <= 1e-13)
     inside = np.abs(_EDGE_U) < 2e-2
     assert np.all(errs[inside] <= 1e-15)
+
+
+@pytest.mark.parametrize("s", [1 / 6, 0.25, 0.3, 0.75])
+def test_closed_forms_off_window_against_mpmath(s):
+    # the closed forms over twelve decades of real x, at real kc and at the
+    # k_eps of eps = 0.3, within the bounds the kernels docstring states
+    m = classify_regime(s).m
+    for kc in (_EDGE_KC + 0j, spectral_shift(Problem(2, s, _EDGE_KC), 0.3).k_eps):
+        x = np.logspace(-6, 6, 121)
+        x = x[np.abs(x - kc) >= TAYLOR_WINDOW * abs(kc)]
+        ref = _mp_kernels(s, m, kc)
+        got = np.stack([F_m(x, kc, s, m), dF_m_dr(x, kc, s, m), multiplier_M(x, kc, s)], axis=1)
+        want = np.array([ref(v) for v in x])
+        errs = np.max(np.abs(got - want) / np.abs(want), axis=0)
+        assert np.all(errs <= [1e-11, 2e-9, 1e-13])
+
+
+def test_windowed_direct_takes_real_points(monkeypatch):
+    # the closed forms raise the real points to real powers: _windowed hands
+    # them the float array, with and without points in the Taylor window
+    import frachelm.kernels as kernels
+    windowed, seen = kernels._windowed, []
+
+    def spy(x, z, direct, series):
+        def direct_spy(xx):
+            seen.append(xx.dtype)
+            return direct(xx)
+        return windowed(x, z, direct_spy, series)
+
+    monkeypatch.setattr(kernels, "_windowed", spy)
+    for x in (np.array([0.5, 1.3, 2.0]), np.array([0.5, 2.0])):
+        for kc in (1.3, 1.3 + 0j):
+            outs = (F_m(x, kc, 0.3, 1), dF_m_dr(x, kc, 0.3, 1), multiplier_M(x, kc, 0.3))
+            assert all(o.dtype == complex and o.shape == x.shape for o in outs)
+    assert len(seen) == 12 and all(d == np.float64 for d in seen)
 
 
 @pytest.mark.parametrize("s", [1 / 6, 0.25, 0.3, 0.75])
