@@ -21,7 +21,7 @@ bracket power takes the J <= ``_FAR_TERMS`` terms that minimise the bound.  A
 radius uses the series only where, for every bracket power it needs, the
 bound plus its rounding meets the tolerance the quadrature would be held to;
 the other radii go to the e^{-y} engine, or in 2D to the Bessel transform and
-the Struve term (``_tail_batch``, one rule for every dimension).
+the Struve term, an e^{-y} integral too (``_tail_batch``, one rule for all n).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .kernels import (
     helm_part, helm_part_dr, spectral_shift,
 )
 from .quadrature import DEFAULT_SPEC, _exp_weighted_batch, integrate_bessel_transform
-from .specfun import expint_e1, hankel1_0_rel_error, riesz_constant, struve_k0, struve_k1
+from .specfun import expint_e1, hankel1_0_rel_error, riesz_constant
 
 # closed-form parts are specfun-accurate; their error contribution is nominal,
 # except the 2D Helmholtz part, which specfun bounds per evaluation path
@@ -244,11 +244,44 @@ def _chain(p, kc, r, pref, dpref, one, two=None):
     return val, err
 
 
+def _struve_laplace(z, spec, power):
+    """(values, errors) of (2/pi) int_0^inf e^{-y} z^{power-1} (y^2 + z^2)^{-power/2} dy,
+    power 1 or 3, for a nonempty 1-D array of finite z, Re z > 0 (else
+    :class:`DomainError`), as columns of one e^{-y} pass; the integrand bends at
+    y ~ |z|, and past |arg z| = pi/4 the path turns (Cauchy) to the ray y =
+    u e^{i theta}/cos(theta), theta = +-(|arg z| - pi/4), pi/4 off the branch point -iz."""
+    z = np.asarray(z, dtype=complex)
+    if z.ndim != 1 or z.size == 0 or not np.all(np.isfinite(z) & (z.real > 0.0)):
+        raise DomainError("the Struve functions take a 1-D array of finite z, Re z > 0")
+    theta = np.sign(np.angle(z)) * np.maximum(np.abs(np.angle(z)) - np.pi / 4.0, 0.0)
+    w = np.exp(1j * theta) / np.cos(theta) if theta.any() else 1.0
+
+    def f(u):
+        q = (u[:, None] * w) ** 2 + z * z
+        return w * np.exp(u[:, None] * (1.0 - w)) * (z / (q * np.sqrt(q)) if power == 3
+                                                     else 1.0 / np.sqrt(q))
+    val, err, _ = _exp_weighted_batch(f, spec, max(10.0, 5.0 * float(np.abs(z).max())))
+    return 2.0 / np.pi * val, 2.0 / np.pi * np.abs(w) * err
+
+
+def struve_k0(z, spec=DEFAULT_SPEC):
+    """(values, errors) of the Struve function of the second kind K0(z) = H0(z) -
+    Y0(z) = (2/pi) int_0^inf e^{-y} (y^2 + z^2)^{-1/2} dy (DLMF 11.5.2), Re z > 0."""
+    return _struve_laplace(z, spec, 1)
+
+
+def struve_k1(z, spec=DEFAULT_SPEC):
+    """(values, errors) of K1 = 2/pi - dK0/dz = 2/pi + (2/pi) int_0^inf e^{-y} z
+    (y^2 + z^2)^{-3/2} dy, on the arguments of ``struve_k0``."""
+    val, err = _struve_laplace(z, spec, 3)
+    return 2.0 / np.pi + val, err
+
+
 def _bessel_transform_tail(p, regime, kc, r, spec, derivative=False):
-    """Tail integrals for n = 2: Bessel transform of rho*F, batched over radii,
-    plus the Struve term on LOW_INTEGER.  kc is one k_eps or one per radius;
-    the kernels run once per distinct k_eps, the Struve term once over all
-    radii.  Returns (values, errors)."""
+    """(values, errors) of the n = 2 tail: the Bessel transform of rho*F,
+    batched over radii, plus on LOW_INTEGER the Struve term -kc^{2-2s}/4 K0(kc r)
+    with its e^{-y} engine error.  kc is one k_eps or one per radius; the
+    kernels run once per distinct k_eps, the Struve term once over all radii."""
     s, m = p.s, regime.m
     integer_branch = regime.branch == LOW_INTEGER
     fval, fder = (F_tilde_m, dF_tilde_m_dr) if integer_branch else (F_m, dF_m_dr)
@@ -272,15 +305,15 @@ def _bessel_transform_tail(p, regime, kc, r, spec, derivative=False):
         val = scale * qr.value
         err = np.abs(scale) * qr.err_estimate
     if integer_branch:
-        # d/dr K0(kc r) = kc (2/pi - K1(kc r))
-        struve = kc * (2.0 / np.pi - struve_k1(kc * r)) if derivative else struve_k0(kc * r)
-        term = -kc ** (2.0 - 2.0 * s) / 4.0 * struve
-        val = val + term
-        err = err + np.abs(term) * 1e-10
+        struve, serr = (struve_k1 if derivative else struve_k0)(kc * r, spec)
         if derivative:
-            # 2/pi - K1(z) = O(z^-2) also loses the rounding of K1 ~ 2/pi:
-            # four eps (2/pi) |kc^{3-2s}|/4
-            err = err + 2.0 / np.pi * np.finfo(float).eps * np.abs(kc ** (3.0 - 2.0 * s))
+            # d/dr K0(kc r) = kc (2/pi - K1(kc r)); 2/pi - K1(z) = O(z^-2) also
+            # loses the rounding of K1 ~ 2/pi, four eps (2/pi)
+            struve = kc * (2.0 / np.pi - struve)
+            serr = np.abs(kc) * (serr + 8.0 / np.pi * np.finfo(float).eps)
+        scale = -kc ** (2.0 - 2.0 * s) / 4.0
+        val = val + scale * struve
+        err = err + np.abs(scale) * serr
     return val, err
 
 

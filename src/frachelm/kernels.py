@@ -14,6 +14,7 @@ mpmath in the tests, at the edge and over logspace(-6, 6) off the window).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -168,10 +169,10 @@ def _m_window_coeffs(s):
 
 
 def _windowed(x, z, direct, series):
-    """``direct(x)`` off the Taylor window |x - z| < TAYLOR_WINDOW |z|, and
-    ``series(u)``, u = x/z - 1, inside it, as one complex array; ``direct``
-    takes the real x, so its powers of x stay real."""
-    near = np.abs(x - z) < TAYLOR_WINDOW * abs(z)
+    """``direct(x)`` off the Taylor window |x - z| < TAYLOR_WINDOW |z|, tested
+    as its real chord, and ``series(u)``, u = x/z - 1, inside it, as one complex
+    array; ``direct`` takes the real x, so its powers of x stay real."""
+    near = np.abs(x - z.real) < math.sqrt(max((TAYLOR_WINDOW * abs(z)) ** 2 - z.imag ** 2, 0.0))
     if not near.any():
         return direct(x).astype(complex, copy=False)
     out = np.empty(x.shape, dtype=complex)

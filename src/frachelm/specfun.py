@@ -7,6 +7,7 @@ argument, and a contour-type integral representation in between), so the library
 carries no special-function dependency.  The crossover radii are validated by
 overlap-band tests.  ``gauss_legendre`` caches NumPy's rule per order and
 ``gauss_panels`` lays it on panels; no other module builds a Gauss-Legendre rule.
+The Struve functions, e^{-y} integrals, live in ``green`` above ``quadrature``.
 
 Branch convention: all complex powers/logs are principal, with the cut on
 (-inf, 0].  Arguments on the cut raise :class:`DomainError`.
@@ -247,7 +248,7 @@ def hankel1_1(z):
 
 
 # ---------------------------------------------------------------------------
-# Zeros of J0, used by the oscillatory quadrature partitions
+# Zeros of J0 and the averaging of cell series: the oscillatory partitions
 # ---------------------------------------------------------------------------
 
 _J0_ZEROS_CACHE: list[float] = []
@@ -265,21 +266,13 @@ def j0_zeros(count):
     return np.array(_J0_ZEROS_CACHE[:count])
 
 
-# ---------------------------------------------------------------------------
-# Struve functions of the second kind, K0(z) = (2/pi) int_0^inf J0(t)/(t+z) dt
-# ---------------------------------------------------------------------------
-
-_STRUVE_INTERVALS = 48
-_STRUVE_BLOCK = 64        # z per (panels, nodes, z) array of _struve_integral, < 2 MB
-
-
 def iterated_average(partials):
     """Iterated averaging of partial sums along axis 0, column by column.
 
     Returns (limit estimate, error estimate); the error is the change between
     the last two averaging stages.  Resums the alternating cell series of the
-    oscillatory partitions (Struve integrals here, Bessel transforms in the
-    quadrature engine).
+    oscillatory partitions of the quadrature engine (the Bessel transform and
+    the Fourier oracle's integrals).
     """
     t = np.asarray(partials, dtype=complex)
     if t.shape[0] == 1:
@@ -288,63 +281,6 @@ def iterated_average(partials):
         prev = t[-1]
         t = 0.5 * (t[:-1] + t[1:])
     return t[0], np.abs(t[0] - prev)
-
-
-@lru_cache(maxsize=None)
-def _struve_zero_panels():
-    """(nodes, J0-weighted weights) of the 24-point rule on the fixed panels
-    between the first ``_STRUVE_INTERVALS`` zeros of J0, one row per panel."""
-    t, w = gauss_panels(j0_zeros(_STRUVE_INTERVALS), 24)
-    t = t.reshape(-1, 24)
-    return t, w.reshape(t.shape) * bessel_j0(t)
-
-
-def _struve_integral(z, power):
-    """int_0^inf J0(t) / (t+z)^power dt for a 1-D array of z, by J0-zero
-    partition + iterated averaging.  J0 is evaluated once per panel and shared
-    by every z; on the panels between zeros, once per process."""
-    zeros = j0_zeros(_STRUVE_INTERVALS)
-    # head [0, j_{0,1}]: grade toward 0 when the smallest |z| is small so
-    # 1/(t+z)^p is resolved for every z
-    edges = [0.0]
-    scale = min(float(np.min(np.abs(z))), zeros[0])
-    if scale < zeros[0] / 4.0:
-        g = scale / 8.0
-        while g < zeros[0] / 4.0:
-            edges.append(g)
-            g *= 2.0
-    n_head = len(edges)
-    t, w = gauss_panels(np.append(edges, zeros[0]), 24)
-    t = t.reshape(-1, 24)
-    zt, zjw = _struve_zero_panels()
-    t, jw = np.concatenate([t, zt]), np.concatenate([w.reshape(t.shape) * bessel_j0(t), zjw])
-    panels = np.empty((t.shape[0], z.size), dtype=complex)
-    for i in range(0, z.size, _STRUVE_BLOCK):   # inverted in place: one temporary
-        inv = t[:, :, None] + z[i:i + _STRUVE_BLOCK]
-        np.reciprocal(inv, out=inv)
-        if power == 2:
-            inv *= inv
-        panels[:, i:i + _STRUVE_BLOCK] = np.matmul(jw[:, None, :], inv)[:, 0, :]
-    partials = panels[:n_head].sum(axis=0) + np.cumsum(panels[n_head:], axis=0)
-    return iterated_average(partials)[0]
-
-
-def _struve(z, power, name):
-    z = _check_off_cut(z, name)
-    out = (2.0 / np.pi) * _struve_integral(z.ravel(), power).reshape(z.shape)
-    return complex(out) if z.ndim == 0 else out
-
-
-def struve_k0(z):
-    """Struve function of the second kind of order zero on C \\ (-inf, 0]
-    (scalar or ndarray)."""
-    return _struve(z, 1, "struve_k0")
-
-
-def struve_k1(z):
-    """Order-one companion, defined through d/dz K0(z) = 2/pi - K1(z)
-    (scalar or ndarray)."""
-    return 2.0 / np.pi + _struve(z, 2, "struve_k1")
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,25 @@ from frachelm.green import (
     src_residual,
 )
 from frachelm.kernels import Problem, classify_regime, helm_part, helm_part_dr, spectral_shift
-from frachelm.quadrature import DEFAULT_SPEC, QuadratureSpec
-from frachelm.specfun import bessel_j0, bessel_j1, expint_e1, hankel1_0
+from frachelm.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_partitioned
+from frachelm.specfun import bessel_j0, bessel_j1, expint_e1, hankel1_0, j0_zeros
 
 # a looser spec than DEFAULT_SPEC, at which the derivative tests also run:
 # the far series serves fewer bracket powers there, and a shared batch
 # refines differently from a single radius
 LOOSE_SPEC = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-11)
+
+
+# orders within 1e-12 of a 1/(2s)-integer boundary, which snap to the
+# LOW_INTEGER branch (in 2D, the corrected kernel and the Struve term)
+NEAR_INTEGER_BRANCH = tuple(s + d for s in (0.5, 0.25, 1.0 / 6.0) for d in (-5e-13, 5e-13))
+
+
+def struve_h0_series(z, terms=60):
+    acc = 0.0
+    for k in range(terms):
+        acc += (-1.0) ** k * (z / 2.0) ** (2 * k + 1) / math.gamma(k + 1.5) ** 2
+    return acc
 
 
 def green_closed_form_3d_half_dr(k, r):
@@ -677,7 +689,7 @@ def test_zero_absorption_imaginary_part_through_the_table(n):
     # sin(kr)/(4 pi r) in 1D, 2D and 3D.  The run of 50 radii in [1, 2) is
     # tabled, so the panel cache's interpolants are held to it too
     r = np.r_[np.logspace(-4.0, 4.0, 120), np.linspace(1.0, 1.98, 50)]
-    for s in (1.0 / 6.0, 0.25, 0.5, 0.75):
+    for s in (1.0 / 6.0, 0.25, 0.5, 0.75, *NEAR_INTEGER_BRANCH):
         for k in (0.1, 10.0):
             p = Problem(n, s, k)
             helm, riesz, jt, err = green_eval_batch(p, 0.0, r)
@@ -699,10 +711,107 @@ def test_zero_absorption_imaginary_part_of_the_derivative(n):
     # where the J1 series cancels) and 100 times below rel_tol, so a tail
     # with an imaginary part at the tolerance's size would fail it
     r = np.logspace(-3.0, 3.0, 31)
-    for s in (1.0 / 6.0, 0.25, 0.3, 0.5, 0.75, 0.9):
+    for s in (1.0 / 6.0, 0.25, 0.3, 0.5, 0.75, 0.9, *NEAR_INTEGER_BRANCH):
         for k in (0.1, 0.7, 1.0, 2.0, 10.0):
             d = green_radial_derivative(Problem(n, s, k), 0.0, r)
             ref = {1: -np.sin(k * r) / 2.0, 2: -k * bessel_j1(k * r) / 4.0,
                    3: (k * r * np.cos(k * r) - np.sin(k * r)) / (4.0 * np.pi * r ** 2)}[n]
             miss = np.abs(d.imag - k ** (2.0 - 2.0 * s) / s * ref)
             assert np.all(miss <= 1e-11 * np.abs(d)), (s, k)
+
+
+# ---------------------------------------------------------------------------
+# Struve functions of the second kind (the 2D LOW_INTEGER tail term)
+# ---------------------------------------------------------------------------
+
+def test_struve_k0_far_field_paper_bound():
+    # K0(z) = 2/(pi z) + O(z^-2); at z=10 the deviation is below 0.02
+    assert abs(green.struve_k0(np.array([10.0]))[0] - 2.0 / (10.0 * np.pi)) <= 0.02
+
+
+def test_struve_k0_against_struve_weber_identity():
+    # K0 = StruveH0 - Y0 on (0, inf); StruveH0 from its power series
+    for z in (0.5, 1.0, 3.0):
+        expect = struve_h0_series(z) - hankel1_0(z).imag
+        assert green.struve_k0(np.array([z]))[0] == pytest.approx(expect, abs=1e-9)
+
+
+def test_struve_k0_quadrature_oracle():
+    # direct finite-interval quadrature of the defining integral plus an
+    # averaged oscillatory tail, done with the generic engine only
+    z = 1.0
+    res = integrate_partitioned(lambda t: bessel_j0(t) / (t + z),
+                                np.r_[0.0, j0_zeros(60)])
+    assert green.struve_k0(np.array([z]))[0] == pytest.approx(2.0 / np.pi * res.value, abs=1e-9)
+
+
+def test_struve_k0_real_positive():
+    for z in (0.05, 0.5, 2.0, 25.0):
+        val = green.struve_k0(np.array([z]))[0]
+        assert abs(val.imag) < 1e-12
+        assert val.real > 0.0
+
+
+def test_struve_derivative_identity():
+    # (K0(k(r+h)) - K0(k(r-h)))/(2h) ~ 2k/pi - k K1(kr) at r=2, k=1
+    k, r, h = 1.0, 2.0, 1e-5
+    fd = (green.struve_k0(np.array([k * (r + h)]))[0]
+          - green.struve_k0(np.array([k * (r - h)]))[0]) / (2 * h)
+    rhs = 2.0 * k / np.pi - k * green.struve_k1(np.array([k * r]))[0]
+    assert fd == pytest.approx(rhs, abs=1e-7)
+
+
+def test_struve_k1_far_field():
+    assert green.struve_k1(np.array([40.0]))[0] == pytest.approx(2.0 / np.pi, abs=2e-3)
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.4])
+def test_struve_array_matches_scalar(phase):
+    # real z, and complex z as met at positive absorption; the array call
+    # is one engine pass whose panels every z shares
+    z = np.logspace(-3, 2, 30) * np.exp(1j * phase)
+    k0, k1 = green.struve_k0(z)[0], green.struve_k1(z)[0]
+    assert k0.shape == k1.shape == z.shape
+    for i, zi in enumerate(z):
+        assert k0[i] == pytest.approx(green.struve_k0(np.array([zi]))[0], rel=1e-13)
+        assert k1[i] == pytest.approx(green.struve_k1(np.array([zi]))[0], rel=1e-13)
+
+
+def test_struve_branch_cut():
+    with pytest.raises(DomainError):
+        green.struve_k0(np.array([-2.0 + 0.0j]))
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.4, 1.2, 0.5 * np.pi - 1e-12, -1.2])
+def test_struve_errors_bound_the_miss(phase):
+    # K0 = H0 - Y0 and K1 = H1 - Y1 against mpmath; each miss is within the
+    # engine's err plus four roundings of the reference.  Past |arg z| = pi/4
+    # the path turns off the real axis, and near the imaginary axis (k_eps
+    # at the edge of the first quadrant) the real-axis integrand peaks like
+    # (Re z)^{-3/2} for K1.  H and Y grow like e^{|Im z|} and cancel, so the
+    # reference carries 30 digits beyond that
+    mp = pytest.importorskip("mpmath")
+    rounding = 4.0 * np.finfo(float).eps
+    z = np.logspace(-8.0, 1.8, 30) * np.exp(1j * phase)
+    k0, e0 = green.struve_k0(z)
+    k1, e1 = green.struve_k1(z)
+    for zi, v0, err0, v1, err1 in zip(z, k0, e0, k1, e1):
+        with mp.workdps(30 + int(abs(zi.imag) / math.log(10.0))):
+            zm = mp.mpc(zi.real, zi.imag)
+            ref0 = complex(mp.struveh(0, zm) - mp.bessely(0, zm))
+            ref1 = complex(mp.struveh(1, zm) - mp.bessely(1, zm))
+        assert abs(v0 - ref0) <= err0 + rounding * abs(ref0), zi
+        assert abs(v1 - ref1) <= err1 + rounding * abs(ref1), zi
+
+
+def test_struve_domain():
+    # the Laplace form needs Re z > 0; a scalar, an empty or a 2-D array is
+    # refused too
+    for z in (0.0, -2.0, 2.0j, np.nan, np.inf):
+        for f in (green.struve_k0, green.struve_k1):
+            with pytest.raises(DomainError):
+                f(np.array([1.0, z]))
+    for z in (1.0, np.array([], dtype=complex), np.ones((2, 2))):
+        for f in (green.struve_k0, green.struve_k1):
+            with pytest.raises(DomainError):
+                f(z)

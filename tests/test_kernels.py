@@ -218,6 +218,23 @@ def test_windowed_direct_takes_real_points(monkeypatch):
     assert len(seen) == 12 and all(d == np.float64 for d in seen)
 
 
+def test_window_mask_is_the_disc_chord():
+    # _windowed tests the disc |x - z| < TAYLOR_WINDOW |z| on the real axis as
+    # its chord, in real arithmetic; on every float within 2,000 ulps of the
+    # chord's ends it picks the points the complex test picks: at real kc,
+    # and at the k_eps of eps = 0.3 for s = 0.75, k = 10 (a chord narrower
+    # than the disc) and for s = 0.3, k = 1.3 (no chord, Im k_eps too large)
+    import frachelm.kernels as kernels
+    for kc in (_EDGE_KC, spectral_shift(Problem(2, 0.75, 10.0), 0.3).k_eps,
+               spectral_shift(Problem(2, 0.3, _EDGE_KC), 0.3).k_eps):
+        z = complex(kc)
+        half = np.sqrt(max((TAYLOR_WINDOW * abs(z)) ** 2 - z.imag ** 2, 0.0))
+        x = np.concatenate([e + np.arange(-2000.0, 2001.0) * np.spacing(e)
+                            for e in (z.real - half, z.real + half)])
+        near = kernels._windowed(x, kc, np.zeros_like, np.ones_like).real == 1.0
+        assert np.array_equal(near, np.abs(x - kc) < TAYLOR_WINDOW * abs(kc)), kc
+
+
 @pytest.mark.parametrize("s", [1 / 6, 0.25, 0.3, 0.75])
 def test_window_series_truncation_at_edge(s, monkeypatch):
     # the 10-term series evaluated just outside its window, where the closed

@@ -26,6 +26,41 @@ def test_no_new_cross_module_private_imports():
     assert found - ALLOWED == set()
 
 
+# the package's layers, bottom up: a module imports only from layers below
+# its own.  The Struve functions of the 2D tail are e^{-y} integrals, so they
+# live in green, above quadrature, and not in specfun below it
+LAYERS = [{"errors"}, {"specfun"}, {"kernels", "quadrature"}, {"green", "oracle"},
+          {"scattering"}, {"diagnostics"}, {"cli"}]
+
+
+def _package_imports(path):
+    """The package modules a module imports from, at any depth of its code;
+    ``from . import name`` of a name that is not a module is ``__init__``."""
+    modules = {p.stem for p in SRC.glob("*.py")}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level and node.module:
+            yield node.module
+        elif node.level:
+            yield from (a.name if a.name in modules else "__init__" for a in node.names)
+        elif node.module.startswith("frachelm."):
+            yield node.module.split(".")[1]
+
+
+def test_imports_point_down_the_layers():
+    rank = {name: i for i, layer in enumerate(LAYERS) for name in layer}
+    stems = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    assert stems == set(rank), "every module belongs to one layer"
+    upward = [f"{path.stem} imports {target}"
+              for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"
+              for target in _package_imports(path)
+              # cli echoes the package's __version__
+              if not (path.stem == "cli" and target == "__init__")
+              and not rank[target] < rank[path.stem]]
+    assert upward == []
+
+
 def _private_definitions(tree):
     """(name, statement) of each module-level private name: a function, a
     class or an assigned constant whose name starts with one underscore."""

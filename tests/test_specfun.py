@@ -33,13 +33,6 @@ def y0_series_oracle(x, terms=60):
     return 2.0 / np.pi * ((np.log(x / 2.0) + gamma) * j0_series_oracle(x) + acc)
 
 
-def struve_h0_series(z, terms=60):
-    acc = 0.0
-    for k in range(terms):
-        acc += (-1.0) ** k * (z / 2.0) ** (2 * k + 1) / math.gamma(k + 1.5) ** 2
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Riesz constants
 # ---------------------------------------------------------------------------
@@ -236,67 +229,6 @@ def test_gauss_panels_exact_to_degree_2_order_minus_1(order):
         exact = (edges[1:] ** (d + 1) - edges[:-1] ** (d + 1)) / (d + 1)
         scale = np.sum(w * np.abs(x) ** d, axis=1)
         assert np.all(np.abs(np.sum(w * x ** d, axis=1) - exact) <= 1e-13 * scale), d
-
-
-# ---------------------------------------------------------------------------
-# Struve functions of the second kind
-# ---------------------------------------------------------------------------
-
-def test_struve_k0_far_field_paper_bound():
-    # K0(z) = 2/(pi z) + O(z^-2); at z=10 the deviation is below 0.02
-    assert abs(sf.struve_k0(10.0) - 2.0 / (10.0 * np.pi)) <= 0.02
-
-
-def test_struve_k0_against_struve_weber_identity():
-    # K0 = StruveH0 - Y0 on (0, inf); StruveH0 from its power series
-    for z in (0.5, 1.0, 3.0):
-        expect = struve_h0_series(z) - sf.hankel1_0(z).imag
-        assert sf.struve_k0(z) == pytest.approx(expect, abs=1e-9)
-
-
-def test_struve_k0_quadrature_oracle():
-    # direct finite-interval quadrature of the defining integral plus an
-    # averaged oscillatory tail, done with the generic engine only
-    z = 1.0
-    res = integrate_partitioned(lambda t: sf.bessel_j0(t) / (t + z),
-                                np.r_[0.0, sf.j0_zeros(60)])
-    assert sf.struve_k0(z) == pytest.approx(2.0 / np.pi * res.value, abs=1e-9)
-
-
-def test_struve_k0_real_positive():
-    for z in (0.05, 0.5, 2.0, 25.0):
-        val = sf.struve_k0(z)
-        assert abs(val.imag) < 1e-12
-        assert val.real > 0.0
-
-
-def test_struve_derivative_identity():
-    # (K0(k(r+h)) - K0(k(r-h)))/(2h) ~ 2k/pi - k K1(kr) at r=2, k=1
-    k, r, h = 1.0, 2.0, 1e-5
-    fd = (sf.struve_k0(k * (r + h)) - sf.struve_k0(k * (r - h))) / (2 * h)
-    rhs = 2.0 * k / np.pi - k * sf.struve_k1(k * r)
-    assert fd == pytest.approx(rhs, abs=1e-7)
-
-
-def test_struve_k1_far_field():
-    assert sf.struve_k1(40.0) == pytest.approx(2.0 / np.pi, abs=2e-3)
-
-
-@pytest.mark.parametrize("phase", [0.0, 0.4])
-def test_struve_array_matches_scalar(phase):
-    # real z, and complex z as met at positive absorption; the array call
-    # grades its head by the smallest |z|
-    z = np.logspace(-3, 2, 30) * np.exp(1j * phase)
-    k0, k1 = sf.struve_k0(z), sf.struve_k1(z)
-    assert k0.shape == k1.shape == z.shape
-    for i, zi in enumerate(z):
-        assert k0[i] == pytest.approx(sf.struve_k0(zi), rel=1e-13)
-        assert k1[i] == pytest.approx(sf.struve_k1(zi), rel=1e-13)
-
-
-def test_struve_branch_cut():
-    with pytest.raises(DomainError):
-        sf.struve_k0(-2.0 + 0.0j)
 
 
 # ---------------------------------------------------------------------------
