@@ -3,10 +3,13 @@
 The value at radius r splits into three parts (Helmholtz part, Riesz power
 sum, tail integral); the decomposition is returned explicitly so diagnostics
 can test each part's asymptotics.  Tail integrals run through the quadrature
-engines, or, in large batches, through a checked Chebyshev table on dyadic
-panels; their error estimates propagate additively.  Each checked panel is
-built once per (problem, k_eps, spec, panel) and kept across calls
-(``_tail_panel``), so a tabled value depends on its radius alone.
+engines, or through a checked Chebyshev table on dyadic panels (in large
+batches, and in 1D and 3D in every eps = 0 value call of two or more radii);
+their error estimates propagate additively.  Each checked panel is built once
+per key and kept across calls (``_tail_panel``), so a tabled value depends on
+its radius alone.  The operator is homogeneous, G^k(r) = k^{n-2s} G^1(kr), so
+in 1D and 3D at eps = 0 the panels are those of k = 1 in x = kr and serve
+every k; 2D and eps > 0 key them by (problem, k_eps), in r.
 
 The n = 1, 3 tail is pref * int_0^inf e^{-y} bracket(y) dy with the bracket
 rational in w = y^{2s}.  The 2D tail, a Bessel transform, is the same
@@ -35,8 +38,8 @@ from numpy.polynomial.chebyshev import chebval
 
 from .errors import DomainError
 from .kernels import (
-    LOW_INTEGER, _resolve_shift, classify_regime, dF_m_dr, dF_tilde_m_dr, F_m, F_tilde_m,
-    helm_part, helm_part_dr, spectral_shift,
+    LOW_INTEGER, Problem, _resolve_shift, classify_regime, dF_m_dr, dF_tilde_m_dr, F_m,
+    F_tilde_m, helm_part, helm_part_dr, spectral_shift,
 )
 from .quadrature import DEFAULT_SPEC, _exp_weighted_batch, integrate_bessel_transform
 from .specfun import expint_e1, hankel1_0_rel_error, riesz_constant
@@ -390,9 +393,11 @@ def _tail_panel(p, kc, spec, exponent):
     """(coefficients, err) of the tail's checked Chebyshev interpolant in
     log2 r on the panel [2^(exponent-1), 2^exponent), or None if it fails its
     checks (Trefethen, *Approximation Theory and Approximation Practice*,
-    ch. 8).  Its d + 1 nodes, d = ``_PANEL_DEGREE``, and a check point at its
-    left end make one tail call of their own, so the table depends on its key
-    alone, never on other radii or on which panels were built before.  It
+    ch. 8).  ``_tabled_tail`` reads it at k = 1 for every eps = 0 tail in 1D
+    and 3D, whose r is then x = kr.  Its d + 1 nodes, d = ``_PANEL_DEGREE``,
+    and a check point at its left end make one tail call of their own, so the
+    table depends on its key alone, never on other radii or on which panels
+    were built before.  It
     passes if its last two coefficients and the check-point miss are within
     max(abs_tol, rel_tol |G|); its err is then the largest node err plus
     both.  The coefficients, shared by every later call, are read-only."""
@@ -412,32 +417,47 @@ def _tail_panel(p, kc, spec, exponent):
     return coef, float(en.max() + decay + miss)
 
 
-def _tabled_tail(p, regime, kc, r, spec):
-    """(j_tail, err) at sorted distinct radii r, tabled on dense dyadic panels.
+def _tabled_tail(p, regime, kc, r, spec, k_free=False):
+    """(j_tail, err) at sorted distinct radii r, tabled on dyadic panels.
 
     Radii equal to 14 mantissa decimals share the tail of the first (the tail
-    has no phase).  A dyadic panel [2^(j-1), 2^j) holding more than
-    ``_SMALL_BATCH`` of them is tabled: its checked interpolant comes from
-    ``_tail_panel``, which keeps the last ``_TAIL_PANELS`` panels built in the
-    process, and its tail is interpolated by Clenshaw.  The other radii and
-    those of refused panels go through one direct tail call.
+    has no phase).  A dyadic panel [2^(j-1), 2^j) of r, keyed by (p, k_eps),
+    is tabled when it holds more than ``_SMALL_BATCH`` of them.  With k_free
+    (eps = 0 in 1D or 3D) the panels are those of k = 1 in x = kr, scaled by
+    k^{n-2s}, and a call of at most ``_SMALL_BATCH`` radii also tables every
+    panel whose left end lies below ``_far_reach``.  Each checked interpolant
+    comes from ``_tail_panel``, which keeps the last ``_TAIL_PANELS`` panels
+    built in the process, and is read by Clenshaw per panel, or for panels of
+    at most ``_SMALL_BATCH`` radii in one pass over their stacked
+    coefficients.  The other radii and those of refused panels go through one
+    direct tail call.
     """
     m, e = np.frexp(r)
     key = np.ldexp(np.round(m, 14), e)
     lead = np.r_[True, key[1:] != key[:-1]]   # r is sorted, so merged radii are runs
     t = r[lead]
-    mant, panel = np.frexp(t)                 # and so are panels
+    # a Python complex, so equal k_eps of other numeric types build one table
+    q, kq, a = (Problem(p.n, p.s, 1.0), 1.0 + 0j, abs(kc)) if k_free else (p, complex(kc), 1.0)
+    mant, panel = np.frexp(a * t)             # and so are panels
     keys, first, counts = np.unique(panel, return_index=True, return_counts=True)
-    big = counts > _SMALL_BATCH
+    tabled = counts > _SMALL_BATCH
+    if k_free and r.size <= _SMALL_BATCH:
+        tabled = np.ldexp(1.0, keys - 1) < _far_reach(p.n, p.s, regime.m, spec, (1,))
+    u, scale = 2.0 * np.log2(mant) + 1.0, a ** (p.n - 2.0 * p.s)
     jt, je = np.empty(t.size, dtype=complex), np.empty(t.size)
-    direct = np.ones(t.size, dtype=bool)
-    for j, a, c in zip(keys[big].tolist(), first[big].tolist(), counts[big].tolist()):
-        # a Python complex, so equal k_eps of other numeric types build one table
-        table = _tail_panel(p, complex(kc), spec, j)
-        if table is not None:
-            jt[a:a + c] = chebval(2.0 * np.log2(mant[a:a + c]) + 1.0, table[0])
-            je[a:a + c] = table[1]
-            direct[a:a + c] = False
+    direct, few, cols = np.ones(t.size, dtype=bool), np.zeros(t.size, dtype=bool), []
+    for j, i, c in zip(keys[tabled].tolist(), first[tabled].tolist(), counts[tabled].tolist()):
+        table = _tail_panel(q, kq, spec, j)
+        if table is None:
+            continue
+        if c > _SMALL_BATCH:
+            jt[i:i + c] = scale * chebval(u[i:i + c], table[0])
+        else:                                 # one coefficient column per radius
+            few[i:i + c] = True
+            cols += [table[0]] * c
+        je[i:i + c], direct[i:i + c] = scale * table[1], False
+    if cols:
+        jt[few] = scale * chebval(u[few], np.array(cols).T, tensor=False)
     if direct.any():
         jt[direct], je[direct] = _tail_batch(p, regime, kc, t[direct], spec)
     run = np.cumsum(lead) - 1
@@ -464,13 +484,15 @@ def _green_batch(p, shift, radii, spec, derivative=False):
     r-derivatives, whose tail is always one direct call."""
     r = _check_radii(np.asarray(radii, dtype=float))
     kc, regime = _shifted_wavenumber(p, shift, r.size), classify_regime(p.s)
+    # an eps = 0 value call in 1D or 3D reads the k-free panels, from two radii on
+    k_free = not derivative and p.n != 2 and np.ndim(kc) == 0 and kc.imag == 0.0
 
     def batch(kc, r):
-        small = r.size <= _SMALL_BATCH or derivative
+        small = derivative or r.size == 1 or (r.size <= _SMALL_BATCH and not k_free)
         u, inv = (r, slice(None)) if small else np.unique(r, return_inverse=True)
         helm, riesz = _closed_parts(p, regime, kc, u, derivative)
         jt, je = (_tail_batch(p, regime, kc, u, spec, derivative=derivative) if small
-                  else _tabled_tail(p, regime, kc, u, spec))
+                  else _tabled_tail(p, regime, kc, u, spec, k_free))
         err = je + _helm_rel(p, kc, u) * np.abs(helm) + _CLOSED_FORM_REL * np.abs(riesz)
         return helm[inv], riesz[inv], jt[inv], err[inv]
     return _by_shift(batch, kc, r) if np.ndim(kc) and r.size > _SMALL_BATCH else batch(kc, r)
@@ -481,13 +503,16 @@ def green_eval_batch(p, shift, radii, spec=DEFAULT_SPEC):
 
     `shift` is one shift for all radii (as for ``green_eval``) or a 1-D array
     of absorption values, one per radius.  Returns (helm, riesz_sum, j_tail,
-    err) arrays, one error estimate per radius.  A batch too small to fill a
-    tabled panel, at most ``_SMALL_BATCH`` radii, makes one tail call: the
-    e^{-y} integrals (n = 1, 3) and the 2D Bessel transform, whose J0-zero
-    partition is fixed in t = rho r, share one adaptive pass over the batch,
-    each (k_eps, r) pair a column of it.  A larger one tables each distinct
-    shift's radii on their own: it evaluates the closed parts once per
-    distinct radius and the tail by ``_tabled_tail``.
+    err) arrays, one error estimate per radius.  A batch of at most
+    ``_SMALL_BATCH`` radii makes one tail call: the e^{-y} integrals (n = 1,
+    3) and the 2D Bessel transform, whose J0-zero partition is fixed in t =
+    rho r, share one adaptive pass over the batch, each (k_eps, r) pair a
+    column of it.  A larger one tables each distinct shift's radii on their
+    own: it evaluates the closed parts once per distinct radius and the tail
+    by ``_tabled_tail``.  In 1D and 3D an eps = 0 batch of two or more radii
+    is tabled at any size, on panels of x = kr that serve every k: a small
+    one tables every panel below the far series' reach, and its radii beyond
+    the reach keep the series.
     """
     return _green_batch(p, shift, radii, spec)
 

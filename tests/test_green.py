@@ -683,23 +683,38 @@ def test_2d_near_batches_take_the_transform(monkeypatch, s):
     assert all(np.array_equal(u, v) for g, f in zip(got, ref) for u, v in zip(g, f))
 
 
+def _im_helm(n, k, r):
+    """Im G_Helm at eps = 0: cos(kr)/(2k), J0(kr)/4 and sin(kr)/(4 pi r) in
+    1D, 2D and 3D."""
+    return {1: np.cos(k * r) / (2.0 * k), 2: bessel_j0(k * r) / 4.0,
+            3: np.sin(k * r) / (4.0 * np.pi * r)}[n]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_zero_absorption_imaginary_part_through_the_table(n):
-    # at eps = 0, Im G = (k^{2-2s}/s) Im G_Helm: cos(kr)/(2k), J0(kr)/4 and
-    # sin(kr)/(4 pi r) in 1D, 2D and 3D.  The run of 50 radii in [1, 2) is
-    # tabled, so the panel cache's interpolants are held to it too
-    r = np.r_[np.logspace(-4.0, 4.0, 120), np.linspace(1.0, 1.98, 50)]
+    # at eps = 0, Im G = (k^{2-2s}/s) Im G_Helm.  The run of 50 radii in [1.6,
+    # 2) fills one dyadic panel of r (2D) and of x = kr at both k (1D, 3D), so
+    # it is tabled and the panel cache's interpolants are held to it too; so
+    # are those of a 9-radius call, tabled in 1D and 3D, at the same kr for
+    # both k, so that k = 10 reads the panels k = 0.1 built
+    r = np.r_[np.logspace(-4.0, 4.0, 120), np.linspace(1.6, 1.99, 50)]
+    kr = np.geomspace(1e-3, 20.0, 9)
     for s in (1.0 / 6.0, 0.25, 0.5, 0.75, *NEAR_INTEGER_BRANCH):
         for k in (0.1, 10.0):
             p = Problem(n, s, k)
-            helm, riesz, jt, err = green_eval_batch(p, 0.0, r)
-            im_helm = {1: np.cos(k * r) / (2.0 * k), 2: bessel_j0(k * r) / 4.0,
-                       3: np.sin(k * r) / (4.0 * np.pi * r)}[n]
-            miss = np.abs((helm + riesz + jt).imag - k ** (2.0 - 2.0 * s) / s * im_helm)
-            assert np.all(miss <= err), (s, k)
+            for radii in (r, kr / k):
+                misses = green._tail_panel.cache_info().misses
+                helm, riesz, jt, err = green_eval_batch(p, 0.0, radii)
+                miss = np.abs((helm + riesz + jt).imag
+                              - k ** (2.0 - 2.0 * s) / s * _im_helm(n, k, radii))
+                assert np.all(miss <= err), (s, k)
+            if n != 2 and k == 10.0:
+                assert green._tail_panel.cache_info().misses == misses, s
+            key = ((p, spectral_shift(p, 0.0).k_eps, DEFAULT_SPEC, 1) if n == 2 else
+                   (Problem(n, s, 1.0), 1.0 + 0j, DEFAULT_SPEC, int(np.frexp(1.6 * k)[1])))
             misses = green._tail_panel.cache_info().misses
-            panel = green._tail_panel(p, spectral_shift(p, 0.0).k_eps, DEFAULT_SPEC, 1)
-            assert panel is not None and green._tail_panel.cache_info().misses == misses
+            assert green._tail_panel(*key) is not None, (s, k)
+            assert green._tail_panel.cache_info().misses == misses, (s, k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -439,10 +439,10 @@ def test_bessel_transform_matches_one_call_per_panel(monkeypatch, nradii):
     assert np.array_equal(res.err_estimate, ref.err_estimate)
 
 
-def test_green_rows_take_at_most_half_the_integrand_calls(monkeypatch):
-    # a green-sweep 1D row and a 2D transform at 3 radii: the adaptive engine
-    # calls the integrand at most half as often as with one call per panel,
-    # and every value is the same
+def test_green_rows_take_at_most_half_the_integrand_calls(monkeypatch, no_panels):
+    # a green-sweep 1D row and a 2D transform at 3 radii, with the radial
+    # table off: the adaptive engine calls the integrand at most half as often
+    # as with one call per panel, and every value is the same
     from frachelm.green import green_eval_batch
     from frachelm.kernels import Problem
     rows = [(Problem(1, 0.3, 1.0), np.geomspace(10.0, 1e4, 9)),
@@ -450,11 +450,11 @@ def test_green_rows_take_at_most_half_the_integrand_calls(monkeypatch):
     estimate = quad._panel_estimates
     for p, radii in rows:
         calls, ref_calls = [], []
-        with monkeypatch.context() as m:
+        with no_panels(), monkeypatch.context() as m:
             m.setattr(quad, "_panel_estimates",
                       lambda *a, **k: calls.append(1) or estimate(*a, **k))
             got = green_eval_batch(p, 0.0, radii)
-        with monkeypatch.context() as m:
+        with no_panels(), monkeypatch.context() as m:
             _use_reference(m, ref_calls)
             ref = green_eval_batch(p, 0.0, radii)
         assert all(np.array_equal(u, v) for u, v in zip(got, ref))

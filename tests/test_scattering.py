@@ -1,7 +1,5 @@
 """Lippmann-Schwinger solver tests: identities, convergence, scaling laws."""
 
-from functools import lru_cache
-
 import numpy as np
 import pytest
 
@@ -638,11 +636,10 @@ def _table_radii(lo):
     return np.concatenate([np.logspace(lo, 3.0, 400), *runs])
 
 
-def _direct(p, r, spec):
+def _direct(p, r, spec, no_panels):
     """(total, j_tail, err) at r from one direct pass, with the table switched
-    off."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(green, "_SMALL_BATCH", r.size)   # no batch is large enough to table
+    off (the ``no_panels`` fixture)."""
+    with no_panels():
         helm, riesz, jt, err = green.green_eval_batch(p, 0.0, r, spec)
     return helm + riesz + jt, jt, err
 
@@ -655,21 +652,26 @@ def _spy_batches(monkeypatch):
     return seen
 
 
-@lru_cache(maxsize=None)
-def _table_case(n, s, k):
-    """(problem, spec, radii, direct total, j_tail, err) of one table test case;
-    the direct reference is one pass over all the radii."""
-    spec = QuadratureSpec() if n == 2 else QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
-    p, r = Problem(n, s, k), _table_radii(-6.0 if n == 2 else -8.0)
-    return (p, spec, r) + _direct(p, r, spec)
+_TABLE_CASES = {}
+
+
+def _table_case(n, s, k, no_panels):
+    """(problem, spec, radii, direct total, j_tail, err) of one table test case,
+    computed once per (n, s, k); the direct reference is one pass over all the
+    radii."""
+    if (n, s, k) not in _TABLE_CASES:
+        spec = QuadratureSpec() if n == 2 else QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
+        p, r = Problem(n, s, k), _table_radii(-6.0 if n == 2 else -8.0)
+        _TABLE_CASES[n, s, k] = (p, spec, r) + _direct(p, r, spec, no_panels)
+    return _TABLE_CASES[n, s, k]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_radial_table_matches_direct_reference(monkeypatch, n):
+def test_radial_table_matches_direct_reference(monkeypatch, no_panels, n):
     seen = _spy_batches(monkeypatch)
     for s in (0.25, 0.3, 0.5, 0.75):
         for k in (0.5, 2.0):
-            p, spec, r, ref, _, _ = _table_case(n, s, k)
+            p, spec, r, ref, _, _ = _table_case(n, s, k, no_panels)
             seen.clear()
             total = scattering._green_total_at(p, r, spec)
             assert np.max(np.abs(total - ref) / np.abs(ref)) <= 1e-11, (s, k)
@@ -677,12 +679,12 @@ def test_radial_table_matches_direct_reference(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_radial_table_error_estimates_are_honest(monkeypatch, n):
+def test_radial_table_error_estimates_are_honest(monkeypatch, no_panels, n):
     # every tabled tail value lies within its own and the direct error estimate
     seen = _spy_batches(monkeypatch)
     for s in (0.25, 0.3, 0.5, 0.75):
         for k in (0.5, 2.0):
-            p, spec, r, _, jref, eref = _table_case(n, s, k)
+            p, spec, r, _, jref, eref = _table_case(n, s, k, no_panels)
             seen.clear()
             _, _, jt, err = green.green_eval_batch(p, 0.0, r, spec)
             tabled = ~np.isin(r, np.concatenate(seen))
@@ -691,12 +693,12 @@ def test_radial_table_error_estimates_are_honest(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_radial_table_falls_back_to_direct_values(monkeypatch, cold_panels, n):
+def test_radial_table_falls_back_to_direct_values(monkeypatch, cold_panels, no_panels, n):
     # at degree 2 every panel with more than 8 radii fails its checks: it
     # makes one node call of its own d + 2 = 4 radii, and then every value
     # comes from one direct evaluation
     p, r = Problem(n, 0.3, 1.0), _table_radii(-6.0 if n == 2 else -8.0)
-    ref = _direct(p, r, QuadratureSpec())[0]
+    ref = _direct(p, r, QuadratureSpec(), no_panels)[0]
     monkeypatch.setattr(green, "_PANEL_DEGREE", 2)
     monkeypatch.setattr(green, "_SMALL_BATCH", 2 * (2 + 2))
     exponents, counts = np.unique(np.frexp(np.unique(r))[1], return_counts=True)
@@ -731,6 +733,57 @@ def test_tabled_value_depends_only_on_its_radius(cold_panels, n):
     cold_panels.cache_clear()
     other_cold = at_x(batches[1])
     assert all(v == cold for v in warm + [other_cold])
+    if n != 2:
+        # an eps = 0 call of at most _SMALL_BATCH radii tables x's panel too,
+        # with the same key at k = 1: the same bits cold and warm, beside
+        # batch-mates that differ in every other radius, and in the large call
+        small = [np.r_[x, np.geomspace(1e-3, 1.0, 8)], np.r_[x, np.geomspace(30.0, 1e3, 8)]]
+        cold_panels.cache_clear()
+        small_cold = at_x(small[0])
+        warm = [at_x(b) for b in small]
+        cold_panels.cache_clear()
+        assert all(v == cold for v in warm + [small_cold, at_x(small[1])])
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_small_calls_read_k_free_panels(monkeypatch, cold_panels, n):
+    # an eps = 0 call of 2 to 44 radii tables every panel below the far
+    # series' reach on the panels of k = 1 in x = kr: the same kr at a second
+    # k builds no panel and makes no direct tail call, and its tail and err
+    # are (k'/k)^{n-2s} times the first k's
+    x = np.geomspace(1e-3, 20.0, 9)
+    seen = _spy_batches(monkeypatch)
+    for s in (0.25, 0.3, 0.5, 0.75):
+        _, _, jt, err = green.green_eval_batch(Problem(n, s, 0.5), 0.0, x / 0.5)
+        misses = cold_panels.cache_info().misses
+        seen.clear()
+        _, _, jt2, err2 = green.green_eval_batch(Problem(n, s, 2.0), 0.0, x / 2.0)
+        assert cold_panels.cache_info().misses == misses and not seen, s
+        ratio = 4.0 ** (n - 2.0 * s)
+        assert np.all(np.abs(jt2 - ratio * jt) <= 1e-15 * np.abs(jt2)), s
+        assert np.all(np.abs(err2 - ratio * err) <= 1e-15 * err2), s
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_small_tabled_values_are_honest(monkeypatch, n):
+    # 9-radius eps = 0 calls over the windows of the rate checks, whose radii
+    # below the far reach are tabled: |G - closed form| <= err at n = 3, s =
+    # 1/2, and Im G = (k^{2-2s}/s) Im G_Helm (cos(kr)/(2k) in 1D, sin(kr)/(4 pi
+    # r) in 3D) within err at every s
+    seen = _spy_batches(monkeypatch)
+    for lo, hi in ((1e-3, 0.5), (10.0, 1e4)):
+        r = np.geomspace(lo, hi, 9)
+        for s in (1.0 / 6.0, 0.25, 0.3, 0.5, 0.75):
+            for k in (0.5, 2.0):
+                seen.clear()
+                helm, riesz, jt, err = green.green_eval_batch(Problem(n, s, k), 0.0, r)
+                assert not np.isin(r, np.concatenate([r[:0], *seen])).all(), (lo, s, k)
+                g = helm + riesz + jt
+                im = np.cos(k * r) / (2.0 * k) if n == 1 else np.sin(k * r) / (4.0 * np.pi * r)
+                assert np.all(np.abs(g.imag - k ** (2.0 - 2.0 * s) / s * im) <= err), (lo, s, k)
+                if n == 3 and s == 0.5:
+                    ref = np.array([green.green_closed_form_3d_half(k, x) for x in r])
+                    assert np.all(np.abs(g - ref) <= err), (lo, k)
 
 
 def test_wide_2d_batch_converges():
