@@ -3,13 +3,13 @@
 The value at radius r splits into three parts (Helmholtz part, Riesz power
 sum, tail integral); the decomposition is returned explicitly so diagnostics
 can test each part's asymptotics.  Tail integrals run through the quadrature
-engines, or through a checked Chebyshev table on dyadic panels (in large
-batches, and in 1D and 3D in every eps = 0 value call of two or more radii);
-their error estimates propagate additively.  Each checked panel is built once
-per key and kept across calls (``_tail_panel``), so a tabled value depends on
-its radius alone.  The operator is homogeneous, G^k(r) = k^{n-2s} G^1(kr), so
-in 1D and 3D at eps = 0 the panels are those of k = 1 in x = kr and serve
-every k; 2D and eps > 0 key them by (problem, k_eps), in r.
+engines, or through a checked Chebyshev table on dyadic panels (in every
+single-shift value call of two or more radii); their error estimates
+propagate additively.  Each checked panel is built once per key and kept
+across calls (``_tail_panel``), so a tabled value depends on its radius alone.
+The operator is homogeneous, G^{k_eps}(r) = |k_eps|^{n-2s} G^u(|k_eps| r) with
+u = k_eps/|k_eps|, so the panels are those of |k_eps| = 1 in x = |k_eps| r,
+keyed by u alone; at eps = 0, u = 1 and one table serves every k.
 
 The n = 1, 3 tail is pref * int_0^inf e^{-y} bracket(y) dy with the bracket
 rational in w = y^{2s}.  The 2D tail, a Bessel transform, is the same
@@ -48,8 +48,8 @@ from .specfun import expint_e1, hankel1_0_rel_error, riesz_constant
 # except the 2D Helmholtz part, which specfun bounds per evaluation path
 _CLOSED_FORM_REL = 1e-12
 _PANEL_DEGREE = 20    # Chebyshev degree of a dyadic panel of the tail table
-# most radii a batch (or a dyadic panel) holds before its tail is tabled:
-# twice the nodes and check point of a panel, as a node costs about one radius
+# most radii a dyadic panel holds untabled, and a call that tables every panel
+# below the far reach: twice a panel's nodes and check point, a node ~ a radius
 _SMALL_BATCH = 2 * (_PANEL_DEGREE + 2)
 _FAR_TERMS = 64       # most terms the far series of an e^{-y} tail sums
 # checked dyadic panels kept by ``_tail_panel``: 21 complex coefficients (336 B;
@@ -393,14 +393,14 @@ def _tail_panel(p, kc, spec, exponent):
     """(coefficients, err) of the tail's checked Chebyshev interpolant in
     log2 r on the panel [2^(exponent-1), 2^exponent), or None if it fails its
     checks (Trefethen, *Approximation Theory and Approximation Practice*,
-    ch. 8).  ``_tabled_tail`` reads it at k = 1 for every eps = 0 tail in 1D
-    and 3D, whose r is then x = kr.  Its d + 1 nodes, d = ``_PANEL_DEGREE``,
+    ch. 8).  ``_tabled_tail`` reads it at |k| = 1 and kc = k_eps/|k_eps|,
+    whose r is then x = |k_eps| r.  Its d + 1 nodes, d = ``_PANEL_DEGREE``,
     and a check point at its left end make one tail call of their own, so the
     table depends on its key alone, never on other radii or on which panels
-    were built before.  It
-    passes if its last two coefficients and the check-point miss are within
-    max(abs_tol, rel_tol |G|); its err is then the largest node err plus
-    both.  The coefficients, shared by every later call, are read-only."""
+    were built before.  It passes if its last two coefficients and the
+    check-point miss are within max(abs_tol, rel_tol |G|); its err is then
+    the largest node err plus both.  The coefficients, shared by every later
+    call, are read-only."""
     regime, d = classify_regime(p.s), _PANEL_DEGREE
     theta = np.pi * (np.arange(d + 1) + 0.5) / (d + 1)
     nodes = np.ldexp(np.exp2(0.5 * np.append(np.cos(theta), -1.0) - 0.5), exponent)
@@ -417,37 +417,37 @@ def _tail_panel(p, kc, spec, exponent):
     return coef, float(en.max() + decay + miss)
 
 
-def _tabled_tail(p, regime, kc, r, spec, k_free=False):
+def _tabled_tail(p, regime, kc, r, spec):
     """(j_tail, err) at sorted distinct radii r, tabled on dyadic panels.
 
     Radii equal to 14 mantissa decimals share the tail of the first (the tail
-    has no phase).  A dyadic panel [2^(j-1), 2^j) of r, keyed by (p, k_eps),
-    is tabled when it holds more than ``_SMALL_BATCH`` of them.  With k_free
-    (eps = 0 in 1D or 3D) the panels are those of k = 1 in x = kr, scaled by
-    k^{n-2s}, and a call of at most ``_SMALL_BATCH`` radii also tables every
-    panel whose left end lies below ``_far_reach``.  Each checked interpolant
-    comes from ``_tail_panel``, which keeps the last ``_TAIL_PANELS`` panels
-    built in the process, and is read by Clenshaw per panel, or for panels of
-    at most ``_SMALL_BATCH`` radii in one pass over their stacked
-    coefficients.  The other radii and those of refused panels go through one
-    direct tail call.
+    has no phase).  The operator is homogeneous, so the tail at k_eps is
+    |k_eps|^{n-2s} times the tail at u = k_eps/|k_eps| in x = |k_eps| r: the
+    radii are grouped by the dyadic panel [2^(j-1), 2^j) of x, and a panel is
+    read from ``_tail_panel`` at (n, s, |k| = 1, u) when it holds more than
+    ``_SMALL_BATCH`` of them or, in a call of at most ``_SMALL_BATCH`` radii,
+    when its left end lies below ``_far_reach``.  ``_tail_panel`` keeps the
+    last ``_TAIL_PANELS`` panels built in the process; each is read by
+    Clenshaw per panel, or for panels of at most ``_SMALL_BATCH`` radii in one
+    pass over their stacked coefficients.  The other radii and those of
+    refused panels go through one direct tail call.
     """
     m, e = np.frexp(r)
     key = np.ldexp(np.round(m, 14), e)
     lead = np.r_[True, key[1:] != key[:-1]]   # r is sorted, so merged radii are runs
     t = r[lead]
-    # a Python complex, so equal k_eps of other numeric types build one table
-    q, kq, a = (Problem(p.n, p.s, 1.0), 1.0 + 0j, abs(kc)) if k_free else (p, complex(kc), 1.0)
-    mant, panel = np.frexp(a * t)             # and so are panels
+    # u as a Python complex, 1 + 0j for real k_eps: equal k_eps of any type share a table
+    a, q, u0 = abs(kc), Problem(p.n, p.s, 1.0), complex(kc / abs(kc))
+    mant, panel = np.frexp(a * t)             # t is sorted, so panels are runs
     keys, first, counts = np.unique(panel, return_index=True, return_counts=True)
     tabled = counts > _SMALL_BATCH
-    if k_free and r.size <= _SMALL_BATCH:
+    if r.size <= _SMALL_BATCH:
         tabled = np.ldexp(1.0, keys - 1) < _far_reach(p.n, p.s, regime.m, spec, (1,))
     u, scale = 2.0 * np.log2(mant) + 1.0, a ** (p.n - 2.0 * p.s)
     jt, je = np.empty(t.size, dtype=complex), np.empty(t.size)
     direct, few, cols = np.ones(t.size, dtype=bool), np.zeros(t.size, dtype=bool), []
     for j, i, c in zip(keys[tabled].tolist(), first[tabled].tolist(), counts[tabled].tolist()):
-        table = _tail_panel(q, kq, spec, j)
+        table = _tail_panel(q, u0, spec, j)
         if table is None:
             continue
         if c > _SMALL_BATCH:
@@ -484,15 +484,14 @@ def _green_batch(p, shift, radii, spec, derivative=False):
     r-derivatives, whose tail is always one direct call."""
     r = _check_radii(np.asarray(radii, dtype=float))
     kc, regime = _shifted_wavenumber(p, shift, r.size), classify_regime(p.s)
-    # an eps = 0 value call in 1D or 3D reads the k-free panels, from two radii on
-    k_free = not derivative and p.n != 2 and np.ndim(kc) == 0 and kc.imag == 0.0
 
     def batch(kc, r):
-        small = derivative or r.size == 1 or (r.size <= _SMALL_BATCH and not k_free)
+        # a single-shift value call of two or more radii reads the table
+        small = derivative or r.size == 1 or np.ndim(kc) != 0
         u, inv = (r, slice(None)) if small else np.unique(r, return_inverse=True)
         helm, riesz = _closed_parts(p, regime, kc, u, derivative)
         jt, je = (_tail_batch(p, regime, kc, u, spec, derivative=derivative) if small
-                  else _tabled_tail(p, regime, kc, u, spec, k_free))
+                  else _tabled_tail(p, regime, kc, u, spec))
         err = je + _helm_rel(p, kc, u) * np.abs(helm) + _CLOSED_FORM_REL * np.abs(riesz)
         return helm[inv], riesz[inv], jt[inv], err[inv]
     return _by_shift(batch, kc, r) if np.ndim(kc) and r.size > _SMALL_BATCH else batch(kc, r)
@@ -503,16 +502,16 @@ def green_eval_batch(p, shift, radii, spec=DEFAULT_SPEC):
 
     `shift` is one shift for all radii (as for ``green_eval``) or a 1-D array
     of absorption values, one per radius.  Returns (helm, riesz_sum, j_tail,
-    err) arrays, one error estimate per radius.  A batch of at most
-    ``_SMALL_BATCH`` radii makes one tail call: the e^{-y} integrals (n = 1,
-    3) and the 2D Bessel transform, whose J0-zero partition is fixed in t =
-    rho r, share one adaptive pass over the batch, each (k_eps, r) pair a
-    column of it.  A larger one tables each distinct shift's radii on their
-    own: it evaluates the closed parts once per distinct radius and the tail
-    by ``_tabled_tail``.  In 1D and 3D an eps = 0 batch of two or more radii
-    is tabled at any size, on panels of x = kr that serve every k: a small
-    one tables every panel below the far series' reach, and its radii beyond
-    the reach keep the series.
+    err) arrays, one error estimate per radius.  One radius, or a batch of
+    at most ``_SMALL_BATCH`` radii with more than one shift, makes one tail
+    call: the e^{-y} integrals (n = 1, 3) and the 2D Bessel transform, whose
+    J0-zero partition is fixed in t = rho r, share one adaptive pass over the
+    batch, each (k_eps, r) pair a column of it.  Any other batch is tabled
+    per distinct shift: it evaluates the closed parts once per distinct
+    radius and the tail by ``_tabled_tail``, on panels of x = |k_eps| r that
+    serve every |k_eps| of the same phase.  A batch of at most
+    ``_SMALL_BATCH`` distinct radii tables every panel below the far series'
+    reach, and its radii beyond the reach keep the series.
     """
     return _green_batch(p, shift, radii, spec)
 

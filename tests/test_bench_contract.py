@@ -60,9 +60,11 @@ def test_traced_scatter_unit_attributes_cell_weight():
     assert 0 < metrics["quadrature.exp_weighted.columns"] < metrics["green.batch.radii.n3"]
 
 
-def test_traced_2d_batch_counts_j0_table_misses():
+def test_traced_2d_batch_counts_j0_table_misses(cold_panels):
     # bench/layers.py wraps frachelm.quadrature.bessel_j0, which the J0 panel
-    # table calls on each miss; an empty table must show up in the count
+    # table calls on each miss; an empty table must show up in the count.  The
+    # 3-radius call reads tail panels, so the tail panel cache starts empty
+    # too: panels an earlier test built would leave no J0 work to count
     frachelm.quadrature._j0_panels.panels.clear()
     tracer = Tracer()
     tracer.enabled = True

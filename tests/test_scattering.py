@@ -733,24 +733,25 @@ def test_tabled_value_depends_only_on_its_radius(cold_panels, n):
     cold_panels.cache_clear()
     other_cold = at_x(batches[1])
     assert all(v == cold for v in warm + [other_cold])
-    if n != 2:
-        # an eps = 0 call of at most _SMALL_BATCH radii tables x's panel too,
-        # with the same key at k = 1: the same bits cold and warm, beside
-        # batch-mates that differ in every other radius, and in the large call
-        small = [np.r_[x, np.geomspace(1e-3, 1.0, 8)], np.r_[x, np.geomspace(30.0, 1e3, 8)]]
-        cold_panels.cache_clear()
-        small_cold = at_x(small[0])
-        warm = [at_x(b) for b in small]
-        cold_panels.cache_clear()
-        assert all(v == cold for v in warm + [small_cold, at_x(small[1])])
+    # a call of at most _SMALL_BATCH radii tables x's panel too, with the
+    # same key: the same bits cold and warm, beside batch-mates that differ
+    # in every other radius, and in the large call
+    small = [np.r_[x, np.geomspace(1e-3, 1.0, 8)], np.r_[x, np.geomspace(30.0, 1e3, 8)]]
+    cold_panels.cache_clear()
+    small_cold = at_x(small[0])
+    warm = [at_x(b) for b in small]
+    cold_panels.cache_clear()
+    assert all(v == cold for v in warm + [small_cold, at_x(small[1])])
 
 
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_small_calls_read_k_free_panels(monkeypatch, cold_panels, n):
-    # an eps = 0 call of 2 to 44 radii tables every panel below the far
-    # series' reach on the panels of k = 1 in x = kr: the same kr at a second
-    # k builds no panel and makes no direct tail call, and its tail and err
-    # are (k'/k)^{n-2s} times the first k's
+    # a call of 2 to 44 radii tables every panel below the far series' reach
+    # on the panels of |k_eps| = 1 in x = |k_eps| r: at eps = 0 the same kr at
+    # a second k builds no panel and makes no direct tail call, and its tail
+    # and err are (k'/k)^{n-2s} times the first k's.  At eps > 0, k' = 4k and
+    # eps' = 4^{2s} eps give k_eps' = 4 k_eps, so the tail at r/4 is
+    # 4^{n-2s} times that at r, within the two calls' err
     x = np.geomspace(1e-3, 20.0, 9)
     seen = _spy_batches(monkeypatch)
     for s in (0.25, 0.3, 0.5, 0.75):
@@ -762,14 +763,21 @@ def test_small_calls_read_k_free_panels(monkeypatch, cold_panels, n):
         ratio = 4.0 ** (n - 2.0 * s)
         assert np.all(np.abs(jt2 - ratio * jt) <= 1e-15 * np.abs(jt2)), s
         assert np.all(np.abs(err2 - ratio * err) <= 1e-15 * err2), s
+        eps = 0.1
+        _, _, jt, err = green.green_eval_batch(Problem(n, s, 0.5), eps, x / 0.5)
+        seen.clear()
+        _, _, jt2, err2 = green.green_eval_batch(Problem(n, s, 2.0), 4.0 ** (2.0 * s) * eps,
+                                                 x / 2.0)
+        assert not np.isin(x / 2.0, np.concatenate([x[:0], *seen])).all(), s   # tabled
+        assert np.all(np.abs(jt2 - ratio * jt) <= err2 + ratio * err), s
 
 
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_small_tabled_values_are_honest(monkeypatch, n):
     # 9-radius eps = 0 calls over the windows of the rate checks, whose radii
     # below the far reach are tabled: |G - closed form| <= err at n = 3, s =
-    # 1/2, and Im G = (k^{2-2s}/s) Im G_Helm (cos(kr)/(2k) in 1D, sin(kr)/(4 pi
-    # r) in 3D) within err at every s
+    # 1/2, and Im G = (k^{2-2s}/s) Im G_Helm (cos(kr)/(2k) in 1D, J0(kr)/4 in
+    # 2D, sin(kr)/(4 pi r) in 3D) within err at every s
     seen = _spy_batches(monkeypatch)
     for lo, hi in ((1e-3, 0.5), (10.0, 1e4)):
         r = np.geomspace(lo, hi, 9)
@@ -779,11 +787,43 @@ def test_small_tabled_values_are_honest(monkeypatch, n):
                 helm, riesz, jt, err = green.green_eval_batch(Problem(n, s, k), 0.0, r)
                 assert not np.isin(r, np.concatenate([r[:0], *seen])).all(), (lo, s, k)
                 g = helm + riesz + jt
-                im = np.cos(k * r) / (2.0 * k) if n == 1 else np.sin(k * r) / (4.0 * np.pi * r)
+                im = {1: np.cos(k * r) / (2.0 * k), 2: specfun.bessel_j0(k * r) / 4.0,
+                      3: np.sin(k * r) / (4.0 * np.pi * r)}[n]
                 assert np.all(np.abs(g.imag - k ** (2.0 - 2.0 * s) / s * im) <= err), (lo, s, k)
                 if n == 3 and s == 0.5:
                     ref = np.array([green.green_closed_form_3d_half(k, x) for x in r])
                     assert np.all(np.abs(g - ref) <= err), (lo, k)
+
+
+def test_every_tail_panel_is_keyed_at_unit_wavenumber(monkeypatch):
+    # every tabled call, whatever its dimension, shift (one, or one per
+    # radius), k and size, reads the panels of |k_eps| = 1: the key's problem
+    # has k = 1 and its kc is the phase k_eps/|k_eps|
+    keys, panel = [], green._tail_panel
+    monkeypatch.setattr(green, "_tail_panel", lambda *key: keys.append(key) or panel(*key))
+    small, large = np.geomspace(1e-3, 30.0, 9), np.r_[np.linspace(2.05, 3.95, 60), 40.0]
+    mixed = np.where(np.arange(large.size) % 2, 0.3, 0.0)
+    for n in (1, 2, 3):
+        for k in (0.7, 2.0):
+            for eps, r in [(0.0, small), (0.0, large), (0.3, small), (0.3, large),
+                           (mixed, large)]:
+                green.green_eval_batch(Problem(n, 0.3, k), eps, r)
+    assert {key[1].imag > 0.0 for key in keys} == {False, True}
+    for p, kc, _, _ in keys:
+        assert p.k == 1.0 and type(kc) is complex and abs(abs(kc) - 1.0) <= 1e-15, (p, kc)
+
+
+def test_resonance_scan_reads_the_first_wavenumbers_panels(monkeypatch, cold_panels):
+    # the 2D panels are those of |k_eps| = 1 in x = kr, so the second
+    # wavenumber of a scan reads the first one's and builds only the few
+    # panels its larger x reaches
+    misses, build = [], scattering.build_nystrom
+    monkeypatch.setattr(scattering, "build_nystrom", lambda *a: misses.append(
+        cold_panels.cache_info().misses) or build(*a))
+    pot = PotentialGrid.build([-1.0, -1.0], [1.0, 1.0], 8, 0.3)
+    resonance_scan(Problem(2, 0.75, 1.0), pot, [1.0, 2.0])
+    misses.append(cold_panels.cache_info().misses)
+    assert misses[1] > 0 and misses[2] - misses[1] <= 2, misses
 
 
 def test_wide_2d_batch_converges():
