@@ -70,8 +70,8 @@ def _rate_fit(radii, values, claimed_rate, product, anchor_index):
 def decay_rate_check(p, part, r_window, claimed_rate, spec=DEFAULT_SPEC, n_points=13):
     """Check |part(r)| <= C / r^claimed_rate over a far-field window."""
     lo, hi = float(r_window[0]), float(r_window[-1])
-    if not (0.0 < lo < hi):
-        raise DomainError("decay window must satisfy 0 < rmin < rmax")
+    if not (0.0 < lo < hi < np.inf):
+        raise DomainError("decay window must satisfy 0 < rmin < rmax < inf")
     radii, values, product = _rate_values(p, part, lo, hi, claimed_rate, n_points, spec)
     return _rate_fit(radii, values, claimed_rate, product, 0)
 
@@ -174,8 +174,10 @@ def lap_differences(p, r, eps_list, spec=DEFAULT_SPEC):
     """(log-log slope against eps, |G^{k_eps}(r) - G^k(r)| per eps), from one
     Green call at r that takes eps = 0 and every eps as its shifts."""
     eps = np.asarray(eps_list, dtype=float)
-    if eps.size < 2 or np.any(np.diff(eps) >= 0.0) or np.any(eps <= 0.0):
-        raise DomainError("eps_list must be positive and strictly decreasing")
+    if np.ndim(r) != 0:
+        raise DomainError(f"lap_differences takes one radius, got shape {np.shape(r)}")
+    if eps.ndim != 1 or eps.size < 2 or np.any(np.diff(eps) >= 0.0) or np.any(eps <= 0.0):
+        raise DomainError("eps_list must be a 1-D array, positive and strictly decreasing")
     shifts = np.r_[0.0, eps]
     helm, riesz, jt, err = green_eval_batch(p, shifts, np.full(shifts.size, float(r)), spec)
     total = helm + riesz + jt

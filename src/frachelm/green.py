@@ -4,12 +4,12 @@ The value at radius r splits into three parts (Helmholtz part, Riesz power
 sum, tail integral); the decomposition is returned explicitly so diagnostics
 can test each part's asymptotics.  Tail integrals run through the quadrature
 engines, or through a checked Chebyshev table on dyadic panels (in every
-single-shift value call of two or more radii); their error estimates
-propagate additively.  Each checked panel is built once per key and kept
-across calls (``_tail_panel``), so a tabled value depends on its radius alone.
-The operator is homogeneous, G^{k_eps}(r) = |k_eps|^{n-2s} G^u(|k_eps| r) with
-u = k_eps/|k_eps|, so the panels are those of |k_eps| = 1 in x = |k_eps| r,
-keyed by u alone; at eps = 0, u = 1 and one table serves every k.
+single-shift call of two or more radii); their error estimates propagate
+additively.  Each checked panel is built once per key and kept across calls
+(``_tail_panel``), so a tabled value depends on its radius alone.  The
+operator is homogeneous, G^{k_eps}(r) = |k_eps|^{n-2s} G^u(|k_eps| r) with u =
+k_eps/|k_eps| (dG/dr one power of |k_eps| more): the panels of G and dG/dr are
+those of |k_eps| = 1 in x = |k_eps| r, keyed by u; at eps = 0 one serves every k.
 
 The n = 1, 3 tail is pref * int_0^inf e^{-y} bracket(y) dy with the bracket
 rational in w = y^{2s}.  The 2D tail, a Bessel transform, is the same
@@ -48,8 +48,8 @@ from .specfun import expint_e1, hankel1_0_rel_error, riesz_constant
 # except the 2D Helmholtz part, which specfun bounds per evaluation path
 _CLOSED_FORM_REL = 1e-12
 _PANEL_DEGREE = 20    # Chebyshev degree of a dyadic panel of the tail table
-# most radii a dyadic panel holds untabled, and a call that tables every panel
-# below the far reach: twice a panel's nodes and check point, a node ~ a radius
+# most radii a dyadic panel holds untabled, and a value or derivative call that
+# tables every panel below the far reach: twice a panel's nodes and check point
 _SMALL_BATCH = 2 * (_PANEL_DEGREE + 2)
 _FAR_TERMS = 64       # most terms the far series of an e^{-y} tail sums
 # checked dyadic panels kept by ``_tail_panel``: 21 complex coefficients (336 B;
@@ -79,21 +79,16 @@ def _check_radii(r):
 def _by_shift(f, kc, x):
     """f(kc, x) for one k_eps.  For kc given per column of x (its last axis),
     f(v, x[..., cols]) once per distinct v over its columns, as the spectral
-    kernels and a tabled batch take one k_eps; the outputs, an array or a
-    tuple of arrays shaped like x, are put back in column order."""
+    kernels take one k_eps; their complex outputs are put back in column
+    order."""
     if np.ndim(kc) == 0:
         return f(kc, x)
-    out = None
+    out = np.empty(x.shape, dtype=complex)
     # dict.fromkeys, not np.unique: np.unique without indices imports numpy.ma
     for v in dict.fromkeys(kc.tolist()):
         cols = kc == v
-        part = f(v, x[..., cols])
-        parts = part if isinstance(part, tuple) else (part,)
-        if out is None:
-            out = [np.empty(x.shape, dtype=q.dtype) for q in parts]
-        for o, q in zip(out, parts):
-            o[..., cols] = q
-    return tuple(out) if isinstance(part, tuple) else out[0]
+        out[..., cols] = f(v, x[..., cols])
+    return out
 
 
 def _riesz_sum_batch(p, m, kc, r, derivative=False):
@@ -389,24 +384,24 @@ def _helm_rel(p, kc, r):
 
 
 @lru_cache(maxsize=_TAIL_PANELS)
-def _tail_panel(p, kc, spec, exponent):
-    """(coefficients, err) of the tail's checked Chebyshev interpolant in
-    log2 r on the panel [2^(exponent-1), 2^exponent), or None if it fails its
-    checks (Trefethen, *Approximation Theory and Approximation Practice*,
-    ch. 8).  ``_tabled_tail`` reads it at |k| = 1 and kc = k_eps/|k_eps|,
-    whose r is then x = |k_eps| r.  Its d + 1 nodes, d = ``_PANEL_DEGREE``,
-    and a check point at its left end make one tail call of their own, so the
-    table depends on its key alone, never on other radii or on which panels
-    were built before.  It passes if its last two coefficients and the
-    check-point miss are within max(abs_tol, rel_tol |G|); its err is then
-    the largest node err plus both.  The coefficients, shared by every later
-    call, are read-only."""
+def _tail_panel(p, kc, spec, exponent, derivative=False):
+    """(coefficients, err) of the tail's, or with ``derivative`` of its
+    r-derivative's, checked Chebyshev interpolant in log2 r on the panel
+    [2^(exponent-1), 2^exponent), or None if it fails its checks (Trefethen,
+    *Approximation Theory and Approximation Practice*, ch. 8), read by
+    ``_tabled_tail`` at |k| = 1 and kc = k_eps/|k_eps|, whose r is then x =
+    |k_eps| r.  Its d + 1 nodes, d = ``_PANEL_DEGREE``, and a check point at
+    its left end make one tail call of their own, so the table depends on its
+    key alone, never on other radii or on which panels were built before.  It
+    passes if its last two coefficients and the check-point miss are within
+    max(abs_tol, rel_tol |G|), G or dG/dr; its err is then the largest node
+    err plus both.  The coefficients, shared by every later call, are read-only."""
     regime, d = classify_regime(p.s), _PANEL_DEGREE
     theta = np.pi * (np.arange(d + 1) + 0.5) / (d + 1)
     nodes = np.ldexp(np.exp2(0.5 * np.append(np.cos(theta), -1.0) - 0.5), exponent)
-    jn, en = _tail_batch(p, regime, kc, nodes, spec)
+    jn, en = _tail_batch(p, regime, kc, nodes, spec, derivative=derivative)
     tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(jn + sum(_closed_parts(
-        p, regime, kc, nodes))))
+        p, regime, kc, nodes, derivative))))
     coef = (2.0 / (d + 1)) * jn[:-1] @ np.cos(np.outer(theta, np.arange(d + 1)))
     coef[0] *= 0.5
     decay = abs(coef[-2]) + abs(coef[-1])
@@ -417,20 +412,21 @@ def _tail_panel(p, kc, spec, exponent):
     return coef, float(en.max() + decay + miss)
 
 
-def _tabled_tail(p, regime, kc, r, spec):
-    """(j_tail, err) at sorted distinct radii r, tabled on dyadic panels.
+def _tabled_tail(p, regime, kc, r, spec, derivative=False):
+    """(j_tail, err), or their r-derivatives, at sorted distinct radii r.
 
     Radii equal to 14 mantissa decimals share the tail of the first (the tail
     has no phase).  The operator is homogeneous, so the tail at k_eps is
-    |k_eps|^{n-2s} times the tail at u = k_eps/|k_eps| in x = |k_eps| r: the
-    radii are grouped by the dyadic panel [2^(j-1), 2^j) of x, and a panel is
-    read from ``_tail_panel`` at (n, s, |k| = 1, u) when it holds more than
-    ``_SMALL_BATCH`` of them or, in a call of at most ``_SMALL_BATCH`` radii,
-    when its left end lies below ``_far_reach``.  ``_tail_panel`` keeps the
-    last ``_TAIL_PANELS`` panels built in the process; each is read by
-    Clenshaw per panel, or for panels of at most ``_SMALL_BATCH`` radii in one
-    pass over their stacked coefficients.  The other radii and those of
-    refused panels go through one direct tail call.
+    |k_eps|^{n-2s} (its r-derivative |k_eps|^{n-2s+1}) times that at u =
+    k_eps/|k_eps| in x = |k_eps| r: the radii are grouped by the dyadic panel
+    [2^(j-1), 2^j) of x, and a panel is read from ``_tail_panel`` at (n, s,
+    |k| = 1, u) when it holds more than ``_SMALL_BATCH`` of them or, in a call
+    of at most ``_SMALL_BATCH`` radii, when its left end lies below the
+    ``_far_reach`` of the call's bracket powers (1, and 2 for a derivative).
+    ``_tail_panel`` keeps the last ``_TAIL_PANELS`` panels built in the
+    process; each is read by Clenshaw per panel, or for panels of at most
+    ``_SMALL_BATCH`` radii in one pass over their stacked coefficients.  The
+    other radii and those of refused panels go through one direct tail call.
     """
     m, e = np.frexp(r)
     key = np.ldexp(np.round(m, 14), e)
@@ -442,12 +438,14 @@ def _tabled_tail(p, regime, kc, r, spec):
     keys, first, counts = np.unique(panel, return_index=True, return_counts=True)
     tabled = counts > _SMALL_BATCH
     if r.size <= _SMALL_BATCH:
-        tabled = np.ldexp(1.0, keys - 1) < _far_reach(p.n, p.s, regime.m, spec, (1,))
-    u, scale = 2.0 * np.log2(mant) + 1.0, a ** (p.n - 2.0 * p.s)
+        powers = (1, 2) if derivative else (1,)
+        tabled = np.ldexp(1.0, keys - 1) < _far_reach(p.n, p.s, regime.m, spec, powers)
+    u, scale = 2.0 * np.log2(mant) + 1.0, a ** (p.n - 2.0 * p.s + derivative)
+    flag = {"derivative": True} if derivative else {}   # a value keeps the 4-argument key
     jt, je = np.empty(t.size, dtype=complex), np.empty(t.size)
     direct, few, cols = np.ones(t.size, dtype=bool), np.zeros(t.size, dtype=bool), []
     for j, i, c in zip(keys[tabled].tolist(), first[tabled].tolist(), counts[tabled].tolist()):
-        table = _tail_panel(q, u0, spec, j)
+        table = _tail_panel(q, u0, spec, j, **flag)
         if table is None:
             continue
         if c > _SMALL_BATCH:
@@ -459,7 +457,7 @@ def _tabled_tail(p, regime, kc, r, spec):
     if cols:
         jt[few] = scale * chebval(u[few], np.array(cols).T, tensor=False)
     if direct.any():
-        jt[direct], je[direct] = _tail_batch(p, regime, kc, t[direct], spec)
+        jt[direct], je[direct] = _tail_batch(p, regime, kc, t[direct], spec, derivative=derivative)
     run = np.cumsum(lead) - 1
     return jt[run], je[run]
 
@@ -481,20 +479,17 @@ def _shifted_wavenumber(p, shift, size):
 
 def _green_batch(p, shift, radii, spec, derivative=False):
     """(helm, riesz_sum, j_tail, err) of ``green_eval_batch``, or their
-    r-derivatives, whose tail is always one direct call."""
+    r-derivatives: one radius or several shifts make one direct tail call,
+    any other call reads ``_tabled_tail`` at its distinct radii."""
     r = _check_radii(np.asarray(radii, dtype=float))
     kc, regime = _shifted_wavenumber(p, shift, r.size), classify_regime(p.s)
-
-    def batch(kc, r):
-        # a single-shift value call of two or more radii reads the table
-        small = derivative or r.size == 1 or np.ndim(kc) != 0
-        u, inv = (r, slice(None)) if small else np.unique(r, return_inverse=True)
-        helm, riesz = _closed_parts(p, regime, kc, u, derivative)
-        jt, je = (_tail_batch(p, regime, kc, u, spec, derivative=derivative) if small
-                  else _tabled_tail(p, regime, kc, u, spec))
-        err = je + _helm_rel(p, kc, u) * np.abs(helm) + _CLOSED_FORM_REL * np.abs(riesz)
-        return helm[inv], riesz[inv], jt[inv], err[inv]
-    return _by_shift(batch, kc, r) if np.ndim(kc) and r.size > _SMALL_BATCH else batch(kc, r)
+    direct = r.size == 1 or np.ndim(kc) != 0
+    u, inv = (r, slice(None)) if direct else np.unique(r, return_inverse=True)
+    helm, riesz = _closed_parts(p, regime, kc, u, derivative)
+    jt, je = (_tail_batch if direct else _tabled_tail)(p, regime, kc, u, spec,
+                                                       derivative=derivative)
+    err = je + _helm_rel(p, kc, u) * np.abs(helm) + _CLOSED_FORM_REL * np.abs(riesz)
+    return helm[inv], riesz[inv], jt[inv], err[inv]
 
 
 def green_eval_batch(p, shift, radii, spec=DEFAULT_SPEC):
@@ -502,16 +497,15 @@ def green_eval_batch(p, shift, radii, spec=DEFAULT_SPEC):
 
     `shift` is one shift for all radii (as for ``green_eval``) or a 1-D array
     of absorption values, one per radius.  Returns (helm, riesz_sum, j_tail,
-    err) arrays, one error estimate per radius.  One radius, or a batch of
-    at most ``_SMALL_BATCH`` radii with more than one shift, makes one tail
-    call: the e^{-y} integrals (n = 1, 3) and the 2D Bessel transform, whose
-    J0-zero partition is fixed in t = rho r, share one adaptive pass over the
-    batch, each (k_eps, r) pair a column of it.  Any other batch is tabled
-    per distinct shift: it evaluates the closed parts once per distinct
-    radius and the tail by ``_tabled_tail``, on panels of x = |k_eps| r that
-    serve every |k_eps| of the same phase.  A batch of at most
-    ``_SMALL_BATCH`` distinct radii tables every panel below the far series'
-    reach, and its radii beyond the reach keep the series.
+    err) arrays, one error estimate per radius.  One radius, or a batch with
+    several shifts at any size, makes one tail call: the e^{-y} integrals (n
+    = 1, 3) and the 2D Bessel transform, whose J0-zero partition is fixed in
+    t = rho r, share one adaptive pass over the batch, each (k_eps, r) pair a
+    column of it.  Any other batch evaluates the closed parts once per
+    distinct radius and the tail by ``_tabled_tail``, on panels of x = |k_eps|
+    r that serve every |k_eps| of the same phase; at most ``_SMALL_BATCH``
+    distinct radii table every panel below the far series' reach, and keep
+    the series beyond it.
     """
     return _green_batch(p, shift, radii, spec)
 
@@ -534,7 +528,7 @@ def green_eval(p, shift, r, spec=DEFAULT_SPEC):
 def green_radial_derivative(p, shift, r, spec=DEFAULT_SPEC):
     """d/dr of the fundamental solution: the closed parts' derivatives plus
     the tail's, differentiated under the integral sign, on the path of
-    ``green_eval_batch`` (its shifts, checks and spec) but never tabled.
+    ``green_eval_batch`` (its shifts, checks, spec and table, here of dG/dr).
 
     `r` is a scalar (returns complex) or a 1-D array (returns an array).
     """

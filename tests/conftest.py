@@ -18,12 +18,13 @@ def cold_panels():
 
 @pytest.fixture
 def no_panels():
-    """A context in which ``green._tail_panel`` refuses every panel, so each
-    tail is one direct call and no panel is built or read: ``with
-    no_panels(): ...`` switches the radial table off."""
+    """A context in which ``green._tail_panel`` refuses every panel, value or
+    derivative (its flag passed by keyword), so each tail is one direct call
+    and no panel is built or read: ``with no_panels(): ...`` switches the
+    radial table off."""
     @contextmanager
     def off():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(green, "_tail_panel", lambda *key: None)
+            mp.setattr(green, "_tail_panel", lambda *key, **flag: None)
             yield
     return off

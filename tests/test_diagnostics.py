@@ -1,6 +1,8 @@
 """Diagnostics tests: rate fits with negative controls, radiation verdicts,
 limiting-absorption slopes, convolution norms."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,20 @@ def test_lap_slope_guards():
     # differences below 10x the quadrature error are inconclusive
     with pytest.raises(AccuracyError):
         lap_slope(p, 2.0, [1e-5, 1e-6], QuadratureSpec(rel_tol=1e-4, abs_tol=1e-6))
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: lap_differences(p, np.array([1.0, 2.0]), [1e-1, 1e-2]),   # one radius only
+    lambda p: lap_differences(p, 2.0, np.array([[1e-1, 1e-2]])),       # a 2-D eps_list
+    lambda p: decay_rate_check(p, "j_tail", (10.0, np.inf), 1.0),      # an infinite window
+], ids=["radius-array", "eps-2d", "window-inf"])
+def test_bad_diagnostics_input_raises_domain_error(call):
+    # as green_eval does for a non-scalar radius: a DomainError before any
+    # NumPy error or warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call(Problem(1, 0.3, 1.0))
 
 
 def test_convolution_norm_single_cell_and_scaling():

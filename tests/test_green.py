@@ -270,24 +270,30 @@ def test_one_repeated_shift_is_the_scalar_call(n, size):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_large_multi_shift_batch_tables_each_shift(n):
-    # more than _SMALL_BATCH radii: each distinct shift's radii are evaluated
-    # as one single-shift call, here tabled, so every value is that call's
-    p = Problem(n, 0.3, 1.0)
-    radii = np.linspace(2.1, 3.9, 100)
-    shifts = np.where(np.arange(100) % 2 == 0, 0.1, 0.0)
-    got = green_eval_batch(p, shifts, radii)
-    for eps in (0.0, 0.1):
-        want = green_eval_batch(p, eps, radii[shifts == eps])
-        assert all(np.array_equal(a[shifts == eps], b) for a, b in zip(got, want))
+def test_large_multi_shift_batch_is_one_direct_call(monkeypatch, n):
+    # more than _SMALL_BATCH radii with two shifts: one direct tail call over
+    # every (k_eps, r) column, for a value and a derivative, and each result
+    # within the two estimates of its own single-shift (tabled) call
+    p, radii = Problem(n, 0.3, 1.0), np.linspace(2.1, 3.9, 60)
+    shifts = np.where(np.arange(60) % 2 == 0, 0.1, 0.0)
+    calls, tail = [], green._tail_batch
+    for derivative in (False, True):
+        with monkeypatch.context() as m:
+            m.setattr(green, "_tail_batch", lambda *a, **k: calls.append(a[3]) or tail(*a, **k))
+            helm, riesz, jt, err = green._green_batch(p, shifts, radii, DEFAULT_SPEC, derivative)
+        assert len(calls) == 1 and np.array_equal(calls.pop(), radii), derivative
+        for eps in (0.0, 0.1):
+            at = shifts == eps
+            one = green._green_batch(p, eps, radii[at], DEFAULT_SPEC, derivative)
+            miss = np.abs((helm + riesz + jt)[at] - sum(one[:3]))
+            assert np.all(miss <= err[at] + one[3]), (derivative, eps)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("s", [1.0 / 6.0, 0.25, 0.5])
 def test_multi_shift_derivative_matches_per_shift(n, s):
     # the derivative takes the value's shifts: an absorption per radius, each
-    # derivative within the two estimates of its own single-shift call, and
-    # a call of more than _SMALL_BATCH radii split into single-shift calls
+    # derivative within the two estimates of its own single-shift call
     radii = np.tile([0.5, 2.0, 6.0], len(_LAP_EPS))
     shifts = np.repeat(_LAP_EPS, 3)
     for k in (0.7, 2.0):
@@ -298,12 +304,6 @@ def test_multi_shift_derivative_matches_per_shift(n, s):
             one = green._green_batch(p, float(eps), [r], DEFAULT_SPEC, True)
             assert abs(helm[i] + riesz[i] + jt[i] - sum(one[:3])[0]) <= err[i] + one[3][0], \
                 (k, eps, r)
-    p, radii = Problem(n, s, 1.0), np.linspace(2.1, 3.9, 60)
-    shifts = np.where(np.arange(60) % 2 == 0, 0.1, 0.0)
-    got = green_radial_derivative(p, shifts, radii)
-    for eps in (0.0, 0.1):
-        at = shifts == eps
-        assert np.array_equal(got[at], green_radial_derivative(p, eps, radii[at]))
     with pytest.raises(DomainError):
         green_radial_derivative(p, np.array([0.0, 0.1]), np.array([1.0, 2.0, 3.0]))
 

@@ -770,6 +770,15 @@ def test_small_calls_read_k_free_panels(monkeypatch, cold_panels, n):
                                                  x / 2.0)
         assert not np.isin(x / 2.0, np.concatenate([x[:0], *seen])).all(), s   # tabled
         assert np.all(np.abs(jt2 - ratio * jt) <= err2 + ratio * err), s
+        # dG/dr reads panels of its own, (k'/k)^{n-2s+1} times the first k's
+        _, _, jt, err = green._green_batch(Problem(n, s, 0.5), 0.0, x / 0.5, DEFAULT_SPEC, True)
+        misses = cold_panels.cache_info().misses
+        seen.clear()
+        _, _, jt2, err2 = green._green_batch(Problem(n, s, 2.0), 0.0, x / 2.0, DEFAULT_SPEC, True)
+        assert cold_panels.cache_info().misses == misses and not seen, s
+        ratio *= 4.0
+        assert np.all(np.abs(jt2 - ratio * jt) <= 1e-15 * np.abs(jt2)), s
+        assert np.all(np.abs(err2 - ratio * err) <= 1e-15 * err2), s
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -796,21 +805,53 @@ def test_small_tabled_values_are_honest(monkeypatch, n):
 
 
 def test_every_tail_panel_is_keyed_at_unit_wavenumber(monkeypatch):
-    # every tabled call, whatever its dimension, shift (one, or one per
-    # radius), k and size, reads the panels of |k_eps| = 1: the key's problem
-    # has k = 1 and its kc is the phase k_eps/|k_eps|
+    # every tabled call, value or derivative, whatever its dimension, shift,
+    # k and size, reads the panels of |k_eps| = 1: the key's problem has k =
+    # 1 and its kc is the phase k_eps/|k_eps|.  A value panel's key is (p,
+    # kc, spec, exponent); a derivative's adds derivative=True by keyword.  A
+    # call with one shift per radius reads no panel
     keys, panel = [], green._tail_panel
-    monkeypatch.setattr(green, "_tail_panel", lambda *key: keys.append(key) or panel(*key))
+    monkeypatch.setattr(green, "_tail_panel", lambda *key, **flag: keys.append(
+        key + tuple(flag.items())) or panel(*key, **flag))
     small, large = np.geomspace(1e-3, 30.0, 9), np.r_[np.linspace(2.05, 3.95, 60), 40.0]
     mixed = np.where(np.arange(large.size) % 2, 0.3, 0.0)
     for n in (1, 2, 3):
         for k in (0.7, 2.0):
-            for eps, r in [(0.0, small), (0.0, large), (0.3, small), (0.3, large),
-                           (mixed, large)]:
+            for eps, r in [(0.0, small), (0.0, large), (0.3, small), (0.3, large)]:
                 green.green_eval_batch(Problem(n, 0.3, k), eps, r)
+                green.green_radial_derivative(Problem(n, 0.3, k), eps, r)
+            count = len(keys)
+            green.green_eval_batch(Problem(n, 0.3, k), mixed, large)
+            green.green_radial_derivative(Problem(n, 0.3, k), mixed, large)
+            assert len(keys) == count, (n, k)
     assert {key[1].imag > 0.0 for key in keys} == {False, True}
-    for p, kc, _, _ in keys:
+    assert {key[4:] for key in keys} == {(), (("derivative", True),)}
+    for p, kc, *_ in keys:
         assert p.k == 1.0 and type(kc) is complex and abs(abs(kc) - 1.0) <= 1e-15, (p, kc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tabled_derivatives_are_honest(monkeypatch, no_panels, n):
+    # every derivative a call of two or more radii reads from the table lies
+    # within its own and the direct call's error estimate, over the windows
+    # of the rate checks and the span of the radiation report, at eps = 0 and
+    # eps > 0
+    seen, tabled = _spy_batches(monkeypatch), 0
+    windows = (np.geomspace(1e-3, 0.5, 9), np.geomspace(0.3, 40.0, 9),
+               np.geomspace(10.0, 1e4, 9), np.logspace(-3.0, 3.0, 31))
+    for s in (1.0 / 6.0, 0.25, 0.3, 0.5, 0.75):
+        for k in (0.5, 1.0, 2.0):
+            for eps in (0.0, 0.02):
+                p = Problem(n, s, k)
+                for r in windows:
+                    seen.clear()
+                    *parts, err = green._green_batch(p, eps, r, DEFAULT_SPEC, True)
+                    tabled += np.count_nonzero(~np.isin(r, np.concatenate([r[:0], *seen])))
+                    with no_panels():
+                        *ref, ref_err = green._green_batch(p, eps, r, DEFAULT_SPEC, True)
+                    miss = np.abs(sum(parts) - sum(ref))
+                    assert np.all(miss <= err + ref_err), (s, k, eps, r[0])
+    assert tabled > 0
 
 
 def test_resonance_scan_reads_the_first_wavenumbers_panels(monkeypatch, cold_panels):
