@@ -47,13 +47,22 @@ class RadiationReport:
     verdict_gsrc: bool
 
 
-def _rate_values(p, part, lo, hi, claimed_rate, n_points, spec):
-    """(radii, |part(r)|, |part(r)| r^claimed_rate) on a log grid of [lo, hi]."""
+def _rate_values(p, part, r_window, top, claimed_rate, n_points, spec):
+    """(radii, |part(r)|, |part(r)| r^claimed_rate) on a log grid between the
+    ends of r_window, a 1-D sequence of at least two finite numbers with
+    0 < rmin < rmax <= top."""
+    try:
+        w = np.asarray(r_window, dtype=float)
+    except (TypeError, ValueError):
+        w = np.empty(0)
+    if not (w.ndim == 1 and w.size >= 2 and np.all(np.isfinite(w)) and 0.0 < w[0] < w[-1] <= top):
+        raise DomainError("r_window must be a 1-D sequence of at least two finite numbers with "
+                          f"0 < rmin < rmax <= {top}, got {r_window!r}")
     if part not in ("j_tail", "nonhelm_total"):
         raise DomainError(f"unknown part {part!r}; use 'j_tail' or 'nonhelm_total'")
     if not (is_count(n_points) and n_points >= 2) or not np.isfinite(claimed_rate):
         raise DomainError("rate checks need an integer n_points >= 2 and a finite claimed_rate")
-    radii = np.logspace(np.log10(lo), np.log10(hi), n_points)
+    radii = np.logspace(np.log10(w[0]), np.log10(w[-1]), n_points)
     helm, riesz, jt, _ = green_eval_batch(p, 0.0, radii, spec)
     values = np.abs(jt if part == "j_tail" else riesz + jt)
     return radii, values, values * radii ** claimed_rate
@@ -69,10 +78,7 @@ def _rate_fit(radii, values, claimed_rate, product, anchor_index):
 
 def decay_rate_check(p, part, r_window, claimed_rate, spec=DEFAULT_SPEC, n_points=13):
     """Check |part(r)| <= C / r^claimed_rate over a far-field window."""
-    lo, hi = float(r_window[0]), float(r_window[-1])
-    if not (0.0 < lo < hi < np.inf):
-        raise DomainError("decay window must satisfy 0 < rmin < rmax < inf")
-    radii, values, product = _rate_values(p, part, lo, hi, claimed_rate, n_points, spec)
+    radii, values, product = _rate_values(p, part, r_window, np.inf, claimed_rate, n_points, spec)
     return _rate_fit(radii, values, claimed_rate, product, 0)
 
 
@@ -80,10 +86,7 @@ def singularity_rate_check(p, part, r_window, claimed_rate, spec=DEFAULT_SPEC,
                            n_points=11, log_correction=False):
     """Check |part(r)| <= C / r^claimed_rate (or C |ln r| when log-corrected)
     over a window shrinking to 0; the benign anchor is the largest radius."""
-    lo, hi = float(r_window[0]), float(r_window[-1])
-    if not (0.0 < lo < hi <= 0.5):
-        raise DomainError("singularity window must lie inside (0, 0.5]")
-    radii, values, product = _rate_values(p, part, lo, hi, claimed_rate, n_points, spec)
+    radii, values, product = _rate_values(p, part, r_window, 0.5, claimed_rate, n_points, spec)
     if log_correction:
         product = product / (-np.log(radii))
     return _rate_fit(radii, values, claimed_rate, product, len(radii) - 1)

@@ -215,7 +215,14 @@ def test_lap_slope_guards():
     lambda p: lap_differences(p, np.array([1.0, 2.0]), [1e-1, 1e-2]),   # one radius only
     lambda p: lap_differences(p, 2.0, np.array([[1e-1, 1e-2]])),       # a 2-D eps_list
     lambda p: decay_rate_check(p, "j_tail", (10.0, np.inf), 1.0),      # an infinite window
-], ids=["radius-array", "eps-2d", "window-inf"])
+    lambda p: decay_rate_check(p, "j_tail", np.array([[10.0, 100.0]]), 1.0),
+    lambda p: decay_rate_check(p, "j_tail", 0.5, 1.0),
+    lambda p: decay_rate_check(p, "j_tail", [], 1.0),
+    lambda p: singularity_rate_check(p, "j_tail", np.array([[1e-3, 0.1]]), 1.0),
+    lambda p: singularity_rate_check(p, "j_tail", 0.5, 1.0),
+    lambda p: singularity_rate_check(p, "j_tail", [], 1.0),
+], ids=["radius-array", "eps-2d", "window-inf", "window-2d", "window-scalar", "window-empty",
+        "singularity-window-2d", "singularity-window-scalar", "singularity-window-empty"])
 def test_bad_diagnostics_input_raises_domain_error(call):
     # as green_eval does for a non-scalar radius: a DomainError before any
     # NumPy error or warning

@@ -175,8 +175,44 @@ def test_hankel1_0_rel_error_refuses_the_lower_half_plane(z):
 def test_hankel1_0_misses_its_mirror_bound_below_the_axis():
     # why the bound stops at the axis: the reflection below |z| = 14 and the
     # asymptotic series just above it miss by more than the mirror point's bound
-    z = np.array([13.7 - 2.6j, 1.67 - 13.91j])
+    z = np.array([13.75 - 2.55j, 1.67 - 13.91j])
     assert np.all(_hankel_misses(z, 0) > sf.hankel1_0_rel_error(z.conj()))
+
+
+# |z| < 15 with 0 <= Im z <= 2.5, the real axis included: the power series, the
+# asymptotic series, and a band across their crossover at |z| = 14
+_GX, _GY = np.meshgrid(np.linspace(0.05, 14.95, 40), np.linspace(0.0, 2.5, 9))
+_CHARGED = np.concatenate([
+    (_GX + 1j * _GY).ravel()[np.abs(_GX + 1j * _GY).ravel() < 15.0],
+    np.multiply.outer([13.9, 13.999, 14.0, 14.04], np.exp(1j * np.linspace(0.0, 0.17, 6))).ravel()])
+
+
+@pytest.mark.parametrize("nu", [0, 1])
+def test_hankel_misses_stay_within_their_charge(nu):
+    # green._helm_rel charges hankel1_0_rel_error(k_eps r) to the 2D Helmholtz
+    # part and to its r-derivative, which takes hankel1_1; worst seen 0.83 (H0)
+    # and 0.88 (H1) of the charge, both at z = 14
+    assert np.all(_hankel_misses(_CHARGED, nu) <= sf.hankel1_0_rel_error(_CHARGED))
+
+
+def _mixed_points(count):
+    # |z| up to 20 at angles from -0.3 to 1.2: every path of _hankel1, and a
+    # third of the points on the real axis
+    rng = np.random.default_rng(count)
+    z = rng.uniform(0.05, 20.0, count) * np.exp(1j * rng.uniform(-0.3, 1.2, count))
+    z[::3] = z[::3].real
+    return z
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 64, 500])
+@pytest.mark.parametrize("name", ["hankel1_0", "hankel1_1", "bessel_j0", "bessel_j1"])
+def test_array_call_is_its_scalar_calls_bit_for_bit(name, count):
+    # a point takes the same arithmetic alone and in any array, so the term
+    # sums keep their order: a BLAS dot or a pairwise sum regroups them
+    f = getattr(sf, name)
+    z = _mixed_points(count)
+    z = np.abs(z) if name.startswith("bessel") else z
+    assert np.array_equal(f(z), np.array([f(v) for v in z]))
 
 
 def test_hankel_branch_cut():
@@ -208,6 +244,54 @@ def test_wronskian_finite_difference():
         dj0 = (sf.bessel_j0(x + h) - sf.bessel_j0(x - h)) / (2 * h)
         w = sf.bessel_j0(x) * dy0 - dj0 * sf.hankel1_0(x).imag
         assert w == pytest.approx(2.0 / (np.pi * x), abs=1e-4)
+
+
+def _stage_cascade(partials):
+    # iterated averaging stage by stage: average neighbours until one value is
+    # left; the error is the change over the last stage
+    t = np.asarray(partials, dtype=complex)
+    if t.shape[0] == 1:
+        return t[0], np.abs(t[0])
+    while t.shape[0] > 1:
+        prev = t[-1]
+        t = 0.5 * (t[:-1] + t[1:])
+    return t[0], np.abs(t[0] - prev)
+
+
+@pytest.mark.parametrize("columns", [None, 14], ids=["1d", "2d"])
+@pytest.mark.parametrize("count", [1, 2, 30])
+def test_iterated_average_matches_the_stage_cascade(count, columns):
+    # partial sums of an alternating series of slowly decaying complex cells
+    rng = np.random.default_rng(count)
+    shape = (count,) if columns is None else (count, columns)
+    sign = (-1.0) ** np.arange(count).reshape((count,) + (1,) * (len(shape) - 1))
+    cells = sign * (rng.uniform(0.5, 1.5, shape) + 1j * rng.uniform(-1.0, 1.0, shape)) \
+        / np.sqrt(1.0 + np.arange(count)).reshape(sign.shape)
+    partials = np.cumsum(cells, axis=0)
+    limit, err = sf.iterated_average(partials)
+    ref_limit, ref_err = _stage_cascade(partials)
+    ulps = 4.0 * np.finfo(float).eps * np.max(np.abs(partials), axis=0)
+    assert np.shape(limit) == np.shape(err) == shape[1:]
+    assert np.all(np.abs(limit - ref_limit) <= ulps)
+    assert np.all(np.abs(err - ref_err) <= ulps)
+
+
+def test_j0_zeros_polish_as_one_zero_at_a_time(monkeypatch):
+    # the array Newton pass over the zeros not cached yet gives the bits of
+    # polishing each zero alone, whatever the order of the requests
+    def one_at_a_time(count):
+        zeros = []
+        for ell in range(1, count + 1):
+            beta = (ell - 0.25) * np.pi
+            x = beta + 1.0 / (8.0 * beta) - 31.0 / (384.0 * beta ** 3)
+            for _ in range(4):
+                x += sf.bessel_j0(x) / sf.bessel_j1(x)
+            zeros.append(x)
+        return np.array(zeros)
+    ref = one_at_a_time(70)
+    monkeypatch.setattr(sf, "_J0_ZEROS_CACHE", [])
+    for count in (1, 3, 3, 17, 64, 10, 70):
+        assert np.array_equal(sf.j0_zeros(count), ref[:count])
 
 
 def test_j0_zeros_are_roots():
