@@ -10,6 +10,8 @@ additively.  Each checked panel is built once per key and kept across calls
 operator is homogeneous, G^{k_eps}(r) = |k_eps|^{n-2s} G^u(|k_eps| r) with u =
 k_eps/|k_eps| (dG/dr one power of |k_eps| more): the panels of G and dG/dr are
 those of |k_eps| = 1 in x = |k_eps| r, keyed by u; at eps = 0 one serves every k.
+At eps = 0 the tail is real (Im G is the Helmholtz part's alone), and it runs
+in real arithmetic from the kernels to the panels (``_tail_batch``).
 
 The n = 1, 3 tail is pref * int_0^inf e^{-y} bracket(y) dy with the bracket
 rational in w = y^{2s}.  The 2D tail, a Bessel transform, is the same
@@ -119,9 +121,9 @@ def _exp_tail_terms(p, regime, kc, r):
     """(pref, dpref, c, tail) of the tail at radii r: the tail is pref *
     int_0^inf w(y) _bracket(y, c, *tail, 1) dy, w(y) = e^{-y} for n in {1, 3}
     and K0(y) for n = 2, with c = (k_eps r)^{2s}, tail = ``_tail_shape`` and
-    dpref = d pref / dr."""
+    dpref = d pref / dr.  c is real at a real k_eps, else complex."""
     s, m = p.s, regime.m
-    c = kc ** (2.0 * s) * r.astype(complex) ** (2.0 * s)
+    c = kc ** (2.0 * s) * r.astype(np.result_type(kc, r)) ** (2.0 * s)
     tail = _tail_shape(p.n, s, m)
     if p.n == 1:
         pref = 1j / (2.0 * np.pi * r ** (1.0 - 2.0 * s))
@@ -132,15 +134,22 @@ def _exp_tail_terms(p, regime, kc, r):
     return pref, -expo * pref / r, c, tail
 
 
-def _bracket(y, c, s, delta, a, b, power):
+def _bracket(y, c, s, delta, a, b, power, over_i=False):
     """y^delta [a/(y^{2s} e^{i pi s} - c)^p + b/(y^{2s} e^{-i pi s} - c)^p]
     for p = power in {1, 2} (2: the d/dc integrand), as a (points, radii)
     array; single expressions, so NumPy reuses the large temporaries.  The
-    nodes y are a real array, so y^{2s} and y^delta are real powers."""
+    nodes y are a real array, so y^{2s} and y^delta are real powers.  At a
+    real c (eps = 0) b = -conj(a) makes the two terms conjugate, so the
+    bracket is 2i Im of the first, one complex division; ``over_i`` then
+    returns the real bracket / i."""
     y2s = (y ** (2.0 * s))[:, None]
     c = c[None, :]
     ep = np.exp(1j * np.pi * s)
-    if power == 2:
+    if c.dtype.kind == "f":
+        q = y2s * ep - c
+        out = 2.0 * (a / q if power == 1 else a / (q * q)).imag
+        out = out if over_i else 1j * out
+    elif power == 2:
         out = a / (y2s * ep - c) ** 2 + b / (y2s / ep - c) ** 2
     else:
         out = a / (y2s * ep - c) + b / (y2s / ep - c)
@@ -218,7 +227,10 @@ def _far_series(c, tail, spec, power, moment):
         top, logc = nterms.max(), np.log(c)
         jp = j[:top] + power
         terms = np.where(j[:top] < nterms, np.exp(lt[:top] - jp * logc), 0.0)
-        sv = (phase[:top] * terms).sum(axis=0)
+        # at a real c, b = -conj(a) makes each phase 2i Im(a e^{i pi s j}):
+        # the series sums real terms
+        sv = (phase[:top] * terms).sum(axis=0) if np.iscomplexobj(c) else \
+            1j * (phase[:top].imag * terms).sum(axis=0)
         # a term's relative rounding follows the size of its exponent's
         # parts, and the sum adds one rounding per term
         size = lg_size[:top] + jp * np.abs(logc) + nterms
@@ -236,7 +248,7 @@ def _chain(p, kc, r, pref, dpref, one, two=None):
         return pref * ival, np.abs(pref) * ierr
     s = p.s
     dval, derr = two
-    dc_dr = 2.0 * s * kc ** (2.0 * s) * r.astype(complex) ** (2.0 * s - 1.0)
+    dc_dr = 2.0 * s * kc ** (2.0 * s) * r.astype(np.result_type(kc, r)) ** (2.0 * s - 1.0)
     val = dpref * ival + pref * dval * dc_dr
     err = np.abs(dpref) * ierr + np.abs(pref * dc_dr) * derr
     return val, err
@@ -248,7 +260,7 @@ def _struve_laplace(z, spec, power):
     :class:`DomainError`), as columns of one e^{-y} pass; the integrand bends at
     y ~ |z|, and past |arg z| = pi/4 the path turns (Cauchy) to the ray y =
     u e^{i theta}/cos(theta), theta = +-(|arg z| - pi/4), pi/4 off the branch point -iz."""
-    z = np.asarray(z, dtype=complex)
+    z = np.asarray(z)   # a real z keeps the integrand real
     if z.ndim != 1 or z.size == 0 or not np.all(np.isfinite(z) & (z.real > 0.0)):
         raise DomainError("the Struve functions take a 1-D array of finite z, Re z > 0")
     theta = np.sign(np.angle(z)) * np.maximum(np.abs(np.angle(z)) - np.pi / 4.0, 0.0)
@@ -279,11 +291,14 @@ def _bessel_transform_tail(p, regime, kc, r, spec, derivative=False):
     """(values, errors) of the n = 2 tail: the Bessel transform of rho*F,
     batched over radii, plus on LOW_INTEGER the Struve term -kc^{2-2s}/4 K0(kc r)
     with its e^{-y} engine error.  kc is one k_eps or one per radius; the
-    kernels run once per distinct k_eps, the Struve term once over all radii."""
+    kernels run once per distinct k_eps, the Struve term once over all radii.
+    At a float kc the kernels, the transform and the Struve term run real."""
     s, m = p.s, regime.m
     integer_branch = regime.branch == LOW_INTEGER
     fval, fder = (F_tilde_m, dF_tilde_m_dr) if integer_branch else (F_m, dF_m_dr)
-    val = np.zeros(r.shape, dtype=complex)
+    if np.isrealobj(kc):   # the public kernels return complex; here it is exactly real
+        fval, fder = (lambda *a, f=f: f(*a).real for f in (fval, fder))
+    val = np.zeros(r.shape, dtype=np.result_type(kc, 1.0))
     err = np.zeros(r.shape)
     # at s = 1/2 the corrected kernel vanishes identically; evaluating the
     # transform there would integrate pure cancellation round-off
@@ -342,9 +357,11 @@ def _tail_batch(p, regime, kc, r, spec, derivative=False):
     that the head interval of a near radius does not depend on which of its
     neighbours the series took, or in 2D the Bessel transform and the Struve
     term.  The prefactors and c are computed once for all radii, and the
-    e^{-y} engine takes the columns of c the series left.
+    e^{-y} engine takes the columns of c the series left.  At one float
+    k_eps (eps = 0) c and the tail are real: the engine integrates the real
+    bracket / i (``_bracket``) and the series and the 2D transform run real.
     """
-    powers = (1, 2) if derivative else (1,)
+    powers, real = ((1, 2) if derivative else (1,)), np.isrealobj(kc)
     served = np.abs(kc) * r >= _far_reach(p.n, p.s, regime.m, spec, powers)
     if p.n == 2 and not served.any():
         return _bessel_transform_tail(p, regime, kc, r, spec, derivative)
@@ -361,13 +378,14 @@ def _tail_batch(p, regime, kc, r, spec, derivative=False):
     if p.n != 2 and rest.any():
         y_cut, cr = max(10.0, float((5.0 * abs(kc) * r).max())), c[rest]
         for (ival, ierr), q in zip(parts, powers):
-            ival[rest], ierr[rest] = _exp_weighted_batch(
-                lambda y: _bracket(y, cr, *tail, q), spec, y_cut)[:2]
+            v, ierr[rest] = _exp_weighted_batch(
+                lambda y: _bracket(y, cr, *tail, q, over_i=real), spec, y_cut)[:2]
+            ival[rest] = 1j * v if real else v
     val, err = _chain(p, kc, r, pref, dpref, *parts)
     if p.n == 2 and rest.any():
         kr = kc if np.ndim(kc) == 0 else kc[rest]
         val[rest], err[rest] = _bessel_transform_tail(p, regime, kr, r[rest], spec, derivative)
-    return val, err
+    return (val.real if real else val), err
 
 
 def _closed_parts(p, regime, kc, r, derivative=False):
@@ -379,7 +397,7 @@ def _closed_parts(p, regime, kc, r, derivative=False):
 
 def _helm_rel(p, kc, r):
     """Relative error charged to the Helmholtz part at radii r."""
-    # specfun bounds hankel1_0 at the very argument helm_part passes it
+    # specfun bounds hankel1_0 at the argument helm_part passes it, real at a float kc
     return hankel1_0_rel_error(kc * r) if p.n == 2 else np.full(r.shape, _CLOSED_FORM_REL)
 
 
@@ -399,7 +417,7 @@ def _tail_panel(p, kc, spec, exponent, derivative=False):
     regime, d = classify_regime(p.s), _PANEL_DEGREE
     theta = np.pi * (np.arange(d + 1) + 0.5) / (d + 1)
     nodes = np.ldexp(np.exp2(0.5 * np.append(np.cos(theta), -1.0) - 0.5), exponent)
-    jn, en = _tail_batch(p, regime, kc, nodes, spec, derivative=derivative)
+    jn, en = _tail_batch(p, regime, _as_real(kc), nodes, spec, derivative=derivative)
     tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(jn + sum(_closed_parts(
         p, regime, kc, nodes, derivative))))
     coef = (2.0 / (d + 1)) * jn[:-1] @ np.cos(np.outer(theta, np.arange(d + 1)))
@@ -462,6 +480,12 @@ def _tabled_tail(p, regime, kc, r, spec, derivative=False):
     return jt[run], je[run]
 
 
+def _as_real(kc):
+    """One k_eps on the real axis (eps = 0) as a float, on which the tail runs
+    in real arithmetic; a complex k_eps, or one per radius, as given."""
+    return kc.real if np.ndim(kc) == 0 and kc.imag == 0.0 else kc
+
+
 def _shifted_wavenumber(p, shift, size):
     """k_eps of a shift (SpectralShift, float epsilon or None), or, for a 1-D
     array of ``size`` absorption values (one per radius), k_eps per radius.
@@ -486,10 +510,11 @@ def _green_batch(p, shift, radii, spec, derivative=False):
     direct = r.size == 1 or np.ndim(kc) != 0
     u, inv = (r, slice(None)) if direct else np.unique(r, return_inverse=True)
     helm, riesz = _closed_parts(p, regime, kc, u, derivative)
-    jt, je = (_tail_batch if direct else _tabled_tail)(p, regime, kc, u, spec,
+    kt = _as_real(kc)
+    jt, je = (_tail_batch if direct else _tabled_tail)(p, regime, kt, u, spec,
                                                        derivative=derivative)
-    err = je + _helm_rel(p, kc, u) * np.abs(helm) + _CLOSED_FORM_REL * np.abs(riesz)
-    return helm[inv], riesz[inv], jt[inv], err[inv]
+    err = je + _helm_rel(p, kt, u) * np.abs(helm) + _CLOSED_FORM_REL * np.abs(riesz)
+    return helm[inv], riesz[inv], jt[inv].astype(complex, copy=False), err[inv]
 
 
 def green_eval_batch(p, shift, radii, spec=DEFAULT_SPEC):

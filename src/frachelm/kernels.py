@@ -5,8 +5,9 @@ prefactors in ``green`` (``_exp_tail_terms``, ``_bracket``).
 The removable singularities (F_m and F~_m at r = k_eps, M at xi = |z| for real
 z) are evaluated through a power-series window in u = r/k_eps - 1 of relative
 width ``TAYLOR_WINDOW``; outside the window the closed forms are used
-directly, in real powers of the real r or xi.  The closed forms subtract
-r^{2s} - kc^{2s} and r^2 - kc^2, so they lose accuracy as u shrinks; at the
+directly, in real powers of the real r or xi.  At a float kc they run in real
+arithmetic, and the public functions return complex.  The closed forms
+subtract r^{2s} - kc^{2s} and r^2 - kc^2, so they lose accuracy as u shrinks; at the
 window edge |u| = 2e-2 they hold F_m to 1e-11, M to 1e-13 and dF_m/dr to 2e-9
 relative, while the 10-term series is exact to 2e-14 there (checked against
 mpmath in the tests, at the edge and over logspace(-6, 6) off the window).
@@ -115,8 +116,8 @@ def _as_array(x):
 
 
 def _as_given(out, scalar):
-    """Undo ``_as_array``: a complex for scalar input, else the array."""
-    return complex(out[0]) if scalar else out
+    """Undo ``_as_array``: a complex for scalar input, else the array as complex."""
+    return complex(out[0]) if scalar else out.astype(complex, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +171,13 @@ def _m_window_coeffs(s):
 
 def _windowed(x, z, direct, series):
     """``direct(x)`` off the Taylor window |x - z| < TAYLOR_WINDOW |z|, tested
-    as its real chord, and ``series(u)``, u = x/z - 1, inside it, as one complex
-    array; ``direct`` takes the real x, so its powers of x stay real."""
+    as its real chord, and ``series(u)``, u = x/z - 1, inside it, as one array
+    of the result dtype of (x, z), real at a float z; ``direct`` takes the
+    real x, so its powers of x stay real."""
     near = np.abs(x - z.real) < math.sqrt(max((TAYLOR_WINDOW * abs(z)) ** 2 - z.imag ** 2, 0.0))
     if not near.any():
-        return direct(x).astype(complex, copy=False)
-    out = np.empty(x.shape, dtype=complex)
+        return direct(x)
+    out = np.empty(x.shape, dtype=np.result_type(x, z))
     out[~near] = direct(x[~near])
     out[near] = series(x[near] / z - 1.0)
     return out
@@ -186,7 +188,9 @@ def _windowed(x, z, direct, series):
 # ---------------------------------------------------------------------------
 
 def _fm_direct(r, kc, s, m):
-    t1 = kc ** (2.0 * s * m) / (r ** (2.0 * s * m) * (r ** (2.0 * s) - kc ** (2.0 * s)))
+    d = r ** (2.0 * s) - kc ** (2.0 * s)
+    # on the HIGH branch (m = 0) the factor (kc/r)^{2sm} is exactly 1
+    t1 = kc ** (2.0 * s * m) / (r ** (2.0 * s * m) * d) if m else 1.0 / d
     t2 = kc ** (2.0 - 2.0 * s) / (s * (r * r - kc * kc))
     return t1 - t2
 
@@ -195,6 +199,7 @@ def F_m(r, kc, s, m):
     """Regularized spectral kernel F_m(r, kc); removable singularity at r = kc.
 
     Vectorized over finite r > 0; kc may be complex (closed first quadrant).
+    A float kc runs in real arithmetic; the result is complex either way.
     """
     r, scalar = _as_array(r)
     if not np.all(np.isfinite(r) & (r > 0.0)):

@@ -12,9 +12,10 @@ downstream propagate those estimates additively.  Integrand callables must be
 vectorized over a 1-D numpy array of abscissae and may return either a 1-D
 array (scalar integrand) or a 2-D array ``(npoints, nbatch)`` for batched
 evaluation; the adaptive engine then refines until every batch column meets
-the tolerance.  It bisects next the panel with the largest err_c / tol_c over
-the columns c, tol = max(abs_tol, rel_tol |total|), not the largest absolute
-error, so columns of very different size share one pass.
+the tolerance, and keeps every estimate and sum real for a real integrand.
+It bisects next the panel with the largest err_c / tol_c over the columns c,
+tol = max(abs_tol, rel_tol |total|), not the largest absolute error, so
+columns of very different size share one pass.
 
 Each panel estimate is the embedded Gauss-Kronrod pair G7/K15 (QUADPACK's
 ``qk15``; Piessens et al., *QUADPACK*, Springer 1983): the value is the K15
@@ -119,7 +120,7 @@ def _laggauss_cached(order):
 
 
 def _as_batch(values, npts):
-    arr = np.asarray(values, dtype=complex)
+    arr = np.asarray(values)   # a real integrand keeps real estimates and sums
     if arr.ndim == 1:
         return arr[:, None]
     if arr.ndim == 2 and arr.shape[0] == npts:
@@ -351,7 +352,7 @@ def integrate_bessel_transform(g, r, spec=DEFAULT_SPEC):
 
     def integrand(t):
         rho = t[:, None] / radii[None, :]
-        return np.asarray(g(rho), dtype=complex) / radii[None, :]
+        return np.asarray(g(rho)) / radii[None, :]
 
     value, err, evals, incr = _integrate_partitioned(integrand, pts, spec, _j0_panels)
     _check_tail_decay(incr, value, err, spec)

@@ -257,14 +257,17 @@ def hankel1_0_rel_error(z):
     Raises :class:`DomainError` for Im z < 0: there the reflection and the
     asymptotic series miss by more than the bound of the mirror point z*
     (about 2e-12 near 13.1 - 2.55i and 7.7e-12 just past |z| = 14 near the
-    negative imaginary axis)."""
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.imag < 0.0):
-        raise DomainError("hankel1_0_rel_error bounds only Im z >= 0")
+    negative imaginary axis).  A real z skips the complex pass."""
+    z = np.asarray(z)
     az = np.abs(z)
+    if z.dtype.kind != "c":     # a real z: Im z = 0, no complex pass
+        series, ez = az < _ASYM_RADIUS, az
+    elif np.any(z.imag < 0.0):
+        raise DomainError("hankel1_0_rel_error bounds only Im z >= 0")
+    else:
+        series, ez = (az < _ASYM_RADIUS) & (z.imag <= _SERIES_IM_MAX), az + z.imag
     rel = np.full(z.shape, 1e-12)
-    series = (az < _ASYM_RADIUS) & (z.imag <= _SERIES_IM_MAX)
-    rel[series] = np.maximum(1e-12, np.finfo(float).eps * np.exp(az[series] + z.imag[series]))
+    rel[series] = np.maximum(1e-12, np.finfo(float).eps * np.exp(ez[series]))
     rel[(az >= _ASYM_RADIUS) & (az < 15.0)] = 3e-12
     return rel
 
@@ -311,9 +314,9 @@ def iterated_average(partials):
     estimate, error estimate); the error is the change between those two
     stages.  Resums the alternating cell series of the oscillatory partitions
     of the quadrature engine (the Bessel transform and the Fourier oracle's
-    integrals).
+    integrals); real partials stay real.
     """
-    t = np.asarray(partials, dtype=complex)
+    t = np.asarray(partials)
     if t.shape[0] == 1:
         return t[0], np.abs(t[0])
     limit = _ordered_sum(t, _binomial_weights(t.shape[0]))

@@ -734,6 +734,67 @@ def test_zero_absorption_imaginary_part_of_the_derivative(n):
             assert np.all(miss <= 1e-11 * np.abs(d)), (s, k)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zero_absorption_tail_is_exactly_real(n):
+    # at eps = 0 the tail runs in real arithmetic, so Im G = Im G_Helm holds
+    # bit for bit, values and derivatives: for one radius near, mid-range and
+    # far (the far series), a 9-radius call tabled below the far reach and
+    # served by the series beyond it, and a 50-radius run read from one panel
+    for s in (1.0 / 6.0, 0.25, 0.3, 0.5, 0.75):
+        for k in (0.7, 2.0):
+            p = Problem(n, s, k)
+            calls = [np.array([x / k]) for x in (0.05, 1.3, 300.0)]
+            calls += [np.geomspace(1e-3, 300.0, 9) / k, np.linspace(1.6, 1.99, 50) / k]
+            for r in calls:
+                for derivative in (False, True):
+                    helm, riesz, jt, _ = green._green_batch(p, 0.0, r, DEFAULT_SPEC, derivative)
+                    assert np.all(jt.imag == 0.0), (s, k, r.size, derivative)
+                    assert np.array_equal((helm + riesz + jt).imag, helm.imag), (s, k, r.size)
+
+
+# one regime branch each: HIGH, LOW_GENERIC, LOW_INTEGER, and in 2D the
+# Struve-only tail of s = 1/2, whose corrected kernel vanishes
+@pytest.mark.parametrize("s", [0.75, 0.3, 0.25, 0.5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_real_tail_agrees_with_the_complex_tail(n, s):
+    # a k_eps per radius, all equal to the real k, keeps the complex path; the
+    # real path of one float k_eps lies within both errors of it, for values
+    # and derivatives at near radii (engines) and far ones (the far series)
+    k, regime = 1.3, classify_regime(s)
+    r = np.r_[np.geomspace(1e-3, 8.0, 12), 60.0, 400.0] / k
+    for derivative in (False, True):
+        real, rerr = green._tail_batch(Problem(n, s, k), regime, k, r, DEFAULT_SPEC, derivative)
+        cplx, cerr = green._tail_batch(Problem(n, s, k), regime, np.full(r.size, complex(k)), r,
+                                       DEFAULT_SPEC, derivative)
+        assert real.dtype == np.float64 and cplx.dtype == complex
+        assert np.all(np.abs(real - cplx) <= rerr + cerr), (derivative, np.abs(real - cplx) / (rerr + cerr))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tail_integrands_are_real_at_zero_absorption(monkeypatch, n):
+    # the e^{-y} integrands (the bracket, and in 2D the Struve term's) and the
+    # 2D transform integrand return float64 at eps = 0 and complex at eps > 0
+    seen = []
+
+    def exp_spy(f, *args):
+        return exp_batch(lambda y: seen.append(("exp", f(y).dtype)) or f(y), *args)
+
+    def transform_spy(g, *args):
+        return transform(lambda rho: seen.append(("transform", g(rho).dtype)) or g(rho), *args)
+
+    exp_batch, transform = green._exp_weighted_batch, green.integrate_bessel_transform
+    monkeypatch.setattr(green, "_exp_weighted_batch", exp_spy)
+    monkeypatch.setattr(green, "integrate_bessel_transform", transform_spy)
+    for eps, dtype in ((0.0, np.float64), (0.3, complex)):
+        seen.clear()
+        for s in (0.25, 0.3):
+            for r in (0.4, 2.0):
+                green_eval(Problem(n, s, 1.0), eps, r)
+                green_radial_derivative(Problem(n, s, 1.0), eps, r)
+        kinds = {"exp"} | ({"transform"} if n == 2 else set())
+        assert {kind for kind, _ in seen} == kinds and {d for _, d in seen} == {np.dtype(dtype)}, eps
+
+
 # ---------------------------------------------------------------------------
 # Struve functions of the second kind (the 2D LOW_INTEGER tail term)
 # ---------------------------------------------------------------------------
