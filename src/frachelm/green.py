@@ -134,21 +134,20 @@ def _exp_tail_terms(p, regime, kc, r):
     return pref, -expo * pref / r, c, tail
 
 
-def _bracket(y, c, s, delta, a, b, power, over_i=False):
+def _bracket(y, c, s, delta, a, b, power):
     """y^delta [a/(y^{2s} e^{i pi s} - c)^p + b/(y^{2s} e^{-i pi s} - c)^p]
     for p = power in {1, 2} (2: the d/dc integrand), as a (points, radii)
     array; single expressions, so NumPy reuses the large temporaries.  The
     nodes y are a real array, so y^{2s} and y^delta are real powers.  At a
     real c (eps = 0) b = -conj(a) makes the two terms conjugate, so the
-    bracket is 2i Im of the first, one complex division; ``over_i`` then
-    returns the real bracket / i."""
+    bracket is 2i Im of the first, one complex division, and this returns
+    the real bracket / i."""
     y2s = (y ** (2.0 * s))[:, None]
     c = c[None, :]
     ep = np.exp(1j * np.pi * s)
     if c.dtype.kind == "f":
         q = y2s * ep - c
         out = 2.0 * (a / q if power == 1 else a / (q * q)).imag
-        out = out if over_i else 1j * out
     elif power == 2:
         out = a / (y2s * ep - c) ** 2 + b / (y2s / ep - c) ** 2
     else:
@@ -210,7 +209,8 @@ def _far_series(c, tail, spec, power, moment):
     2 M(delta + 2sJ) / |c|^J (J / (|c| d) + 1/d^2).  Per column J <=
     ``_FAR_TERMS`` minimises the bound; the error is the bound plus the
     summation's rounding, and a column is served when that meets max(abs_tol,
-    rel_tol |value|).  The caller passes the columns that reach
+    rel_tol |value|).  At a real c the values are those of the real bracket
+    / i (``_bracket``).  The caller passes the columns that reach
     ``_far_reach``; the values and errors of the columns not served are not
     used.
     """
@@ -228,9 +228,9 @@ def _far_series(c, tail, spec, power, moment):
         jp = j[:top] + power
         terms = np.where(j[:top] < nterms, np.exp(lt[:top] - jp * logc), 0.0)
         # at a real c, b = -conj(a) makes each phase 2i Im(a e^{i pi s j}):
-        # the series sums real terms
+        # the series / i sums real terms
         sv = (phase[:top] * terms).sum(axis=0) if np.iscomplexobj(c) else \
-            1j * (phase[:top].imag * terms).sum(axis=0)
+            (phase[:top].imag * terms).sum(axis=0)
         # a term's relative rounding follows the size of its exponent's
         # parts, and the sum adds one rounding per term
         size = lg_size[:top] + jp * np.abs(logc) + nterms
@@ -296,8 +296,6 @@ def _bessel_transform_tail(p, regime, kc, r, spec, derivative=False):
     s, m = p.s, regime.m
     integer_branch = regime.branch == LOW_INTEGER
     fval, fder = (F_tilde_m, dF_tilde_m_dr) if integer_branch else (F_m, dF_m_dr)
-    if np.isrealobj(kc):   # the public kernels return complex; here it is exactly real
-        fval, fder = (lambda *a, f=f: f(*a).real for f in (fval, fder))
     val = np.zeros(r.shape, dtype=np.result_type(kc, 1.0))
     err = np.zeros(r.shape)
     # at s = 1/2 the corrected kernel vanishes identically; evaluating the
@@ -358,16 +356,19 @@ def _tail_batch(p, regime, kc, r, spec, derivative=False):
     neighbours the series took, or in 2D the Bessel transform and the Struve
     term.  The prefactors and c are computed once for all radii, and the
     e^{-y} engine takes the columns of c the series left.  At one float
-    k_eps (eps = 0) c and the tail are real: the engine integrates the real
-    bracket / i (``_bracket``) and the series and the 2D transform run real.
+    k_eps (eps = 0) c and the tail are real: the series and the engine give
+    the integral of the real bracket / i (``_bracket``), so the prefactors
+    take the factor i, and the 2D transform runs real.
     """
-    powers, real = ((1, 2) if derivative else (1,)), np.isrealobj(kc)
+    powers = (1, 2) if derivative else (1,)
     served = np.abs(kc) * r >= _far_reach(p.n, p.s, regime.m, spec, powers)
     if p.n == 2 and not served.any():
         return _bessel_transform_tail(p, regime, kc, r, spec, derivative)
     pref, dpref, c, tail = _exp_tail_terms(p, regime, kc, r)
+    if c.dtype.kind == "f":   # i pref is real, and exact
+        pref, dpref = (1j * pref).real, (1j * dpref).real
     # (integral, error) per bracket power, or the integral's d/dc for power 2
-    parts = [(np.zeros(r.shape, dtype=complex), np.zeros(r.shape)) for _ in powers]
+    parts = [(np.zeros(r.shape, dtype=c.dtype), np.zeros(r.shape)) for _ in powers]
     if served.any():
         far = [_far_series(c[served], tail, spec, q, _MOMENT[p.n]) for q in powers]
         ok = np.logical_and.reduce([f[2] for f in far])
@@ -378,14 +379,13 @@ def _tail_batch(p, regime, kc, r, spec, derivative=False):
     if p.n != 2 and rest.any():
         y_cut, cr = max(10.0, float((5.0 * abs(kc) * r).max())), c[rest]
         for (ival, ierr), q in zip(parts, powers):
-            v, ierr[rest] = _exp_weighted_batch(
-                lambda y: _bracket(y, cr, *tail, q, over_i=real), spec, y_cut)[:2]
-            ival[rest] = 1j * v if real else v
+            ival[rest], ierr[rest] = _exp_weighted_batch(
+                lambda y: _bracket(y, cr, *tail, q), spec, y_cut)[:2]
     val, err = _chain(p, kc, r, pref, dpref, *parts)
     if p.n == 2 and rest.any():
         kr = kc if np.ndim(kc) == 0 else kc[rest]
         val[rest], err[rest] = _bessel_transform_tail(p, regime, kr, r[rest], spec, derivative)
-    return (val.real if real else val), err
+    return val, err
 
 
 def _closed_parts(p, regime, kc, r, derivative=False):

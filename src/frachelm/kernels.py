@@ -5,8 +5,9 @@ prefactors in ``green`` (``_exp_tail_terms``, ``_bracket``).
 The removable singularities (F_m and F~_m at r = k_eps, M at xi = |z| for real
 z) are evaluated through a power-series window in u = r/k_eps - 1 of relative
 width ``TAYLOR_WINDOW``; outside the window the closed forms are used
-directly, in real powers of the real r or xi.  At a float kc they run in real
-arithmetic, and the public functions return complex.  The closed forms
+directly, in real powers of the real r or xi.  Each function returns the
+dtype it computes in: F_m, F~_m and their r-derivatives are real at a float
+kc and complex otherwise, M and the Helmholtz parts complex.  The closed forms
 subtract r^{2s} - kc^{2s} and r^2 - kc^2, so they lose accuracy as u shrinks; at the
 window edge |u| = 2e-2 they hold F_m to 1e-11, M to 1e-13 and dF_m/dr to 2e-9
 relative, while the 10-term series is exact to 2e-14 there (checked against
@@ -15,6 +16,7 @@ mpmath in the tests, at the edge and over logspace(-6, 6) off the window).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -103,10 +105,13 @@ def spectral_shift(problem, epsilon):
 
 
 def _resolve_shift(problem, shift):
-    """A SpectralShift as given, else that of a float epsilon (None: epsilon = 0)."""
-    if isinstance(shift, SpectralShift):
-        return shift
-    return spectral_shift(problem, 0.0 if shift is None else float(shift))
+    """The SpectralShift of a float epsilon (None: epsilon = 0), or a given one
+    that is the problem's own at its epsilon; any other raises DomainError."""
+    if not isinstance(shift, SpectralShift):
+        return spectral_shift(problem, 0.0 if shift is None else float(shift))
+    if shift != spectral_shift(problem, shift.epsilon):
+        raise DomainError(f"{shift} is not the shift of {problem} at its epsilon")
+    return shift
 
 
 def _as_array(x):
@@ -115,9 +120,20 @@ def _as_array(x):
     return np.atleast_1d(x), x.ndim == 0
 
 
+def _spectral_args(r, kc, name):
+    """(r as a 1-D array, whether it was a scalar) of a spectral kernel, with
+    every r finite and > 0 and the one kc finite."""
+    if not cmath.isfinite(kc):
+        raise DomainError(f"{name} requires a finite shifted wavenumber, got {kc}")
+    r, scalar = _as_array(r)
+    if not np.all(np.isfinite(r) & (r > 0.0)):
+        raise DomainError(f"{name} requires finite r > 0")
+    return r, scalar
+
+
 def _as_given(out, scalar):
-    """Undo ``_as_array``: a complex for scalar input, else the array as complex."""
-    return complex(out[0]) if scalar else out.astype(complex, copy=False)
+    """Undo ``_as_array``: the one value for scalar input, else the array."""
+    return out[0] if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +215,9 @@ def F_m(r, kc, s, m):
     """Regularized spectral kernel F_m(r, kc); removable singularity at r = kc.
 
     Vectorized over finite r > 0; kc may be complex (closed first quadrant).
-    A float kc runs in real arithmetic; the result is complex either way.
+    A float kc runs in real arithmetic and gives a real result.
     """
-    r, scalar = _as_array(r)
-    if not np.all(np.isfinite(r) & (r > 0.0)):
-        raise DomainError("F_m requires finite r > 0")
+    r, scalar = _spectral_args(r, kc, "F_m")
     coeffs = _fm_window_coeffs(float(s), int(m))
     out = _windowed(r, kc, lambda rr: _fm_direct(rr, kc, s, m),
                     lambda u: kc ** (-2.0 * s) / (2.0 * s) * polyval(u, coeffs))
@@ -212,9 +226,7 @@ def F_m(r, kc, s, m):
 
 def dF_m_dr(r, kc, s, m):
     """Radial derivative of F_m, with the same Taylor window at r = kc."""
-    r, scalar = _as_array(r)
-    if not np.all(np.isfinite(r) & (r > 0.0)):
-        raise DomainError("dF_m_dr requires finite r > 0")
+    r, scalar = _spectral_args(r, kc, "dF_m_dr")
 
     def direct(rr):
         r2s = rr ** (2.0 * s)
@@ -244,7 +256,7 @@ def F_tilde_m(r, kc, s, m):
     """
     _require_low_integer(s, m)
     r, scalar = _as_array(r)
-    fm = F_m(r, kc, s, m)     # checks r first
+    fm = F_m(r, kc, s, m)     # checks kc and r first
     return _as_given(fm + kc ** (2.0 - 2.0 * s) / (r * (r + kc)), scalar)
 
 
@@ -252,7 +264,7 @@ def dF_tilde_m_dr(r, kc, s, m):
     """Radial derivative of F~_m."""
     _require_low_integer(s, m)
     r, scalar = _as_array(r)
-    dfm = dF_m_dr(r, kc, s, m)     # checks r first
+    dfm = dF_m_dr(r, kc, s, m)     # checks kc and r first
     dcorr = -kc ** (2.0 - 2.0 * s) * (1.0 / (r * r * (r + kc)) + 1.0 / (r * (r + kc) ** 2))
     return _as_given(dfm + dcorr, scalar)
 
@@ -267,8 +279,8 @@ def multiplier_M(xi, z, s):
     Continuous across xi = |z| for real z, with limit (1-2s) k^{2-2s} / s.
     Vectorized over finite xi >= 0; z in the closed first quadrant, z != 0.
     """
-    if z == 0:
-        raise DomainError("multiplier_M requires z != 0")
+    if z == 0 or not cmath.isfinite(z):
+        raise DomainError(f"multiplier_M requires a finite z != 0, got {z}")
     xi, scalar = _as_array(xi)
     if not np.all(np.isfinite(xi) & (xi >= 0.0)):
         raise DomainError("multiplier_M requires finite xi >= 0")
@@ -296,12 +308,13 @@ def _helm_args(kc, r):
     every r finite and > 0."""
     if np.ndim(kc) == 0:
         kc = complex(kc)
-        bad = kc == 0 or kc.real < 0.0 or kc.imag < 0.0
+        bad = kc == 0 or kc.real < 0.0 or kc.imag < 0.0 or not cmath.isfinite(kc)
     else:
         kc = np.asarray(kc, dtype=complex)
-        bad = np.any((kc == 0) | (kc.real < 0.0) | (kc.imag < 0.0))
+        bad = np.any((kc == 0) | (kc.real < 0.0) | (kc.imag < 0.0) | ~np.isfinite(kc))
     if bad:
-        raise DomainError(f"shifted wavenumber must lie in the closed first quadrant, got {kc}")
+        raise DomainError("shifted wavenumber must be finite and lie in the closed first "
+                          f"quadrant, got {kc}")
     r, scalar = _as_array(r)
     if not np.all(np.isfinite(r) & (r > 0.0)):
         raise DomainError("Helmholtz parts require finite r > 0")

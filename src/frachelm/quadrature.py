@@ -195,7 +195,7 @@ def _adaptive_batch(f, a, b, spec, abs_tol=None, weight=None, first=None):
     ahead = {}
     npanels = 1
     while not (total_err <= tol).all():
-        if npanels >= spec.max_subdiv or not heap:
+        if npanels >= spec.max_subdiv:
             raise AccuracyError(
                 f"adaptive quadrature did not converge within {spec.max_subdiv} panels",
                 value=total_val, err_estimate=float(total_err.max()))
@@ -232,18 +232,15 @@ def _exp_weighted_batch(f, spec, y_cut):
         return _as_batch(f(y), y.size) * np.exp(-y)[:, None]
 
     val, err, evals = _adaptive_batch(weighted, 0.0, head_end, spec)
+    # head_end <= _EXP_HEAD_CAP, so the scale is at least e^{-120}, never 0
     scale = np.exp(-head_end)
-    if scale > 0.0:
-        t_hi, w_hi = _laggauss_cached(_LAGUERRE_ORDER)
-        t_lo, w_lo = _laggauss_cached(_LAGUERRE_ORDER // 2)
-        f_hi = _as_batch(f(t_hi + head_end), t_hi.size)
-        f_lo = _as_batch(f(t_lo + head_end), t_lo.size)
-        tail_hi = scale * (w_hi[:, None] * f_hi).sum(axis=0)
-        tail_lo = scale * (w_lo[:, None] * f_lo).sum(axis=0)
-        val = val + tail_hi
-        err = err + np.abs(tail_hi - tail_lo)
-        evals += t_hi.size + t_lo.size
-    return val, err, evals
+    t_hi, w_hi = _laggauss_cached(_LAGUERRE_ORDER)
+    t_lo, w_lo = _laggauss_cached(_LAGUERRE_ORDER // 2)
+    f_hi = _as_batch(f(t_hi + head_end), t_hi.size)
+    f_lo = _as_batch(f(t_lo + head_end), t_lo.size)
+    tail_hi = scale * (w_hi[:, None] * f_hi).sum(axis=0)
+    tail_lo = scale * (w_lo[:, None] * f_lo).sum(axis=0)
+    return val + tail_hi, err + np.abs(tail_hi - tail_lo), evals + t_hi.size + t_lo.size
 
 
 def _integrate_partitioned(f, breakpoints, spec, weight=None):

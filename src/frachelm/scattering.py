@@ -261,9 +261,7 @@ def _pyramid_nodes(t, h, gamma, level):
         others = [a for a in range(3) if a != axis]
         face, wface = _tensor_rule(0.5 * h[others], 7 + 3 * level)
         for sign in (-1.0, 1.0):
-            d = sign * h[axis] / 2.0 - t[axis]
-            if d == 0.0:
-                raise DomainError("target on a cell face is not supported")
+            d = sign * h[axis] / 2.0 - t[axis]   # nonzero: t is interior
             p = np.empty((face.shape[0], 3))
             p[:, axis] = d
             p[:, others] = face - t[others]
@@ -314,6 +312,11 @@ def cell_weight(problem, offset, cell_sizes, spec=DEFAULT_SPEC, level=1):
     ``_green_total_at`` call, so they share its radial panels."""
     t = np.asarray(offset, dtype=float)
     h = np.atleast_1d(np.asarray(cell_sizes, dtype=float))
+    if h.shape != (problem.n,) or not np.all(np.isfinite(h) & (h > 0.0)):
+        raise DomainError(f"cell sizes must be {problem.n} finite positive numbers, "
+                          f"got {cell_sizes!r}")
+    if t.ndim not in (1, 2) or t.shape[-1] != problem.n:
+        raise DomainError(f"offsets of shape {t.shape} for a {problem.n}D cell")
     gamma = max(2.0, 1.0 / problem.s)
     rules = [_cell_quad(ti, h, gamma, level) for ti in np.reshape(t, (-1, h.size))]
     vals = _green_total_at(problem, np.concatenate([r for r, _ in rules]), spec)

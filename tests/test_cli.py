@@ -199,6 +199,23 @@ def test_asymptotics_metadata(capsys):
     assert meta["fit"]["envelope_bounded"] is True
 
 
+@pytest.mark.parametrize("flags, code", [
+    (["--dim", "1", "--part", "j_tail", "--rate", "0.4", "--log-correction"], 0),
+    # the quadrature cannot meet rel_tol 1e-15: AccuracyError, exit 3 from main
+    (["--dim", "2", "--part", "nonhelm_total", "--rate", "1.4",
+      "--quad-rtol", "1e-15", "--quad-atol", "1e-300"], 3),
+], ids=["fit", "accuracy-exit-3"])
+def test_asymptotics_singularity_side(capsys, flags, code):
+    assert main(["asymptotics", "--s", "0.3", "--k", "1", "--side", "singularity",
+                 "--rmin", "0.001", "--rmax", "0.5", *flags]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        meta, _, rows = parse_csv(out)
+        assert meta["config"]["side"] == "singularity" and len(rows) == meta["config"]["points"]
+    else:
+        assert out == "" and err.startswith("accuracy error: ")
+
+
 def test_radiation_verdicts(capsys):
     code, out = run_cli(capsys, ["radiation", "--field", "h2", "--dim", "2",
                                  "--s", "0.5", "--k", "1", "--r0", "10",

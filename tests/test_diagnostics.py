@@ -221,8 +221,11 @@ def test_lap_slope_guards():
     lambda p: singularity_rate_check(p, "j_tail", np.array([[1e-3, 0.1]]), 1.0),
     lambda p: singularity_rate_check(p, "j_tail", 0.5, 1.0),
     lambda p: singularity_rate_check(p, "j_tail", [], 1.0),
+    lambda p: convolution_norm_check(p, PotentialGrid.build([-1.0] * 2, [1.0] * 2, 2, 1.0),
+                                     0.75, 2.0),                        # a 2D source for 1D
 ], ids=["radius-array", "eps-2d", "window-inf", "window-2d", "window-scalar", "window-empty",
-        "singularity-window-2d", "singularity-window-scalar", "singularity-window-empty"])
+        "singularity-window-2d", "singularity-window-scalar", "singularity-window-empty",
+        "source-dim"])
 def test_bad_diagnostics_input_raises_domain_error(call):
     # as green_eval does for a non-scalar radius: a DomainError before any
     # NumPy error or warning

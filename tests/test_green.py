@@ -161,6 +161,12 @@ def test_domain_errors():
                 src_residual(p, bad)
         # a 0-d array is one radius
         assert green_eval(p, 0.0, np.array(2.0)) == green_eval(p, 0.0, 2.0)
+        # the batch entry points take a nonempty 1-D array
+        for bad in (np.array([[1.0, 2.0]]), np.array([])):
+            with pytest.raises(DomainError):
+                green_eval_batch(p, 0.0, bad)
+            with pytest.raises(DomainError):
+                green_radial_derivative(p, 0.0, bad)
     # so are a non-finite wavenumber or radius of the s = 1/2 closed form
     for bad in (np.nan, np.inf):
         with pytest.raises(DomainError):
@@ -177,6 +183,29 @@ def test_radial_derivative_vs_finite_difference(n, s):
     d = green_radial_derivative(p, 0.0, r)
     fd = (green_eval(p, 0.0, r + h).total - green_eval(p, 0.0, r - h).total) / (2 * h)
     assert d == pytest.approx(fd, rel=1e-6)
+
+
+def test_a_shift_must_be_the_problems_own():
+    # a SpectralShift built for another k, or by hand, would be evaluated
+    # with a k_eps that is not the problem's: every entry point refuses it
+    from frachelm.kernels import SpectralShift
+    from frachelm.oracle import fourier_invert
+    p = Problem(2, 0.3, 2.0)
+    calls = (lambda sh: green_eval(p, sh, 1.5),
+             lambda sh: green_eval_batch(p, sh, np.array([1.5, 3.0])),
+             lambda sh: green_radial_derivative(p, sh, 1.5),
+             lambda sh: fourier_invert(p, sh, 1.5))
+    for bad in (spectral_shift(Problem(2, 0.3, 1.0), 0.1), SpectralShift(0.1, 5.0 + 0j),
+                SpectralShift(0.0, 1.0 + 0j)):
+        for call in calls:
+            with pytest.raises(DomainError):
+                call(bad)
+    # the problem's own shift, also that of another dimension, gives the
+    # bits of its float epsilon
+    for own in (spectral_shift(p, 0.1), spectral_shift(Problem(3, 0.3, 2.0), 0.1)):
+        for call in calls:
+            got, want = call(own), call(0.1)
+            assert all(map(np.array_equal, got, want)) if isinstance(got, tuple) else got == want
 
 
 def test_radial_derivative_absorption_case():

@@ -200,7 +200,8 @@ def test_closed_forms_off_window_against_mpmath(s):
 
 def test_windowed_direct_takes_real_points(monkeypatch):
     # the closed forms raise the real points to real powers: _windowed hands
-    # them the float array, with and without points in the Taylor window
+    # them the float array, with and without points in the Taylor window;
+    # F_m and dF_m/dr return the dtype of (r, kc), M a complex
     import frachelm.kernels as kernels
     windowed, seen = kernels._windowed, []
 
@@ -214,7 +215,8 @@ def test_windowed_direct_takes_real_points(monkeypatch):
     for x in (np.array([0.5, 1.3, 2.0]), np.array([0.5, 2.0])):
         for kc in (1.3, 1.3 + 0j):
             outs = (F_m(x, kc, 0.3, 1), dF_m_dr(x, kc, 0.3, 1), multiplier_M(x, kc, 0.3))
-            assert all(o.dtype == complex and o.shape == x.shape for o in outs)
+            dtypes = (np.result_type(x, kc),) * 2 + (complex,)
+            assert all(o.dtype == d and o.shape == x.shape for o, d in zip(outs, dtypes))
     assert len(seen) == 12 and all(d == np.float64 for d in seen)
 
 
@@ -391,34 +393,42 @@ def test_helm_parts_take_one_k_per_radius(n):
                 part(n, p.s, np.r_[kc[:2], bad], r[:3])
 
 
+# (r, k_eps) with a bad radius, or a good radius and a non-finite k_eps
+_BAD_ARGS = [pytest.param(r, 1.0 + 0j, id=str(r)) for r in (0.0, -1.0, np.nan, np.inf)] + [
+    pytest.param(1.5, kc, id=f"kc-{kc}") for kc in (np.nan, np.inf, complex(1.0, np.nan))]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("r", [0.0, -1.0, np.nan, np.inf])
-def test_helm_parts_reject_bad_radii(n, r):
-    # value and derivative share one check: a bad radius raises, never
-    # returns a number or NaN, alone or inside an array
+@pytest.mark.parametrize("r, kc", _BAD_ARGS)
+def test_helm_parts_reject_bad_radii(n, r, kc):
+    # value and derivative share one check: a bad radius or k_eps raises,
+    # never returns a number or NaN, alone or inside an array
     for part in (helm_part, helm_part_dr):
-        for radii in (r, np.array([1.0, r])):
+        for radii, kcs in ((r, kc), (np.array([1.0, r]), kc),
+                           (np.array([1.0, r]), np.array([1.0 + 0j, kc]))):
             with pytest.raises(DomainError):
-                part(n, 0.6, 1.0 + 0j, radii)
+                part(n, 0.6, kcs, radii)
 
 
 _SPECTRAL_KERNELS = {
-    "F_m": lambda r: F_m(r, 1.0 + 0j, 0.3, 1),
-    "dF_m_dr": lambda r: dF_m_dr(r, 1.0 + 0j, 0.3, 1),
-    "F_tilde_m": lambda r: F_tilde_m(r, 1.0 + 0j, 0.25, 2),
-    "dF_tilde_m_dr": lambda r: dF_tilde_m_dr(r, 1.0 + 0j, 0.25, 2),
-    "multiplier_M": lambda xi: multiplier_M(xi, 1.0, 0.3),
+    "F_m": lambda r, kc: F_m(r, kc, 0.3, 1),
+    "dF_m_dr": lambda r, kc: dF_m_dr(r, kc, 0.3, 1),
+    "F_tilde_m": lambda r, kc: F_tilde_m(r, kc, 0.25, 2),
+    "dF_tilde_m_dr": lambda r, kc: dF_tilde_m_dr(r, kc, 0.25, 2),
+    "multiplier_M": lambda xi, z: multiplier_M(xi, z, 0.3),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_SPECTRAL_KERNELS))
-@pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
-def test_spectral_kernels_reject_non_finite_radii(name, r):
-    # a non-finite r (or xi) raises, never returns nan+nanj, alone or inside
-    # an array
+@pytest.mark.parametrize("r, kc", [pytest.param(r, 1.0 + 0j, id=str(r))
+                                   for r in (np.nan, np.inf, -np.inf)] + [
+    pytest.param(1.5, kc, id=f"kc-{kc}") for kc in (np.nan, np.inf, -np.inf, complex(1.0, np.nan))])
+def test_spectral_kernels_reject_non_finite_radii(name, r, kc):
+    # a non-finite r (or xi), or a non-finite k_eps (or z), raises, never
+    # returns nan+nanj, alone or inside an array
     for radii in (r, np.array([1.5, r])):
         with pytest.raises(DomainError):
-            _SPECTRAL_KERNELS[name](radii)
+            _SPECTRAL_KERNELS[name](radii, kc)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,14 @@ def test_grid_build_validation():
         PotentialGrid.build([-1.0], [1.0], 4, lambda x: np.full(4, np.nan))
     pot = PotentialGrid.build([-1.0, 0.0], [1.0, 2.0], 3, lambda x: x[:, 0] ** 2)
     assert np.array_equal(pot.q_values, pot.nodes[:, 0] ** 2)
+    # a cell weight takes one finite positive size per axis of its problem,
+    # and targets of that dimension
+    for h in ([0.0, 0.1], [-0.1, 0.1], [np.nan, 0.1], [0.1], [0.1, 0.1, 0.1]):
+        with pytest.raises(DomainError):
+            cell_weight(Problem(2, 0.3, 1.0), [0.3, 0.0], h)
+    for t in ([0.3, 0.0, 0.5, 0.2], [0.3, 0.0, 0.5], np.zeros((1, 1, 2)), 0.3):
+        with pytest.raises(DomainError):
+            cell_weight(Problem(2, 0.3, 1.0), t, [0.1, 0.1])
 
 
 @pytest.mark.parametrize("cells", [2.7, np.nan, True])
@@ -221,6 +229,12 @@ def test_resonance_scan_zero_contrast():
     rows = resonance_scan(P1, pot, [0.5, 1.0, 2.0])
     for _, rcond, smin in rows:
         assert rcond == 1.0 and smin == 1.0
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, np.nan])
+def test_resonance_scan_rejects_non_positive_wavenumbers(k):
+    with pytest.raises(DomainError):
+        resonance_scan(P1, grid1(cells=8), [1.0, k])
 
 
 def test_resonance_scan_small_coupling():
