@@ -84,8 +84,6 @@ def _normalize(v):
         return complex(v)
     if isinstance(v, (float, np.floating)):
         return float(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
     return v
 
 
@@ -378,9 +376,6 @@ def main(argv=None):
     except AccuracyError as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
         return EXIT_ACCURACY
-    except NearResonanceError as exc:
-        print(f"near-resonance: {exc}", file=sys.stderr)
-        return EXIT_NEAR_RESONANCE
     except (OSError, KeyError, TypeError, ValueError) as exc:   # DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, is_count
+from .errors import AccuracyError, DomainError, is_count, is_real
 from .green import green_eval_batch, green_radial_derivative
 from .quadrature import DEFAULT_SPEC
 from .scattering import volume_potential
@@ -145,8 +145,8 @@ def radiation_classify(field, k, r0, r_max, delta):
         raise DomainError("delta must lie in (1/2, 1)")
     if not (0.0 < r0 < r_max < np.inf):
         raise DomainError("need 0 < R0 < R_max < inf")
-    if not (0.0 < k < np.inf):
-        raise DomainError("k must be finite and positive")
+    if not (is_real(k) and 0.0 < k < np.inf):
+        raise DomainError(f"k must be one finite positive number, got {k!r}")
     n = field.n
     radii = np.logspace(np.log10(r0), np.log10(r_max), _PROFILE_POINTS)
     nodes, w = gauss_panels(radii, 6)

@@ -1,4 +1,5 @@
-"""Exception types shared across the library, and the integer check of counts."""
+"""Exception types shared across the library, and the type checks of counts
+and real numbers."""
 
 import numbers
 
@@ -6,6 +7,11 @@ import numbers
 def is_count(value):
     """Whether value is a Python or NumPy integer; a bool is not one."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value):
+    """Whether value is one Python or NumPy real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class DomainError(ValueError):

@@ -392,7 +392,7 @@ def _closed_parts(p, regime, kc, r, derivative=False):
     """(helm, riesz_sum), or their r-derivatives: the closed-form parts at
     radii r, kc one k_eps or one per radius."""
     helm = (helm_part_dr if derivative else helm_part)(p.n, p.s, kc, r)
-    return np.atleast_1d(helm).astype(complex), _riesz_sum_batch(p, regime.m, kc, r, derivative)
+    return helm, _riesz_sum_batch(p, regime.m, kc, r, derivative)
 
 
 def _helm_rel(p, kc, r):

@@ -1,6 +1,9 @@
-"""Scalar kernel building blocks: regimes, F_m, F~_m, the multiplier M and the
+"""Kernel building blocks: regimes, F_m, F~_m, the multiplier M and the
 Helmholtz parts.  The e^{-y} tail integrand of n = 1, 3 lives with its
 prefactors in ``green`` (``_exp_tail_terms``, ``_bracket``).
+
+The kernels take arrays and return arrays: radii (or xi) in as a scalar or a
+1-D array, a 1-D array out, a scalar being one element.
 
 The removable singularities (F_m and F~_m at r = k_eps, M at xi = |z| for real
 z) are evaluated through a power-series window in u = r/k_eps - 1 of relative
@@ -24,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
-from .errors import DomainError, is_count
+from .errors import DomainError, is_count, is_real
 from .specfun import hankel1_0
 
 TAYLOR_WINDOW = 2e-2      # relative window |r - kc| < TAYLOR_WINDOW * |kc|
@@ -47,10 +50,10 @@ class Problem:
     def __post_init__(self):
         if not (is_count(self.n) and self.n in (1, 2, 3)):
             raise DomainError(f"dimension must be 1, 2 or 3, got {self.n!r}")
-        if not (0.0 < self.s < 1.0):
-            raise DomainError(f"fractional order must lie in (0,1), got {self.s}")
-        if not 0.0 < self.k < np.inf:
-            raise DomainError(f"wavenumber must be positive and finite, got {self.k}")
+        if not (is_real(self.s) and 0.0 < self.s < 1.0):
+            raise DomainError(f"fractional order must lie in (0,1), got {self.s!r}")
+        if not (is_real(self.k) and 0.0 < self.k < np.inf):
+            raise DomainError(f"wavenumber must be positive and finite, got {self.k!r}")
 
     @property
     def k2s(self):
@@ -114,26 +117,15 @@ def _resolve_shift(problem, shift):
     return shift
 
 
-def _as_array(x):
-    """(x as a 1-D float array, whether x was a scalar)."""
-    x = np.asarray(x, dtype=float)
-    return np.atleast_1d(x), x.ndim == 0
-
-
 def _spectral_args(r, kc, name):
-    """(r as a 1-D array, whether it was a scalar) of a spectral kernel, with
-    every r finite and > 0 and the one kc finite."""
+    """r of a spectral kernel as a 1-D float array, with every r finite and
+    > 0 and the one kc finite."""
     if not cmath.isfinite(kc):
         raise DomainError(f"{name} requires a finite shifted wavenumber, got {kc}")
-    r, scalar = _as_array(r)
+    r = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all(np.isfinite(r) & (r > 0.0)):
         raise DomainError(f"{name} requires finite r > 0")
-    return r, scalar
-
-
-def _as_given(out, scalar):
-    """Undo ``_as_array``: the one value for scalar input, else the array."""
-    return out[0] if scalar else out
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -214,19 +206,20 @@ def _fm_direct(r, kc, s, m):
 def F_m(r, kc, s, m):
     """Regularized spectral kernel F_m(r, kc); removable singularity at r = kc.
 
-    Vectorized over finite r > 0; kc may be complex (closed first quadrant).
-    A float kc runs in real arithmetic and gives a real result.
+    r is a scalar or a 1-D array of finite r > 0, the result a 1-D array; kc
+    may be complex (closed first quadrant).  A float kc runs in real arithmetic
+    and gives a real result.
     """
-    r, scalar = _spectral_args(r, kc, "F_m")
+    r = _spectral_args(r, kc, "F_m")
     coeffs = _fm_window_coeffs(float(s), int(m))
-    out = _windowed(r, kc, lambda rr: _fm_direct(rr, kc, s, m),
-                    lambda u: kc ** (-2.0 * s) / (2.0 * s) * polyval(u, coeffs))
-    return _as_given(out, scalar)
+    return _windowed(r, kc, lambda rr: _fm_direct(rr, kc, s, m),
+                     lambda u: kc ** (-2.0 * s) / (2.0 * s) * polyval(u, coeffs))
 
 
 def dF_m_dr(r, kc, s, m):
-    """Radial derivative of F_m, with the same Taylor window at r = kc."""
-    r, scalar = _spectral_args(r, kc, "dF_m_dr")
+    """Radial derivative of F_m, a 1-D array like it, with the same Taylor
+    window at r = kc."""
+    r = _spectral_args(r, kc, "dF_m_dr")
 
     def direct(rr):
         r2s = rr ** (2.0 * s)
@@ -237,9 +230,8 @@ def dF_m_dr(r, kc, s, m):
         return t1 + t2
 
     coeffs = _fm_window_coeffs(float(s), int(m))
-    out = _windowed(r, kc, direct,
-                    lambda u: kc ** (-2.0 * s) / (2.0 * s) * polyval(u, polyder(coeffs)) / kc)
-    return _as_given(out, scalar)
+    return _windowed(r, kc, direct,
+                     lambda u: kc ** (-2.0 * s) / (2.0 * s) * polyval(u, polyder(coeffs)) / kc)
 
 
 def _require_low_integer(s, m):
@@ -250,23 +242,24 @@ def _require_low_integer(s, m):
 
 
 def F_tilde_m(r, kc, s, m):
-    """Corrected kernel F~_m = F_m + kc^{2-2s}/(r(r+kc)); LOW_INTEGER branch only.
+    """Corrected kernel F~_m = F_m + kc^{2-2s}/(r(r+kc)), a 1-D array like F_m;
+    LOW_INTEGER branch only.
 
     Identically zero (to round-off) at s = 1/2.
     """
     _require_low_integer(s, m)
-    r, scalar = _as_array(r)
+    r = np.atleast_1d(np.asarray(r, dtype=float))
     fm = F_m(r, kc, s, m)     # checks kc and r first
-    return _as_given(fm + kc ** (2.0 - 2.0 * s) / (r * (r + kc)), scalar)
+    return fm + kc ** (2.0 - 2.0 * s) / (r * (r + kc))
 
 
 def dF_tilde_m_dr(r, kc, s, m):
-    """Radial derivative of F~_m."""
+    """Radial derivative of F~_m, a 1-D array like it."""
     _require_low_integer(s, m)
-    r, scalar = _as_array(r)
+    r = np.atleast_1d(np.asarray(r, dtype=float))
     dfm = dF_m_dr(r, kc, s, m)     # checks kc and r first
     dcorr = -kc ** (2.0 - 2.0 * s) * (1.0 / (r * r * (r + kc)) + 1.0 / (r * (r + kc) ** 2))
-    return _as_given(dfm + dcorr, scalar)
+    return dfm + dcorr
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +270,12 @@ def multiplier_M(xi, z, s):
     """M(xi; z) = (z^{2s} xi^{2-2s} - z^{2-2s} xi^{2s}) / (xi^{2s} - z^{2s}).
 
     Continuous across xi = |z| for real z, with limit (1-2s) k^{2-2s} / s.
-    Vectorized over finite xi >= 0; z in the closed first quadrant, z != 0.
+    xi is a scalar or a 1-D array of finite xi >= 0, the result a 1-D array;
+    z in the closed first quadrant, z != 0.
     """
     if z == 0 or not cmath.isfinite(z):
         raise DomainError(f"multiplier_M requires a finite z != 0, got {z}")
-    xi, scalar = _as_array(xi)
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if not np.all(np.isfinite(xi) & (xi >= 0.0)):
         raise DomainError("multiplier_M requires finite xi >= 0")
     z = complex(z)
@@ -293,9 +287,8 @@ def multiplier_M(xi, z, s):
         return num / (x2s - z ** (2.0 * s))
 
     coeffs = _m_window_coeffs(float(s))
-    out = _windowed(xi, z, direct,
-                    lambda u: z ** (2.0 - 2.0 * s) / (2.0 * s) * polyval(u, coeffs))
-    return _as_given(out, scalar)
+    return _windowed(xi, z, direct,
+                     lambda u: z ** (2.0 - 2.0 * s) / (2.0 * s) * polyval(u, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +296,8 @@ def multiplier_M(xi, z, s):
 # ---------------------------------------------------------------------------
 
 def _helm_args(kc, r):
-    """(kc, r as a 1-D array, whether both were scalars) of a Helmholtz part,
-    with kc (one k_eps, or one per radius) in the closed first quadrant and
-    every r finite and > 0."""
+    """(kc, r as a 1-D float array) of a Helmholtz part, with kc (one k_eps,
+    or one per radius) in the closed first quadrant and every r finite and > 0."""
     if np.ndim(kc) == 0:
         kc = complex(kc)
         bad = kc == 0 or kc.real < 0.0 or kc.imag < 0.0 or not cmath.isfinite(kc)
@@ -315,10 +307,10 @@ def _helm_args(kc, r):
     if bad:
         raise DomainError("shifted wavenumber must be finite and lie in the closed first "
                           f"quadrant, got {kc}")
-    r, scalar = _as_array(r)
+    r = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all(np.isfinite(r) & (r > 0.0)):
         raise DomainError("Helmholtz parts require finite r > 0")
-    return kc, r, scalar and np.ndim(kc) == 0
+    return kc, r
 
 
 def _per_k(f, kc):
@@ -329,32 +321,28 @@ def _per_k(f, kc):
 
 def helm_part(n, s, kc, r):
     """Helmholtz component of the fundamental solution (per-dimension closed
-    form); kc is one k_eps or one per radius."""
-    kc, r, scalar = _helm_args(kc, r)
+    form) as a 1-D array over radii r; kc is one k_eps or one per radius."""
+    kc, r = _helm_args(kc, r)
     if n == 1:
-        out = 1j * np.exp(1j * r * kc) / _per_k(lambda v: 2.0 * s * v ** (2.0 * s - 1.0), kc)
-    elif n == 2:
-        out = _per_k(lambda v: 1j * v ** (2.0 - 2.0 * s) / (4.0 * s), kc) * hankel1_0(kc * r)
-    elif n == 3:
-        out = _per_k(lambda v: v ** (2.0 - 2.0 * s) / s, kc) * np.exp(1j * r * kc) \
+        return 1j * np.exp(1j * r * kc) / _per_k(lambda v: 2.0 * s * v ** (2.0 * s - 1.0), kc)
+    if n == 2:
+        return _per_k(lambda v: 1j * v ** (2.0 - 2.0 * s) / (4.0 * s), kc) * hankel1_0(kc * r)
+    if n == 3:
+        return _per_k(lambda v: v ** (2.0 - 2.0 * s) / s, kc) * np.exp(1j * r * kc) \
             / (4.0 * np.pi * r)
-    else:
-        raise DomainError(f"dimension must be 1, 2 or 3, got {n}")
-    return _as_given(out, scalar)
+    raise DomainError(f"dimension must be 1, 2 or 3, got {n}")
 
 
 def helm_part_dr(n, s, kc, r):
-    """Radial derivative of the Helmholtz component (closed forms); kc is one
-    k_eps or one per radius."""
-    kc, r, scalar = _helm_args(kc, r)
+    """Radial derivative of the Helmholtz component (closed forms) as a 1-D
+    array over radii r; kc is one k_eps or one per radius."""
+    kc, r = _helm_args(kc, r)
     if n == 1:
-        out = _per_k(lambda v: -v ** (2.0 - 2.0 * s) / (2.0 * s), kc) * np.exp(1j * r * kc)
-    elif n == 2:
+        return _per_k(lambda v: -v ** (2.0 - 2.0 * s) / (2.0 * s), kc) * np.exp(1j * r * kc)
+    if n == 2:
         from .specfun import hankel1_1
-        out = _per_k(lambda v: -1j * v ** (3.0 - 2.0 * s) / (4.0 * s), kc) * hankel1_1(kc * r)
-    elif n == 3:
-        out = _per_k(lambda v: v ** (2.0 - 2.0 * s) / s, kc) * (1j * kc / r - 1.0 / r ** 2) \
+        return _per_k(lambda v: -1j * v ** (3.0 - 2.0 * s) / (4.0 * s), kc) * hankel1_1(kc * r)
+    if n == 3:
+        return _per_k(lambda v: v ** (2.0 - 2.0 * s) / s, kc) * (1j * kc / r - 1.0 / r ** 2) \
             * np.exp(1j * r * kc) / (4.0 * np.pi)
-    else:
-        raise DomainError(f"dimension must be 1, 2 or 3, got {n}")
-    return _as_given(out, scalar)
+    raise DomainError(f"dimension must be 1, 2 or 3, got {n}")

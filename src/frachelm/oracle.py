@@ -41,8 +41,8 @@ def fourier_invert_detailed(p, shift, r, spec=DEFAULT_SPEC, intervals=30):
     shift = _resolve_shift(p, shift)
     if shift.epsilon <= 0.0:
         raise DomainError("fourier_invert requires strictly positive absorption")
-    if not 0.0 < r < np.inf:
-        raise DomainError("fourier_invert requires finite r > 0")
+    if not (np.ndim(r) == 0 and 0.0 < r < np.inf):
+        raise DomainError(f"fourier_invert requires one finite r > 0, got {r!r}")
     s, k = p.s, p.k
     kc2s = k ** (2.0 * s) + 1j * shift.epsilon
     m = classify_regime(s).m

@@ -6,13 +6,16 @@
 * ``integrate_partitioned`` over caller-given breakpoints: adaptive on one
   interval, or a head cell plus averaged oscillation cells (the Fourier oracle).
 
-The public engines return a :class:`QuadResult` with an error estimate, the
-batched e^{-y} engine a (values, errors, evaluations) triple; assemblies
-downstream propagate those estimates additively.  Integrand callables must be
-vectorized over a 1-D numpy array of abscissae and may return either a 1-D
-array (scalar integrand) or a 2-D array ``(npoints, nbatch)`` for batched
-evaluation; the adaptive engine then refines until every batch column meets
-the tolerance, and keeps every estimate and sum real for a real integrand.
+The public engines return a :class:`QuadResult` with an error estimate: the
+Bessel transform arrays with one value and error per radius, a scalar radius
+being one, and ``integrate_partitioned`` one per column, scalars for one
+column.  The batched e^{-y} engine returns a (values, errors, evaluations)
+triple; assemblies downstream propagate those estimates additively.
+Integrand callables must be vectorized over a 1-D numpy array of abscissae
+and may return either a 1-D array (scalar integrand) or a 2-D array
+``(npoints, nbatch)`` for batched evaluation; the adaptive engine then
+refines until every batch column meets the tolerance, and keeps every
+estimate and sum real for a real integrand.
 It bisects next the panel with the largest err_c / tol_c over the columns c,
 tol = max(abs_tol, rel_tol |total|), not the largest absolute error, so
 columns of very different size share one pass.
@@ -331,7 +334,8 @@ _j0_panels = _J0Table(_J0_PANELS)
 
 
 def integrate_bessel_transform(g, r, spec=DEFAULT_SPEC):
-    """Compute int_0^inf J0(rho r) g(rho) drho for r > 0 (scalar or 1-D array).
+    """Compute int_0^inf J0(rho r) g(rho) drho at radii r > 0, a scalar (one
+    radius) or a 1-D array; value and error are 1-D arrays, one per radius.
 
     Substituting rho = t/r gives (1/r) int_0^inf J0(t) g(t/r) dt, so the
     partition at the zeros of J0 is fixed in t and every radius is one column
@@ -353,8 +357,6 @@ def integrate_bessel_transform(g, r, spec=DEFAULT_SPEC):
 
     value, err, evals, incr = _integrate_partitioned(integrand, pts, spec, _j0_panels)
     _check_tail_decay(incr, value, err, spec)
-    if np.ndim(r) == 0:
-        return QuadResult(complex(value[0]), float(err[0]), evals)
     return QuadResult(value, err, evals)
 
 
@@ -365,10 +367,9 @@ def _check_tail_decay(incr, value, err, spec):
     itself grows, violating the decay precondition).  A transient dip at a
     removable kernel feature inside the window must not trip the check, so it
     fires only when the growth persists through the end of the partition.
-    Checked per column of `incr` (cells, columns)."""
+    Checked per column of `incr` (cells, columns), which holds the 29 tail
+    cells of the transform's partition."""
     ncell = incr.shape[0]
-    if ncell < 8:
-        return
     tail = incr[ncell // 2:]
     floor = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
     end_is_peak = np.argmax(incr, axis=0) >= ncell - 3

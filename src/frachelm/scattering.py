@@ -105,8 +105,8 @@ class IncidentField:
 
     def __post_init__(self):
         d = np.atleast_1d(np.asarray(self.direction, dtype=float))
-        if not np.isclose(np.linalg.norm(d), 1.0, atol=1e-12):
-            raise DomainError("incident direction must be a unit vector")
+        if d.ndim != 1 or not np.isclose(np.linalg.norm(d), 1.0, atol=1e-12):
+            raise DomainError(f"incident direction must be a 1-D unit vector, got {d!r}")
         object.__setattr__(self, "direction", d)
 
     def values(self, problem, points):
@@ -315,7 +315,7 @@ def cell_weight(problem, offset, cell_sizes, spec=DEFAULT_SPEC, level=1):
     if h.shape != (problem.n,) or not np.all(np.isfinite(h) & (h > 0.0)):
         raise DomainError(f"cell sizes must be {problem.n} finite positive numbers, "
                           f"got {cell_sizes!r}")
-    if t.ndim not in (1, 2) or t.shape[-1] != problem.n:
+    if t.ndim not in (1, 2) or t.shape[-1] != problem.n or t.size == 0:
         raise DomainError(f"offsets of shape {t.shape} for a {problem.n}D cell")
     gamma = max(2.0, 1.0 / problem.s)
     rules = [_cell_quad(ti, h, gamma, level) for ti in np.reshape(t, (-1, h.size))]
@@ -526,6 +526,9 @@ def volume_potential(problem, pot, density, x, spec=DEFAULT_SPEC):
     pts = np.atleast_2d(x)
     if x.ndim > 2 or pts.shape[1:] != (pot.dim,) or pts.shape[0] == 0:
         raise DomainError(f"observation points of shape {x.shape} on a {pot.dim}D grid")
+    if np.shape(density) != pot.q_values.shape:
+        raise DomainError(f"density of shape {np.shape(density)} on a grid of "
+                          f"{pot.q_values.size} cells")
     step = max(1, _ROW_BUDGET // pot.nodes.shape[0])
     vals = np.empty(pts.shape[0], dtype=complex)
     for i in range(0, pts.shape[0], step):

@@ -77,6 +77,9 @@ def test_invalid_params_exit_2(tmp_path, capsys):
     code, _ = run_cli(capsys, ["radiation", "--dim", "2", "--s", "0.5", "--k", "1",
                                "--field", "h1", "--rmax", "inf"])
     assert code == 2
+    # a float list with a token that is not a number
+    code = main(["green", "--dim", "3", "--s", "0.5", "--k", "1", "--r", "1,x"])
+    assert code == 2 and "cannot parse float list" in capsys.readouterr().err
     # a degenerate rate-check grid or a non-finite claimed rate
     for extra in (["--points", "1"], ["--points", "0"], ["--rate", "nan"]):
         args = ["asymptotics", "--dim", "1", "--s", "0.75", "--k", "1", "--rate", "2.5"]

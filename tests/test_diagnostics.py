@@ -107,7 +107,7 @@ def test_radiation_requires_gradient():
     for r0, r_max in ((10.0, np.inf), (10.0, np.nan), (np.nan, 100.0)):
         with pytest.raises(DomainError):
             radiation_classify(hankel_outgoing_field(1.0), 1.0, r0, r_max, 0.75)
-    for k in (np.nan, np.inf, 0.0, -1.0):
+    for k in (np.nan, np.inf, 0.0, -1.0, np.array([1.0]), True):
         with pytest.raises(DomainError):
             radiation_classify(hankel_outgoing_field(1.0), k, 10.0, 100.0, 0.75)
     h1 = hankel_outgoing_field(1.0)
@@ -218,12 +218,15 @@ def test_lap_slope_guards():
     lambda p: decay_rate_check(p, "j_tail", np.array([[10.0, 100.0]]), 1.0),
     lambda p: decay_rate_check(p, "j_tail", 0.5, 1.0),
     lambda p: decay_rate_check(p, "j_tail", [], 1.0),
+    lambda p: decay_rate_check(p, "j_tail", [[10.0, 100.0], [1.0]], 1.0),
+    lambda p: decay_rate_check(p, "j_tail", "abc", 1.0),
     lambda p: singularity_rate_check(p, "j_tail", np.array([[1e-3, 0.1]]), 1.0),
     lambda p: singularity_rate_check(p, "j_tail", 0.5, 1.0),
     lambda p: singularity_rate_check(p, "j_tail", [], 1.0),
     lambda p: convolution_norm_check(p, PotentialGrid.build([-1.0] * 2, [1.0] * 2, 2, 1.0),
                                      0.75, 2.0),                        # a 2D source for 1D
 ], ids=["radius-array", "eps-2d", "window-inf", "window-2d", "window-scalar", "window-empty",
+        "window-ragged", "window-text",
         "singularity-window-2d", "singularity-window-scalar", "singularity-window-empty",
         "source-dim"])
 def test_bad_diagnostics_input_raises_domain_error(call):

@@ -61,9 +61,11 @@ def test_problem_validation():
         Problem(2, 1.2, 1.0)
     with pytest.raises(DomainError):
         Problem(2, 0.3, -1.0)
-    for k in (np.inf, np.nan):
+    for k in (np.inf, np.nan, True, np.array([1.0])):
         with pytest.raises(DomainError):
             Problem(1, 0.5, k)
+    with pytest.raises(DomainError):
+        Problem(1, np.array([0.5]), 1.0)
 
 
 @pytest.mark.parametrize("n", [True, 2.0])
@@ -376,6 +378,9 @@ def test_helm_part_domain():
         helm_part(3, 0.6, 1.0 + 0j, -1.0)
     with pytest.raises(DomainError):
         helm_part(3, 0.6, -1.0 + 0j, 1.0)
+    for part in (helm_part, helm_part_dr):
+        with pytest.raises(DomainError, match="dimension must be 1, 2 or 3"):
+            part(4, 0.6, 1.0 + 0j, 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -386,7 +391,7 @@ def test_helm_parts_take_one_k_per_radius(n):
     r = np.array([0.5, 2.0, 2.0, 6.0, 20.0])
     for part in (helm_part, helm_part_dr):
         got = part(n, p.s, kc, r)
-        want = np.array([part(n, p.s, complex(v), x) for v, x in zip(kc, r)])
+        want = np.concatenate([part(n, p.s, complex(v), x) for v, x in zip(kc, r)])
         assert np.array_equal(got, want)
         for bad in (-1.0 + 0j, 1.0 - 1e-3j, 0j):
             with pytest.raises(DomainError):

@@ -22,7 +22,8 @@ def test_requires_positive_absorption():
     # a float epsilon is accepted as green_eval accepts it; radii are finite
     sh = spectral_shift(p, 0.3)
     assert fourier_invert(p, 0.3, 1.0) == fourier_invert(p, sh, 1.0)
-    for r in (np.inf, np.nan):
+    # one radius: an array of them, even of one, is not accepted
+    for r in (np.inf, np.nan, np.array([1.0, 2.0]), np.array([1.0])):
         with pytest.raises(DomainError):
             fourier_invert(p, sh, r)
 

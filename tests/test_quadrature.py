@@ -60,6 +60,9 @@ def test_adaptive_trivial_examples():
 def test_adaptive_domain():
     with pytest.raises(DomainError):
         integrate_partitioned(lambda x: x, [1.0, 1.0])
+    # an integrand returns (points,) or (points, columns), nothing of more axes
+    with pytest.raises(DomainError, match="integrand returned shape"):
+        integrate_partitioned(lambda x: np.ones((x.size, 2, 2)), [0.0, 1.0])
 
 
 def test_adaptive_max_subdiv():

@@ -32,6 +32,8 @@ def grid1(cells=16, q=0.2):
 def test_grid_build_validation():
     with pytest.raises(DomainError):
         PotentialGrid.build([1.0], [-1.0], 8, 0.1)
+    with pytest.raises(DomainError, match="matching lo/hi"):
+        PotentialGrid.build([0.0, 0.0], [1.0], 4, 0.3)
     with pytest.raises(DomainError):
         PotentialGrid.build([-1.0], [1.0], 8, [1.0, 2.0])
     with pytest.raises(DomainError):
@@ -55,7 +57,7 @@ def test_grid_build_validation():
     for h in ([0.0, 0.1], [-0.1, 0.1], [np.nan, 0.1], [0.1], [0.1, 0.1, 0.1]):
         with pytest.raises(DomainError):
             cell_weight(Problem(2, 0.3, 1.0), [0.3, 0.0], h)
-    for t in ([0.3, 0.0, 0.5, 0.2], [0.3, 0.0, 0.5], np.zeros((1, 1, 2)), 0.3):
+    for t in ([0.3, 0.0, 0.5, 0.2], [0.3, 0.0, 0.5], np.zeros((1, 1, 2)), 0.3, np.zeros((0, 2))):
         with pytest.raises(DomainError):
             cell_weight(Problem(2, 0.3, 1.0), t, [0.1, 0.1])
 
@@ -68,8 +70,9 @@ def test_grid_cells_must_be_a_positive_integer(cells):
 
 
 def test_incident_field_unit_direction():
-    with pytest.raises(DomainError):
-        IncidentField(np.array([1.0, 1.0]))
+    for d in (np.array([1.0, 1.0]), np.array([[1.0, 0.0]])):
+        with pytest.raises(DomainError):
+            IncidentField(d)
     inc = IncidentField(np.array([0.6, 0.8]))
     pts = np.array([[0.5, -0.25]])
     expect = np.exp(1j * 1.0 * (0.6 * 0.5 - 0.8 * 0.25))
@@ -599,6 +602,11 @@ def test_observation_and_incident_dimension_checked():
         solve_ls(build_nystrom(p3, pot), flat)
     with pytest.raises(DomainError):
         born_approx(p3, pot, flat, np.full(3, 5.0))
+    # one density entry per cell
+    pot1 = PotentialGrid.build([-1.0], [1.0], 4, 0.3)
+    for density in (np.ones(3), np.ones(5), np.ones((4, 1))):
+        with pytest.raises(DomainError, match="density of shape"):
+            volume_potential(P1, pot1, density, np.array([5.0]))
 
 
 @pytest.mark.parametrize("n, s, cells", [(1, 0.3, 12), (2, 0.75, 12), (3, 0.3, 6)])

@@ -57,6 +57,12 @@ def test_riesz_constant_positive(n, s, j):
             sf.riesz_constant(n, s, j)
 
 
+@pytest.mark.parametrize("n, s, j", [(4, 0.3, 0), (2, 0.3, -1), (2, 0.3, 0.5)])
+def test_riesz_constant_rejects_dimension_and_index(n, s, j):
+    with pytest.raises(DomainError):
+        sf.riesz_constant(n, s, j)
+
+
 # ---------------------------------------------------------------------------
 # Bessel / Hankel
 # ---------------------------------------------------------------------------
