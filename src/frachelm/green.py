@@ -27,6 +27,8 @@ radius uses the series only where, for every bracket power it needs, the
 bound plus its rounding meets the tolerance the quadrature would be held to;
 the other radii go to the e^{-y} engine, or in 2D to the Bessel transform and
 the Struve term, an e^{-y} integral too (``_tail_batch``, one rule for all n).
+One-radius calls are direct; ``src_residual`` takes G and dG/dr from one
+such pass, with one set of prefactors and one series per bracket power.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class GreenDecomposition:
 def _check_radii(r):
     if r.ndim != 1 or r.size == 0:
         raise DomainError("radii must form a nonempty 1-D array")
-    if not np.all(np.isfinite(r) & (r > 0.0)):
+    if not (r.min() > 0.0 and r.max() < np.inf):   # NaN fails both
         raise DomainError("green evaluation requires finite r > 0")
     return r
 
@@ -342,50 +344,67 @@ def _far_reach(n, s, m, spec, powers):
     return thresh ** (1.0 / (2.0 * s))
 
 
-def _tail_batch(p, regime, kc, r, spec, derivative=False):
-    """(values, errors) of the tail at radii r, or of its r-derivative; kc is
-    one k_eps or one per radius.
+def _tail_batch(p, regime, kc, r, spec, derivative=False, pair=False):
+    """(values, errors) of the tail at radii r, or of its r-derivative, or
+    with ``pair`` [value's, derivative's] from one pass; kc is one k_eps or
+    one per radius.
 
     A radius takes the far series (``_far_series``) when it meets the
-    tolerance for every bracket power the radius needs: power 1 for a value,
-    1 and 2 (the d/dc integrand) for a derivative.  A 2D call in which no
-    radius reaches ``_far_reach`` skips the series before any prefactor.  The
-    other radii, with their k_eps, go to their dimension's engine: the e^{-y}
-    integrals for n in {1, 3}, whose y_cut is that of all the call's radii so
-    that the head interval of a near radius does not depend on which of its
-    neighbours the series took, or in 2D the Bessel transform and the Struve
-    term.  The prefactors and c are computed once for all radii, and the
-    e^{-y} engine takes the columns of c the series left.  At one float
+    tolerance for every bracket power the quantity needs: power 1 for a
+    value, 1 and 2 (the d/dc integrand) for a derivative.  A 2D call in which
+    no radius reaches ``_far_reach`` skips the series before any prefactor.
+    The other radii, with their k_eps, go to their dimension's engine: the
+    e^{-y} integrals for n in {1, 3}, whose y_cut is that of all the call's
+    radii so that the head interval of a near radius does not depend on which
+    of its neighbours the series took, or in 2D the Bessel transform and the
+    Struve term.  The prefactors and c are computed once for all radii, and
+    the e^{-y} engine takes the columns of c the series left.  At one float
     k_eps (eps = 0) c and the tail are real: the series and the engine give
     the integral of the real bracket / i (``_bracket``), so the prefactors
     take the factor i, and the 2D transform runs real.
+
+    A pair (``src_residual``, one radius) applies this rule to both in one
+    pass, with one series per bracket power and one e^{-y} engine call per
+    power and set of columns, so each has the bits of its own call.
     """
-    powers = (1, 2) if derivative else (1,)
-    served = np.abs(kc) * r >= _far_reach(p.n, p.s, regime.m, spec, powers)
-    if p.n == 2 and not served.any():
-        return _bessel_transform_tail(p, regime, kc, r, spec, derivative)
+    outs = (False, True) if pair else (derivative,)
+    needs = [(1, 2) if d else (1,) for d in outs]
+    reach = [np.abs(kc) * r >= _far_reach(p.n, p.s, regime.m, spec, q) for q in needs]
+    if p.n == 2 and not reach[0].any():
+        res = [_bessel_transform_tail(p, regime, kc, r, spec, d) for d in outs]
+        return res if pair else res[0]
     pref, dpref, c, tail = _exp_tail_terms(p, regime, kc, r)
     if c.dtype.kind == "f":   # i pref is real, and exact
         pref, dpref = (1j * pref).real, (1j * dpref).real
-    # (integral, error) per bracket power, or the integral's d/dc for power 2
-    parts = [(np.zeros(r.shape, dtype=c.dtype), np.zeros(r.shape)) for _ in powers]
-    if served.any():
-        far = [_far_series(c[served], tail, spec, q, _MOMENT[p.n]) for q in powers]
-        ok = np.logical_and.reduce([f[2] for f in far])
-        served[served] = ok
-        for (ival, ierr), (fval, ferr, _) in zip(parts, far):
-            ival[served], ierr[served] = fval[ok], ferr[ok]
-    rest = ~served
-    if p.n != 2 and rest.any():
-        y_cut, cr = max(10.0, float((5.0 * abs(kc) * r).max())), c[rest]
-        for (ival, ierr), q in zip(parts, powers):
-            ival[rest], ierr[rest] = _exp_weighted_batch(
-                lambda y: _bracket(y, cr, *tail, q), spec, y_cut)[:2]
-    val, err = _chain(p, kc, r, pref, dpref, *parts)
-    if p.n == 2 and rest.any():
-        kr = kc if np.ndim(kc) == 0 else kc[rest]
-        val[rest], err[rest] = _bessel_transform_tail(p, regime, kr, r[rest], spec, derivative)
-    return val, err
+    # per bracket power: the series' (integral, error, served), or for power 2
+    # the integral's d/dc, zero where it did not run; power 1 runs over the
+    # first quantity's reach, power 2 over the derivative's
+    far = {}
+    for q in needs[-1]:
+        cols = reach[0] if q == 1 else reach[-1]
+        far[q] = np.zeros(r.shape, dtype=c.dtype), np.zeros(r.shape), np.zeros(r.shape, bool)
+        if cols.any():
+            for whole, part in zip(far[q], _far_series(c[cols], tail, spec, q, _MOMENT[p.n])):
+                whole[cols] = part
+    engine, res = {}, []
+    for d, qs, served in zip(outs, needs, reach):
+        served = served & np.logical_and.reduce([far[q][2] for q in qs])
+        parts = [(np.where(served, far[q][0], 0.0), np.where(served, far[q][1], 0.0)) for q in qs]
+        rest = ~served
+        if p.n != 2 and rest.any():
+            y_cut, cr = max(10.0, float((5.0 * abs(kc) * r).max())), c[rest]
+            for (ival, ierr), q in zip(parts, qs):
+                key = q, rest.tobytes()
+                if key not in engine:
+                    engine[key] = _exp_weighted_batch(
+                        lambda y: _bracket(y, cr, *tail, q), spec, y_cut)[:2]
+                ival[rest], ierr[rest] = engine[key]
+        val, err = _chain(p, kc, r, pref, dpref, *parts)
+        if p.n == 2 and rest.any():
+            kr = kc if np.ndim(kc) == 0 else kc[rest]
+            val[rest], err[rest] = _bessel_transform_tail(p, regime, kr, r[rest], spec, d)
+        res.append((val, err))
+    return res if pair else res[0]
 
 
 def _closed_parts(p, regime, kc, r, derivative=False):
@@ -501,12 +520,18 @@ def _shifted_wavenumber(p, shift, size):
     return next(iter(kc.values())) if len(kc) == 1 else np.array([kc[e] for e in eps.tolist()])
 
 
-def _green_batch(p, shift, radii, spec, derivative=False):
+def _green_batch(p, shift, radii, spec, derivative=False, pair=False):
     """(helm, riesz_sum, j_tail, err) of ``green_eval_batch``, or their
     r-derivatives: one radius or several shifts make one direct tail call,
-    any other call reads ``_tabled_tail`` at its distinct radii."""
+    any other call reads ``_tabled_tail`` at its distinct radii.  With
+    ``pair`` (one radius), [G, dG/dr] from one direct tail pass, each the sum
+    of its parts, without err."""
     r = _check_radii(np.asarray(radii, dtype=float))
     kc, regime = _shifted_wavenumber(p, shift, r.size), classify_regime(p.s)
+    if pair:
+        tails = _tail_batch(p, regime, _as_real(kc), r, spec, pair=True)
+        return [sum(_closed_parts(p, regime, kc, r, d)) + jt
+                for d, (jt, _) in zip((False, True), tails)]
     direct = r.size == 1 or np.ndim(kc) != 0
     u, inv = (r, slice(None)) if direct else np.unique(r, return_inverse=True)
     helm, riesz = _closed_parts(p, regime, kc, u, derivative)
@@ -563,11 +588,15 @@ def green_radial_derivative(p, shift, r, spec=DEFAULT_SPEC):
 
 def src_residual(p, r, spec=DEFAULT_SPEC):
     """Sommerfeld residual r^{(n-1)/2} |dG/dr - i k G| at absorption zero and
-    one finite radius r > 0 (``green_eval`` rejects an array); G and dG/dr
-    both run at spec."""
-    g = green_eval(p, 0.0, r, spec)
-    dg = green_radial_derivative(p, 0.0, r, spec)
-    return float(r ** ((p.n - 1) / 2.0) * abs(dg - 1j * p.k * g.total))
+    one finite radius r > 0, a scalar or a 0-d array (else
+    :class:`DomainError`).  G and dG/dr come from one pass at spec: one
+    radius check and shift, and one tail pass for both (``_tail_batch``),
+    each on the path and with the bits of its own one-radius call
+    (``green_eval``, ``green_radial_derivative``)."""
+    if np.ndim(r) != 0:
+        raise DomainError(f"src_residual takes one radius, got shape {np.shape(r)}")
+    g, dg = _green_batch(p, 0.0, np.atleast_1d(float(r)), spec, pair=True)
+    return float(r ** ((p.n - 1) / 2.0) * abs(complex(dg[0]) - 1j * p.k * complex(g[0])))
 
 
 def green_closed_form_3d_half(k, r):

@@ -123,7 +123,7 @@ def _spectral_args(r, kc, name):
     if not cmath.isfinite(kc):
         raise DomainError(f"{name} requires a finite shifted wavenumber, got {kc}")
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if not np.all(np.isfinite(r) & (r > 0.0)):
+    if r.size and not (r.min() > 0.0 and r.max() < np.inf):   # NaN fails both
         raise DomainError(f"{name} requires finite r > 0")
     return r
 
@@ -308,7 +308,7 @@ def _helm_args(kc, r):
         raise DomainError("shifted wavenumber must be finite and lie in the closed first "
                           f"quadrant, got {kc}")
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if not np.all(np.isfinite(r) & (r > 0.0)):
+    if r.size and not (r.min() > 0.0 and r.max() < np.inf):
         raise DomainError("Helmholtz parts require finite r > 0")
     return kc, r
 

@@ -253,6 +253,68 @@ def test_src_residual_decreasing():
     assert res[1] < res[0]
 
 
+_SRC_RADII = np.geomspace(1e-3, 3e3, 15)
+# (n, s, k, index into _SRC_RADII) where the far series serves the value
+# (power 1) but not the derivative (power 2 misses its tolerance)
+_SRC_SPLIT = ((1, 1.0 / 6.0, 0.7, 10), (1, 1.0 / 6.0, 2.0, 9), (3, 0.3, 2.0, 9))
+
+
+def _two_call_src(p, r):
+    g, dg = green_eval(p, 0.0, r), green_radial_derivative(p, 0.0, r)
+    return r ** ((p.n - 1) / 2.0) * abs(dg - 1j * p.k * g.total)
+
+
+def test_src_residual_is_one_pass_of_the_two_calls(monkeypatch):
+    # one pass for G and dG/dr gives the bits of the value call and the
+    # derivative call it replaces: near (in 2D the Bessel transform, kr < 20),
+    # far, and where the series serves the value but not the derivative
+    assert np.sum(2.0 * _SRC_RADII < 20.0) >= 9
+    for n in (1, 2, 3):
+        for s in (1.0 / 6.0, 0.25, 0.3, 0.5, 0.75):
+            for k in (0.7, 2.0):
+                p = Problem(n, s, k)
+                for r in _SRC_RADII.tolist():
+                    assert src_residual(p, r) == _two_call_src(p, r), (n, s, k, r)
+    # at the split radii the value takes the power-1 series and the
+    # derivative the e^{-y} engine, once per bracket power
+    served, engine = [], []
+    far_series, exp_weighted = green._far_series, green._exp_weighted_batch
+
+    def spy_far(c, tail, spec, q, moment):
+        out = far_series(c, tail, spec, q, moment)
+        served.append((q, bool(out[2][0])))
+        return out
+
+    monkeypatch.setattr(green, "_far_series", spy_far)
+    monkeypatch.setattr(green, "_exp_weighted_batch",
+                        lambda *a: engine.append(a) or exp_weighted(*a))
+    for n, s, k, i in _SRC_SPLIT:
+        p, r = Problem(n, s, k), float(_SRC_RADII[i])
+        want = _two_call_src(p, r)
+        served.clear()
+        engine.clear()
+        assert src_residual(p, r) == want
+        assert served == [(1, True), (2, False)] and len(engine) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_src_residual_makes_one_green_pass(monkeypatch, n):
+    # at a far radius one src_residual call checks its radius and shift once,
+    # forms the prefactors once and sums each bracket power's series once
+    calls = []
+    for name in ("_check_radii", "_shifted_wavenumber", "_exp_tail_terms", "_far_series"):
+        def spy(*a, _f=getattr(green, name), _name=name):
+            calls.append((_name, a[3] if _name == "_far_series" else None))
+            return _f(*a)
+        monkeypatch.setattr(green, name, spy)
+    for s in (0.25, 0.3, 0.75):
+        calls.clear()
+        src_residual(Problem(n, s, 1.0), 1e3)
+        assert sorted(calls, key=str) == [
+            ("_check_radii", None), ("_exp_tail_terms", None), ("_far_series", 1),
+            ("_far_series", 2), ("_shifted_wavenumber", None)]
+
+
 def test_incoming_sign_flip_does_not_cancel():
     # |dG/dr + ikG| stays near 2k r^{(n-1)/2} |G_helm| at large r
     p = Problem(3, 0.5, 1.0)
