@@ -344,67 +344,59 @@ def _far_reach(n, s, m, spec, powers):
     return thresh ** (1.0 / (2.0 * s))
 
 
-def _tail_batch(p, regime, kc, r, spec, derivative=False, pair=False):
-    """(values, errors) of the tail at radii r, or of its r-derivative, or
-    with ``pair`` [value's, derivative's] from one pass; kc is one k_eps or
-    one per radius.
+def _tail_batch(p, regime, kc, r, spec, outs=(False,)):
+    """[(values, errors)] of the tail at radii r, one pair per entry of
+    ``outs``: the tail for False, its r-derivative for True; kc is one k_eps
+    or one per radius.
 
-    A radius takes the far series (``_far_series``) when it meets the
-    tolerance for every bracket power the quantity needs: power 1 for a
-    value, 1 and 2 (the d/dc integrand) for a derivative.  A 2D call in which
-    no radius reaches ``_far_reach`` skips the series before any prefactor.
-    The other radii, with their k_eps, go to their dimension's engine: the
-    e^{-y} integrals for n in {1, 3}, whose y_cut is that of all the call's
-    radii so that the head interval of a near radius does not depend on which
-    of its neighbours the series took, or in 2D the Bessel transform and the
-    Struve term.  The prefactors and c are computed once for all radii, and
-    the e^{-y} engine takes the columns of c the series left.  At one float
-    k_eps (eps = 0) c and the tail are real: the series and the engine give
-    the integral of the real bracket / i (``_bracket``), so the prefactors
-    take the factor i, and the 2D transform runs real.
-
-    A pair (``src_residual``, one radius) applies this rule to both in one
-    pass, with one series per bracket power and one e^{-y} engine call per
-    power and set of columns, so each has the bits of its own call.
+    A radius takes the far series (``_far_series``) for a quantity when it
+    meets the tolerance for every bracket power the quantity needs: power 1
+    for a value, 1 and 2 (the d/dc integrand) for a derivative.  A 2D call in
+    which no radius reaches ``_far_reach`` skips the series before any
+    prefactor.  The other radii, with their k_eps, go to their dimension's
+    engine: the e^{-y} integrals for n in {1, 3}, whose y_cut is that of all
+    the call's radii so that the head interval of a near radius does not
+    depend on which of its neighbours the series took, or in 2D the Bessel
+    transform and the Struve term.  The prefactors and c are computed once
+    for all radii and quantities, each bracket power's series runs once over
+    the radii any quantity needing it reaches, and the e^{-y} engine takes
+    the columns of c the series left.  At one float k_eps (eps = 0) c and the
+    tail are real: the series and the engine give the integral of the real
+    bracket / i (``_bracket``), so the prefactors take the factor i, and the
+    2D transform runs real.
     """
-    outs = (False, True) if pair else (derivative,)
-    needs = [(1, 2) if d else (1,) for d in outs]
-    reach = [np.abs(kc) * r >= _far_reach(p.n, p.s, regime.m, spec, q) for q in needs]
-    if p.n == 2 and not reach[0].any():
-        res = [_bessel_transform_tail(p, regime, kc, r, spec, d) for d in outs]
-        return res if pair else res[0]
+    x, needs = np.abs(kc) * r, [(1, 2) if d else (1,) for d in outs]
+    reach = [_far_reach(p.n, p.s, regime.m, spec, qs) for qs in needs]
+    if p.n == 2 and not (x >= min(reach)).any():
+        return [_bessel_transform_tail(p, regime, kc, r, spec, d) for d in outs]
     pref, dpref, c, tail = _exp_tail_terms(p, regime, kc, r)
     if c.dtype.kind == "f":   # i pref is real, and exact
         pref, dpref = (1j * pref).real, (1j * dpref).real
-    # per bracket power: the series' (integral, error, served), or for power 2
-    # the integral's d/dc, zero where it did not run; power 1 runs over the
-    # first quantity's reach, power 2 over the derivative's
+    # per bracket power: the series' (integral, error, met), or for power 2
+    # the integral's d/dc, zero where no quantity needing it reached
     far = {}
-    for q in needs[-1]:
-        cols = reach[0] if q == 1 else reach[-1]
+    for q in sorted(set().union(*needs)):
+        cols = x >= min(t for t, qs in zip(reach, needs) if q in qs)
         far[q] = np.zeros(r.shape, dtype=c.dtype), np.zeros(r.shape), np.zeros(r.shape, bool)
         if cols.any():
             for whole, part in zip(far[q], _far_series(c[cols], tail, spec, q, _MOMENT[p.n])):
                 whole[cols] = part
-    engine, res = {}, []
-    for d, qs, served in zip(outs, needs, reach):
-        served = served & np.logical_and.reduce([far[q][2] for q in qs])
+    res = []
+    for d, qs, t in zip(outs, needs, reach):
+        served = (x >= t) & np.logical_and.reduce([far[q][2] for q in qs])
         parts = [(np.where(served, far[q][0], 0.0), np.where(served, far[q][1], 0.0)) for q in qs]
         rest = ~served
         if p.n != 2 and rest.any():
             y_cut, cr = max(10.0, float((5.0 * abs(kc) * r).max())), c[rest]
             for (ival, ierr), q in zip(parts, qs):
-                key = q, rest.tobytes()
-                if key not in engine:
-                    engine[key] = _exp_weighted_batch(
-                        lambda y: _bracket(y, cr, *tail, q), spec, y_cut)[:2]
-                ival[rest], ierr[rest] = engine[key]
+                ival[rest], ierr[rest] = _exp_weighted_batch(
+                    lambda y: _bracket(y, cr, *tail, q), spec, y_cut)[:2]
         val, err = _chain(p, kc, r, pref, dpref, *parts)
         if p.n == 2 and rest.any():
             kr = kc if np.ndim(kc) == 0 else kc[rest]
             val[rest], err[rest] = _bessel_transform_tail(p, regime, kr, r[rest], spec, d)
         res.append((val, err))
-    return res if pair else res[0]
+    return res
 
 
 def _closed_parts(p, regime, kc, r, derivative=False):
@@ -436,7 +428,7 @@ def _tail_panel(p, kc, spec, exponent, derivative=False):
     regime, d = classify_regime(p.s), _PANEL_DEGREE
     theta = np.pi * (np.arange(d + 1) + 0.5) / (d + 1)
     nodes = np.ldexp(np.exp2(0.5 * np.append(np.cos(theta), -1.0) - 0.5), exponent)
-    jn, en = _tail_batch(p, regime, _as_real(kc), nodes, spec, derivative=derivative)
+    (jn, en), = _tail_batch(p, regime, _as_real(kc), nodes, spec, outs=(derivative,))
     tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(jn + sum(_closed_parts(
         p, regime, kc, nodes, derivative))))
     coef = (2.0 / (d + 1)) * jn[:-1] @ np.cos(np.outer(theta, np.arange(d + 1)))
@@ -494,7 +486,8 @@ def _tabled_tail(p, regime, kc, r, spec, derivative=False):
     if cols:
         jt[few] = scale * chebval(u[few], np.array(cols).T, tensor=False)
     if direct.any():
-        jt[direct], je[direct] = _tail_batch(p, regime, kc, t[direct], spec, derivative=derivative)
+        (jt[direct], je[direct]), = _tail_batch(p, regime, kc, t[direct], spec,
+                                                 outs=(derivative,))
     run = np.cumsum(lead) - 1
     return jt[run], je[run]
 
@@ -520,24 +513,20 @@ def _shifted_wavenumber(p, shift, size):
     return next(iter(kc.values())) if len(kc) == 1 else np.array([kc[e] for e in eps.tolist()])
 
 
-def _green_batch(p, shift, radii, spec, derivative=False, pair=False):
+def _green_batch(p, shift, radii, spec, derivative=False):
     """(helm, riesz_sum, j_tail, err) of ``green_eval_batch``, or their
     r-derivatives: one radius or several shifts make one direct tail call,
-    any other call reads ``_tabled_tail`` at its distinct radii.  With
-    ``pair`` (one radius), [G, dG/dr] from one direct tail pass, each the sum
-    of its parts, without err."""
+    any other call reads ``_tabled_tail`` at its distinct radii."""
     r = _check_radii(np.asarray(radii, dtype=float))
     kc, regime = _shifted_wavenumber(p, shift, r.size), classify_regime(p.s)
-    if pair:
-        tails = _tail_batch(p, regime, _as_real(kc), r, spec, pair=True)
-        return [sum(_closed_parts(p, regime, kc, r, d)) + jt
-                for d, (jt, _) in zip((False, True), tails)]
     direct = r.size == 1 or np.ndim(kc) != 0
     u, inv = (r, slice(None)) if direct else np.unique(r, return_inverse=True)
     helm, riesz = _closed_parts(p, regime, kc, u, derivative)
     kt = _as_real(kc)
-    jt, je = (_tail_batch if direct else _tabled_tail)(p, regime, kt, u, spec,
-                                                       derivative=derivative)
+    if direct:
+        (jt, je), = _tail_batch(p, regime, kt, u, spec, outs=(derivative,))
+    else:
+        jt, je = _tabled_tail(p, regime, kt, u, spec, derivative=derivative)
     err = je + _helm_rel(p, kt, u) * np.abs(helm) + _CLOSED_FORM_REL * np.abs(riesz)
     return helm[inv], riesz[inv], jt[inv].astype(complex, copy=False), err[inv]
 
@@ -595,8 +584,12 @@ def src_residual(p, r, spec=DEFAULT_SPEC):
     (``green_eval``, ``green_radial_derivative``)."""
     if np.ndim(r) != 0:
         raise DomainError(f"src_residual takes one radius, got shape {np.shape(r)}")
-    g, dg = _green_batch(p, 0.0, np.atleast_1d(float(r)), spec, pair=True)
-    return float(r ** ((p.n - 1) / 2.0) * abs(complex(dg[0]) - 1j * p.k * complex(g[0])))
+    rr = _check_radii(np.atleast_1d(float(r)))
+    kc, regime = _shifted_wavenumber(p, 0.0, 1), classify_regime(p.s)
+    tails = _tail_batch(p, regime, _as_real(kc), rr, spec, outs=(False, True))
+    g, dg = (complex((sum(_closed_parts(p, regime, kc, rr, d)) + jt)[0])
+             for d, (jt, _) in zip((False, True), tails))
+    return float(r ** ((p.n - 1) / 2.0) * abs(dg - 1j * p.k * g))
 
 
 def green_closed_form_3d_half(k, r):

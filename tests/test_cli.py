@@ -234,9 +234,9 @@ def test_radiation_green_derivative_takes_quad(monkeypatch, capsys, flags):
     seen = []
     tail_batch = frachelm.green._tail_batch
 
-    def spy(p, regime, kc, r, spec, derivative=False):
-        seen.append((derivative, spec.rel_tol))
-        return tail_batch(p, regime, kc, r, spec, derivative)
+    def spy(p, regime, kc, r, spec, outs=(False,)):
+        seen.extend((d, spec.rel_tol) for d in outs)
+        return tail_batch(p, regime, kc, r, spec, outs=outs)
 
     monkeypatch.setattr(frachelm.green, "_tail_batch", spy)
     code, out = run_cli(capsys, ["radiation", "--dim", "1", "--s", "0.75", "--k", "1",

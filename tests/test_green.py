@@ -527,7 +527,7 @@ def _quadrature_only(monkeypatch):
 def _tail(p, shift, r, spec, derivative):
     """(values, errors) of the tail, or of its r-derivative."""
     kc = spectral_shift(p, shift).k_eps
-    return green._tail_batch(p, classify_regime(p.s), kc, r, spec, derivative)
+    return green._tail_batch(p, classify_regime(p.s), kc, r, spec, outs=(derivative,))[0]
 
 
 def _far_served(p, shift, r):
@@ -854,9 +854,10 @@ def test_real_tail_agrees_with_the_complex_tail(n, s):
     k, regime = 1.3, classify_regime(s)
     r = np.r_[np.geomspace(1e-3, 8.0, 12), 60.0, 400.0] / k
     for derivative in (False, True):
-        real, rerr = green._tail_batch(Problem(n, s, k), regime, k, r, DEFAULT_SPEC, derivative)
-        cplx, cerr = green._tail_batch(Problem(n, s, k), regime, np.full(r.size, complex(k)), r,
-                                       DEFAULT_SPEC, derivative)
+        (real, rerr), = green._tail_batch(Problem(n, s, k), regime, k, r, DEFAULT_SPEC,
+                                          outs=(derivative,))
+        (cplx, cerr), = green._tail_batch(Problem(n, s, k), regime, np.full(r.size, complex(k)),
+                                          r, DEFAULT_SPEC, outs=(derivative,))
         assert real.dtype == np.float64 and cplx.dtype == complex
         assert np.all(np.abs(real - cplx) <= rerr + cerr), (derivative, np.abs(real - cplx) / (rerr + cerr))
 
