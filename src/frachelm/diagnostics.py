@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, is_count, is_real
+from .errors import AccuracyError, DomainError, is_count, is_real, is_real_kind
 from .green import green_eval_batch, green_radial_derivative
 from .quadrature import DEFAULT_SPEC
 from .scattering import volume_potential
@@ -176,9 +176,9 @@ def lap_slope(p, r, eps_list, spec=DEFAULT_SPEC):
 def lap_differences(p, r, eps_list, spec=DEFAULT_SPEC):
     """(log-log slope against eps, |G^{k_eps}(r) - G^k(r)| per eps), from one
     Green call at r that takes eps = 0 and every eps as its shifts."""
+    if np.ndim(r) != 0 or not (is_real_kind(r) and is_real_kind(eps_list)):
+        raise DomainError(f"lap_differences takes one real radius and real eps, got {r!r}")
     eps = np.asarray(eps_list, dtype=float)
-    if np.ndim(r) != 0:
-        raise DomainError(f"lap_differences takes one radius, got shape {np.shape(r)}")
     if eps.ndim != 1 or eps.size < 2 or np.any(np.diff(eps) >= 0.0) or np.any(eps <= 0.0):
         raise DomainError("eps_list must be a 1-D array, positive and strictly decreasing")
     shifts = np.r_[0.0, eps]

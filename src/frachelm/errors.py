@@ -3,6 +3,8 @@ and real numbers."""
 
 import numbers
 
+import numpy as np
+
 
 def is_count(value):
     """Whether value is a Python or NumPy integer; a bool is not one."""
@@ -12,6 +14,11 @@ def is_count(value):
 def is_real(value):
     """Whether value is one Python or NumPy real number; a bool is not one."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_real_kind(value):
+    """Whether value, a number or an array, holds integers or floats, not bools."""
+    return np.asarray(value).dtype.kind in "iuf"
 
 
 class DomainError(ValueError):

@@ -27,8 +27,8 @@ radius uses the series only where, for every bracket power it needs, the
 bound plus its rounding meets the tolerance the quadrature would be held to;
 the other radii go to the e^{-y} engine, or in 2D to the Bessel transform and
 the Struve term, an e^{-y} integral too (``_tail_batch``, one rule for all n).
-One-radius calls are direct; ``src_residual`` takes G and dG/dr from one
-such pass, with one set of prefactors and one series per bracket power.
+One front end (``_green_batch``) serves G, dG/dr or both; ``src_residual`` takes
+both from one direct one-radius pass: one set of prefactors, one series per power.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
-from .errors import DomainError
+from .errors import DomainError, is_real_kind
 from .kernels import (
     LOW_INTEGER, Problem, _resolve_shift, classify_regime, dF_m_dr, dF_tilde_m_dr, F_m,
     F_tilde_m, helm_part, helm_part_dr, spectral_shift,
@@ -72,9 +72,10 @@ class GreenDecomposition:
     err_estimate: float
 
 
-def _check_radii(r):
-    if r.ndim != 1 or r.size == 0:
-        raise DomainError("radii must form a nonempty 1-D array")
+def _check_radii(radii):
+    if not is_real_kind(radii) or np.ndim(radii) != 1 or np.size(radii) == 0:
+        raise DomainError("radii must form a nonempty 1-D array of real numbers")
+    r = np.asarray(radii, dtype=float)
     if not (r.min() > 0.0 and r.max() < np.inf):   # NaN fails both
         raise DomainError("green evaluation requires finite r > 0")
     return r
@@ -409,7 +410,7 @@ def _closed_parts(p, regime, kc, r, derivative=False):
 def _helm_rel(p, kc, r):
     """Relative error charged to the Helmholtz part at radii r."""
     # specfun bounds hankel1_0 at the argument helm_part passes it, real at a float kc
-    return hankel1_0_rel_error(kc * r) if p.n == 2 else np.full(r.shape, _CLOSED_FORM_REL)
+    return hankel1_0_rel_error(kc * r) if p.n == 2 else _CLOSED_FORM_REL
 
 
 @lru_cache(maxsize=_TAIL_PANELS)
@@ -470,11 +471,10 @@ def _tabled_tail(p, regime, kc, r, spec, derivative=False):
         powers = (1, 2) if derivative else (1,)
         tabled = np.ldexp(1.0, keys - 1) < _far_reach(p.n, p.s, regime.m, spec, powers)
     u, scale = 2.0 * np.log2(mant) + 1.0, a ** (p.n - 2.0 * p.s + derivative)
-    flag = {"derivative": True} if derivative else {}   # a value keeps the 4-argument key
     jt, je = np.empty(t.size, dtype=complex), np.empty(t.size)
     direct, few, cols = np.ones(t.size, dtype=bool), np.zeros(t.size, dtype=bool), []
     for j, i, c in zip(keys[tabled].tolist(), first[tabled].tolist(), counts[tabled].tolist()):
-        table = _tail_panel(q, u0, spec, j, **flag)
+        table = _tail_panel(q, u0, spec, j, derivative)
         if table is None:
             continue
         if c > _SMALL_BATCH:
@@ -505,30 +505,31 @@ def _shifted_wavenumber(p, shift, size):
     work; an array of one distinct value gives that value's scalar k_eps."""
     if np.ndim(shift) == 0:
         return _resolve_shift(p, shift).k_eps
-    eps = np.asarray(shift, dtype=float)
-    if eps.shape != (size,):
-        raise DomainError(f"shift array of shape {eps.shape} does not give one "
-                          f"absorption per radius of {size}")
+    eps = np.asarray(shift)
+    if eps.shape != (size,) or not is_real_kind(eps):
+        raise DomainError(f"shift array of shape {eps.shape} and dtype {eps.dtype} does not "
+                          f"give one real absorption per radius of {size}")
     kc = {e: spectral_shift(p, e).k_eps for e in dict.fromkeys(eps.tolist())}
     return next(iter(kc.values())) if len(kc) == 1 else np.array([kc[e] for e in eps.tolist()])
 
 
-def _green_batch(p, shift, radii, spec, derivative=False):
-    """(helm, riesz_sum, j_tail, err) of ``green_eval_batch``, or their
-    r-derivatives: one radius or several shifts make one direct tail call,
-    any other call reads ``_tabled_tail`` at its distinct radii."""
-    r = _check_radii(np.asarray(radii, dtype=float))
+def _green_batch(p, shift, radii, spec, outs=(False,)):
+    """[(helm, riesz_sum, j_tail, err)] of ``green_eval_batch`` per entry of ``outs``
+    (False: G, True: dG/dr), from one radius check, shift and regime: one radius or
+    several shifts make one direct tail call, any other reads ``_tabled_tail``."""
+    r = _check_radii(radii)
     kc, regime = _shifted_wavenumber(p, shift, r.size), classify_regime(p.s)
     direct = r.size == 1 or np.ndim(kc) != 0
     u, inv = (r, slice(None)) if direct else np.unique(r, return_inverse=True)
-    helm, riesz = _closed_parts(p, regime, kc, u, derivative)
-    kt = _as_real(kc)
-    if direct:
-        (jt, je), = _tail_batch(p, regime, kt, u, spec, outs=(derivative,))
-    else:
-        jt, je = _tabled_tail(p, regime, kt, u, spec, derivative=derivative)
-    err = je + _helm_rel(p, kt, u) * np.abs(helm) + _CLOSED_FORM_REL * np.abs(riesz)
-    return helm[inv], riesz[inv], jt[inv].astype(complex, copy=False), err[inv]
+    kt, res = _as_real(kc), []
+    tails = _tail_batch(p, regime, kt, u, spec, outs=outs) if direct else [
+        _tabled_tail(p, regime, kt, u, spec, d) for d in outs]
+    rel = _helm_rel(p, kt, u)
+    for d, (jt, je) in zip(outs, tails):
+        helm, riesz = _closed_parts(p, regime, kc, u, d)
+        err = je + rel * np.abs(helm) + _CLOSED_FORM_REL * np.abs(riesz)
+        res.append((helm[inv], riesz[inv], jt[inv].astype(complex, copy=False), err[inv]))
+    return res
 
 
 def green_eval_batch(p, shift, radii, spec=DEFAULT_SPEC):
@@ -546,7 +547,7 @@ def green_eval_batch(p, shift, radii, spec=DEFAULT_SPEC):
     distinct radii table every panel below the far series' reach, and keep
     the series beyond it.
     """
-    return _green_batch(p, shift, radii, spec)
+    return _green_batch(p, shift, radii, spec)[0]
 
 
 def green_eval(p, shift, r, spec=DEFAULT_SPEC):
@@ -558,7 +559,7 @@ def green_eval(p, shift, r, spec=DEFAULT_SPEC):
     """
     if np.ndim(r) != 0:
         raise DomainError(f"green_eval takes one radius, got shape {np.shape(r)}")
-    helm, riesz, jt, err = green_eval_batch(p, shift, np.atleast_1d(float(r)), spec)
+    helm, riesz, jt, err = green_eval_batch(p, shift, np.atleast_1d(r), spec)
     total = helm[0] + riesz[0] + jt[0]
     return GreenDecomposition(complex(helm[0]), complex(riesz[0]), complex(jt[0]),
                               complex(total), float(err[0]))
@@ -571,24 +572,19 @@ def green_radial_derivative(p, shift, r, spec=DEFAULT_SPEC):
 
     `r` is a scalar (returns complex) or a 1-D array (returns an array).
     """
-    out = sum(_green_batch(p, shift, np.atleast_1d(r), spec, derivative=True)[:3])
+    out = sum(_green_batch(p, shift, np.atleast_1d(r), spec, (True,))[0][:3])
     return complex(out[0]) if np.ndim(r) == 0 else out
 
 
 def src_residual(p, r, spec=DEFAULT_SPEC):
     """Sommerfeld residual r^{(n-1)/2} |dG/dr - i k G| at absorption zero and
-    one finite radius r > 0, a scalar or a 0-d array (else
-    :class:`DomainError`).  G and dG/dr come from one pass at spec: one
-    radius check and shift, and one tail pass for both (``_tail_batch``),
-    each on the path and with the bits of its own one-radius call
-    (``green_eval``, ``green_radial_derivative``)."""
+    one finite radius r > 0, a scalar or a 0-d array (else :class:`DomainError`).
+    G and dG/dr come from one ``_green_batch`` pass at spec, each with the bits
+    of its own one-radius call (``green_eval``, ``green_radial_derivative``)."""
     if np.ndim(r) != 0:
         raise DomainError(f"src_residual takes one radius, got shape {np.shape(r)}")
-    rr = _check_radii(np.atleast_1d(float(r)))
-    kc, regime = _shifted_wavenumber(p, 0.0, 1), classify_regime(p.s)
-    tails = _tail_batch(p, regime, _as_real(kc), rr, spec, outs=(False, True))
-    g, dg = (complex((sum(_closed_parts(p, regime, kc, rr, d)) + jt)[0])
-             for d, (jt, _) in zip((False, True), tails))
+    g, dg = (complex(sum(q[:3])[0])
+             for q in _green_batch(p, 0.0, np.atleast_1d(r), spec, (False, True)))
     return float(r ** ((p.n - 1) / 2.0) * abs(dg - 1j * p.k * g))
 
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
-from .errors import DomainError, is_count, is_real
+from .errors import DomainError, is_count, is_real, is_real_kind
 from .specfun import hankel1_0
 
 TAYLOR_WINDOW = 2e-2      # relative window |r - kc| < TAYLOR_WINDOW * |kc|
@@ -110,6 +110,8 @@ def spectral_shift(problem, epsilon):
 def _resolve_shift(problem, shift):
     """The SpectralShift of a float epsilon (None: epsilon = 0), or a given one
     that is the problem's own at its epsilon; any other raises DomainError."""
+    if not (shift is None or isinstance(shift, SpectralShift) or is_real_kind(shift)):
+        raise DomainError(f"a shift is a SpectralShift, a real epsilon or None, got {shift!r}")
     if not isinstance(shift, SpectralShift):
         return spectral_shift(problem, 0.0 if shift is None else float(shift))
     if shift != spectral_shift(problem, shift.epsilon):

@@ -214,6 +214,11 @@ def test_lap_slope_guards():
 @pytest.mark.parametrize("call", [
     lambda p: lap_differences(p, np.array([1.0, 2.0]), [1e-1, 1e-2]),   # one radius only
     lambda p: lap_differences(p, 2.0, np.array([[1e-1, 1e-2]])),       # a 2-D eps_list
+    lambda p: lap_differences(p, "1.5", [1e-1, 1e-2]),                 # a radius as text
+    lambda p: lap_differences(p, True, [1e-1, 1e-2]),
+    lambda p: lap_differences(p, np.array(1.5 + 0j), [1e-1, 1e-2]),
+    lambda p: lap_differences(p, 1.5, ["0.1", "0.01"]),                # eps as text
+    lambda p: lap_differences(p, 1.5, np.array([0.1, 0.01 + 0j])),
     lambda p: decay_rate_check(p, "j_tail", (10.0, np.inf), 1.0),      # an infinite window
     lambda p: decay_rate_check(p, "j_tail", np.array([[10.0, 100.0]]), 1.0),
     lambda p: decay_rate_check(p, "j_tail", 0.5, 1.0),
@@ -225,7 +230,8 @@ def test_lap_slope_guards():
     lambda p: singularity_rate_check(p, "j_tail", [], 1.0),
     lambda p: convolution_norm_check(p, PotentialGrid.build([-1.0] * 2, [1.0] * 2, 2, 1.0),
                                      0.75, 2.0),                        # a 2D source for 1D
-], ids=["radius-array", "eps-2d", "window-inf", "window-2d", "window-scalar", "window-empty",
+], ids=["radius-array", "eps-2d", "radius-text", "radius-bool", "radius-complex", "eps-text",
+        "eps-complex", "window-inf", "window-2d", "window-scalar", "window-empty",
         "window-ragged", "window-text",
         "singularity-window-2d", "singularity-window-scalar", "singularity-window-empty",
         "source-dim"])

@@ -1,6 +1,7 @@
 """Green's-function assembly tests: closed forms, derivatives, asymptotics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,27 @@ def test_domain_errors():
                 src_residual(p, bad)
         # a 0-d array is one radius
         assert green_eval(p, 0.0, np.array(2.0)) == green_eval(p, 0.0, 2.0)
+        # radii and shifts are real numbers: a string is not parsed, a bool
+        # is not 1, and a complex radius does not lose its imaginary part
+        # (a DomainError, before any NumPy warning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in ("2.0", True, np.True_, np.array(2.0 + 0j)):
+                for call in (green_eval, green_radial_derivative):
+                    with pytest.raises(DomainError):
+                        call(p, 0.0, bad)
+                    with pytest.raises(DomainError):
+                        call(p, bad, 2.0)
+                with pytest.raises(DomainError):
+                    src_residual(p, bad)
+            for bad in (["1", "2"], np.array([True, True]), np.array([1.0 + 1j, 2.0]),
+                        np.array([1.0, None], dtype=object)):
+                with pytest.raises(DomainError):
+                    green_eval_batch(p, 0.0, bad)
+                with pytest.raises(DomainError):
+                    green_radial_derivative(p, 0.0, bad)
+        # integers are real numbers
+        assert green_eval(p, 0, 2) == green_eval(p, 0.0, 2.0)
         # the batch entry points take a nonempty 1-D array
         for bad in (np.array([[1.0, 2.0]]), np.array([])):
             with pytest.raises(DomainError):
@@ -315,6 +337,30 @@ def test_src_residual_makes_one_green_pass(monkeypatch, n):
             ("_far_series", 2), ("_shifted_wavenumber", None)]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_front_end_pair_is_its_two_single_calls(n):
+    # one _green_batch call for G and dG/dr gives, array for array and dtype
+    # for dtype, the (helm, riesz_sum, j_tail, err) of the value call and of
+    # the derivative call: at one radius (where the series serves the value
+    # but not the derivative, and far), for a 9-radius tabled window and for
+    # a call with four shifts
+    cases = [(Problem(n, s, k), 0.0, [float(_SRC_RADII[i])])
+             for m, s, k, i in _SRC_SPLIT if m == n]
+    for s in (0.25, 0.3, 0.75):
+        for k in (0.7, 2.0):
+            p = Problem(n, s, k)
+            cases += [(p, 0.0, [1e3]), (p, 0.0, np.geomspace(1e-3, 40.0, 9)),
+                      (p, 0.3, np.geomspace(1e-3, 40.0, 9)),
+                      (p, np.array(_LAP_EPS), np.full(4, 1.7))]
+    for p, shift, r in cases:
+        pair = green._green_batch(p, shift, r, DEFAULT_SPEC, (False, True))
+        single = [green._green_batch(p, shift, r, DEFAULT_SPEC, (d,))[0] for d in (False, True)]
+        assert len(pair) == 2
+        for got, want in zip(pair, single):
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want)), \
+                (p, shift, np.size(r))
+
+
 def test_incoming_sign_flip_does_not_cancel():
     # |dG/dr + ikG| stays near 2k r^{(n-1)/2} |G_helm| at large r
     p = Problem(3, 0.5, 1.0)
@@ -371,11 +417,12 @@ def test_large_multi_shift_batch_is_one_direct_call(monkeypatch, n):
     for derivative in (False, True):
         with monkeypatch.context() as m:
             m.setattr(green, "_tail_batch", lambda *a, **k: calls.append(a[3]) or tail(*a, **k))
-            helm, riesz, jt, err = green._green_batch(p, shifts, radii, DEFAULT_SPEC, derivative)
+            helm, riesz, jt, err = green._green_batch(p, shifts, radii, DEFAULT_SPEC,
+                                                      (derivative,))[0]
         assert len(calls) == 1 and np.array_equal(calls.pop(), radii), derivative
         for eps in (0.0, 0.1):
             at = shifts == eps
-            one = green._green_batch(p, eps, radii[at], DEFAULT_SPEC, derivative)
+            one = green._green_batch(p, eps, radii[at], DEFAULT_SPEC, (derivative,))[0]
             miss = np.abs((helm + riesz + jt)[at] - sum(one[:3]))
             assert np.all(miss <= err[at] + one[3]), (derivative, eps)
 
@@ -389,10 +436,10 @@ def test_multi_shift_derivative_matches_per_shift(n, s):
     shifts = np.repeat(_LAP_EPS, 3)
     for k in (0.7, 2.0):
         p = Problem(n, s, k)
-        helm, riesz, jt, err = green._green_batch(p, shifts, radii, DEFAULT_SPEC, True)
+        helm, riesz, jt, err = green._green_batch(p, shifts, radii, DEFAULT_SPEC, (True,))[0]
         assert np.array_equal(helm + riesz + jt, green_radial_derivative(p, shifts, radii))
         for i, (eps, r) in enumerate(zip(shifts, radii)):
-            one = green._green_batch(p, float(eps), [r], DEFAULT_SPEC, True)
+            one = green._green_batch(p, float(eps), [r], DEFAULT_SPEC, (True,))[0]
             assert abs(helm[i] + riesz[i] + jt[i] - sum(one[:3])[0]) <= err[i] + one[3][0], \
                 (k, eps, r)
     with pytest.raises(DomainError):
@@ -413,6 +460,16 @@ def test_shift_array_guards(monkeypatch):
         green_eval_batch(p, np.array([0.0, 1e-2]), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(DomainError):
         green_eval_batch(p, np.zeros((3, 1)), np.array([1.0, 2.0, 3.0]))
+    # a shift, scalar or per radius, is a real number: not a string, a bool
+    # or a complex number; nor is a radius, checked before any tail work too
+    with pytest.raises(DomainError):
+        src_residual(p, "1e3")
+    for bad in ("0.1", True, np.array(0.1 + 0j), ["0.0", "0.1", "0.1"],
+                np.array([False, True, True]), np.array([0.0, 0.1j, 0.1])):
+        with pytest.raises(DomainError):
+            green_eval_batch(p, bad, np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DomainError):
+            green_radial_derivative(p, bad, np.array([1.0, 2.0, 3.0]))
 
 
 def test_limiting_absorption_differences_shrink():
@@ -801,7 +858,7 @@ def test_zero_absorption_imaginary_part_through_the_table(n):
                 assert np.all(miss <= err), (s, k)
             if k == 10.0:
                 assert green._tail_panel.cache_info().misses == misses, s
-            key = (Problem(n, s, 1.0), 1.0 + 0j, DEFAULT_SPEC, int(np.frexp(1.6 * k)[1]))
+            key = (Problem(n, s, 1.0), 1.0 + 0j, DEFAULT_SPEC, int(np.frexp(1.6 * k)[1]), False)
             misses = green._tail_panel.cache_info().misses
             assert green._tail_panel(*key) is not None, (s, k)
             assert green._tail_panel.cache_info().misses == misses, (s, k)
@@ -838,7 +895,8 @@ def test_zero_absorption_tail_is_exactly_real(n):
             calls += [np.geomspace(1e-3, 300.0, 9) / k, np.linspace(1.6, 1.99, 50) / k]
             for r in calls:
                 for derivative in (False, True):
-                    helm, riesz, jt, _ = green._green_batch(p, 0.0, r, DEFAULT_SPEC, derivative)
+                    helm, riesz, jt, _ = green._green_batch(p, 0.0, r, DEFAULT_SPEC,
+                                                            (derivative,))[0]
                     assert np.all(jt.imag == 0.0), (s, k, r.size, derivative)
                     assert np.array_equal((helm + riesz + jt).imag, helm.imag), (s, k, r.size)
 

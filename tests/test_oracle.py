@@ -26,6 +26,12 @@ def test_requires_positive_absorption():
     for r in (np.inf, np.nan, np.array([1.0, 2.0]), np.array([1.0])):
         with pytest.raises(DomainError):
             fourier_invert(p, sh, r)
+    # the radius and a float epsilon are real numbers: not text, a bool or complex
+    for bad_r, bad_eps in (("2.0", "0.3"), (True, True), (np.array(2.0 + 0j), np.array(0.3 + 0j))):
+        with pytest.raises(DomainError):
+            fourier_invert(p, sh, bad_r)
+        with pytest.raises(DomainError):
+            fourier_invert(p, bad_eps, 1.0)
 
 
 @pytest.mark.parametrize("n,s", [(1, 0.75), (1, 0.25), (2, 0.3), (3, 0.5)])

@@ -748,7 +748,7 @@ def test_tabled_value_depends_only_on_its_radius(cold_panels, n):
 
     cold = at_x(batches[0])
     misses = cold_panels.cache_info().misses
-    key = (p, spectral_shift(p, 0.0).k_eps, DEFAULT_SPEC, 2)     # the panel [2, 4)
+    key = (p, spectral_shift(p, 0.0).k_eps, DEFAULT_SPEC, 2, False)   # the value panel [2, 4)
     assert misses >= 1 and cold_panels(*key) is not None
     warm = [at_x(b) for b in batches]
     assert cold_panels.cache_info().misses == misses
@@ -793,10 +793,12 @@ def test_small_calls_read_k_free_panels(monkeypatch, cold_panels, n):
         assert not np.isin(x / 2.0, np.concatenate([x[:0], *seen])).all(), s   # tabled
         assert np.all(np.abs(jt2 - ratio * jt) <= err2 + ratio * err), s
         # dG/dr reads panels of its own, (k'/k)^{n-2s+1} times the first k's
-        _, _, jt, err = green._green_batch(Problem(n, s, 0.5), 0.0, x / 0.5, DEFAULT_SPEC, True)
+        _, _, jt, err = green._green_batch(Problem(n, s, 0.5), 0.0, x / 0.5, DEFAULT_SPEC,
+                                           (True,))[0]
         misses = cold_panels.cache_info().misses
         seen.clear()
-        _, _, jt2, err2 = green._green_batch(Problem(n, s, 2.0), 0.0, x / 2.0, DEFAULT_SPEC, True)
+        _, _, jt2, err2 = green._green_batch(Problem(n, s, 2.0), 0.0, x / 2.0, DEFAULT_SPEC,
+                                             (True,))[0]
         assert cold_panels.cache_info().misses == misses and not seen, s
         ratio *= 4.0
         assert np.all(np.abs(jt2 - ratio * jt) <= 1e-15 * np.abs(jt2)), s
@@ -829,9 +831,9 @@ def test_small_tabled_values_are_honest(monkeypatch, n):
 def test_every_tail_panel_is_keyed_at_unit_wavenumber(monkeypatch):
     # every tabled call, value or derivative, whatever its dimension, shift,
     # k and size, reads the panels of |k_eps| = 1: the key's problem has k =
-    # 1 and its kc is the phase k_eps/|k_eps|.  A value panel's key is (p,
-    # kc, spec, exponent); a derivative's adds derivative=True by keyword.  A
-    # call with one shift per radius reads no panel
+    # 1 and its kc is the phase k_eps/|k_eps|.  A panel's key is (p, kc,
+    # spec, exponent, derivative), False for a value and True for a
+    # derivative.  A call with one shift per radius reads no panel
     keys, panel = [], green._tail_panel
     monkeypatch.setattr(green, "_tail_panel", lambda *key, **flag: keys.append(
         key + tuple(flag.items())) or panel(*key, **flag))
@@ -847,7 +849,7 @@ def test_every_tail_panel_is_keyed_at_unit_wavenumber(monkeypatch):
             green.green_radial_derivative(Problem(n, 0.3, k), mixed, large)
             assert len(keys) == count, (n, k)
     assert {key[1].imag > 0.0 for key in keys} == {False, True}
-    assert {key[4:] for key in keys} == {(), (("derivative", True),)}
+    assert {key[4:] for key in keys} == {(False,), (True,)}
     for p, kc, *_ in keys:
         assert p.k == 1.0 and type(kc) is complex and abs(abs(kc) - 1.0) <= 1e-15, (p, kc)
 
@@ -867,10 +869,10 @@ def test_tabled_derivatives_are_honest(monkeypatch, no_panels, n):
                 p = Problem(n, s, k)
                 for r in windows:
                     seen.clear()
-                    *parts, err = green._green_batch(p, eps, r, DEFAULT_SPEC, True)
+                    *parts, err = green._green_batch(p, eps, r, DEFAULT_SPEC, (True,))[0]
                     tabled += np.count_nonzero(~np.isin(r, np.concatenate([r[:0], *seen])))
                     with no_panels():
-                        *ref, ref_err = green._green_batch(p, eps, r, DEFAULT_SPEC, True)
+                        *ref, ref_err = green._green_batch(p, eps, r, DEFAULT_SPEC, (True,))[0]
                     miss = np.abs(sum(parts) - sum(ref))
                     assert np.all(miss <= err + ref_err), (s, k, eps, r[0])
     assert tabled > 0
