@@ -414,7 +414,7 @@ def _helm_rel(p, kc, r):
 
 
 @lru_cache(maxsize=_TAIL_PANELS)
-def _tail_panel(p, kc, spec, exponent, derivative=False):
+def _tail_panel(p, kc, spec, exponent, derivative):
     """(coefficients, err) of the tail's, or with ``derivative`` of its
     r-derivative's, checked Chebyshev interpolant in log2 r on the panel
     [2^(exponent-1), 2^exponent), or None if it fails its checks (Trefethen,
@@ -442,7 +442,7 @@ def _tail_panel(p, kc, spec, exponent, derivative=False):
     return coef, float(en.max() + decay + miss)
 
 
-def _tabled_tail(p, regime, kc, r, spec, derivative=False):
+def _tabled_tail(p, regime, kc, r, spec, derivative):
     """(j_tail, err), or their r-derivatives, at sorted distinct radii r.
 
     Radii equal to 14 mantissa decimals share the tail of the first (the tail

@@ -24,6 +24,6 @@ def no_panels():
     @contextmanager
     def off():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(green, "_tail_panel", lambda *key, **flag: None)
+            mp.setattr(green, "_tail_panel", lambda *key: None)
             yield
     return off

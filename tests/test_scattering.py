@@ -835,8 +835,7 @@ def test_every_tail_panel_is_keyed_at_unit_wavenumber(monkeypatch):
     # spec, exponent, derivative), False for a value and True for a
     # derivative.  A call with one shift per radius reads no panel
     keys, panel = [], green._tail_panel
-    monkeypatch.setattr(green, "_tail_panel", lambda *key, **flag: keys.append(
-        key + tuple(flag.items())) or panel(*key, **flag))
+    monkeypatch.setattr(green, "_tail_panel", lambda *key: keys.append(key) or panel(*key))
     small, large = np.geomspace(1e-3, 30.0, 9), np.r_[np.linspace(2.05, 3.95, 60), 40.0]
     mixed = np.where(np.arange(large.size) % 2, 0.3, 0.0)
     for n in (1, 2, 3):
