@@ -3,10 +3,13 @@
 Each command has one option table, config key -> ``Opt``; a nested table is a
 nested config object.  The argparse flags, the config built from inline flags,
 the checks of a ``--config`` file (unknown or missing keys, choices, switches)
-and the defaults of absent keys all derive from it.  The resolved config, with
-absent keys set to their defaults, is echoed in the output metadata ahead of
-the CSV or JSON rows.  Re-running a command with the echoed config reproduces
-the output bit-identically on the same platform/version.
+and the defaults of absent keys all derive from it.  Every table holds the
+shared ``quad`` table of the quadrature tolerances.  A ``--config`` file
+replaces the inline flags, ``--quad-rtol``/``--quad-atol`` among them.  The
+resolved config, with absent keys set to their defaults, is echoed in the
+output metadata ahead of the CSV or JSON rows.  Re-running a command with the
+echoed config reproduces the output bit-identically on the same
+platform/version.
 
 Exit codes: 0 ok, 2 usage/validation error, 3 quadrature accuracy failure,
 4 near-resonance (Lippmann-Schwinger system numerically singular).
@@ -28,9 +31,9 @@ from .diagnostics import (
 )
 from .errors import AccuracyError, DomainError, NearResonanceError
 from .green import green_eval
-from .kernels import Problem, spectral_shift
+from .kernels import Problem
 from .oracle import fourier_invert_detailed
-from .quadrature import QuadratureSpec
+from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .scattering import (
     IncidentField, PotentialGrid, born_approx, build_nystrom, eval_scattered,
     resonance_scan, solve_ls,
@@ -40,9 +43,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ACCURACY = 3
 EXIT_NEAR_RESONANCE = 4
-
-# QuadratureSpec fields a config may set (under "quad") and metadata echoes
-_QUAD_FIELDS = ("rel_tol", "abs_tol")
 
 
 def _float_list(text):
@@ -68,15 +68,6 @@ _KINDS = {int: "an integer", float: "a number"}
 def _holds(cast, value):
     """Whether a value is a JSON integer (int) or number (float); a bool is neither."""
     return type(value) is int or cast is float and type(value) is float
-
-
-def _quad_spec(cfg):
-    quad = cfg.get("quad", {})
-    _check_keys(quad, _QUAD_FIELDS, "quad")
-    for name, value in quad.items():
-        if not _holds(float, value):
-            raise DomainError(f"quad.{name} must be a number, got {value!r}")
-    return QuadratureSpec(**{name: float(value) for name, value in quad.items()})
 
 
 def _normalize(v):
@@ -153,15 +144,17 @@ def _inline(args, table):
 
 def _resolve(table, cfg, where=""):
     """Check ``cfg`` against ``table`` in place, adding absent keys' defaults.
-    A nested table applies only to an object (``k_grid`` may be a list); an int
-    key holds a JSON integer and a float key a JSON number (never a bool), or
-    its None default (``intervals``)."""
-    _check_keys(cfg, [*table] if where else [*table, "quad"], where or "config")
+    A nested table's key holds an object (``k_grid`` may be a list instead); an
+    int key holds a JSON integer and a float key a JSON number (never a bool),
+    or its None default (``intervals``)."""
+    _check_keys(cfg, table, where or "config")
     for key, opt in table.items():
         name = f"{where}.{key}" if where else key
         if isinstance(opt, dict):
             if isinstance(cfg.setdefault(key, {}), dict):
                 _resolve(opt, cfg[key], name)
+            elif key != "k_grid":
+                raise DomainError(f"{name} must be an object, got {cfg[key]!r}")
         elif key not in cfg:
             if opt.default is ...:
                 raise DomainError(f"missing config key {name!r} (flag {opt.flag})")
@@ -179,6 +172,8 @@ def _resolve(table, cfg, where=""):
 _PROBLEM = {"dim": Opt("--dim", int, choices=(1, 2, 3)), "s": Opt("--s", float),
             "k": Opt("--k", float)}
 _BOX = {"lo": Opt("--box-lo", _float_list), "hi": Opt("--box-hi", _float_list)}
+_QUAD = {"rel_tol": Opt("--quad-rtol", float, DEFAULT_SPEC.rel_tol),
+         "abs_tol": Opt("--quad-atol", float, DEFAULT_SPEC.abs_tol)}
 
 
 def _problem(cfg):
@@ -196,14 +191,13 @@ def _build_grid(cfg):
 # rows, exit code).
 
 def cmd_green(cfg, spec):
-    p = _problem(cfg)
-    shift = spectral_shift(p, float(cfg["eps"]))
+    p, eps = _problem(cfg), float(cfg["eps"])
     cols = (["r", "total", "helm", "riesz", "j_tail", "err_estimate"] if cfg["decompose"]
             else ["r", "total", "err_estimate"])
     rows, failures = [], 0
     for r in cfg["r"]:
         try:
-            g = green_eval(p, shift, float(r), spec)
+            g = green_eval(p, eps, float(r), spec)
         except AccuracyError:
             failures += 1     # row flagged in metadata, remaining rows still emitted
             continue
@@ -216,13 +210,12 @@ def cmd_green(cfg, spec):
 
 
 def cmd_oracle_compare(cfg, spec):
-    p = _problem(cfg)
-    shift = spectral_shift(p, float(cfg["eps"]))
+    p, eps = _problem(cfg), float(cfg["eps"])
     partition = {} if cfg["intervals"] is None else {"intervals": cfg["intervals"]}
     rows = []
     for r in cfg["r"]:
-        g = green_eval(p, shift, float(r), spec)
-        o = fourier_invert_detailed(p, shift, float(r), spec, **partition)
+        g = green_eval(p, eps, float(r), spec)
+        o = fourier_invert_detailed(p, eps, float(r), spec, **partition)
         rows.append([float(r), g.total, o.value, abs(g.total - o.value) / abs(g.total)])
     return {}, ["r", "green", "oracle", "rel_diff"], rows, EXIT_OK
 
@@ -300,29 +293,29 @@ def cmd_resonance_scan(cfg, spec):
 # command -> (help, function, option table)
 COMMANDS = {
     "green": ("evaluate the outgoing fundamental solution", cmd_green, {
-        "problem": _PROBLEM, "eps": Opt("--eps", float, 0.0),
+        "problem": _PROBLEM, "quad": _QUAD, "eps": Opt("--eps", float, 0.0),
         "r": Opt("--r", _float_list, help="comma-separated radii"),
         "decompose": Opt("--decompose", bool, False)}),
     "oracle-compare": ("green vs direct Fourier inversion", cmd_oracle_compare, {
-        "problem": _PROBLEM, "eps": Opt("--eps", float),
+        "problem": _PROBLEM, "quad": _QUAD, "eps": Opt("--eps", float),
         "r": Opt("--r", _float_list, help="comma-separated radii"),
         "intervals": Opt("--intervals", int, None)}),
     "asymptotics": ("decay / singularity rate check", cmd_asymptotics, {
-        "problem": _PROBLEM,
+        "problem": _PROBLEM, "quad": _QUAD,
         "part": Opt("--part", default="j_tail", choices=("j_tail", "nonhelm_total")),
         "side": Opt("--side", default="decay", choices=("decay", "singularity")),
         "rate": Opt("--rate", float), "rmin": Opt("--rmin", float, 10.0),
         "rmax": Opt("--rmax", float, 1e4), "points": Opt("--points", int, 9),
         "log_correction": Opt("--log-correction", bool, False)}),
     "lap": ("limiting-absorption convergence slope", cmd_lap, {
-        "problem": _PROBLEM, "r": Opt("--r", float),
+        "problem": _PROBLEM, "quad": _QUAD, "r": Opt("--r", float),
         "eps": Opt("--eps", _float_list, help="comma-separated decreasing eps list")}),
     "radiation": ("SRC/GSRC classification of a field", cmd_radiation, {
         "problem": _PROBLEM, "r0": Opt("--r0", float, 10.0), "rmax": Opt("--rmax", float, 1e3),
         "field": Opt("--field", default="green", choices=("h1", "h2", "green")),
-        "delta": Opt("--delta", float, 0.75)}),
+        "delta": Opt("--delta", float, 0.75), "quad": _QUAD}),
     "scatter": ("solve the Lippmann-Schwinger equation", cmd_scatter, {
-        "problem": _PROBLEM, "box": _BOX, "cells": Opt("--cells", int),
+        "problem": _PROBLEM, "quad": _QUAD, "box": _BOX, "cells": Opt("--cells", int),
         "q": Opt("--q", float, help="constant contrast value"),
         "incident": {"direction": Opt("--direction", _float_list,
                                       help="incident direction components")},
@@ -331,7 +324,7 @@ COMMANDS = {
         "born": Opt("--born", bool, False)}),
     "resonance-scan": ("invertibility indicators over k", cmd_resonance_scan, {
         "problem": {"dim": _PROBLEM["dim"], "s": _PROBLEM["s"]}, "box": _BOX,
-        "cells": Opt("--cells", int), "q": Opt("--q", float),
+        "cells": Opt("--cells", int), "q": Opt("--q", float), "quad": _QUAD,
         "k_grid": {"min": Opt("--kmin", float), "max": Opt("--kmax", float),
                    "count": Opt("--kcount", int, 20)}}),
 }
@@ -349,8 +342,6 @@ def build_parser():
         sp.add_argument("--config", help="JSON config file (overrides inline flags)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default="-", help="output path (default stdout)")
-        sp.add_argument("--quad-rtol", type=float)
-        sp.add_argument("--quad-atol", type=float)
     return ap
 
 
@@ -364,13 +355,8 @@ def main(argv=None):
         else:
             cfg = _inline(args, table)
         _resolve(table, cfg)
-        for field, value in (("rel_tol", args.quad_rtol), ("abs_tol", args.quad_atol)):
-            if value is not None:
-                cfg.setdefault("quad", {})[field] = value
-        spec = _quad_spec(cfg)
-        extra, columns, rows, code = run(cfg, spec)
-        _emit({"command": args.command, "version": __version__, "config": cfg,
-               "tolerances": {name: getattr(spec, name) for name in _QUAD_FIELDS}, **extra},
+        extra, columns, rows, code = run(cfg, QuadratureSpec(**cfg["quad"]))
+        _emit({"command": args.command, "version": __version__, "config": cfg, **extra},
               columns, rows, args.format, args.out)
         return code
     except AccuracyError as exc:

@@ -141,10 +141,10 @@ def radiation_classify(field, k, r0, r_max, delta):
     """
     if not isinstance(field, RadialField) or field.n not in (1, 2, 3):
         raise DomainError("radiation_classify requires a RadialField with n in {1, 2, 3}")
-    if not (0.5 < delta < 1.0):
-        raise DomainError("delta must lie in (1/2, 1)")
-    if not (0.0 < r0 < r_max < np.inf):
-        raise DomainError("need 0 < R0 < R_max < inf")
+    if not (is_real(delta) and 0.5 < delta < 1.0):
+        raise DomainError(f"delta must lie in (1/2, 1), got {delta!r}")
+    if not (is_real(r0) and is_real(r_max) and 0.0 < r0 < r_max < np.inf):
+        raise DomainError(f"need real 0 < R0 < R_max < inf, got {r0!r}, {r_max!r}")
     if not (is_real(k) and 0.0 < k < np.inf):
         raise DomainError(f"k must be one finite positive number, got {k!r}")
     n = field.n
@@ -209,10 +209,11 @@ def convolution_norm_check(p, source, delta, truncation_radius, spec=DEFAULT_SPE
     ``volume_potential`` call, which holds at most 2^17 of its m N weight
     rows (N source cells) at once, so memory does not grow with m.
     """
-    if not (0.5 < delta < 1.0):
-        raise DomainError("delta must lie in (1/2, 1)")
-    if not 0.0 < truncation_radius < np.inf:
-        raise DomainError("truncation_radius must be positive and finite")
+    if not (is_real(delta) and 0.5 < delta < 1.0):
+        raise DomainError(f"delta must lie in (1/2, 1), got {delta!r}")
+    if not (is_real(truncation_radius) and 0.0 < truncation_radius < np.inf):
+        raise DomainError("truncation_radius must be positive and finite, "
+                          f"got {truncation_radius!r}")
     n = p.n
     if source.dim != n:
         raise DomainError("source grid dimension mismatch")

@@ -17,8 +17,12 @@ def is_real(value):
 
 
 def is_real_kind(value):
-    """Whether value, a number or an array, holds integers or floats, not bools."""
-    return np.asarray(value).dtype.kind in "iuf"
+    """Whether value, a number or an array, holds integers or floats, not bools;
+    a ragged list holds neither."""
+    try:
+        return np.asarray(value).dtype.kind in "iuf"
+    except ValueError:
+        return False
 
 
 class DomainError(ValueError):

@@ -108,10 +108,11 @@ def spectral_shift(problem, epsilon):
 
 
 def _resolve_shift(problem, shift):
-    """The SpectralShift of a float epsilon (None: epsilon = 0), or a given one
+    """The SpectralShift of one float epsilon (None: epsilon = 0), or a given one
     that is the problem's own at its epsilon; any other raises DomainError."""
-    if not (shift is None or isinstance(shift, SpectralShift) or is_real_kind(shift)):
-        raise DomainError(f"a shift is a SpectralShift, a real epsilon or None, got {shift!r}")
+    if not (shift is None or isinstance(shift, SpectralShift)
+            or is_real_kind(shift) and np.ndim(shift) == 0):
+        raise DomainError(f"a shift is a SpectralShift, one real epsilon or None, got {shift!r}")
     if not isinstance(shift, SpectralShift):
         return spectral_shift(problem, 0.0 if shift is None else float(shift))
     if shift != spectral_shift(problem, shift.epsilon):

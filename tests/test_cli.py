@@ -9,7 +9,7 @@ import pytest
 
 import frachelm.cli
 import frachelm.green
-from frachelm.cli import _QUAD_FIELDS, main
+from frachelm.cli import _QUAD, main
 from frachelm.scattering import build_nystrom
 
 # frozen by a dual-path-validated build (oracle agreement at eps > 0 plus the
@@ -106,7 +106,7 @@ def test_unknown_quad_key_exit_2(tmp_path, capsys):
     assert main(["green", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "max_subdiv" in err and "rel_tl" in err
-    assert all(name in err for name in _QUAD_FIELDS)
+    assert all(name in err for name in _QUAD)
 
 
 def test_green_rows_that_miss_the_tolerance_exit_3(capsys):
@@ -241,7 +241,7 @@ def test_radiation_green_derivative_takes_quad(monkeypatch, capsys, flags):
     monkeypatch.setattr(frachelm.green, "_tail_batch", spy)
     code, out = run_cli(capsys, ["radiation", "--dim", "1", "--s", "0.75", "--k", "1",
                                  "--rmax", "100", *flags])
-    rel_tol = parse_csv(out)[0]["tolerances"]["rel_tol"]
+    rel_tol = parse_csv(out)[0]["config"]["quad"]["rel_tol"]
     assert rel_tol == (float(flags[1]) if flags else 1e-9)
     assert code == 0 and {d for d, _ in seen} == {False, True}
     assert {tol for _, tol in seen} == {rel_tol}
@@ -297,7 +297,7 @@ def test_quad_tolerance_override_recorded(capsys):
                                  "--quad-atol", "1e-9"])
     assert code == 0
     meta, _, _ = parse_csv(out)
-    assert meta["tolerances"] == {"rel_tol": 1e-6, "abs_tol": 1e-9}
+    assert meta["config"]["quad"] == {"rel_tol": 1e-6, "abs_tol": 1e-9}
 
 
 def test_output_file(tmp_path, capsys):
@@ -392,14 +392,34 @@ def test_docs_config_round_trip(tmp_path, capsys, command, fmt):
     assert second == first
 
 
+@pytest.mark.parametrize("command", [path.stem for path in sorted(CONFIGS.glob("*.json"))])
+def test_echoed_config_holds_quad(capsys, command):
+    # each echo pins the tolerances its rows ran at; test_docs_config_round_trip
+    # re-runs the echo
+    code, out = run_cli(capsys, [command, "--config", str(CONFIGS / f"{command}.json")])
+    assert code == 0
+    assert parse_csv(out)[0]["config"]["quad"] == {"rel_tol": 1e-9, "abs_tol": 1e-12}
+
+
+def test_config_file_overrides_quad_flags(tmp_path, capsys):
+    # the file replaces the inline flags: --quad-rtol/--quad-atol beside --config are unused
+    path = _docs_config(tmp_path, "green", quad={"rel_tol": 1e-8, "abs_tol": 1e-11})
+    code, first = run_cli(capsys, ["green", "--config", path])
+    assert code == 0
+    assert parse_csv(first)[0]["config"]["quad"] == {"rel_tol": 1e-8, "abs_tol": 1e-11}
+    code, second = run_cli(capsys, ["green", "--config", path, "--quad-rtol", "1e-4",
+                                    "--quad-atol", "1e-6"])
+    assert (code, second) == (0, first)
+
+
 # the flags of every subcommand as the hand-written parser declared them:
 # option -> (dest, type, default, choices, help)
 _COMMON_FLAGS = {
     "--config": ("config", None, None, None, "JSON config file (overrides inline flags)"),
     "--format": ("format", None, "csv", ("csv", "json"), None),
     "--out": ("out", None, "-", None, "output path (default stdout)"),
-    "--quad-rtol": ("quad_rtol", float, None, None, None),
-    "--quad-atol": ("quad_atol", float, None, None, None),
+    "--quad-rtol": ("quad_rtol", float, 1e-9, None, None),
+    "--quad-atol": ("quad_atol", float, 1e-12, None, None),
 }
 _PROBLEM_FLAGS = {
     "--dim": ("dim", int, None, (1, 2, 3), None),
@@ -525,6 +545,8 @@ CHECKED_CONFIGS = [
     ("scatter", {"quad": {"rel_tol": True}}, ["quad.rel_tol", "number", "True"]),
     ("oracle-compare", {"eps": False}, ["eps", "number", "False"]),
     ("asymptotics", {"rmax": "1e4"}, ["rmax", "number", "'1e4'"]),
+    # a nested table's key holds an object
+    ("lap", {"quad": [1e-9]}, ["quad", "object"]),
 ]
 
 

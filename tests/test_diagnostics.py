@@ -104,9 +104,12 @@ def test_radiation_requires_gradient():
         radiation_classify(NoGrad(), 1.0, 10.0, 100.0, 0.75)
     with pytest.raises(DomainError):
         radiation_classify(hankel_outgoing_field(1.0), 1.0, 10.0, 100.0, 0.4)
-    for r0, r_max in ((10.0, np.inf), (10.0, np.nan), (np.nan, 100.0)):
+    for r0, r_max in ((10.0, np.inf), (10.0, np.nan), (np.nan, 100.0), ("10", 100.0), (10.0, "100"),
+                      (np.array([10.0, 20.0]), 100.0)):
         with pytest.raises(DomainError):
             radiation_classify(hankel_outgoing_field(1.0), 1.0, r0, r_max, 0.75)
+    with pytest.raises(DomainError):
+        radiation_classify(hankel_outgoing_field(1.0), 1.0, 10.0, 100.0, "0.75")
     for k in (np.nan, np.inf, 0.0, -1.0, np.array([1.0]), True):
         with pytest.raises(DomainError):
             radiation_classify(hankel_outgoing_field(1.0), k, 10.0, 100.0, 0.75)
@@ -219,6 +222,7 @@ def test_lap_slope_guards():
     lambda p: lap_differences(p, np.array(1.5 + 0j), [1e-1, 1e-2]),
     lambda p: lap_differences(p, 1.5, ["0.1", "0.01"]),                # eps as text
     lambda p: lap_differences(p, 1.5, np.array([0.1, 0.01 + 0j])),
+    lambda p: lap_differences(p, 1.5, [[0.1], 0.01]),                  # a ragged eps list
     lambda p: decay_rate_check(p, "j_tail", (10.0, np.inf), 1.0),      # an infinite window
     lambda p: decay_rate_check(p, "j_tail", np.array([[10.0, 100.0]]), 1.0),
     lambda p: decay_rate_check(p, "j_tail", 0.5, 1.0),
@@ -230,11 +234,13 @@ def test_lap_slope_guards():
     lambda p: singularity_rate_check(p, "j_tail", [], 1.0),
     lambda p: convolution_norm_check(p, PotentialGrid.build([-1.0] * 2, [1.0] * 2, 2, 1.0),
                                      0.75, 2.0),                        # a 2D source for 1D
+    lambda p: convolution_norm_check(p, PotentialGrid.build([-1.0], [1.0], 2, 1.0), "0.75", 2.0),
+    lambda p: convolution_norm_check(p, PotentialGrid.build([-1.0], [1.0], 2, 1.0), 0.75, "2.0"),
 ], ids=["radius-array", "eps-2d", "radius-text", "radius-bool", "radius-complex", "eps-text",
-        "eps-complex", "window-inf", "window-2d", "window-scalar", "window-empty",
+        "eps-complex", "eps-ragged", "window-inf", "window-2d", "window-scalar", "window-empty",
         "window-ragged", "window-text",
         "singularity-window-2d", "singularity-window-scalar", "singularity-window-empty",
-        "source-dim"])
+        "source-dim", "delta-text", "truncation-text"])
 def test_bad_diagnostics_input_raises_domain_error(call):
     # as green_eval does for a non-scalar radius: a DomainError before any
     # NumPy error or warning

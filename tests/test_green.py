@@ -181,6 +181,8 @@ def test_domain_errors():
                     green_eval_batch(p, 0.0, bad)
                 with pytest.raises(DomainError):
                     green_radial_derivative(p, 0.0, bad)
+            with pytest.raises(DomainError):
+                green_eval_batch(p, 0.0, [[1.0, 2.0], [3.0]])   # a ragged list
         # integers are real numbers
         assert green_eval(p, 0, 2) == green_eval(p, 0.0, 2.0)
         # the batch entry points take a nonempty 1-D array

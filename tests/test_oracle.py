@@ -32,6 +32,10 @@ def test_requires_positive_absorption():
             fourier_invert(p, sh, bad_r)
         with pytest.raises(DomainError):
             fourier_invert(p, bad_eps, 1.0)
+    # one epsilon: an array of them, even of one, is not accepted
+    for bad_eps in (np.array([0.3, 0.4]), np.array([0.3])):
+        with pytest.raises(DomainError):
+            fourier_invert(p, bad_eps, 1.0)
 
 
 @pytest.mark.parametrize("n,s", [(1, 0.75), (1, 0.25), (2, 0.3), (3, 0.5)])
