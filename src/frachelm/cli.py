@@ -247,8 +247,7 @@ def cmd_radiation(cfg, spec):
     p = _problem(cfg)
     field = {"h1": lambda: hankel_outgoing_field(p.k), "h2": lambda: hankel_incoming_field(p.k),
              "green": lambda: green_radial_field(p, spec)}[cfg["field"]]()
-    rep = radiation_classify(field, p.k, float(cfg["r0"]), float(cfg["rmax"]),
-                             float(cfg["delta"]))
+    rep = radiation_classify(field, float(cfg["r0"]), float(cfg["rmax"]), float(cfg["delta"]))
     rows = [[float(r), float(v), float(rep.gsrc_partial[i - 1][1]) if i else 0.0]
             for i, (r, v) in enumerate(rep.src_profile)]
     return ({"verdict_src": rep.verdict_src, "verdict_gsrc": rep.verdict_gsrc},

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError, is_count, is_real, is_real_kind
-from .green import green_eval_batch, green_radial_derivative
+# green_radial_derivative is unused here but stays importable as
+# diagnostics.green_radial_derivative, where the benchmark's layer tracing wraps it
+from .green import green_eval_batch, green_radial_derivative, src_residual  # noqa: F401
 from .quadrature import DEFAULT_SPEC
 from .scattering import volume_potential
 from .specfun import gauss_panels, hankel1_0, hankel1_1
@@ -98,46 +100,46 @@ def singularity_rate_check(p, part, r_window, claimed_rate, spec=DEFAULT_SPEC,
 
 @dataclass
 class RadialField:
-    """A radial field in n dimensions: value_fn and deriv_fn map a 1-D array
-    of radii to u(r) and du/dr."""
+    """A radial field u in n dimensions: profile_fn maps a 1-D array of radii to
+    its Sommerfeld residual r^{(n-1)/2} |du/dr - i k u| at the field's own k."""
 
     n: int
-    value_fn: callable
-    deriv_fn: callable
+    profile_fn: callable
+
+
+def _hankel_field(k, sign):
+    """H0^(1)(k r) (sign 1) or H0^(2)(k r) (sign -1) on the plane, whose profile
+    r^{1/2} |-k H1^(1)(k r) - sign i k H0^(1)(k r)| is read off the closed forms."""
+    if not (is_real(k) and 0.0 < k < np.inf):
+        raise DomainError(f"k must be one finite positive number, got {k!r}")
+    return RadialField(2, lambda r: np.sqrt(r) * np.abs(
+        -k * hankel1_1(k * r) - sign * 1j * k * hankel1_0(k * r)))
 
 
 def hankel_outgoing_field(k):
     """H0^(1)(k r) on the plane: the reference outgoing test field."""
-    return RadialField(2, lambda r: hankel1_0(k * r), lambda r: -k * hankel1_1(k * r))
+    return _hankel_field(k, 1.0)
 
 
 def hankel_incoming_field(k):
     """H0^(2)(k r): the incoming control (fails both radiation conditions)."""
-    return RadialField(2, lambda r: np.conj(hankel1_0(k * r)),
-                       lambda r: np.conj(-k * hankel1_1(k * r)))
+    return _hankel_field(k, -1.0)
 
 
 def green_radial_field(p, spec=DEFAULT_SPEC):
-    """The assembled fundamental solution as a radial test field; as in
-    ``src_residual``, G and dG/dr both run at spec."""
-    def value(r):
-        helm, riesz, jt, _ = green_eval_batch(p, 0.0, r, spec)
-        return helm + riesz + jt
-    return RadialField(p.n, value, lambda r: green_radial_derivative(p, 0.0, r, spec))
+    """The assembled fundamental solution as a radial test field: its profile
+    is ``src_residual`` at spec, one Green pass for G and dG/dr over the radii."""
+    return RadialField(p.n, lambda r: src_residual(p, r, spec))
 
 
-def _surface_measure(n, r):
-    return {1: 2.0, 2: 2.0 * np.pi * r, 3: 4.0 * np.pi * r ** 2}[n]
-
-
-def radiation_classify(field, k, r0, r_max, delta):
+def radiation_classify(field, r0, r_max, delta):
     """Classify a radial field against both radiation conditions.
 
-    src verdict: the profile r^{(n-1)/2} |d_r u - i k u| decays below 0.1 of
-    its first value.  gsrc verdict: the cumulative weighted annulus integrals
-    with weight (1+r^2)^{delta-1} are Cauchy-converging (last shell adds less
-    than ``GSRC_TAIL_FRACTION`` of the total).  The field is evaluated once,
-    at the 7 profile radii and the 6-point Gauss nodes of every shell together.
+    src verdict: the profile decays below 0.1 of its first value.  gsrc
+    verdict: the cumulative annulus integrals of profile^2 (1+r^2)^{delta-1}
+    |S^{n-1}| are Cauchy-converging (last shell adds less than
+    ``GSRC_TAIL_FRACTION`` of the total).  The profile is read once, at the 7
+    profile radii and the 6-point Gauss nodes of every shell together.
     """
     if not isinstance(field, RadialField) or field.n not in (1, 2, 3):
         raise DomainError("radiation_classify requires a RadialField with n in {1, 2, 3}")
@@ -145,16 +147,11 @@ def radiation_classify(field, k, r0, r_max, delta):
         raise DomainError(f"delta must lie in (1/2, 1), got {delta!r}")
     if not (is_real(r0) and is_real(r_max) and 0.0 < r0 < r_max < np.inf):
         raise DomainError(f"need real 0 < R0 < R_max < inf, got {r0!r}, {r_max!r}")
-    if not (is_real(k) and 0.0 < k < np.inf):
-        raise DomainError(f"k must be one finite positive number, got {k!r}")
-    n = field.n
     radii = np.logspace(np.log10(r0), np.log10(r_max), _PROFILE_POINTS)
     nodes, w = gauss_panels(radii, 6)
-    r = np.concatenate([radii, nodes])
-    res_sq = np.abs(field.deriv_fn(r) - 1j * k * field.value_fn(r)) ** 2
-    profile = radii ** ((n - 1) / 2.0) * np.sqrt(res_sq[:radii.size])
-    terms = w * res_sq[radii.size:] * (1.0 + nodes ** 2) ** (delta - 1.0) \
-        * _surface_measure(n, nodes)
+    profile, shell = np.split(field.profile_fn(np.concatenate([radii, nodes])), [radii.size])
+    terms = w * shell ** 2 * (1.0 + nodes ** 2) ** (delta - 1.0) \
+        * (2.0, 2.0 * np.pi, 4.0 * np.pi)[field.n - 1]
     total = np.cumsum(terms.reshape(radii.size - 1, -1).sum(axis=1))
     last = np.diff(total, prepend=0.0)[-1]
     return RadiationReport(
@@ -176,7 +173,7 @@ def lap_slope(p, r, eps_list, spec=DEFAULT_SPEC):
 def lap_differences(p, r, eps_list, spec=DEFAULT_SPEC):
     """(log-log slope against eps, |G^{k_eps}(r) - G^k(r)| per eps), from one
     Green call at r that takes eps = 0 and every eps as its shifts."""
-    if np.ndim(r) != 0 or not (is_real_kind(r) and is_real_kind(eps_list)):
+    if not (is_real_kind(r) and is_real_kind(eps_list)) or np.ndim(r) != 0:
         raise DomainError(f"lap_differences takes one real radius and real eps, got {r!r}")
     eps = np.asarray(eps_list, dtype=float)
     if eps.ndim != 1 or eps.size < 2 or np.any(np.diff(eps) >= 0.0) or np.any(eps <= 0.0):

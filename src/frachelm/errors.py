@@ -18,11 +18,22 @@ def is_real(value):
 
 def is_real_kind(value):
     """Whether value, a number or an array, holds integers or floats, not bools;
-    a ragged list holds neither."""
+    a ragged list holds neither, nor does a list of numbers with a bool among
+    them, which NumPy reads as numbers."""
     try:
-        return np.asarray(value).dtype.kind in "iuf"
+        kind = np.asarray(value).dtype.kind
     except ValueError:
         return False
+    return kind in "iuf" and not (isinstance(value, (list, tuple)) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat))
+
+
+def real_array(value, what):
+    """value, a number or an array of integers or floats, as a float array;
+    text, bools, complex, object or ragged input raises :class:`DomainError`."""
+    if not is_real_kind(value):
+        raise DomainError(f"{what} must be real numbers, got {value!r}")
+    return np.asarray(value, dtype=float)
 
 
 class DomainError(ValueError):

@@ -28,7 +28,7 @@ bound plus its rounding meets the tolerance the quadrature would be held to;
 the other radii go to the e^{-y} engine, or in 2D to the Bessel transform and
 the Struve term, an e^{-y} integral too (``_tail_batch``, one rule for all n).
 One front end (``_green_batch``) serves G, dG/dr or both; ``src_residual`` takes
-both from one direct one-radius pass: one set of prefactors, one series per power.
+both from one pass over its radii: one set of prefactors, one series per power.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
-from .errors import DomainError, is_real_kind
+from .errors import DomainError, is_real_kind, real_array
 from .kernels import (
     LOW_INTEGER, Problem, _resolve_shift, classify_regime, dF_m_dr, dF_tilde_m_dr, F_m,
     F_tilde_m, helm_part, helm_part_dr, spectral_shift,
@@ -73,11 +73,9 @@ class GreenDecomposition:
 
 
 def _check_radii(radii):
-    if not is_real_kind(radii) or np.ndim(radii) != 1 or np.size(radii) == 0:
-        raise DomainError("radii must form a nonempty 1-D array of real numbers")
-    r = np.asarray(radii, dtype=float)
-    if not (r.min() > 0.0 and r.max() < np.inf):   # NaN fails both
-        raise DomainError("green evaluation requires finite r > 0")
+    r = real_array(radii, "radii")
+    if r.ndim != 1 or r.size == 0 or not (r.min() > 0.0 and r.max() < np.inf):   # NaN fails
+        raise DomainError("green evaluation requires a nonempty 1-D array of finite r > 0")
     return r
 
 
@@ -503,12 +501,11 @@ def _shifted_wavenumber(p, shift, size):
     array of ``size`` absorption values (one per radius), k_eps per radius.
     Every distinct value is checked by ``spectral_shift`` before any tail
     work; an array of one distinct value gives that value's scalar k_eps."""
-    if np.ndim(shift) == 0:
+    if not is_real_kind(shift) or np.ndim(shift) == 0:
         return _resolve_shift(p, shift).k_eps
     eps = np.asarray(shift)
-    if eps.shape != (size,) or not is_real_kind(eps):
-        raise DomainError(f"shift array of shape {eps.shape} and dtype {eps.dtype} does not "
-                          f"give one real absorption per radius of {size}")
+    if eps.shape != (size,):
+        raise DomainError(f"shift shape {eps.shape} is not one absorption per radius of {size}")
     kc = {e: spectral_shift(p, e).k_eps for e in dict.fromkeys(eps.tolist())}
     return next(iter(kc.values())) if len(kc) == 1 else np.array([kc[e] for e in eps.tolist()])
 
@@ -557,8 +554,8 @@ def green_eval(p, shift, r, spec=DEFAULT_SPEC):
     `r` is one radius, a scalar or a 0-d array (``green_eval_batch`` takes
     arrays).
     """
-    if np.ndim(r) != 0:
-        raise DomainError(f"green_eval takes one radius, got shape {np.shape(r)}")
+    if not (is_real_kind(r) and np.ndim(r) == 0):
+        raise DomainError(f"green_eval takes one real radius, got {r!r}")
     helm, riesz, jt, err = green_eval_batch(p, shift, np.atleast_1d(r), spec)
     total = helm[0] + riesz[0] + jt[0]
     return GreenDecomposition(complex(helm[0]), complex(riesz[0]), complex(jt[0]),
@@ -572,20 +569,21 @@ def green_radial_derivative(p, shift, r, spec=DEFAULT_SPEC):
 
     `r` is a scalar (returns complex) or a 1-D array (returns an array).
     """
-    out = sum(_green_batch(p, shift, np.atleast_1d(r), spec, (True,))[0][:3])
+    out = sum(_green_batch(p, shift, np.atleast_1d(real_array(r, "radii")), spec, (True,))[0][:3])
     return complex(out[0]) if np.ndim(r) == 0 else out
 
 
 def src_residual(p, r, spec=DEFAULT_SPEC):
-    """Sommerfeld residual r^{(n-1)/2} |dG/dr - i k G| at absorption zero and
-    one finite radius r > 0, a scalar or a 0-d array (else :class:`DomainError`).
-    G and dG/dr come from one ``_green_batch`` pass at spec, each with the bits
-    of its own one-radius call (``green_eval``, ``green_radial_derivative``)."""
-    if np.ndim(r) != 0:
-        raise DomainError(f"src_residual takes one radius, got shape {np.shape(r)}")
-    g, dg = (complex(sum(q[:3])[0])
-             for q in _green_batch(p, 0.0, np.atleast_1d(r), spec, (False, True)))
-    return float(r ** ((p.n - 1) / 2.0) * abs(dg - 1j * p.k * g))
+    """Sommerfeld residual r^{(n-1)/2} |dG/dr - i k G| at absorption zero: a float
+    at one finite radius r > 0, an array at a nonempty 1-D array of them.  G and
+    dG/dr come from one ``_green_batch`` pass at spec, with the bits of
+    ``green_eval_batch`` and ``green_radial_derivative`` on the same radii; each
+    residual is formed in Python arithmetic (NumPy's complex abs differs by an ulp)."""
+    radii = np.atleast_1d(real_array(r, "radii"))
+    g, dg = (sum(q[:3]).tolist() for q in _green_batch(p, 0.0, radii, spec, (False, True)))
+    res = [x ** ((p.n - 1) / 2.0) * abs(d - 1j * p.k * v)
+           for x, v, d in zip(radii.tolist(), g, dg)]
+    return float(res[0]) if np.ndim(r) == 0 else np.array(res)
 
 
 def green_closed_form_3d_half(k, r):

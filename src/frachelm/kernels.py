@@ -2,8 +2,8 @@
 Helmholtz parts.  The e^{-y} tail integrand of n = 1, 3 lives with its
 prefactors in ``green`` (``_exp_tail_terms``, ``_bracket``).
 
-The kernels take arrays and return arrays: radii (or xi) in as a scalar or a
-1-D array, a 1-D array out, a scalar being one element.
+The kernels take arrays and return arrays: radii (or xi) in as a scalar or an
+array of any shape, an array out, a scalar giving one element.
 
 The removable singularities (F_m and F~_m at r = k_eps, M at xi = |z| for real
 z) are evaluated through a power-series window in u = r/k_eps - 1 of relative
@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
-from .errors import DomainError, is_count, is_real, is_real_kind
+from .errors import DomainError, is_count, is_real, is_real_kind, real_array
 from .specfun import hankel1_0
 
 TAYLOR_WINDOW = 2e-2      # relative window |r - kc| < TAYLOR_WINDOW * |kc|
@@ -125,7 +125,7 @@ def _spectral_args(r, kc, name):
     > 0 and the one kc finite."""
     if not cmath.isfinite(kc):
         raise DomainError(f"{name} requires a finite shifted wavenumber, got {kc}")
-    r = np.atleast_1d(np.asarray(r, dtype=float))
+    r = np.atleast_1d(real_array(r, f"r of {name}"))
     if r.size and not (r.min() > 0.0 and r.max() < np.inf):   # NaN fails both
         raise DomainError(f"{name} requires finite r > 0")
     return r
@@ -251,16 +251,16 @@ def F_tilde_m(r, kc, s, m):
     Identically zero (to round-off) at s = 1/2.
     """
     _require_low_integer(s, m)
-    r = np.atleast_1d(np.asarray(r, dtype=float))
     fm = F_m(r, kc, s, m)     # checks kc and r first
+    r = np.atleast_1d(np.asarray(r, dtype=float))
     return fm + kc ** (2.0 - 2.0 * s) / (r * (r + kc))
 
 
 def dF_tilde_m_dr(r, kc, s, m):
     """Radial derivative of F~_m, a 1-D array like it."""
     _require_low_integer(s, m)
-    r = np.atleast_1d(np.asarray(r, dtype=float))
     dfm = dF_m_dr(r, kc, s, m)     # checks kc and r first
+    r = np.atleast_1d(np.asarray(r, dtype=float))
     dcorr = -kc ** (2.0 - 2.0 * s) * (1.0 / (r * r * (r + kc)) + 1.0 / (r * (r + kc) ** 2))
     return dfm + dcorr
 
@@ -278,7 +278,7 @@ def multiplier_M(xi, z, s):
     """
     if z == 0 or not cmath.isfinite(z):
         raise DomainError(f"multiplier_M requires a finite z != 0, got {z}")
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    xi = np.atleast_1d(real_array(xi, "xi of multiplier_M"))
     if not np.all(np.isfinite(xi) & (xi >= 0.0)):
         raise DomainError("multiplier_M requires finite xi >= 0")
     z = complex(z)
@@ -310,7 +310,7 @@ def _helm_args(kc, r):
     if bad:
         raise DomainError("shifted wavenumber must be finite and lie in the closed first "
                           f"quadrant, got {kc}")
-    r = np.atleast_1d(np.asarray(r, dtype=float))
+    r = np.atleast_1d(real_array(r, "r of a Helmholtz part"))
     if r.size and not (r.min() > 0.0 and r.max() < np.inf):
         raise DomainError("Helmholtz parts require finite r > 0")
     return kc, r

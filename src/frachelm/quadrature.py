@@ -51,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
-from .errors import AccuracyError, DomainError, is_count
+from .errors import AccuracyError, DomainError, is_count, real_array
 from .specfun import bessel_j0, gauss_legendre, iterated_average, j0_zeros
 
 
@@ -346,7 +346,7 @@ def integrate_bessel_transform(g, r, spec=DEFAULT_SPEC):
     integrals are still growing faster than the oscillation envelope at the
     end of the partition (g violates the decay precondition).
     """
-    radii = np.atleast_1d(np.asarray(r, dtype=float))
+    radii = np.atleast_1d(real_array(r, "transform radii"))
     if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0.0)):
         raise DomainError(f"transform radii must be finite and positive, got {r}")
     pts = np.concatenate([[0.0], j0_zeros(_BESSEL_INTERVALS)])

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, NearResonanceError, is_count
+from .errors import AccuracyError, DomainError, NearResonanceError, is_count, real_array
 # green_radial_derivative is unused here but stays importable as
 # scattering.green_radial_derivative, where the benchmark's layer tracing wraps it
 from .green import green_eval_batch, green_radial_derivative  # noqa: F401
@@ -310,13 +310,13 @@ def cell_weight(problem, offset, cell_sizes, spec=DEFAULT_SPEC, level=1):
     for one target t = ``offset`` of shape (n,), an (m,) array for the rows of
     an (m, n) one.  The quadrature radii of all targets go through one
     ``_green_total_at`` call, so they share its radial panels."""
-    t = np.asarray(offset, dtype=float)
-    h = np.atleast_1d(np.asarray(cell_sizes, dtype=float))
+    t = real_array(offset, "cell offsets")
+    h = np.atleast_1d(real_array(cell_sizes, "cell sizes"))
     if h.shape != (problem.n,) or not np.all(np.isfinite(h) & (h > 0.0)):
         raise DomainError(f"cell sizes must be {problem.n} finite positive numbers, "
                           f"got {cell_sizes!r}")
-    if t.ndim not in (1, 2) or t.shape[-1] != problem.n or t.size == 0:
-        raise DomainError(f"offsets of shape {t.shape} for a {problem.n}D cell")
+    if t.ndim not in (1, 2) or t.shape[-1] != problem.n or t.size == 0 or not np.isfinite(t).all():
+        raise DomainError(f"offsets must be finite {problem.n}D points, got shape {t.shape}")
     gamma = max(2.0, 1.0 / problem.s)
     rules = [_cell_quad(ti, h, gamma, level) for ti in np.reshape(t, (-1, h.size))]
     vals = _green_total_at(problem, np.concatenate([r for r, _ in rules]), spec)
@@ -489,7 +489,7 @@ def _solve_dense(system, b, check):
     return u, float(np.linalg.norm(a @ u - b) / np.linalg.norm(b)), rcond
 
 
-def solve_ls(system, incident, check_conditioning=True):
+def solve_ls(system, incident):
     """Solve (I - k^{2s} T_k) u = u_inc, bounding rcond = smin / smax from
     below with ``_PROBES`` seeded complex Gaussian probes w; the path follows
     from N alone.
@@ -505,11 +505,10 @@ def solve_ls(system, incident, check_conditioning=True):
     ``AccuracyError`` names the reason.  On the LU path, below the floor or
     on a singular LU, a values-only SVD decides: rcond is the exact
     smin / smax, and ``NearResonanceError`` is raised below the floor.
-    Without a contrast or ``check_conditioning`` rcond is 1 and no probe is
-    solved.  The residual is ||A u - b|| / ||b||.
+    Without a contrast rcond is 1 and no probe is solved.  The residual is ||A u - b|| / ||b||.
     """
     b = incident.values(system.problem, system.pot.nodes)
-    check = check_conditioning and np.any(system.pot.q_values)
+    check = np.any(system.pot.q_values)
     out = _solve_gmres(system, b, check) if b.size > _DENSE_MAX_N else None
     if out is None:
         out = _solve_dense(system, b, check)

@@ -16,7 +16,8 @@ scalar calls bit for bit.  ``gauss_legendre`` caches NumPy's rule per order and
 The Struve functions, e^{-y} integrals, live in ``green`` above ``quadrature``.
 
 Branch convention: all complex powers/logs are principal, with the cut on
-(-inf, 0].  Arguments on the cut raise :class:`DomainError`.
+(-inf, 0].  Arguments on the cut raise :class:`DomainError`, as do Hankel
+arguments with Im z < 0 (every caller passes k_eps r, k_eps in the first quadrant).
 """
 
 from __future__ import annotations
@@ -224,27 +225,23 @@ def _hankel1_series(z, nu):
 
 def _hankel1(z, nu):
     z = _check_off_cut(z, "hankel1")
+    if np.any(z.imag < 0.0):
+        raise DomainError("hankel1 is evaluated on Im z >= 0 only")
     shape, z = z.shape, z.ravel()
     out = np.empty(z.shape, dtype=complex)
     big = np.abs(z) >= _ASYM_RADIUS
-    series = ~big & (np.abs(z.imag) <= _SERIES_IM_MAX)
+    series = ~big & (z.imag <= _SERIES_IM_MAX)
     _in_blocks(lambda v: _hankel1_asym(v, nu), z, out, big, _ASYM_TERMS)
     _in_blocks(lambda v: _hankel1_series(v, nu), z, out, series, _SERIES_TERMS)
-    # |Im z| > _SERIES_IM_MAX inside the asymptotic radius: the cosh integral
-    # above the real axis, and below it the reflection through H^(2),
-    # H1(z) = 2 J(z) - conj(H1(conj z))
+    # Im z > _SERIES_IM_MAX inside the asymptotic radius: the cosh integral
     for idx in np.flatnonzero(~big & ~series):
-        zi = complex(z[idx])
-        if zi.imag > 0.0:
-            out[idx] = _hankel1_cosh_integral(zi, nu)
-        else:
-            jv = _j_series(np.complex128(zi), nu)
-            out[idx] = 2.0 * complex(jv) - np.conj(_hankel1_cosh_integral(np.conj(zi), nu))
+        out[idx] = _hankel1_cosh_integral(complex(z[idx]), nu)
     return out.reshape(shape) if shape else complex(out[0])
 
 
 def hankel1_0(z):
-    """Hankel function H0^(1)(z) = J0(z) + i Y0(z) on C \\ (-inf, 0]."""
+    """Hankel function H0^(1)(z) = J0(z) + i Y0(z) on Im z >= 0 without the cut
+    (-inf, 0]; Im z < 0 raises :class:`DomainError`."""
     return _hankel1(z, 0)
 
 
@@ -254,10 +251,8 @@ def hankel1_0_rel_error(z):
     about e^{|z|} sum to about e^{-Im z}; 3e-12 on the asymptotic series for
     |z| in [14, 15), measured against mpmath; at least 1e-12 everywhere.
     ``hankel1_1`` stays within it too (worst seen 0.88 of it, at z = 14).
-    Raises :class:`DomainError` for Im z < 0: there the reflection and the
-    asymptotic series miss by more than the bound of the mirror point z*
-    (about 2e-12 near 13.1 - 2.55i and 7.7e-12 just past |z| = 14 near the
-    negative imaginary axis).  A real z skips the complex pass."""
+    Raises :class:`DomainError` for Im z < 0, where ``hankel1_0`` is not
+    evaluated.  A real z skips the complex pass."""
     z = np.asarray(z)
     az = np.abs(z)
     if z.dtype.kind != "c":     # a real z: Im z = 0, no complex pass

@@ -17,7 +17,7 @@ from frachelm.green import green_eval_batch, green_radial_derivative
 from frachelm.kernels import Problem
 from frachelm.quadrature import QuadratureSpec
 from frachelm.scattering import PotentialGrid
-from frachelm.specfun import gauss_legendre, hankel1_0
+from frachelm.specfun import gauss_legendre, gauss_panels, hankel1_0
 
 
 def test_decay_check_examples_and_negative_control():
@@ -75,19 +75,19 @@ def test_rate_check_windows_validated():
 
 
 def test_radiation_battery():
-    rep1 = radiation_classify(hankel_outgoing_field(1.0), 1.0, 10.0, 1e3, 0.75)
+    rep1 = radiation_classify(hankel_outgoing_field(1.0), 10.0, 1e3, 0.75)
     assert (rep1.verdict_src, rep1.verdict_gsrc) == (True, True)
-    rep2 = radiation_classify(hankel_incoming_field(1.0), 1.0, 10.0, 1e3, 0.75)
+    rep2 = radiation_classify(hankel_incoming_field(1.0), 10.0, 1e3, 0.75)
     assert (rep2.verdict_src, rep2.verdict_gsrc) == (False, False)
     p = Problem(3, 0.3, 1.0)
-    rep3 = radiation_classify(green_radial_field(p), 1.0, 10.0, 1e3, 0.75)
+    rep3 = radiation_classify(green_radial_field(p), 10.0, 1e3, 0.75)
     assert (rep3.verdict_src, rep3.verdict_gsrc) == (True, True)
     for rep in (rep1, rep2, rep3):
         assert rep.verdict_src == rep.verdict_gsrc
 
 
 def test_radiation_gsrc_partial_nondecreasing():
-    rep = radiation_classify(hankel_outgoing_field(1.0), 1.0, 10.0, 500.0, 0.8)
+    rep = radiation_classify(hankel_outgoing_field(1.0), 10.0, 500.0, 0.8)
     cum = [v for _, v in rep.gsrc_partial]
     assert np.all(np.diff(cum) >= 0.0)
     assert rep.delta == 0.8
@@ -101,45 +101,43 @@ def test_radiation_requires_gradient():
             return 1.0
 
     with pytest.raises(DomainError):
-        radiation_classify(NoGrad(), 1.0, 10.0, 100.0, 0.75)
+        radiation_classify(NoGrad(), 10.0, 100.0, 0.75)
     with pytest.raises(DomainError):
-        radiation_classify(hankel_outgoing_field(1.0), 1.0, 10.0, 100.0, 0.4)
+        radiation_classify(hankel_outgoing_field(1.0), 10.0, 100.0, 0.4)
     for r0, r_max in ((10.0, np.inf), (10.0, np.nan), (np.nan, 100.0), ("10", 100.0), (10.0, "100"),
                       (np.array([10.0, 20.0]), 100.0)):
         with pytest.raises(DomainError):
-            radiation_classify(hankel_outgoing_field(1.0), 1.0, r0, r_max, 0.75)
+            radiation_classify(hankel_outgoing_field(1.0), r0, r_max, 0.75)
     with pytest.raises(DomainError):
-        radiation_classify(hankel_outgoing_field(1.0), 1.0, 10.0, 100.0, "0.75")
+        radiation_classify(hankel_outgoing_field(1.0), 10.0, 100.0, "0.75")
+    # a field carries its own k, which its builder checks
     for k in (np.nan, np.inf, 0.0, -1.0, np.array([1.0]), True):
-        with pytest.raises(DomainError):
-            radiation_classify(hankel_outgoing_field(1.0), k, 10.0, 100.0, 0.75)
+        for builder in (hankel_outgoing_field, hankel_incoming_field):
+            with pytest.raises(DomainError):
+                builder(k)
     h1 = hankel_outgoing_field(1.0)
     with pytest.raises(DomainError):
-        radiation_classify(RadialField(4, h1.value_fn, h1.deriv_fn), 1.0, 10.0, 100.0, 0.75)
+        radiation_classify(RadialField(4, h1.profile_fn), 10.0, 100.0, 0.75)
 
 
 def test_radiation_classify_evaluates_field_once():
     field = hankel_outgoing_field(1.0)
-    seen = {"value": [], "deriv": []}
+    seen = []
 
-    def counted(name, fn):
-        def wrapper(r):
-            seen[name].append(np.size(r))
-            return fn(r)
-        return wrapper
+    def counted(r):
+        seen.append(np.size(r))
+        return field.profile_fn(r)
 
-    field = RadialField(field.n, counted("value", field.value_fn),
-                        counted("deriv", field.deriv_fn))
-    rep = radiation_classify(field, 1.0, 10.0, 1e3, 0.75)
-    # 7 profile radii plus 6 Gauss nodes in each of the 6 shells, in one call each
-    assert seen == {"value": [43], "deriv": [43]}
+    rep = radiation_classify(RadialField(field.n, counted), 10.0, 1e3, 0.75)
+    # 7 profile radii plus 6 Gauss nodes in each of the 6 shells, in one call
+    assert seen == [43]
     assert (rep.verdict_src, rep.verdict_gsrc) == (True, True)
 
 
 def test_warm_rules_build_no_gauss_legendre():
     # a second radiation report and a second cosh-integral Hankel value reuse
     # the cached Gauss-Legendre rules
-    for call in (lambda: radiation_classify(hankel_outgoing_field(1.0), 1.0, 10.0, 1e3, 0.75),
+    for call in (lambda: radiation_classify(hankel_outgoing_field(1.0), 10.0, 1e3, 0.75),
                  lambda: hankel1_0(3.0 + 10.0j)):
         call()
         misses = gauss_legendre.cache_info().misses
@@ -149,7 +147,7 @@ def test_warm_rules_build_no_gauss_legendre():
 
 def test_radiation_green_profile_matches_tight_reference():
     p = Problem(1, 0.75, 1.0)
-    rep = radiation_classify(green_radial_field(p), 1.0, 10.0, 1e3, 0.75)
+    rep = radiation_classify(green_radial_field(p), 10.0, 1e3, 0.75)
     tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
     radii = np.array([r for r, _ in rep.src_profile])
     g = sum(green_eval_batch(p, 0.0, radii, tight)[:3])
@@ -157,6 +155,29 @@ def test_radiation_green_profile_matches_tight_reference():
     ref = np.abs(dg - 1j * g)      # n = 1: the weight r^{(n-1)/2} is 1
     got = np.array([v for _, v in rep.src_profile])
     assert np.max(np.abs(got - ref) / ref) < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_green_field_report_is_one_green_pass(monkeypatch, n):
+    # the report of G reads its 43 radii from one pass for G and dG/dr, and its
+    # shells are the annulus integrals of |dG/dr - i k G|^2 (1 + r^2)^{delta - 1}
+    # over |S^{n-1}| r^{n-1}
+    p, delta = Problem(n, 0.3, 1.0), 0.75
+    passes, green_batch = [], green._green_batch
+    monkeypatch.setattr(green, "_green_batch",
+                        lambda *a: passes.append((a[2].size, a[4])) or green_batch(*a))
+    rep = radiation_classify(green_radial_field(p), 10.0, 1e3, delta)
+    assert passes == [(43, (False, True))]
+    monkeypatch.setattr(green, "_green_batch", green_batch)
+    radii = np.array([r for r, _ in rep.src_profile])
+    nodes, w = gauss_panels(radii, 6)
+    g = sum(green_eval_batch(p, 0.0, nodes)[:3])
+    dg = green_radial_derivative(p, 0.0, nodes)
+    measure = {1: 2.0, 2: 2.0 * np.pi * nodes, 3: 4.0 * np.pi * nodes ** 2}[n]
+    terms = w * np.abs(dg - 1j * g) ** 2 * (1.0 + nodes ** 2) ** (delta - 1.0) * measure
+    want = np.cumsum(terms.reshape(radii.size - 1, -1).sum(axis=1))
+    got = np.array([v for _, v in rep.gsrc_partial])
+    assert np.max(np.abs(got - want) / want) < 1e-12
 
 
 def test_lap_slope_regimes():
@@ -223,6 +244,8 @@ def test_lap_slope_guards():
     lambda p: lap_differences(p, 1.5, ["0.1", "0.01"]),                # eps as text
     lambda p: lap_differences(p, 1.5, np.array([0.1, 0.01 + 0j])),
     lambda p: lap_differences(p, 1.5, [[0.1], 0.01]),                  # a ragged eps list
+    lambda p: lap_differences(p, [[1.0, 2.0], [3.0]], [1e-1, 1e-2]),   # a ragged radius
+    lambda p: lap_differences(p, 1.5, [0.1, True]),                    # a bool among eps
     lambda p: decay_rate_check(p, "j_tail", (10.0, np.inf), 1.0),      # an infinite window
     lambda p: decay_rate_check(p, "j_tail", np.array([[10.0, 100.0]]), 1.0),
     lambda p: decay_rate_check(p, "j_tail", 0.5, 1.0),
@@ -237,7 +260,7 @@ def test_lap_slope_guards():
     lambda p: convolution_norm_check(p, PotentialGrid.build([-1.0], [1.0], 2, 1.0), "0.75", 2.0),
     lambda p: convolution_norm_check(p, PotentialGrid.build([-1.0], [1.0], 2, 1.0), 0.75, "2.0"),
 ], ids=["radius-array", "eps-2d", "radius-text", "radius-bool", "radius-complex", "eps-text",
-        "eps-complex", "eps-ragged", "window-inf", "window-2d", "window-scalar", "window-empty",
+        "eps-complex", "eps-ragged", "radius-ragged", "eps-bool", "window-inf", "window-2d", "window-scalar", "window-empty",
         "window-ragged", "window-text",
         "singularity-window-2d", "singularity-window-scalar", "singularity-window-empty",
         "source-dim", "delta-text", "truncation-text"])

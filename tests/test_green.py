@@ -154,12 +154,19 @@ def test_domain_errors():
                 green_radial_derivative(p, 0.0, np.array([1.0, bad]))
             with pytest.raises(DomainError):
                 src_residual(p, bad)
-        # green_eval and src_residual take one radius, not an array
+        # green_eval takes one radius, not an array; src_residual takes one
+        # radius or a 1-D array of them, not a 2-D one
         for bad in (np.array([1e2, 1e3]), np.array([1e2]), np.array([[1e2]])):
             with pytest.raises(DomainError):
                 green_eval(p, 0.0, bad)
-            with pytest.raises(DomainError):
-                src_residual(p, bad)
+        with pytest.raises(DomainError):
+            src_residual(p, np.array([[1e2]]))
+        for radii in (np.array([1e2, 1e3]), np.array([1e2])):
+            g = sum(green_eval_batch(p, 0.0, radii)[:3]).tolist()
+            dg = green_radial_derivative(p, 0.0, radii).tolist()
+            assert src_residual(p, radii).tolist() == [
+                r ** ((n - 1) / 2.0) * abs(d - 1j * p.k * v)
+                for r, v, d in zip(radii.tolist(), g, dg)]
         # a 0-d array is one radius
         assert green_eval(p, 0.0, np.array(2.0)) == green_eval(p, 0.0, 2.0)
         # radii and shifts are real numbers: a string is not parsed, a bool
@@ -181,8 +188,15 @@ def test_domain_errors():
                     green_eval_batch(p, 0.0, bad)
                 with pytest.raises(DomainError):
                     green_radial_derivative(p, 0.0, bad)
+            # a ragged list, as radius or shift, is refused before NumPy reads it
+            ragged = [[1.0, 2.0], [3.0]]
+            for call in (green_eval, green_eval_batch, green_radial_derivative, src_residual):
+                with pytest.raises(DomainError):
+                    call(p, 0.0, ragged) if call is not src_residual else call(p, ragged)
             with pytest.raises(DomainError):
-                green_eval_batch(p, 0.0, [[1.0, 2.0], [3.0]])   # a ragged list
+                green_eval(p, ragged, 2.0)
+            with pytest.raises(DomainError):
+                green_eval_batch(p, ragged, np.array([1.0, 2.0]))
         # integers are real numbers
         assert green_eval(p, 0, 2) == green_eval(p, 0.0, 2.0)
         # the batch entry points take a nonempty 1-D array
@@ -337,6 +351,27 @@ def test_src_residual_makes_one_green_pass(monkeypatch, n):
         assert sorted(calls, key=str) == [
             ("_check_radii", None), ("_exp_tail_terms", None), ("_far_series", 1),
             ("_far_series", 2), ("_shifted_wavenumber", None)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_src_residual_over_radii_is_one_pass_of_the_batch_calls(monkeypatch, n):
+    # on an array each residual has the bits of the formula on the value and
+    # derivative batch calls at the same radii, from one _green_batch pass
+    radii = np.geomspace(1e-3, 3e3, 15)
+    passes = []
+    green_batch = green._green_batch
+    for s in (1.0 / 6.0, 0.5, 0.75):
+        p = Problem(n, s, 0.7)
+        g = sum(green_eval_batch(p, 0.0, radii)[:3]).tolist()
+        dg = green_radial_derivative(p, 0.0, radii).tolist()
+        want = [r ** ((n - 1) / 2.0) * abs(d - 1j * p.k * v)
+                for r, v, d in zip(radii.tolist(), g, dg)]
+        monkeypatch.setattr(green, "_green_batch",
+                            lambda *a: passes.append((a[2].size, a[4])) or green_batch(*a))
+        got = src_residual(p, radii)
+        monkeypatch.setattr(green, "_green_batch", green_batch)
+        assert got.dtype == float and got.tolist() == want
+    assert passes == [(15, (False, True))] * 3
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -436,6 +436,20 @@ def test_spectral_kernels_reject_non_finite_radii(name, r, kc):
             _SPECTRAL_KERNELS[name](radii, kc)
 
 
+_KERNELS = {**_SPECTRAL_KERNELS, "helm_part": lambda r, kc: helm_part(2, 0.3, kc, r),
+            "helm_part_dr": lambda r, kc: helm_part_dr(2, 0.3, kc, r)}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+@pytest.mark.parametrize("r", ["2.0", True, np.True_, 2.0 + 0j, [1.5, True],
+                               np.array([1.5, None], dtype=object), [[1.0, 2.0], [3.0]]])
+def test_kernels_reject_non_real_radii(name, r):
+    # text is not parsed, a bool is not 1, a complex r keeps its imaginary
+    # part and a ragged list does not reach NumPy
+    with pytest.raises(DomainError):
+        _KERNELS[name](r, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # e^{-y} tail integrands (the prefactors and brackets the Green assembly uses)
 # ---------------------------------------------------------------------------

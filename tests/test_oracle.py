@@ -23,7 +23,7 @@ def test_requires_positive_absorption():
     sh = spectral_shift(p, 0.3)
     assert fourier_invert(p, 0.3, 1.0) == fourier_invert(p, sh, 1.0)
     # one radius: an array of them, even of one, is not accepted
-    for r in (np.inf, np.nan, np.array([1.0, 2.0]), np.array([1.0])):
+    for r in (np.inf, np.nan, np.array([1.0, 2.0]), np.array([1.0]), [[1.0, 2.0], [3.0]]):
         with pytest.raises(DomainError):
             fourier_invert(p, sh, r)
     # the radius and a float epsilon are real numbers: not text, a bool or complex

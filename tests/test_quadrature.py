@@ -206,6 +206,10 @@ def test_bessel_transform_domain():
     for bad in (np.nan, np.inf, -1.0):
         with pytest.raises(DomainError):
             integrate_bessel_transform(lambda rho: rho * np.exp(-rho), np.array([1.0, bad]))
+    # radii are real numbers: text is not parsed and a bool is not 1
+    for bad in ("2.0", True, [1.0, True], 2.0 + 0j, [[1.0, 2.0], [3.0]]):
+        with pytest.raises(DomainError):
+            integrate_bessel_transform(lambda rho: rho * np.exp(-rho), bad)
 
 
 def test_bessel_transform_radii_are_columns():
